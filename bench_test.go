@@ -301,8 +301,8 @@ func BenchmarkFederatedDayParallel(b *testing.B) {
 
 // BenchmarkRequestPath measures one invocation end to end through the
 // pooled whisk request path: ingress → route → publish → pull →
-// execute → result → egress on a single registered invoker, including
-// the idle poll ticks of the surrounding five virtual seconds. This is
+// execute → result → egress on a single registered invoker, run through
+// five virtual seconds in which nothing else happens. This is
 // the micro-benchmark behind the Fig. 5b/6b numbers; steady state must
 // stay allocation-free (the CI gate ratchets allocs/op).
 func BenchmarkRequestPath(b *testing.B) {

@@ -261,8 +261,8 @@ func (t *Topic) Pull(max int) []*Message {
 
 // PullAppend removes up to max messages from the head and appends them
 // to dst, returning the extended slice. It is Pull without the per-call
-// result allocation: invokers poll every 100 ms per worker, so they
-// reuse their buffer as dst.
+// result allocation: invokers pull on every delivery and poll wake-up,
+// so they reuse their buffer as dst.
 func (t *Topic) PullAppend(dst []*Message, max int) []*Message {
 	n := max
 	if n > len(t.queue) {

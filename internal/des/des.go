@@ -54,10 +54,14 @@ type Event struct {
 // the slot is live. The typed form lets hot-path callers reuse one
 // long-lived func(any) (typically a cached method value) instead of
 // allocating a capturing closure per event.
+//
+// at stamps the instant the slot was filled (the clock at scheduling
+// time), read back by FiringScheduledAt while the callback runs.
 type node struct {
 	fn  func()
 	fnA func(any)
 	arg any
+	at  Time
 	gen uint32
 }
 
@@ -137,6 +141,13 @@ type Sim struct {
 	// only — an event stopped while sitting in the in-flight batch
 	// briefly overcounts — and every compaction resets it to exact.
 	ndead int
+
+	// firingAt is the scheduling stamp of the callback now running, and
+	// firing whether one is (see FiringScheduledAt). fire saves and
+	// restores both, so after a nested Run inside a callback they read
+	// as the outer callback had them.
+	firingAt Time
+	firing   bool
 }
 
 // New returns an empty simulation with its clock at instant 0.
@@ -147,6 +158,19 @@ func (s *Sim) Now() Time { return s.now }
 
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int { return s.npending }
+
+// FiringScheduledAt reports the instant at which the callback now
+// running was scheduled; outside any callback it reports Now(). It is a
+// read-only ordering hint: an event scheduled at an earlier instant
+// carries a smaller sequence number, so a component can tell whether a
+// same-instant event it would have queued at some past instant would
+// still be ahead of the firing one.
+func (s *Sim) FiringScheduledAt() Time {
+	if !s.firing {
+		return s.now
+	}
+	return s.firingAt
+}
 
 // Schedule queues fn to run at instant at. Scheduling in the past panics:
 // a component that does so holds a stale view of the clock, which is a bug.
@@ -198,7 +222,9 @@ func (s *Sim) acquire(at Time) (int32, *node) {
 		s.nodes = append(s.nodes, node{})
 		idx = int32(len(s.nodes) - 1)
 	}
-	return idx, &s.nodes[idx]
+	n := &s.nodes[idx]
+	n.at = s.now
+	return idx, n
 }
 
 // enqueue pushes the filled slot onto the heap and hands out the handle.
@@ -215,15 +241,18 @@ func (s *Sim) enqueue(at Time, idx int32, n *node) Event {
 func (s *Sim) fire(e entry) {
 	n := &s.nodes[e.idx]
 	fn, fnA, arg := n.fn, n.fnA, n.arg
+	outerAt, outer := s.firingAt, s.firing
+	s.firingAt, s.firing = n.at, true
 	n.fn, n.fnA, n.arg = nil, nil, nil
 	n.gen++
 	s.free = append(s.free, e.idx)
 	s.npending--
 	if fnA != nil {
 		fnA(arg)
-		return
+	} else {
+		fn()
 	}
-	fn()
+	s.firingAt, s.firing = outerAt, outer
 }
 
 // stepBatch fires the next live entry of the in-flight same-instant

@@ -23,6 +23,37 @@ func checkAggregates(t *testing.T, c *Controller, op int) {
 	}
 }
 
+// checkWakeups pins the poll wake-up invariant: a healthy invoker with
+// work queued on the fast lane or its own topic has a wake-up pending at
+// its next poll-grid instant (attach + k·PollInterval, k ≥ 1, at most
+// one interval ahead), and no draining or gone invoker has one. It
+// returns how many armed invokers it checked.
+func checkWakeups(t *testing.T, c *Controller, ws []*Invoker, op int) (armed int) {
+	t.Helper()
+	now := c.sim.Now()
+	for _, w := range ws {
+		if w.state != InvokerHealthy {
+			if w.wake.Pending() {
+				t.Fatalf("op %d: %v invoker %d has a pending wake-up", op, w.state, w.slot)
+			}
+			continue
+		}
+		if !w.hasWork() {
+			continue
+		}
+		if !w.wake.Pending() {
+			t.Fatalf("op %d: healthy invoker %d has work queued but no wake-up", op, w.slot)
+		}
+		at, iv := w.wake.When(), w.cfg.PollInterval
+		if at <= w.attachedAt || (at-w.attachedAt)%iv != 0 || at < now || at > now+iv {
+			t.Fatalf("op %d: invoker %d wakes at %v, off its grid (attached %v, interval %v, now %v)",
+				op, w.slot, at, w.attachedAt, iv, now)
+		}
+		armed++
+	}
+	return armed
+}
+
 // checkIdleHeap verifies an invoker's idle min-heap invariants against
 // the dense pool list: membership (exactly the sets with idle > 0,
 // each knowing its index), the heap order, and — the property eviction
@@ -65,9 +96,10 @@ func checkIdleHeap(t *testing.T, w *Invoker, op int) {
 // randomized register/drain/kill/invoke storm, the incrementally
 // maintained aggregates (HealthyCount, Utilization's numerator and
 // denominator, DrainingCount, QueueDepth) must equal the from-scratch
-// slot scans they replaced, and every invoker's eviction min-heap must
-// agree with the dense-scan LRU oracle. Any future transition that
-// forgets a counter update fails here loudly.
+// slot scans they replaced, every invoker's eviction min-heap must
+// agree with the dense-scan LRU oracle, and every invoker with work
+// queued must have its poll wake-up armed. Any future transition that
+// forgets a counter update or a wake-up fails here loudly.
 func TestAggregateStormMatchesRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -105,6 +137,7 @@ func TestAggregateStormMatchesRecompute(t *testing.T) {
 				return out
 			}
 
+			armed := 0
 			for op := 0; op < 2500; op++ {
 				switch rng.Intn(12) {
 				case 0: // register a fresh invoker
@@ -126,6 +159,7 @@ func TestAggregateStormMatchesRecompute(t *testing.T) {
 					sim.RunFor(time.Duration(rng.Intn(200)) * time.Millisecond)
 				}
 				checkAggregates(t, c, op)
+				armed += checkWakeups(t, c, invokers, op)
 				for _, w := range invokers {
 					checkIdleHeap(t, w, op)
 				}
@@ -142,6 +176,9 @@ func TestAggregateStormMatchesRecompute(t *testing.T) {
 			}
 			if cold == 0 || warm == 0 {
 				t.Fatalf("storm never exercised the container pool (cold=%d warm=%d) — the heap checks would be vacuous", cold, warm)
+			}
+			if armed == 0 {
+				t.Fatal("storm never queued work for a healthy invoker — the wake-up checks would be vacuous")
 			}
 		})
 	}

@@ -126,6 +126,11 @@ type Controller struct {
 
 	fastLane *bus.Topic
 
+	// pollGrids maps each poll grid (interval, phase) of healthy
+	// invokers to its first peer; the rest hang off peerNext (see
+	// joinPollGrid). Only invokers whose grids coincide share an entry.
+	pollGrids map[pollGrid]*Invoker
+
 	nextInvID int64
 	invPool   []*Invocation
 
@@ -155,11 +160,12 @@ type Controller struct {
 // NewController builds a controller over the given bus.
 func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *Controller {
 	c := &Controller{
-		sim:     sim,
-		b:       b,
-		cfg:     cfg,
-		rng:     dist.NewRand(seed),
-		actions: map[string]*Action{},
+		sim:       sim,
+		b:         b,
+		cfg:       cfg,
+		rng:       dist.NewRand(seed),
+		actions:   map[string]*Action{},
+		pollGrids: map[pollGrid]*Invoker{},
 	}
 	c.ingress = dist.NewSampler(cfg.IngressSeconds, c.rng)
 	c.egress = dist.NewSampler(cfg.EgressSeconds, c.rng)
@@ -173,6 +179,7 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 	c.egressFn = c.egressCb
 	c.drainFn = c.drainCb
 	c.fastLane = b.Topic(cfg.FastLaneName)
+	c.fastLane.OnDelivery(c.wakeInvokers)
 	return c
 }
 
@@ -506,7 +513,9 @@ func (c *Controller) egressCb(v any) {
 
 // Register adds an invoker to the dynamic slot list (lowest free slot,
 // as the HPC-Whisk controller maintains a dense dynamic invoker list)
-// and returns its slot id. The invoker starts polling immediately.
+// and returns its slot id. From now on the invoker pulls its topic on
+// every delivery, and polls on its PollInterval grid while messages
+// wait on the fast lane or its topic.
 func (c *Controller) Register(inv *Invoker) int {
 	slot := -1
 	for i, s := range c.slots {
@@ -543,6 +552,83 @@ func (c *Controller) drainCb(v any) {
 	c.MovedToFL += inv.topic.MoveAll(c.fastLane)
 }
 
+// pollGrid identifies a poll grid: invokers with equal keys poll at the
+// same instants. (Invokers with different intervals never share a key;
+// the few instants their grids have in common keep no peer order.)
+type pollGrid struct{ interval, phase time.Duration }
+
+func gridOf(w *Invoker) pollGrid {
+	return pollGrid{w.cfg.PollInterval, w.attachedAt % w.cfg.PollInterval}
+}
+
+// wakeInvokers is the fast lane's delivery callback: every healthy
+// invoker would pull the new messages at its next poll, so each arms a
+// wake-up (or keeps the one it has).
+func (c *Controller) wakeInvokers() {
+	for _, w := range c.slots {
+		if w != nil && w.state == InvokerHealthy {
+			w.arm()
+		}
+	}
+}
+
+// joinPollGrid links a just-attached invoker into its grid peers, in the
+// order their polls run at an instant the grids share. A poll loop
+// queues its first poll at attach and every later one an interval
+// before it runs, so peers keep their attach order — except that an
+// attach by an event scheduled before now − PollInterval runs ahead of
+// the peers' polls at now (queued at now − PollInterval), so its
+// invoker goes ahead of every peer attached before now. Every pilot
+// warm-up is such an event; an attach outside any event (as tests
+// register) goes last.
+func (c *Controller) joinPollGrid(w *Invoker) {
+	w.onGrid = true
+	key := gridOf(w)
+	head := c.pollGrids[key]
+	if head == nil {
+		c.pollGrids[key] = w
+		return
+	}
+	now := c.sim.Now()
+	ahead := c.sim.FiringScheduledAt() < now-w.cfg.PollInterval
+	var prev *Invoker
+	for p := head; p != nil && (!ahead || p.attachedAt == now); p = p.peerNext {
+		prev = p
+	}
+	if prev == nil {
+		w.peerNext = head
+		head.peerPrev = w
+		c.pollGrids[key] = w
+		return
+	}
+	w.peerPrev, w.peerNext = prev, prev.peerNext
+	if w.peerNext != nil {
+		w.peerNext.peerPrev = w
+	}
+	prev.peerNext = w
+}
+
+// leavePollGrid cancels w's pending wake-up and unlinks it from its
+// grid peers once it stops accepting work. Idempotent.
+func (c *Controller) leavePollGrid(w *Invoker) {
+	if !w.onGrid {
+		return
+	}
+	w.onGrid = false
+	w.wake.Stop()
+	if w.peerNext != nil {
+		w.peerNext.peerPrev = w.peerPrev
+	}
+	if w.peerPrev != nil {
+		w.peerPrev.peerNext = w.peerNext
+	} else if w.peerNext != nil {
+		c.pollGrids[gridOf(w)] = w.peerNext
+	} else {
+		delete(c.pollGrids, gridOf(w))
+	}
+	w.peerPrev, w.peerNext = nil, nil
+}
+
 // clearSlot frees the invoker's slot, stopping at the first match, and
 // compacts trailing free slots so churn doesn't grow the array without
 // bound. (slotSpan deliberately keeps the high-water mark — see the
@@ -554,6 +640,7 @@ func (c *Controller) drainCb(v any) {
 // machine — takes its population, busy, and buffer contributions with
 // it.
 func (c *Controller) clearSlot(inv *Invoker) {
+	c.leavePollGrid(inv)
 	c.noteStateChange(inv, inv.state, InvokerGone)
 	c.noteBuffer(inv, -len(inv.buffer))
 	inv.topic.Unwatch()

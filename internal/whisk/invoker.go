@@ -48,8 +48,11 @@ type InvokerConfig struct {
 	// past it evicts the least-recently-used idle container.
 	PoolLimit int
 
-	// PollInterval is the topic-pull period; the fast lane is always
-	// pulled before the invoker's own topic (§III-C).
+	// PollInterval is the topic-pull period: the pickup delay of work
+	// that is not pulled on delivery. An invoker polls on the grid
+	// attach + k·PollInterval (k ≥ 1), but only at grid instants where
+	// the fast lane or its own topic holds messages; the fast lane is
+	// always pulled before the invoker's own topic (§III-C).
 	PollInterval time.Duration
 
 	// PullBatch bounds messages taken per poll.
@@ -122,7 +125,16 @@ type Invoker struct {
 	idleHeap   []*containerSet // min-heap over sets with idle > 0, keyed (lastUsed, name)
 	containers int             // total containers (idle + busy)
 
-	ticker *des.Ticker
+	// Poll wake-ups (see arm). attachedAt anchors the poll grid; wake is
+	// the one pending wake-up; onGrid is set from attach until the
+	// invoker stops accepting work. peerPrev/peerNext link the healthy
+	// invokers of the controller whose grids coincide, in the order
+	// their polls run at a shared instant (Controller.joinPollGrid).
+	attachedAt         des.Time
+	wake               des.Event
+	pollFn             func() // cached method value: wake-ups and deliveries
+	onGrid             bool
+	peerPrev, peerNext *Invoker
 
 	onDrained func()
 
@@ -146,10 +158,17 @@ type containerSet struct {
 }
 
 // NewInvoker builds an invoker; it is inert until registered with a
-// controller.
+// controller. It panics on a configuration that cannot make progress:
+// no capacity, no poll interval, or an empty pull batch.
 func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 	if cfg.Capacity <= 0 {
 		panic("whisk: invoker needs capacity")
+	}
+	if cfg.PollInterval <= 0 {
+		panic("whisk: invoker needs a positive poll interval")
+	}
+	if cfg.PullBatch <= 0 {
+		panic("whisk: invoker needs a positive pull batch")
 	}
 	w := &Invoker{
 		cfg:   cfg,
@@ -162,6 +181,7 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 	w.warm = dist.NewSampler(cfg.WarmStartSeconds, w.rng)
 	w.execDoneFn = w.execDone
 	w.ckptDoneFn = w.ckptDone
+	w.pollFn = w.poll
 	return w
 }
 
@@ -169,7 +189,8 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 // aggregates pick the invoker up here, and the topic watcher arms so
 // deliveries flow into the backlog aggregate (including any messages
 // already rotting on the topic from a previous occupant of the slot,
-// exactly as the slot scan re-counted them).
+// exactly as the slot scan re-counted them). The poll grid starts here,
+// and a first wake-up arms if work is already waiting.
 func (w *Invoker) attach(c *Controller, slot int) {
 	w.ctrl = c
 	w.slot = slot
@@ -178,8 +199,10 @@ func (w *Invoker) attach(c *Controller, slot int) {
 	c.noteStateChange(w, InvokerGone, InvokerHealthy)
 	w.topic = c.b.Topic(fmt.Sprintf("invoker%d", slot))
 	w.topic.Watch(&c.backlog)
-	w.topic.OnDelivery(w.poll)
-	w.ticker = c.sim.Every(w.cfg.PollInterval, w.poll)
+	w.topic.OnDelivery(w.pollFn)
+	w.attachedAt = c.sim.Now()
+	c.joinPollGrid(w)
+	w.arm()
 }
 
 // Slot returns the controller slot id (-1 if unregistered).
@@ -197,17 +220,50 @@ func (w *Invoker) Running() int { return len(w.running) }
 // Buffered returns the number of pulled-but-not-started messages.
 func (w *Invoker) Buffered() int { return len(w.buffer) }
 
-// poll pulls the fast lane first, then the invoker's own topic, and
-// dispatches as capacity allows (§III-C).
-func (w *Invoker) poll() {
-	if w.state != InvokerHealthy {
+// hasWork reports whether a poll would pull anything: the fast lane or
+// the invoker's own topic holds messages. (A poll that finds only a
+// non-empty buffer does nothing: every poll and every completion of a
+// healthy invoker ends in dispatch, so a buffered message means every
+// execution slot is busy.)
+func (w *Invoker) hasWork() bool {
+	return w.ctrl.fastLane.Len() > 0 || w.topic.Len() > 0
+}
+
+// arm schedules the invoker's next poll wake-up if work is queued and
+// none is pending. The invoker models a poll loop on the grid attachedAt +
+// k·PollInterval (k ≥ 1) whose every poll is queued one interval before
+// it runs; only the polls that find work are simulated. So the wake-up
+// lands on the next grid instant — or on the current instant, if it is
+// on the grid and its poll would still be ahead of the firing event,
+// i.e. that event was scheduled before now − PollInterval.
+// Same-instant wake-ups of grid peers run in peer order: a peer behind
+// w already waiting at the same instant is re-queued after it. A
+// peerless invoker (the common case) arms in O(1).
+func (w *Invoker) arm() {
+	if !w.onGrid || w.wake.Pending() || !w.hasWork() {
 		return
 	}
-	// Idle-tick fast path: nothing queued anywhere, nothing buffered —
-	// the common case for most of the ~10 polls/s each invoker performs
-	// all day. Pulling, the pressure check, and dispatch would all
-	// no-op.
-	if len(w.buffer) == 0 && w.ctrl.fastLane.Len() == 0 && w.topic.Len() == 0 {
+	sim := w.ctrl.sim
+	now, iv := sim.Now(), w.cfg.PollInterval
+	at := now - (now-w.attachedAt)%iv
+	if at != now || at == w.attachedAt || sim.FiringScheduledAt() >= now-iv {
+		at += iv
+	}
+	w.wake = sim.Schedule(at, w.pollFn)
+	for p := w.peerNext; p != nil; p = p.peerNext {
+		if p.wake.Pending() && p.wake.When() == at {
+			p.wake.Stop()
+			p.wake = sim.Schedule(at, p.pollFn)
+		}
+	}
+}
+
+// poll pulls the fast lane first, then the invoker's own topic, and
+// dispatches as capacity allows (§III-C). It runs on every delivery to
+// the invoker's own topic and on every poll wake-up; a poll that leaves
+// work queued arms the next wake-up.
+func (w *Invoker) poll() {
+	if w.state != InvokerHealthy {
 		return
 	}
 	room := w.cfg.BufferLimit - len(w.buffer)
@@ -239,6 +295,7 @@ func (w *Invoker) poll() {
 		w.rejectBuf = w.rejectBuf[:0]
 	}
 	w.dispatch()
+	w.arm()
 }
 
 func (w *Invoker) dispatch() {
@@ -578,7 +635,7 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 	// counting them.
 	w.ctrl.noteStateChange(w, InvokerHealthy, InvokerDraining)
 	w.onDrained = onDrained
-	w.ticker.Stop()
+	w.ctrl.leavePollGrid(w)
 	w.ctrl.SetDraining(w)
 
 	// Flush the unexecuted buffer to the fast lane (which the backlog
@@ -709,9 +766,7 @@ func (w *Invoker) Kill() {
 	// drops len(running) executions out of the busy aggregate in one
 	// step.
 	w.ctrl.noteStateChange(w, w.state, InvokerGone)
-	if w.ticker != nil {
-		w.ticker.Stop()
-	}
+	w.ctrl.leavePollGrid(w)
 	for _, inv := range w.running {
 		if inv.execEv.Stop() {
 			w.ctrl.release(inv) // the canceled completion event

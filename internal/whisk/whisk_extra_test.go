@@ -72,7 +72,6 @@ func TestDrainingInvokerStopsPolling(t *testing.T) {
 	if owner == ws[0] {
 		other = ws[1]
 	}
-	_ = other
 	c.Invoke("d", nil)
 	sim.RunFor(2 * time.Second)
 	owner.Sigterm(false, nil)
@@ -88,8 +87,8 @@ func TestDrainingInvokerStopsPolling(t *testing.T) {
 	if got == nil || got.Status != StatusSuccess {
 		t.Fatalf("second call lost: %+v", got)
 	}
-	if got.InvokerID == owner.Slot() {
-		t.Error("draining invoker executed new work")
+	if got.InvokerID != other.Slot() {
+		t.Errorf("second call ran on slot %d, want the survivor's slot %d", got.InvokerID, other.Slot())
 	}
 }
 
