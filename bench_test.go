@@ -6,6 +6,7 @@ package hpcwhisk
 // the whole evaluation section.
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -28,8 +29,18 @@ var (
 	benchWeek     *Trace
 )
 
+// must unwraps an experiment entry's (result, error) pair; the
+// benchmarks run every entry under context.Background(), so an error
+// means a broken harness.
+func must[T any](res T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func weekTrace() *Trace {
-	benchWeekOnce.Do(func() { benchWeek = WeekTrace(1) })
+	benchWeekOnce.Do(func() { benchWeek = experiments.WeekTrace(1) })
 	return benchWeek
 }
 
@@ -40,7 +51,7 @@ func BenchmarkFig1IdleNodesCDF(b *testing.B) {
 	b.ResetTimer()
 	var r experiments.Fig1Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunFig1(tr)
+		r = must(experiments.RunFig1Ctx(context.Background(), tr))
 	}
 	b.ReportMetric(r.MeanIdle, "mean-idle-nodes")
 	b.ReportMetric(r.MedianIdle, "median-idle-nodes")
@@ -78,7 +89,7 @@ func BenchmarkFig2JobCDFs(b *testing.B) {
 	b.ReportAllocs()
 	var r experiments.Fig2Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunFig2(2)
+		r = must(experiments.RunFig2Ctx(context.Background(), 2, 0))
 	}
 	b.ReportMetric(r.MedianLimit.Minutes(), "median-limit-min")
 }
@@ -88,7 +99,7 @@ func BenchmarkFig2JobCDFs(b *testing.B) {
 func BenchmarkFig3ToySchedule(b *testing.B) {
 	var r experiments.Fig3Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunFig3(3)
+		r = must(experiments.RunFig3Ctx(context.Background(), 3, nil))
 	}
 	b.ReportMetric(r.Makespan.Minutes(), "makespan-min")
 	b.ReportMetric(100*r.ReadyCoverage, "ready-coverage-%")
@@ -102,7 +113,7 @@ func BenchmarkTableIJobLengthSets(b *testing.B) {
 	b.ResetTimer()
 	var r experiments.TableIResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunTableI(tr)
+		r = must(experiments.RunTableICtx(context.Background(), tr))
 	}
 	for _, row := range r.Rows {
 		if row.Set.Name == "A1" {
@@ -117,9 +128,9 @@ func BenchmarkTableIJobLengthSets(b *testing.B) {
 func BenchmarkTableIIFibExperiment(b *testing.B) {
 	var r DayResult
 	for i := 0; i < b.N; i++ {
-		cfg := FibDay(1)
+		cfg := experiments.FibDay(1)
 		cfg.QPS = 0 // coverage perspective only; Fig 5b has its own bench
-		r = experiments.RunDay(cfg)
+		r = must(experiments.RunDayCtx(context.Background(), cfg, nil))
 	}
 	b.ReportMetric(100*r.Coverage(), "live-coverage-%")
 	b.ReportMetric(100*r.Sim.Coverage(), "sim-bound-%")
@@ -130,9 +141,9 @@ func BenchmarkTableIIFibExperiment(b *testing.B) {
 func BenchmarkTableIIIVarExperiment(b *testing.B) {
 	var r DayResult
 	for i := 0; i < b.N; i++ {
-		cfg := VarDay(1)
+		cfg := experiments.VarDay(1)
 		cfg.QPS = 0
-		r = experiments.RunDay(cfg)
+		r = must(experiments.RunDayCtx(context.Background(), cfg, nil))
 	}
 	b.ReportMetric(100*r.Coverage(), "live-coverage-%")
 	b.ReportMetric(100*r.Sim.Coverage(), "sim-bound-%")
@@ -144,7 +155,7 @@ func BenchmarkTableIIIVarExperiment(b *testing.B) {
 func BenchmarkFig5bResponsivenessFib(b *testing.B) {
 	var r DayResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunDay(FibDay(1))
+		r = must(experiments.RunDayCtx(context.Background(), experiments.FibDay(1), nil))
 	}
 	b.ReportMetric(100*r.Load.InvokedShare, "invoked-%")
 	b.ReportMetric(100*r.Load.SuccessShare, "success-%")
@@ -155,7 +166,7 @@ func BenchmarkFig5bResponsivenessFib(b *testing.B) {
 func BenchmarkFig6bResponsivenessVar(b *testing.B) {
 	var r DayResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunDay(VarDay(1))
+		r = must(experiments.RunDayCtx(context.Background(), experiments.VarDay(1), nil))
 	}
 	b.ReportMetric(100*r.Load.InvokedShare, "invoked-%")
 	b.ReportMetric(100*r.Load.SuccessShare, "success-%")
@@ -167,7 +178,7 @@ func BenchmarkFig6bResponsivenessVar(b *testing.B) {
 func BenchmarkFig7SeBS(b *testing.B) {
 	var r experiments.Fig7Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunFig7(20000, 8, 20, 4)
+		r = must(experiments.RunFig7Ctx(context.Background(), 20000, 8, 20, 4))
 	}
 	for _, row := range r.Rows {
 		b.ReportMetric(row.Speedup, row.Function+"-lambda/prom")
@@ -195,7 +206,8 @@ func BenchmarkWarmupCalibration(b *testing.B) {
 func BenchmarkAblationHandoff(b *testing.B) {
 	var r experiments.AblationResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunAblation(256, 4*time.Hour, 5)
+		r = must(experiments.RunAblationCtx(context.Background(),
+			experiments.AblationConfig{Nodes: 256, Horizon: 4 * time.Hour, Seed: 5}, nil))
 	}
 	for _, row := range r.Rows {
 		b.ReportMetric(100*row.LostShare, row.Variant.Name+"-lost-%")
@@ -213,7 +225,7 @@ func BenchmarkCheckpointDay(b *testing.B) {
 	b.ReportAllocs()
 	var r DayResult
 	for i := 0; i < b.N; i++ {
-		cfg := FibDay(5)
+		cfg := experiments.FibDay(5)
 		cfg.Nodes = 64
 		cfg.Horizon = 2 * time.Hour
 		cfg.MeanIdleNodes = 6
@@ -222,7 +234,7 @@ func BenchmarkCheckpointDay(b *testing.B) {
 		cfg.NumActions = 50
 		cfg.SleepExec = 500 * time.Millisecond
 		cfg.CheckpointInterval = 100 * time.Millisecond
-		r = experiments.RunDay(cfg)
+		r = must(experiments.RunDayCtx(context.Background(), cfg, nil))
 	}
 	b.ReportMetric(float64(r.Work.Checkpoints), "checkpoints")
 	b.ReportMetric(float64(r.Work.Resumed), "resumes")
@@ -235,7 +247,7 @@ func BenchmarkCheckpointDay(b *testing.B) {
 func BenchmarkScientificWorkload(b *testing.B) {
 	var r experiments.ScientificResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunScientific(DefaultScientificConfig(1))
+		r = must(experiments.RunScientificCtx(context.Background(), experiments.DefaultScientificConfig(1), nil))
 	}
 	b.ReportMetric(100*r.Load.SuccessShare, "success-%")
 	b.ReportMetric(100*r.FallbackShare, "fallback-%")
@@ -246,7 +258,7 @@ func BenchmarkScientificWorkload(b *testing.B) {
 func BenchmarkEndogenousScheduler(b *testing.B) {
 	var r experiments.EndogenousResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.RunEndogenous(DefaultEndogenousConfig(1))
+		r = must(experiments.RunEndogenousCtx(context.Background(), experiments.DefaultEndogenousConfig(1), nil))
 	}
 	b.ReportMetric(100*r.PrimeUtilization, "prime-util-%")
 	b.ReportMetric(100*r.PilotCoverage, "pilot-coverage-%")
@@ -265,7 +277,7 @@ func BenchmarkFederatedDay(b *testing.B) {
 		cfg := experiments.DefaultFederatedConfig(1)
 		cfg.Horizon = 2 * time.Hour
 		cfg.Routing = []string{"capacity-weighted"}
-		r = experiments.RunFederated(cfg)
+		r = must(experiments.RunFederatedCtx(context.Background(), cfg, nil))
 	}
 	run := r.Runs[0]
 	b.ReportMetric(100*run.Load.SuccessShare, "success-%")
@@ -290,7 +302,7 @@ func BenchmarkFederatedDayParallel(b *testing.B) {
 		cfg.Horizon = 2 * time.Hour
 		cfg.Routing = []string{"capacity-weighted"}
 		cfg.Shards = runtime.GOMAXPROCS(0)
-		r = experiments.RunFederated(cfg)
+		r = must(experiments.RunFederatedCtx(context.Background(), cfg, nil))
 	}
 	run := r.Runs[0]
 	b.ReportMetric(100*run.Load.SuccessShare, "success-%")
@@ -346,7 +358,7 @@ func BenchmarkWeekDayStreaming(b *testing.B) {
 	b.ReportAllocs()
 	var r DayResult
 	for i := 0; i < b.N; i++ {
-		cfg := FibDay(1)
+		cfg := experiments.FibDay(1)
 		cfg.Nodes = 64
 		cfg.Horizon = 7 * 24 * time.Hour
 		cfg.MeanIdleNodes = 4
@@ -355,7 +367,7 @@ func BenchmarkWeekDayStreaming(b *testing.B) {
 		cfg.NumActions = 20
 		cfg.SleepExec = 50 * time.Millisecond
 		cfg.Streaming = true
-		r = experiments.RunDay(cfg)
+		r = must(experiments.RunDayCtx(context.Background(), cfg, nil))
 	}
 	b.ReportMetric(float64(r.MetricsBytes), "metrics-bytes")
 	b.ReportMetric(100*r.Load.SuccessShare, "success-%")

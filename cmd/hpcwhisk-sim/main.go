@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hpcwhisk-sim -list
-//	hpcwhisk-sim -mode fib -seed 1
+//	hpcwhisk-sim -scenario fib-day -seed 1
 //	hpcwhisk-sim -policy adaptive -hours 6
 //	hpcwhisk-sim -scenario endogenous -set utilization=0.9
 //	hpcwhisk-sim -scenario table1 -nodes 512 -timeout 30s
@@ -42,12 +42,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hpcwhisk-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scenarioName := fs.String("scenario", "", "scenario to run (see -list); empty derives the paper day from -policy/-mode")
+	scenarioName := fs.String("scenario", "", "scenario to run (see -list); empty runs the paper day of -policy (var-day for var, fib-day otherwise)")
 	list := fs.Bool("list", false, "list the registered scenarios and exit")
 	var sets scenario.SetFlag
 	fs.Var(&sets, "set", "scenario-specific option as key=value (repeatable; see -list)")
-	mode := fs.String("mode", "fib", "paper supply model: fib or var (deprecated alias of -policy)")
-	policyName := fs.String("policy", "", "supply policy (registry names: "+strings.Join(policy.Names(), ",")+"); overrides -mode")
+	policyName := fs.String("policy", "", "supply policy (registry names: "+strings.Join(policy.Names(), ",")+")")
 	seed := fs.Int64("seed", 1, "random seed (runs are deterministic per seed)")
 	nodes := fs.Int("nodes", experiments.PrometheusNodes, "cluster size")
 	hours := fs.Int("hours", 24, "experiment length in hours")
@@ -72,15 +71,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Resolve the scenario: explicit -scenario, or the paper day the
-	// selected policy historically implied (var keeps its own day).
+	// selected policy implies (var keeps its own day).
 	name := *scenarioName
-	policySel := *policyName
-	if policySel == "" {
-		policySel = *mode
-	}
 	if name == "" {
 		name = "fib-day"
-		if policySel == "var" {
+		if *policyName == "var" {
 			name = "var-day"
 		}
 	}
@@ -99,8 +94,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if explicit["qps"] {
 		opts = append(opts, scenario.WithQPS(*qps))
 	}
-	if explicit["policy"] || explicit["mode"] || *scenarioName == "" {
-		opts = append(opts, scenario.WithPolicy(policySel))
+	if explicit["policy"] {
+		opts = append(opts, scenario.WithPolicy(*policyName))
 	}
 	opts = append(opts, sets.Options()...)
 	// -shards is sugar for -set shards=N; appended after the sets so the

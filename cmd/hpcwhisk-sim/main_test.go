@@ -20,10 +20,6 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 		t.Errorf("stderr %q lacks the unknown-policy error", errb.String())
 	}
 	errb.Reset()
-	if code := run([]string{"-mode", "bogus"}, &out, &errb); code != 2 {
-		t.Errorf("unknown mode: exit %d, want 2", code)
-	}
-	errb.Reset()
 	if code := run([]string{"-nonsense"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
@@ -137,14 +133,44 @@ func TestSetOption(t *testing.T) {
 	}
 }
 
-// TestModeFlagStillWorks keeps the deprecated -mode spelling alive.
-func TestModeFlagStillWorks(t *testing.T) {
+// TestPolicyVarRunsVarDay: without -scenario, -policy var selects the
+// var paper day (every other policy runs on the fib day).
+func TestPolicyVarRunsVarDay(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-mode", "var", "-nodes", "48", "-hours", "1", "-qps", "0", "-seed", "2"}, &out, &errb); code != 0 {
+	if code := run([]string{"-policy", "var", "-nodes", "48", "-hours", "1", "-qps", "0", "-seed", "2"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "Table III — var day") {
 		t.Errorf("output lacks the var-day header:\n%s", out.String())
+	}
+}
+
+// TestRunRejectsOutOfRangeAxes: a uniform axis outside its range is
+// rejected with exit 2 and an error naming the axis, before anything
+// runs — never a panic deep inside the trace generator.
+func TestRunRejectsOutOfRangeAxes(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-hours", "0"}, "horizon"},
+		{[]string{"-nodes", "0"}, "nodes"},
+		{[]string{"-nodes", "-3"}, "nodes"},
+		{[]string{"-qps", "-1"}, "qps"},
+		{[]string{"-qps", "NaN"}, "qps"},
+		{[]string{"-scenario", "ablation", "-nodes", "0"}, "nodes"},
+	}
+	for _, tc := range cases {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.wantErr) {
+			t.Errorf("%v: stderr %q does not name the %s axis", tc.args, errb.String(), tc.wantErr)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed results despite the error:\n%s", tc.args, out.String())
+		}
 	}
 }
 

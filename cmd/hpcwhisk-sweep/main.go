@@ -42,8 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the registered scenarios and exit")
 	var sets scenario.SetFlag
 	fs.Var(&sets, "set", "scenario-specific option as key=value, applied to every grid cell (repeatable)")
-	policies := fs.String("policy", "", "comma-separated supply policies to grid over (registry names: "+strings.Join(policy.Names(), ",")+"); overrides -modes")
-	modes := fs.String("modes", "fib", "deprecated alias of -policy (kept for old scripts)")
+	policies := fs.String("policy", "fib", "comma-separated supply policies to grid over the paper days when -scenario is empty (registry names: "+strings.Join(policy.Names(), ",")+")")
 	qpsList := fs.String("qps", "10", "comma-separated QPS levels to grid over (0 disables load)")
 	nodesList := fs.String("nodes", strconv.Itoa(experiments.PrometheusNodes), "comma-separated cluster sizes to grid over")
 	hours := fs.Int("hours", 24, "experiment length in hours")
@@ -80,24 +79,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sets = append(sets, fmt.Sprintf("shards=%d", *shards))
 	}
 
-	var cells []sweep.ScenarioPoint
-	var err error
-	if *scenarios != "" {
-		// The policy grid belongs to the legacy day sweep; with
-		// -scenario the policy is a uniform axis, not a grid. Refuse
-		// the combination rather than silently dropping a flag.
-		if explicit["policy"] || explicit["modes"] {
-			fmt.Fprintln(stderr, "-scenario and -policy/-modes cannot be combined; grid policies with separate -scenario cells or a policy-comparison sweep")
-			return 2
-		}
-		cells, err = buildScenarioGrid(*scenarios, *qpsList, *nodesList, *hours, sets, explicit)
-	} else {
-		selected := *policies
-		if selected == "" {
-			selected = *modes
-		}
-		cells, err = buildGrid(selected, *qpsList, *nodesList, *hours, sets)
+	// The policy grid belongs to the paper-day sweep; with -scenario the
+	// policy is a uniform axis, not a grid. Refuse the combination
+	// rather than silently dropping a flag.
+	if *scenarios != "" && explicit["policy"] {
+		fmt.Fprintln(stderr, "-scenario and -policy cannot be combined; grid policies with separate -scenario cells or a policy-comparison sweep")
+		return 2
 	}
+	cells, err := buildScenarioGrid(*scenarios, *policies, *qpsList, *nodesList, *hours, sets, explicit)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -142,61 +131,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// buildGrid expands the legacy policy × qps × nodes grid into
-// scenario-registry cells over the Table II/III day experiments.
-// Every policy runs the fib day's trace calibration except "var",
-// which keeps its own paper day — exactly the pre-registry behavior,
-// now expressed as fib-day/var-day scenario cells. -set options apply
-// to every cell (the day scenarios document actions/sleep-exec/...).
-// Cells are validated by SweepScenarios before anything runs.
-func buildGrid(policies, qpsList, nodesList string, hours int, sets scenario.SetFlag) ([]sweep.ScenarioPoint, error) {
-	var cells []sweep.ScenarioPoint
-	for _, name := range strings.Split(policies, ",") {
-		name = strings.TrimSpace(name)
-		day := "fib-day"
-		if name == "var" {
-			day = "var-day"
+// buildScenarioGrid expands rows × qps × nodes into cells, row-major.
+// With -scenario the rows are the named scenarios, and grid axes the
+// caller never set stay off the grid (and out of the cell names), so
+// each scenario keeps its own paper defaults; setting an axis a
+// scenario does not honor fails SweepScenarios' validation (no silent
+// duplicate cells). Without -scenario the rows are the paper-day
+// policies: every policy runs the fib day's trace calibration except
+// "var", which keeps its own paper day, and the qps, nodes and hours
+// axes are always set, naming cells "<policy>/qps=<q>/nodes=<n>".
+// -set options apply to every cell.
+func buildScenarioGrid(scenarios, policies, qpsList, nodesList string, hours int, sets scenario.SetFlag, explicit map[string]bool) ([]sweep.ScenarioPoint, error) {
+	type row struct {
+		label, scenario string
+		opts            []scenario.Option
+	}
+	var rows []row
+	if scenarios != "" {
+		for _, name := range strings.Split(scenarios, ",") {
+			name = strings.TrimSpace(name)
+			rows = append(rows, row{label: name, scenario: name})
 		}
-		for _, qpsStr := range strings.Split(qpsList, ",") {
-			qps, err := strconv.ParseFloat(strings.TrimSpace(qpsStr), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad qps %q: %v", qpsStr, err)
+	} else {
+		for _, name := range strings.Split(policies, ",") {
+			name = strings.TrimSpace(name)
+			day := "fib-day"
+			if name == "var" {
+				day = "var-day"
 			}
-			for _, nodesStr := range strings.Split(nodesList, ",") {
-				nodes, err := strconv.Atoi(strings.TrimSpace(nodesStr))
-				if err != nil {
-					return nil, fmt.Errorf("bad nodes %q: %v", nodesStr, err)
-				}
-				opts := []scenario.Option{
-					scenario.WithPolicy(name),
-					scenario.WithQPS(qps),
-					scenario.WithNodes(nodes),
-					scenario.WithHorizon(time.Duration(hours) * time.Hour),
-				}
-				opts = append(opts, sets.Options()...)
-				cells = append(cells, sweep.ScenarioPoint{
-					Name:     fmt.Sprintf("%s/qps=%g/nodes=%d", name, qps, nodes),
-					Scenario: day,
-					Options:  opts,
-				})
-			}
+			rows = append(rows, row{label: name, scenario: day, opts: []scenario.Option{scenario.WithPolicy(name)}})
 		}
 	}
-	return cells, nil
-}
+	set := func(flagName string) bool { return scenarios == "" || explicit[flagName] }
 
-// buildScenarioGrid expands scenarios × qps × nodes into cells. Grid
-// axes the caller never set stay off the grid (and out of the cell
-// names), so each scenario keeps its own paper defaults; setting an
-// axis a scenario does not honor fails SweepScenarios' validation
-// (no silent duplicate cells).
-func buildScenarioGrid(scenarios, qpsList, nodesList string, hours int, sets scenario.SetFlag, explicit map[string]bool) ([]sweep.ScenarioPoint, error) {
 	type axis struct {
 		label string
 		opt   scenario.Option
 	}
 	expand := func(flagName, listStr string, parse func(string) (axis, error)) ([]axis, error) {
-		if !explicit[flagName] {
+		if !set(flagName) {
 			return []axis{{}}, nil // unset: one cell, scenario default
 		}
 		var out []axis
@@ -232,17 +205,16 @@ func buildScenarioGrid(scenarios, qpsList, nodesList string, hours int, sets sce
 	}
 
 	var shared []scenario.Option
-	if explicit["hours"] {
+	if set("hours") {
 		shared = append(shared, scenario.WithHorizon(time.Duration(hours)*time.Hour))
 	}
 	shared = append(shared, sets.Options()...)
 
 	var cells []sweep.ScenarioPoint
-	for _, name := range strings.Split(scenarios, ",") {
-		name = strings.TrimSpace(name)
+	for _, r := range rows {
 		for _, q := range qpsAxis {
 			for _, n := range nodesAxis {
-				opts := append([]scenario.Option(nil), shared...)
+				opts := append(append([]scenario.Option(nil), shared...), r.opts...)
 				if q.opt != nil {
 					opts = append(opts, q.opt)
 				}
@@ -250,8 +222,8 @@ func buildScenarioGrid(scenarios, qpsList, nodesList string, hours int, sets sce
 					opts = append(opts, n.opt)
 				}
 				cells = append(cells, sweep.ScenarioPoint{
-					Name:     name + q.label + n.label,
-					Scenario: name,
+					Name:     r.label + q.label + n.label,
+					Scenario: r.scenario,
 					Options:  opts,
 				})
 			}

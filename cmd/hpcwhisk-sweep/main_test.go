@@ -11,8 +11,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
+// TestBuildGridShape: without -scenario the grid runs the paper days
+// per policy, with every axis set and named, in policy × qps × nodes
+// order — var on its own day, every other policy on the fib day.
 func TestBuildGridShape(t *testing.T) {
-	points, err := buildGrid("fib,var,adaptive", "5,10", "64,128", 24, nil)
+	points, err := buildScenarioGrid("", "fib,var,adaptive", "5,10", "64,128", 24, nil, map[string]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,21 +31,30 @@ func TestBuildGridShape(t *testing.T) {
 		if p.Name != want[i] {
 			t.Errorf("point %d named %q, want %q", i, p.Name, want[i])
 		}
+		day := "fib-day"
+		if strings.HasPrefix(p.Name, "var/") {
+			day = "var-day"
+		}
+		if p.Scenario != day {
+			t.Errorf("point %s runs %q, want %q", p.Name, p.Scenario, day)
+		}
 	}
 }
 
 func TestBuildGridErrors(t *testing.T) {
 	// Unparsable axis values fail in the builder; semantic errors
-	// (unknown policy, unknown -set key) fail in SweepScenarios'
-	// upfront validation — see TestRunRejectsBadFlags and
-	// TestLegacyGridHonorsSetOptions.
-	cases := []struct{ policies, qps, nodes string }{
-		{"fib", "ten", "64"},
-		{"fib", "10", "many"},
+	// (unknown policy, unknown -set key, out-of-range axes) fail in
+	// SweepScenarios' upfront validation — see TestRunRejectsBadFlags
+	// and TestLegacyGridHonorsSetOptions.
+	cases := []struct{ scenarios, policies, qps, nodes string }{
+		{"", "fib", "ten", "64"},
+		{"", "fib", "10", "many"},
+		{"fib-day", "", "ten", "64"},
 	}
+	explicit := map[string]bool{"qps": true, "nodes": true}
 	for _, tc := range cases {
-		if _, err := buildGrid(tc.policies, tc.qps, tc.nodes, 1, nil); err == nil {
-			t.Errorf("buildGrid(%q, %q, %q) succeeded, want error", tc.policies, tc.qps, tc.nodes)
+		if _, err := buildScenarioGrid(tc.scenarios, tc.policies, tc.qps, tc.nodes, 1, nil, explicit); err == nil {
+			t.Errorf("buildScenarioGrid(%q, %q, %q, %q) succeeded, want error", tc.scenarios, tc.policies, tc.qps, tc.nodes)
 		}
 	}
 }
@@ -63,6 +75,36 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-h"}, &out, &errb); code != 0 {
 		t.Errorf("-h: exit %d, want 0", code)
 	}
+
+	// Out-of-range counts and axes fail SweepScenarios' upfront
+	// validation: exit 2 with an error naming the culprit, and no
+	// replica runs (a worker goroutine would panic on -hours 0, and a
+	// negative QPS would silently sweep an unloaded day).
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-replicas", "0"}, "replica count"},
+		{[]string{"-replicas", "-1"}, "replica count"},
+		{[]string{"-hours", "0"}, "horizon"},
+		{[]string{"-nodes", "0"}, "nodes"},
+		{[]string{"-qps", "-1"}, "qps"},
+		{[]string{"-qps", "-5", "-nodes", "48", "-hours", "1"}, "qps"},
+		{[]string{"-scenario", "ablation", "-nodes", "0"}, "nodes"},
+	}
+	for _, tc := range cases {
+		out.Reset()
+		errb.Reset()
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.wantErr) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, errb.String(), tc.wantErr)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote results despite the error", tc.args)
+		}
+	}
 }
 
 // TestListScenarios: -list prints the sweepable catalog and exits 0.
@@ -81,7 +123,7 @@ func TestListScenarios(t *testing.T) {
 // TestScenarioGridNaming: explicit grid axes land in the cell names,
 // unset ones stay off (so each scenario keeps its paper defaults).
 func TestScenarioGridNaming(t *testing.T) {
-	cells, err := buildScenarioGrid("fib-day,var-day", "5,10", "64", 24, nil,
+	cells, err := buildScenarioGrid("fib-day,var-day", "", "5,10", "64", 24, nil,
 		map[string]bool{"qps": true, "nodes": true})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +141,7 @@ func TestScenarioGridNaming(t *testing.T) {
 		}
 	}
 
-	cells, err = buildScenarioGrid("fig2", "10", "2239", 24, nil, map[string]bool{})
+	cells, err = buildScenarioGrid("fig2", "fib", "10", "2239", 24, nil, map[string]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +185,7 @@ func TestScenarioSweepRuns(t *testing.T) {
 		t.Errorf("stderr %q lacks the unused-axis error", errb.String())
 	}
 
-	// -scenario and the legacy policy grid cannot combine: refusing
+	// -scenario and the paper-day policy grid cannot combine: refusing
 	// beats silently dropping the user's policy list.
 	errb.Reset()
 	if code := run([]string{"-scenario", "fig2", "-policy", "fib,adaptive"}, &out, &errb); code != 2 {
@@ -154,14 +196,14 @@ func TestScenarioSweepRuns(t *testing.T) {
 	}
 }
 
-// TestLegacyGridHonorsSetOptions: -set reaches the legacy policy-grid
+// TestLegacyGridHonorsSetOptions: -set reaches the paper-day policy-grid
 // cells — an unknown key fails the sweep's upfront validation, and a
 // known day option runs through.
 func TestLegacyGridHonorsSetOptions(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-policy", "fib", "-qps", "0", "-nodes", "48", "-hours", "1",
 		"-replicas", "1", "-set", "bogus=7"}, &out, &errb); code != 2 {
-		t.Errorf("unknown -set key on legacy grid: exit %d, want 2", code)
+		t.Errorf("unknown -set key on the policy grid: exit %d, want 2", code)
 	}
 	if !strings.Contains(errb.String(), "no option") {
 		t.Errorf("stderr %q lacks the unknown-option error", errb.String())
@@ -170,7 +212,7 @@ func TestLegacyGridHonorsSetOptions(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"-policy", "fib", "-qps", "0", "-nodes", "48", "-hours", "1",
 		"-replicas", "1", "-set", "actions=7", "-format", "csv"}, &out, &errb); code != 0 {
-		t.Errorf("known -set key on legacy grid: exit %d, stderr: %s", code, errb.String())
+		t.Errorf("known -set key on the policy grid: exit %d, stderr: %s", code, errb.String())
 	}
 }
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -39,10 +40,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	horizon := time.Duration(*days) * 24 * time.Hour
 	tr := workload.DefaultIdleProcess(*nodes, horizon, *seed).Generate()
 
-	fig1 := experiments.RunFig1(tr)
+	ctx := context.Background() // never canceled
+	fig1, _ := experiments.RunFig1Ctx(ctx, tr)
 	fig1.Render(stdout)
 	fmt.Fprintln(stdout)
-	fig2 := experiments.RunFig2(*seed)
+	fig2, _ := experiments.RunFig2Ctx(ctx, *seed, experiments.Fig2Jobs)
 	fig2.Render(stdout)
 
 	if *traceOut != "" {

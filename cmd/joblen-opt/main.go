@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tr = workload.DefaultIdleProcess(*nodes, horizon, *seed).Generate()
 	}
 
-	res := experiments.RunTableI(tr)
+	res, _ := experiments.RunTableICtx(context.Background(), tr) // never canceled
 	res.Render(stdout)
 	return 0
 }

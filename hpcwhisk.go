@@ -7,18 +7,17 @@
 //
 // The facade exposes three layers:
 //
-//   - Deployment: New wires a complete simulated deployment (Slurm
-//     emulator + OpenWhisk controller + pilot-job manager) that can be
-//     driven by a generated availability trace or a prime job stream.
+//   - Deployment: New wires one complete simulated site (Slurm
+//     emulator + OpenWhisk controller + pilot-job manager) on a fresh
+//     virtual clock, driven by a generated availability trace;
+//     NewFederation hosts several sites behind a routing front door.
 //   - Workloads: GenerateTrace builds the calibrated idle-availability
-//     trace standing in for the paper's production logs; GenerateJobs
-//     builds the Fig. 2 HPC job stream.
+//     trace standing in for the paper's production logs.
 //   - Experiments: every table and figure of the paper's evaluation is
 //     a named scenario in a registry — enumerable via Scenarios, run via
 //     RunScenario with functional options, cancellable through a
-//     context, and sweepable by name. Typed experiment configs
-//     (DayConfig, ScientificConfig, ...) remain exposed for embedders
-//     that need every knob.
+//     context, and sweepable by name with SweepScenarios. Typed results
+//     come back through ScenarioResult.Unwrap (e.g. DayResult).
 //
 // Everything runs on a deterministic virtual clock: a seeded run is
 // reproducible bit-for-bit, and 24-hour experiments complete in seconds.
@@ -29,17 +28,13 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/coverage"
+	"repro/internal/des"
 	"repro/internal/experiments"
 	"repro/internal/lambda"
-	"repro/internal/loadgen"
 	"repro/internal/policy"
 	"repro/internal/router"
 	"repro/internal/scenario"
-	"repro/internal/sebs"
-	"repro/internal/slurm"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/whisk"
@@ -48,7 +43,7 @@ import (
 
 // Supply-policy layer: the pilot-supply decision of §III-D is a
 // swappable policy behind the policy.SupplyPolicy interface. Policies
-// are stateful; build a fresh value per deployment.
+// are stateful; the registry builds a fresh value per deployment.
 
 // SupplyPolicy decides what pilot jobs the manager keeps queued.
 type SupplyPolicy = policy.SupplyPolicy
@@ -59,78 +54,36 @@ type PolicyEnv = policy.Env
 // PilotEnd describes one ended pilot to a policy.
 type PilotEnd = policy.PilotEnd
 
-// Pilot end reasons as policies see them.
-const (
-	EndPreempted = policy.EndPreempted
-	EndExpired   = policy.EndExpired
-	EndOther     = policy.EndOther
-)
-
 // PolicyNames lists the registered supply policies ("adaptive", "fib",
 // "hybrid", "lease", "var", plus anything the embedding program
 // registered).
 func PolicyNames() []string { return policy.Names() }
 
-// NewPolicy builds a fresh default-configured policy by registry name.
-func NewPolicy(name string) (SupplyPolicy, error) { return policy.New(name) }
-
 // RegisterPolicy adds a custom policy factory to the registry, making
-// it available to DayConfig.Policy, the sweep grid, and PolicyNames.
-// See examples/policy for a worked custom policy.
+// it available to DefaultConfig, the scenarios' policy axis, and
+// PolicyNames. See examples/policy for a worked custom policy.
 func RegisterPolicy(name string, factory func() SupplyPolicy) {
 	policy.Register(name, factory)
 }
 
-// Policy constructors with explicit knobs.
-
-// FibPolicyConfig parameterizes the paper's bag-of-tasks model.
-type FibPolicyConfig = policy.FibConfig
-
-// NewFibPolicy builds the fib policy (§III-D).
-func NewFibPolicy(cfg FibPolicyConfig) SupplyPolicy { return policy.NewFib(cfg) }
-
-// VarPolicyConfig parameterizes the paper's flexible-job model.
-type VarPolicyConfig = policy.VarConfig
-
-// NewVarPolicy builds the var policy (§III-D).
-func NewVarPolicy(cfg VarPolicyConfig) SupplyPolicy { return policy.NewVar(cfg) }
-
-// AdaptivePolicyConfig parameterizes the feedback-controlled depth.
-type AdaptivePolicyConfig = policy.AdaptiveConfig
-
-// NewAdaptivePolicy builds the adaptive-depth harvesting policy.
-func NewAdaptivePolicy(cfg AdaptivePolicyConfig) SupplyPolicy { return policy.NewAdaptive(cfg) }
-
-// LeasePolicyConfig parameterizes the rFaaS-style lease pool.
-type LeasePolicyConfig = policy.LeaseConfig
-
-// NewLeasePolicy builds the fixed-term renewable-lease policy.
-func NewLeasePolicy(cfg LeasePolicyConfig) SupplyPolicy { return policy.NewLease(cfg) }
-
-// HybridPolicyConfig parameterizes the fib+var mix.
-type HybridPolicyConfig = policy.HybridConfig
-
-// NewHybridPolicy builds the configurable fib+var split policy.
-func NewHybridPolicy(cfg HybridPolicyConfig) SupplyPolicy { return policy.NewHybrid(cfg) }
-
-// System is a fully wired HPC-Whisk deployment: Slurm emulator,
+// Site is one fully wired HPC-Whisk deployment: Slurm emulator,
 // OpenWhisk controller and bus, pilot manager, and Slurm-level logger,
 // all sharing one virtual clock.
-type System = core.System
+type Site = core.Site
 
-// SystemConfig configures a deployment.
-type SystemConfig = core.SystemConfig
+// SiteConfig configures one deployment.
+type SiteConfig = core.SiteConfig
 
 // DefaultConfig returns the paper's deployment configuration for a
 // cluster size and supply policy (a policy-registry name, e.g. "fib"
-// or "var"; unknown names panic — validate with NewPolicy first when
-// the name comes from user input).
-func DefaultConfig(nodes int, policyName string) SystemConfig {
+// or "var"; unknown names panic — check PolicyNames first when the
+// name comes from user input).
+func DefaultConfig(nodes int, policyName string) SiteConfig {
 	return core.DefaultSystemConfig(nodes, policyName)
 }
 
-// New builds a deployment.
-func New(cfg SystemConfig) *System { return core.NewSystem(cfg) }
+// New builds a single-cluster deployment on a fresh virtual clock.
+func New(cfg SiteConfig) *Site { return core.NewSite(des.New(), cfg) }
 
 // Federation layer: N independent Slurm+whisk sites advance on one
 // synchronized virtual timeline behind a routing front door, so a
@@ -140,19 +93,10 @@ func New(cfg SystemConfig) *System { return core.NewSystem(cfg) }
 // byte-identically to the sequential run. Routing policies live in
 // their own registry, mirroring the supply-policy one.
 
-// Site is one deployment inside a federation (a System owns exactly
-// one plus its clock).
-type Site = core.Site
-
-// SiteConfig configures one federated site; it is the same type as
-// SystemConfig.
-type SiteConfig = core.SiteConfig
-
 // Federation hosts N sites behind the routing front door.
 type Federation = core.Federation
 
-// FederationConfig wires the sites, names the routing policy, and
-// optionally adds the Alg. 1 commercial-cloud fallback.
+// FederationConfig wires the sites and names the routing policy.
 type FederationConfig = core.FederationConfig
 
 // NewFederation builds a federation on a fresh virtual clock.
@@ -164,11 +108,6 @@ func NewFederation(cfg FederationConfig) *Federation { return core.NewFederation
 func UniformFederationConfig(n int, base SiteConfig) FederationConfig {
 	return core.UniformFederationConfig(n, base)
 }
-
-// FrontDoor is the federation's client entry point: per-action home
-// sites plus a routing policy over the per-site health view (live on
-// 1-site doors, snapshot-consistent in multi-site federations).
-type FrontDoor = router.FrontDoor
 
 // RoutingPolicy picks a target site per request from the health view.
 type RoutingPolicy = router.RoutingPolicy
@@ -185,9 +124,6 @@ const NoSite = router.NoSite
 // ("capacity-weighted", "fast-lane-aware", "latency-weighted",
 // "spill-over", plus anything the embedding program registered).
 func RoutingPolicyNames() []string { return router.Names() }
-
-// NewRoutingPolicy builds a fresh routing policy by registry name.
-func NewRoutingPolicy(name string) (RoutingPolicy, error) { return router.New(name) }
 
 // RegisterRoutingPolicy adds a custom routing policy to the registry,
 // making it available to FederationConfig.Routing and the
@@ -214,14 +150,6 @@ func GenerateTrace(nodes int, horizon time.Duration, seed int64) *Trace {
 	return DefaultTraceConfig(nodes, horizon, seed).Generate()
 }
 
-// Job is one prime HPC job (Fig. 2 calibration).
-type Job = workload.Job
-
-// GenerateJobs builds the calibrated HPC job stream.
-func GenerateJobs(n int, horizon time.Duration, seed int64) []Job {
-	return workload.DefaultJobGen(n, horizon, seed).Generate()
-}
-
 // Action is a deployed FaaS function.
 type Action = whisk.Action
 
@@ -242,49 +170,19 @@ func FixedExec(d time.Duration) whisk.ExecFunc { return whisk.FixedExec(d) }
 // Wrapper is the Alg. 1 client-side fallback (§III-E).
 type Wrapper = core.Wrapper
 
-// NewWrapper builds the Alg. 1 wrapper over a primary deployment and an
+// NewWrapper builds the Alg. 1 wrapper over a deployment and an
 // optional commercial-cloud fallback.
-func NewWrapper(sys *System, fallback core.Backend) *Wrapper {
-	return core.NewWrapper(sys.Sim, sys.Ctrl, fallback)
+func NewWrapper(site *Site, fallback core.Backend) *Wrapper {
+	return core.NewWrapper(site.Sim, site.Ctrl, fallback)
 }
 
 // LambdaClient is the commercial-FaaS fallback/baseline model.
 type LambdaClient = lambda.Client
 
-// NewLambdaClient builds the AWS-Lambda-like backend for a deployment's
+// NewLambdaClient builds the AWS-Lambda-like backend on a deployment's
 // clock.
-func NewLambdaClient(sys *System, seed int64) *LambdaClient {
-	return lambda.NewClient(sys.Sim, lambda.DefaultClientConfig(), seed)
-}
-
-// LoadGenerator is the Gatling-like open-loop constant-rate client.
-type LoadGenerator = loadgen.Generator
-
-// NewLoadGenerator builds a load generator against the deployment's
-// controller.
-func NewLoadGenerator(sys *System, qps float64, actions []string, duration time.Duration) *LoadGenerator {
-	return loadgen.New(sys.Sim, loadgen.ForController(sys.Ctrl),
-		loadgen.Config{QPS: qps, Actions: actions, Duration: duration})
-}
-
-// SlurmJobSpec submits prime HPC jobs in full-scheduler mode.
-type SlurmJobSpec = slurm.JobSpec
-
-// CoverageSet is a named pilot job-length set (Table I).
-type CoverageSet = coverage.Set
-
-// SimulateCoverage runs the clairvoyant a-posteriori packing of §IV-B.
-func SimulateCoverage(tr *Trace, set CoverageSet) coverage.Result {
-	return coverage.Simulate(tr, set, coverage.DefaultConfig())
-}
-
-// SeBSWorkload bundles the real bfs/mst/pagerank kernels over a
-// generated graph.
-type SeBSWorkload = sebs.Workload
-
-// NewSeBSWorkload generates the SeBS benchmark input.
-func NewSeBSWorkload(vertices, degree int, seed int64) *SeBSWorkload {
-	return sebs.NewWorkload(vertices, degree, seed)
+func NewLambdaClient(site *Site, seed int64) *LambdaClient {
+	return lambda.NewClient(site.Sim, lambda.DefaultClientConfig(), seed)
 }
 
 // Scenario layer: the experiment catalog as first-class, enumerable,
@@ -327,12 +225,9 @@ var (
 
 // Scenarios returns every registered scenario in name order: the full
 // paper catalog (fib-day, var-day, fig1-fig3, fig7, table1, ablation,
-// policy-comparison, scientific, endogenous) plus anything the
+// policy-comparison, scientific, endogenous, ...) plus anything the
 // embedding program registered.
 func Scenarios() []Scenario { return scenario.All() }
-
-// ScenarioNames lists the registered scenario names, sorted.
-func ScenarioNames() []string { return scenario.Names() }
 
 // RunScenario executes a registered scenario by name. Cancellation of
 // ctx returns promptly (checked every simulated epoch) with a
@@ -357,127 +252,27 @@ func NewScenarioResult(typed any, metrics map[string]float64, table [][]string) 
 // table otherwise.
 func RenderScenario(w io.Writer, res ScenarioResult) { scenario.Fprint(w, res) }
 
-// Typed experiment configs: scenarios run through RunScenario /
-// Scenarios (and SweepScenarios for grids); the config and result
-// types below stay exported for embedders that drive
-// internal/experiments entry points with every knob. The deprecated
-// per-experiment Run* wrappers were removed — see CHANGES.md for the
-// scenario name each one maps to.
+// Typed results a scenario's Unwrap returns.
 
-// DayConfig configures a 24-hour production experiment.
-type DayConfig = experiments.DayConfig
-
-// DayResult bundles the Simulation / Slurm-level / OpenWhisk-level
-// perspectives plus the responsiveness report.
+// DayResult is the fib-day / var-day / week-day result: the
+// Simulation / Slurm-level / OpenWhisk-level perspectives plus the
+// responsiveness report.
 type DayResult = experiments.DayResult
 
-// FibDay returns the Table II / Fig. 5 configuration.
-func FibDay(seed int64) DayConfig { return experiments.FibDay(seed) }
-
-// VarDay returns the Table III / Fig. 6 configuration.
-func VarDay(seed int64) DayConfig { return experiments.VarDay(seed) }
-
-// AblationConfig parameterizes the hand-off ablation, including the
-// supply policy the variants run under.
-type AblationConfig = experiments.AblationConfig
-
-// PolicyComparisonConfig configures the supply-policy comparison: the
-// same calibrated day run once per policy, so rows differ only in how
-// the pilot queue is stocked.
-type PolicyComparisonConfig = experiments.PolicyComparisonConfig
-
-// DefaultPolicyComparisonConfig returns a tractable comparison over
-// every registered policy.
-func DefaultPolicyComparisonConfig(seed int64) PolicyComparisonConfig {
-	return experiments.DefaultPolicyComparisonConfig(seed)
-}
-
-// WeekTrace generates the calibrated stand-in for the paper's analyzed
-// production week (2,239 nodes, 7 days).
-func WeekTrace(seed int64) *Trace { return experiments.WeekTrace(seed) }
-
-// ScientificConfig configures the §VII future-work experiment: a
-// representative scientific FaaS workload over HPC-Whisk.
-type ScientificConfig = experiments.ScientificConfig
-
-// DefaultScientificConfig returns a tractable default scenario.
-func DefaultScientificConfig(seed int64) ScientificConfig {
-	return experiments.DefaultScientificConfig(seed)
-}
-
-// CheckpointModel parameterizes checkpoint/restore for one action:
-// interval, dump cost, state size, and the restore path. Attach to an
-// interruptible Action so interrupted executions resume from their
-// last checkpoint instead of losing all progress.
-type CheckpointModel = checkpoint.Model
-
-// DefaultCheckpointModel returns the calibrated checkpoint model.
-func DefaultCheckpointModel() *CheckpointModel { return checkpoint.Default() }
-
-// CheckpointEvery returns the calibrated model with the interval
-// pinned to d (d <= 0: disabled).
-func CheckpointEvery(d time.Duration) *CheckpointModel { return checkpoint.WithInterval(d) }
-
-// WorkCounters is the compute-accounting ledger of the checkpoint
-// subsystem: goodput / wasted / lost body time plus dump and restore
-// overheads.
-type WorkCounters = stats.WorkCounters
-
-// FrontierConfig configures the checkpoint frontier: a function
-// duration × idle-window sweep where every cell runs with and without
-// checkpointing (the checkpoint-frontier scenario).
-type FrontierConfig = experiments.FrontierConfig
-
-// FrontierResult is the frontier sweep's cell grid.
+// FrontierResult is the checkpoint-frontier scenario's cell grid.
 type FrontierResult = experiments.FrontierResult
 
-// DefaultFrontierConfig returns the default frontier grid.
-func DefaultFrontierConfig(seed int64) FrontierConfig {
-	return experiments.DefaultFrontierConfig(seed)
-}
-
-// EndogenousConfig configures the full-scheduler experiment: prime jobs
-// flow through the emulator's own EASY backfill and pilots harvest the
-// idleness that emerges from scheduling.
-type EndogenousConfig = experiments.EndogenousConfig
-
-// DefaultEndogenousConfig returns a tractable slice.
-func DefaultEndogenousConfig(seed int64) EndogenousConfig {
-	return experiments.DefaultEndogenousConfig(seed)
-}
-
-// Replication and parameter sweeps: any experiment entry point can be
-// fanned out across worker goroutines with decorrelated per-replica
-// seeds and aggregated into mean/CI/quantile summaries. A sweep's
-// output is bit-identical regardless of worker count.
+// Replicated sweeps: any registered scenario fans out across worker
+// goroutines with decorrelated per-replica seeds and aggregates into
+// mean/CI/quantile summaries. A sweep's output is bit-identical
+// regardless of worker count.
 
 // SweepConfig controls replica count, worker count and the base seed of
 // a sweep.
 type SweepConfig = sweep.Config
 
-// SweepPoint is one parameter-grid cell: a label plus the experiment
-// closure (a pure function of its seed).
-type SweepPoint = sweep.Point
-
-// SweepResult aggregates the replicas of one grid point.
+// SweepResult aggregates the replicas of one grid cell.
 type SweepResult = sweep.Result
-
-// MetricSummary is the per-metric aggregate (mean, std, 95% CI
-// half-width, quantiles) across a sweep's replicas.
-type MetricSummary = stats.Summary
-
-// Replicate runs one experiment across decorrelated replica seeds and
-// aggregates its metrics; see DayResult.Metrics and friends for the
-// flat metric views of the Run* results.
-func Replicate(cfg SweepConfig, run func(seed int64) map[string]float64) SweepResult {
-	return sweep.Replicate(cfg, run)
-}
-
-// Sweep runs every grid point with cfg.Replicas decorrelated replicas,
-// fanning all (point, replica) pairs across the worker pool.
-func Sweep(cfg SweepConfig, points []SweepPoint) []SweepResult {
-	return sweep.Sweep(cfg, points)
-}
 
 // ScenarioPoint is one sweep-grid cell over the scenario registry.
 type ScenarioPoint = sweep.ScenarioPoint
@@ -490,35 +285,18 @@ func SweepScenarios(cfg SweepConfig, cells []ScenarioPoint) ([]SweepResult, erro
 	return sweep.SweepScenarios(cfg, cells)
 }
 
-// Streaming O(1)-memory metrics: week-scale runs keep quantiles in
-// mergeable t-digest sketches and recent traffic in windowed counters
-// instead of unbounded buffers. Opt in per run (DayConfig.Streaming,
-// FederatedConfig.Streaming, the catalog's "streaming" option); the
-// simulation itself is byte-identical either way — only what the
-// accounting retains changes.
-
-// TDigest is a mergeable, deterministic quantile sketch with bounded
-// memory (O(compression) centroids) and an Epsilon(compression) rank-
-// error guarantee. Zero-allocation in steady state.
-type TDigest = stats.TDigest
-
-// MetricCollector is the streaming seam over scalar observation sinks:
-// both the exact buffered stats.Sample and the O(1)-memory TDigest
-// implement it.
-type MetricCollector = stats.Collector
+// Streaming O(1)-memory metrics: week-scale runs (the catalog's
+// "streaming" option) keep quantiles in mergeable t-digest sketches
+// and recent traffic in windowed counters instead of unbounded
+// buffers; the simulation itself is byte-identical either way — only
+// what the accounting retains changes.
 
 // DefaultDigestCompression is the compression the streaming runs use
-// when none is given (rank error ≤ 3%).
+// (rank error ≤ 3%).
 const DefaultDigestCompression = stats.DefaultCompression
 
-// NewTDigest builds a sketch; compression ≤ 0 selects
-// DefaultDigestCompression.
-func NewTDigest(compression float64) *TDigest {
-	return stats.NewTDigest(compression)
-}
-
 // DigestEpsilon is the documented worst-case rank-error bound of a
-// TDigest built with the given compression.
+// t-digest built with the given compression.
 func DigestEpsilon(compression float64) float64 {
 	return stats.Epsilon(compression)
 }

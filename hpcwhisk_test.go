@@ -41,16 +41,19 @@ func TestFacadeDeployAndInvoke(t *testing.T) {
 }
 
 func TestFacadeSweep(t *testing.T) {
-	day := func(seed int64) map[string]float64 {
-		cfg := FibDay(seed)
-		cfg.Nodes = 128
-		cfg.Horizon = time.Hour
-		cfg.QPS = 0
-		return experiments.RunDay(cfg).Metrics()
+	cells := []ScenarioPoint{{
+		Name:     "fib-slice",
+		Scenario: "fib-day",
+		Options:  []ScenarioOption{WithNodes(128), WithHorizon(time.Hour), WithQPS(0)},
+	}}
+	sweepWith := func(workers int) []SweepResult {
+		res, err := SweepScenarios(SweepConfig{Replicas: 3, Workers: workers, BaseSeed: 9}, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	results := Sweep(SweepConfig{Replicas: 3, Workers: 2, BaseSeed: 9}, []SweepPoint{
-		{Name: "fib-slice", Run: day},
-	})
+	results := sweepWith(2)
 	if len(results) != 1 || results[0].Name != "fib-slice" {
 		t.Fatalf("unexpected results: %+v", results)
 	}
@@ -61,10 +64,8 @@ func TestFacadeSweep(t *testing.T) {
 	if cov.Mean <= 0 || cov.Mean > 1 {
 		t.Errorf("implausible mean coverage %v", cov.Mean)
 	}
-
-	rep := Replicate(SweepConfig{Replicas: 3, Workers: 1, BaseSeed: 9}, day)
-	if rep.Metrics["live-coverage"] != cov {
-		t.Error("Replicate and single-point Sweep disagree on the same config")
+	if again := sweepWith(1)[0].Metrics["live-coverage"]; again != cov {
+		t.Error("1-worker and 2-worker sweeps disagree on the same cell")
 	}
 }
 
@@ -78,15 +79,21 @@ func TestFacadeTraceGeneration(t *testing.T) {
 	}
 }
 
+// TestFacadeJobs generates the Fig. 2 HPC job stream through the
+// facade's scenario path (the per-job runtime ≤ declared-limit
+// property is pinned in internal/workload).
 func TestFacadeJobs(t *testing.T) {
-	jobs := GenerateJobs(500, 24*time.Hour, 3)
-	if len(jobs) != 500 {
-		t.Fatalf("jobs = %d", len(jobs))
+	res, err := RunScenario(context.Background(), "fig2", WithSeed(3), WithOption("jobs", "500"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, j := range jobs {
-		if j.Runtime > j.Declared {
-			t.Fatal("runtime above declared limit")
-		}
+	r := res.Unwrap().(experiments.Fig2Result)
+	if r.Jobs != 500 {
+		t.Fatalf("jobs = %d", r.Jobs)
+	}
+	if r.MedianRuntime > r.MedianLimit || r.MedianSlack < 0 {
+		t.Fatalf("median runtime %v above median limit %v (slack %v)",
+			r.MedianRuntime, r.MedianLimit, r.MedianSlack)
 	}
 }
 
@@ -114,46 +121,59 @@ func TestFacadeWrapperWithLambdaFallback(t *testing.T) {
 	}
 }
 
+// TestFacadeCoverageSimulation runs the §IV-B clairvoyant packing
+// through the facade's table1 scenario and checks the A1 row.
 func TestFacadeCoverageSimulation(t *testing.T) {
-	tr := GenerateTrace(200, 6*time.Hour, 11)
-	res := SimulateCoverage(tr, CoverageSet{Name: "A1", Lengths: []time.Duration{
-		2 * time.Minute, 4 * time.Minute, 6 * time.Minute, 8 * time.Minute,
-		14 * time.Minute, 22 * time.Minute, 34 * time.Minute, 56 * time.Minute,
-		90 * time.Minute,
-	}})
-	if res.Jobs == 0 {
-		t.Fatal("no jobs packed")
+	res, err := RunScenario(context.Background(), "table1",
+		WithSeed(11), WithNodes(200), WithHorizon(6*time.Hour))
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := res.ShareWarmup + res.ShareReady + res.ShareNotUsed
-	if total < 0.999 || total > 1.001 {
-		t.Fatalf("shares sum to %v", total)
+	for _, row := range res.Unwrap().(experiments.TableIResult).Rows {
+		if row.Set.Name != "A1" {
+			continue
+		}
+		if row.Jobs == 0 {
+			t.Fatal("no jobs packed")
+		}
+		total := row.ShareWarmup + row.ShareReady + row.ShareNotUsed
+		if total < 0.999 || total > 1.001 {
+			t.Fatalf("shares sum to %v", total)
+		}
+		return
 	}
+	t.Fatal("table1 has no A1 row")
 }
 
+// TestFacadeSeBS runs the real bfs/mst/pagerank kernels through the
+// facade's fig7 scenario on a small graph.
 func TestFacadeSeBS(t *testing.T) {
-	w := NewSeBSWorkload(1000, 6, 13)
-	for _, fn := range []string{"bfs", "mst", "pagerank"} {
-		if w.Run(fn) == 0 {
-			t.Errorf("%s produced zero checksum", fn)
+	res, err := RunScenario(context.Background(), "fig7", WithSeed(13),
+		WithOption("vertices", "1000"), WithOption("degree", "6"), WithOption("invocations", "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.Unwrap().(experiments.Fig7Result).Rows
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want bfs/mst/pagerank", len(rows))
+	}
+	for _, row := range rows {
+		if row.PrometheusMedian <= 0 || row.LambdaMedian <= 0 {
+			t.Errorf("%s: medians %v / %v, want both positive", row.Function, row.PrometheusMedian, row.LambdaMedian)
 		}
 	}
 }
 
+// TestFacadeLoadGenerator drives a small deployment with the
+// open-loop constant-rate load generator through the facade's
+// scenario QPS axis.
 func TestFacadeLoadGenerator(t *testing.T) {
-	sys := New(DefaultConfig(16, "fib"))
-	cfg := DefaultTraceConfig(16, 30*time.Minute, 17)
-	cfg.MeanIdleNodes = 4
-	sys.LoadTrace(cfg.Generate())
-	actions := []string{"a", "b"}
-	for _, n := range actions {
-		sys.Ctrl.RegisterAction(&Action{Name: n, Exec: FixedExec(time.Millisecond), Interruptible: true})
+	res, err := RunScenario(context.Background(), "fib-day", WithSeed(17),
+		WithNodes(16), WithHorizon(30*time.Minute), WithQPS(2), WithOption("actions", "2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	gen := NewLoadGenerator(sys, 2, actions, 30*time.Minute)
-	gen.Start()
-	sys.Start()
-	sys.Run(30 * time.Minute)
-	sys.Run(2 * time.Minute)
-	rep := gen.Report()
+	rep := res.Unwrap().(DayResult).Load
 	if rep.Issued != 3600 {
 		t.Fatalf("issued = %d", rep.Issued)
 	}
@@ -163,7 +183,7 @@ func TestFacadeLoadGenerator(t *testing.T) {
 }
 
 func TestFacadeWeekTraceMatchesPaper(t *testing.T) {
-	tr := WeekTrace(2)
+	tr := GenerateTrace(experiments.PrometheusNodes, experiments.Week, 2)
 	mean := tr.IdleCount().TimeMean()
 	if mean < 7 || mean > 12 {
 		t.Errorf("week mean idle = %.2f, want ≈9.23", mean)
@@ -188,9 +208,11 @@ func TestFacadeScenarioCatalog(t *testing.T) {
 			t.Errorf("Scenarios() lacks %q", name)
 		}
 	}
-	names := ScenarioNames()
-	if len(names) != len(Scenarios()) {
-		t.Errorf("ScenarioNames has %d entries, Scenarios %d", len(names), len(Scenarios()))
+	all := Scenarios()
+	for i := 1; i < len(all); i++ {
+		if all[i-1].Name >= all[i].Name {
+			t.Errorf("Scenarios() not in name order: %q before %q", all[i-1].Name, all[i].Name)
+		}
 	}
 }
 
@@ -276,8 +298,9 @@ func TestFacadeFederation(t *testing.T) {
 	if !found {
 		t.Error("custom routing policy missing from RoutingPolicyNames")
 	}
-	if _, err := NewRoutingPolicy("no-such-routing"); err == nil {
-		t.Error("NewRoutingPolicy accepted an unknown name")
+	if _, err := RunScenario(context.Background(), "federated-day",
+		WithOption("routing", "no-such-routing")); err == nil {
+		t.Error("federated-day accepted an unknown routing policy")
 	}
 }
 

@@ -96,7 +96,7 @@ func TestWrapperCooldownBoundary(t *testing.T) {
 
 // TestVarManagerSubmitsFlexibleSpecs.
 func TestVarManagerSubmitsFlexibleSpecs(t *testing.T) {
-	s := newFibSystem(4, "var", 21)
+	s := newSeededSite(4, "var", 21)
 	s.LoadTrace(&workload.Trace{Nodes: 4, Horizon: time.Hour})
 	s.Start()
 	s.Run(time.Minute)
@@ -110,7 +110,7 @@ func TestVarManagerSubmitsFlexibleSpecs(t *testing.T) {
 
 // TestManagerStopHaltsReplenishment.
 func TestManagerStopHaltsReplenishment(t *testing.T) {
-	s := newFibSystem(4, "fib", 22)
+	s := newSeededSite(4, "fib", 22)
 	tr := smallTrace(4, time.Hour, 23, 2)
 	s.LoadTrace(tr)
 	s.Start()
@@ -150,7 +150,7 @@ func TestSlurmLevelStatsMath(t *testing.T) {
 // TestHandoffWithinGrace: the §III-C drain always finishes well inside
 // the 3-minute grace for sleep-style functions, so SIGKILL never fires.
 func TestHandoffWithinGrace(t *testing.T) {
-	s := newFibSystem(8, "fib", 24)
+	s := newSeededSite(8, "fib", 24)
 	tr := smallTrace(8, 2*time.Hour, 25, 4)
 	s.LoadTrace(tr)
 	s.Ctrl.RegisterAction(&whisk.Action{

@@ -16,14 +16,17 @@ func smallTrace(nodes int, horizon time.Duration, seed int64, meanIdle float64) 
 	return cfg.Generate()
 }
 
-func newFibSystem(nodes int, policyName string, seed int64) *System {
+// newSite builds a single-cluster deployment on a fresh clock.
+func newSite(cfg SiteConfig) *Site { return NewSite(des.New(), cfg) }
+
+func newSeededSite(nodes int, policyName string, seed int64) *Site {
 	cfg := DefaultSystemConfig(nodes, policyName)
 	cfg.Seed = seed
-	return NewSystem(cfg)
+	return newSite(cfg)
 }
 
 func TestFibReplenishmentKeepsDepth(t *testing.T) {
-	s := newFibSystem(8, "fib", 1)
+	s := newSeededSite(8, "fib", 1)
 	s.LoadTrace(&workload.Trace{Nodes: 8, Horizon: time.Hour}) // no idle windows
 	s.Start()
 	s.Run(5 * time.Minute)
@@ -40,7 +43,7 @@ func TestFibReplenishmentKeepsDepth(t *testing.T) {
 }
 
 func TestVarReplenishmentKeepsDepth(t *testing.T) {
-	s := newFibSystem(8, "var", 1)
+	s := newSeededSite(8, "var", 1)
 	s.LoadTrace(&workload.Trace{Nodes: 8, Horizon: time.Hour})
 	s.Start()
 	s.Run(5 * time.Minute)
@@ -50,7 +53,7 @@ func TestVarReplenishmentKeepsDepth(t *testing.T) {
 }
 
 func TestPilotLifecycleEndToEnd(t *testing.T) {
-	s := newFibSystem(16, "fib", 2)
+	s := newSeededSite(16, "fib", 2)
 	tr := smallTrace(16, 2*time.Hour, 3, 5)
 	s.LoadTrace(tr)
 	s.Ctrl.RegisterAction(&whisk.Action{
@@ -89,7 +92,7 @@ func TestSigtermDuringWarmupExitsCleanly(t *testing.T) {
 	// A 30-second window with a long declared end: the pilot starts,
 	// gets preempted while still warming up (warm-up median 12.5 s but
 	// scheduling takes ~15 s, so the reclaim hits during warm-up).
-	s := newFibSystem(1, "fib", 3)
+	s := newSeededSite(1, "fib", 3)
 	mcfg := s.Manager.cfg
 	_ = mcfg
 	tr := &workload.Trace{Nodes: 1, Horizon: time.Hour, Periods: []workload.IdlePeriod{
@@ -110,7 +113,7 @@ func TestSigtermDuringWarmupExitsCleanly(t *testing.T) {
 }
 
 func TestGracefulHandoffPreservesWork(t *testing.T) {
-	s := newFibSystem(4, "fib", 4)
+	s := newSeededSite(4, "fib", 4)
 	// Two long windows; one closes mid-run and preempts its pilot.
 	tr := &workload.Trace{Nodes: 4, Horizon: 3 * time.Hour, Periods: []workload.IdlePeriod{
 		{Node: 0, Start: 0, End: 30 * time.Minute, DeclaredEnd: 2 * time.Hour},
@@ -146,7 +149,7 @@ func TestUngracefulAblationLosesWork(t *testing.T) {
 	cfg := DefaultSystemConfig(4, "fib")
 	cfg.Seed = 5
 	cfg.Manager.GracefulHandoff = false
-	s := NewSystem(cfg)
+	s := newSite(cfg)
 	tr := &workload.Trace{Nodes: 4, Horizon: 3 * time.Hour, Periods: []workload.IdlePeriod{
 		{Node: 0, Start: 0, End: 30 * time.Minute, DeclaredEnd: 2 * time.Hour},
 	}}
@@ -191,7 +194,7 @@ func (f *fakeBackend) Invoke(action string, done func(*whisk.Invocation)) *whisk
 }
 
 func TestWrapperFallsBackOn503(t *testing.T) {
-	s := newFibSystem(2, "fib", 6)
+	s := newSeededSite(2, "fib", 6)
 	s.LoadTrace(&workload.Trace{Nodes: 2, Horizon: time.Hour}) // never any invoker
 	s.Ctrl.RegisterAction(&whisk.Action{Name: "f", Exec: whisk.FixedExec(time.Millisecond)})
 	s.Start()
@@ -274,7 +277,7 @@ func (f *flakyBackend) Invoke(action string, done func(*whisk.Invocation)) *whis
 }
 
 func TestSlurmLoggerSpacing(t *testing.T) {
-	s := newFibSystem(8, "fib", 7)
+	s := newSeededSite(8, "fib", 7)
 	s.LoadTrace(smallTrace(8, time.Hour, 8, 3))
 	s.Start()
 	s.Run(time.Hour)
@@ -288,7 +291,7 @@ func TestSlurmLoggerSpacing(t *testing.T) {
 }
 
 func TestOWStatsShape(t *testing.T) {
-	s := newFibSystem(16, "fib", 9)
+	s := newSeededSite(16, "fib", 9)
 	s.LoadTrace(smallTrace(16, 2*time.Hour, 10, 5))
 	s.Start()
 	s.Run(2 * time.Hour)
@@ -333,7 +336,7 @@ func TestMinutesHelper(t *testing.T) {
 }
 
 func TestReadySpansRecorded(t *testing.T) {
-	s := newFibSystem(8, "fib", 11)
+	s := newSeededSite(8, "fib", 11)
 	s.LoadTrace(smallTrace(8, 90*time.Minute, 12, 4))
 	s.Start()
 	s.Run(90 * time.Minute)
@@ -347,7 +350,7 @@ func TestReadySpansRecorded(t *testing.T) {
 
 func TestSystemDeterminism(t *testing.T) {
 	run := func() string {
-		s := newFibSystem(8, "fib", 42)
+		s := newSeededSite(8, "fib", 42)
 		s.LoadTrace(smallTrace(8, time.Hour, 43, 4))
 		s.Start()
 		s.Run(time.Hour)

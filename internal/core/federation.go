@@ -31,15 +31,6 @@ type FederationConfig struct {
 	// (router.Names). Empty means DefaultRouting.
 	Routing string
 
-	// Fallback, when non-nil, wraps the front door in the Alg. 1
-	// client-side wrapper (§III-E): a federation-wide 503 — every site
-	// unhealthy or the picked site refusing — off-loads to this backend
-	// (e.g. the commercial-cloud model of internal/lambda) for the
-	// cooldown window. Incompatible with Shards > 1: the wrapper's
-	// cooldown state couples completions to subsequent arrivals, which
-	// breaks the sharded run's lookahead contract (see internal/pdes).
-	Fallback Backend
-
 	// Shards > 1 builds each site on its own event plane and runs the
 	// federation under the conservative pdes coordinator with
 	// min(Shards, len(Sites)) worker goroutines; ≤ 1 keeps the
@@ -96,8 +87,8 @@ type Federation struct {
 	// 1-site ones.
 	Door *router.FrontDoor
 
-	// Wrap is the Alg. 1 wrapper over the front door; nil unless the
-	// config set a Fallback backend.
+	// Wrap is the Alg. 1 wrapper over the front door; nil until
+	// SetFallback installs one.
 	Wrap *Wrapper
 
 	// coord is the conservative parallel coordinator; nil in the
@@ -137,15 +128,11 @@ func (p *shardSite) DrainingInvokers() int { return p.site.DrainingInvokers() }
 
 // NewFederation builds the sites and wires the front door — on one
 // shared simulation plane (Shards ≤ 1), or on per-site planes under
-// the conservative pdes coordinator (Shards > 1). An empty Sites
-// list, an unknown routing policy, or a Fallback on a sharded
-// federation is a configuration bug and panics.
+// the conservative pdes coordinator (Shards > 1). An empty Sites list
+// or an unknown routing policy is a configuration bug and panics.
 func NewFederation(cfg FederationConfig) *Federation {
 	if len(cfg.Sites) == 0 {
 		panic("core: a federation needs at least one site")
-	}
-	if cfg.Fallback != nil && cfg.Shards > 1 {
-		panic("core: a sharded federation cannot host the Alg. 1 fallback wrapper (completion-coupled cooldown state breaks the lookahead contract)")
 	}
 	routing := cfg.Routing
 	if routing == "" {
@@ -188,17 +175,16 @@ func NewFederation(cfg FederationConfig) *Federation {
 			f.Door.SnapshotEvery(front, snap)
 		}
 	}
-	if cfg.Fallback != nil {
-		f.Wrap = NewWrapper(front, doorBackend{f.Door}, cfg.Fallback)
-	}
 	return f
 }
 
-// SetFallback wires the Alg. 1 wrapper over the front door after
-// construction — for fallback backends that need the federation's
-// clock (e.g. the commercial-cloud model of internal/lambda, which is
-// built against an existing simulation plane). Panics on a sharded
-// federation; see FederationConfig.Fallback.
+// SetFallback wraps the front door in the Alg. 1 client-side wrapper
+// (§III-E): a federation-wide 503 — every site unhealthy or the picked
+// site refusing — off-loads to b (e.g. the commercial-cloud model of
+// internal/lambda, built against the federation's clock) for the
+// cooldown window. Panics on a sharded federation: the wrapper's
+// cooldown state couples completions to subsequent arrivals, which
+// breaks the sharded run's lookahead contract (see internal/pdes).
 func (f *Federation) SetFallback(b Backend) {
 	if f.coord != nil {
 		panic("core: a sharded federation cannot host the Alg. 1 fallback wrapper (completion-coupled cooldown state breaks the lookahead contract)")

@@ -11,7 +11,7 @@ import (
 
 // TestFederationOneSiteMatchesSystem is the byte-identity anchor of the
 // federated refactor: a 1-site federation driven by the same trace and
-// load must reproduce the bare single-cluster System's outcome counters
+// load must reproduce a bare single-cluster Site's outcome counters
 // exactly — the front door adds no events, no RNG draws, and no
 // allocation to the request path.
 func TestFederationOneSiteMatchesSystem(t *testing.T) {
@@ -32,9 +32,8 @@ func TestFederationOneSiteMatchesSystem(t *testing.T) {
 			site = fed.Sites[0]
 			backend = fed
 		} else {
-			sys := NewSystem(cfg)
-			site = sys.Site
-			backend = loadgen.ForController(sys.Ctrl)
+			site = newSite(cfg)
+			backend = loadgen.ForController(site.Ctrl)
 		}
 
 		site.LoadTrace(smallTrace(16, 2*time.Hour, 7, 6))

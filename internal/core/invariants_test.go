@@ -30,7 +30,7 @@ func TestSystemInvariants(t *testing.T) {
 			}
 			cfg := DefaultSystemConfig(32, policyName)
 			cfg.Seed = seed
-			s := NewSystem(cfg)
+			s := newSite(cfg)
 			trCfg := workload.DefaultIdleProcess(32, 3*time.Hour, seed+1)
 			trCfg.MeanIdleNodes = 5
 			trCfg.SaturatedFraction = 0.05

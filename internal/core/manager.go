@@ -30,18 +30,12 @@ func Minutes(ms ...int) []time.Duration { return policy.Minutes(ms...) }
 
 // ManagerConfig parameterizes the HPC-Whisk job manager.
 type ManagerConfig struct {
-	// Policy is the pilot-supply policy. When nil, the manager builds
-	// the paper's fib policy from the Fib* fields below.
+	// Policy is the pilot-supply policy (required; fib and var model
+	// knobs live in policy.FibConfig and policy.VarConfig).
 	Policy policy.SupplyPolicy
 
 	// Partition is the tier-0 Slurm partition pilots are submitted to.
 	Partition string
-
-	// FibLengths and FibDepth: keep FibDepth queued jobs of each length
-	// (the paper keeps 10 of each of the 9 A1 lengths). Used only when
-	// Policy is nil. Var-model knobs live in policy.VarConfig.
-	FibLengths []time.Duration
-	FibDepth   int
 
 	// Replenish is the queue top-up period (15 s in the paper).
 	Replenish time.Duration
@@ -62,12 +56,6 @@ type ManagerConfig struct {
 	// hand-off and the pilot job exiting.
 	DrainExitDelay time.Duration
 
-	// StreamingStats switches the worker-state series to O(1)-memory
-	// streaming accounting (see NewWorkerStatesStreaming). Pilot
-	// behavior, RNG draws, and event order are unaffected — only what
-	// the accounting retains.
-	StreamingStats bool
-
 	Invoker whisk.InvokerConfig
 	Seed    int64
 }
@@ -75,15 +63,11 @@ type ManagerConfig struct {
 // DefaultManagerConfig returns the paper's manager configuration with
 // the named pilot-supply policy from the policy registry ("fib",
 // "var", "adaptive", ...). Unknown names panic; validate with
-// policy.New first when the name comes from user input. The Fib*
-// fields stay populated with the paper values so callers that clear
-// Policy keep the paper's fib supply.
+// policy.New first when the name comes from user input.
 func DefaultManagerConfig(policyName string) ManagerConfig {
 	return ManagerConfig{
 		Policy:           policy.MustNew(policyName),
 		Partition:        "whisk",
-		FibLengths:       append([]time.Duration(nil), SetA1...),
-		FibDepth:         10,
 		Replenish:        15 * time.Second,
 		WarmupSeconds:    dist.WarmupSeconds(),
 		GracefulHandoff:  true,
@@ -154,24 +138,24 @@ type PilotManager struct {
 	KilledUngraceful int
 }
 
-// NewPilotManager wires a manager to a Slurm emulator and controller.
-// A nil cfg.Policy builds the paper's fib policy from the config's
-// Fib* fields.
-func NewPilotManager(emu *slurm.Emulator, ctrl *whisk.Controller, cfg ManagerConfig) *PilotManager {
-	pol := cfg.Policy
-	if pol == nil {
-		pol = policy.NewFib(policy.FibConfig{Lengths: cfg.FibLengths, Depth: cfg.FibDepth})
+// newPilotManager wires a manager to a Slurm emulator and controller.
+// streaming switches the worker-state series to O(1)-memory accounting
+// (see NewWorkerStatesStreaming); pilot behavior, RNG draws and event
+// order are unaffected — only what the accounting retains.
+func newPilotManager(emu *slurm.Emulator, ctrl *whisk.Controller, cfg ManagerConfig, streaming bool) *PilotManager {
+	if cfg.Policy == nil {
+		panic("core: ManagerConfig.Policy is nil (build configs with DefaultManagerConfig)")
 	}
-	pol.Init(dist.NewRand(cfg.Seed + policySeedOffset))
+	cfg.Policy.Init(dist.NewRand(cfg.Seed + policySeedOffset))
 	m := &PilotManager{
 		sim:    emu.Sim(),
 		emu:    emu,
 		ctrl:   ctrl,
 		cfg:    cfg,
 		rng:    dist.NewRand(cfg.Seed),
-		policy: pol,
+		policy: cfg.Policy,
 		pilots: map[*slurm.Job]*pilot{},
-		States: NewWorkerStatesStreaming(cfg.StreamingStats),
+		States: NewWorkerStatesStreaming(streaming),
 	}
 	m.warmupFn = m.warmupCb
 	return m

@@ -60,9 +60,9 @@ func DefaultSystemConfig(nodes int, policyName string) SystemConfig {
 
 // Site is one fully wired HPC-Whisk deployment — Slurm emulator,
 // OpenWhisk controller and bus, pilot manager, Slurm-level logger — on
-// a simulation plane it may share with other sites. A single-cluster
-// System is a 1-site special case; a Federation hosts N sites on one
-// clock behind a routing front door.
+// a simulation plane it may share with other sites. A single cluster
+// is NewSite on a fresh clock (des.New()); a Federation hosts N sites
+// on one clock behind a routing front door.
 type Site struct {
 	Sim     *des.Sim
 	Bus     *bus.Bus
@@ -86,8 +86,7 @@ func NewSite(sim *des.Sim, cfg SiteConfig) *Site {
 	emu.AddPartition(slurm.Partition{Name: "hpc", PriorityTier: 1})
 	mcfg := cfg.Manager
 	mcfg.Seed = cfg.Seed + 3
-	mcfg.StreamingStats = mcfg.StreamingStats || cfg.StreamingStats
-	mgr := NewPilotManager(emu, ctrl, mcfg)
+	mgr := newPilotManager(emu, ctrl, mcfg, cfg.StreamingStats)
 	logger := NewSlurmLogger(emu, cfg.Seed+4)
 	logger.SetStreaming(cfg.StreamingStats)
 	return &Site{
@@ -144,19 +143,6 @@ func (s *Site) FastLaneDepth() int { return s.Ctrl.FastLaneDepth() }
 
 // DrainingInvokers returns the number of invokers mid-hand-off.
 func (s *Site) DrainingInvokers() int { return s.Ctrl.DrainingCount() }
-
-// System is a fully wired single-cluster HPC-Whisk deployment owning
-// its own simulation plane — a thin wrapper over a 1-site federation's
-// Site with the clock built in. All Site fields and methods are
-// promoted.
-type System struct {
-	*Site
-}
-
-// NewSystem builds the single-cluster deployment on a fresh clock.
-func NewSystem(cfg SystemConfig) *System {
-	return &System{Site: NewSite(des.New(), cfg)}
-}
 
 // DefaultEpoch is the cancellation/progress granularity of RunCtx: one
 // virtual minute. A 24-hour production day simulates in about a second

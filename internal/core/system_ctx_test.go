@@ -13,8 +13,8 @@ import (
 // golden relies on — checked via the emulator counters of two
 // identically seeded systems.
 func TestRunCtxChunksMatchRun(t *testing.T) {
-	build := func() *System {
-		s := NewSystem(DefaultSystemConfig(16, "fib"))
+	build := func() *Site {
+		s := newSite(DefaultSystemConfig(16, "fib"))
 		cfg := workload.DefaultIdleProcess(16, 2*time.Hour, 11)
 		cfg.MeanIdleNodes = 4
 		s.LoadTrace(cfg.Generate())
@@ -41,7 +41,7 @@ func TestRunCtxChunksMatchRun(t *testing.T) {
 // after the final epoch has fired must not turn a fully simulated run
 // into a partial-result error.
 func TestRunCtxCompletionBeatsCancellation(t *testing.T) {
-	sys := NewSystem(DefaultSystemConfig(8, "fib"))
+	sys := newSite(DefaultSystemConfig(8, "fib"))
 	sys.LoadTrace(&workload.Trace{Nodes: 8, Horizon: time.Hour})
 	sys.Start()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -19,7 +19,7 @@ import (
 // caller unchanged — once per call, with no retry loop and no
 // fallback accounting.
 func TestWrapperNoHealthyInvokerNoFallback(t *testing.T) {
-	sys := NewSystem(DefaultSystemConfig(4, "fib"))
+	sys := newSite(DefaultSystemConfig(4, "fib"))
 	sys.LoadTrace(&workload.Trace{Nodes: 4, Horizon: time.Hour}) // no idle periods: no pilots, no invokers
 	sys.Ctrl.RegisterAction(&whisk.Action{Name: "f", MemoryMB: 256, Exec: whisk.FixedExec(time.Millisecond)})
 	w := NewWrapper(sys.Sim, sys.Ctrl, nil)

@@ -85,22 +85,11 @@ type AblationConfig struct {
 // typical execution dumps several checkpoints before any interrupt.
 const DefaultAblationCheckpointInterval = 100 * time.Millisecond
 
-// RunAblation runs a smaller cluster slice (for tractable bench times)
-// through each variant with identical trace and load seeds, isolating
-// the hand-off machinery's effect on lost requests.
-func RunAblation(nodes int, horizon time.Duration, seed int64) AblationResult {
-	return RunAblationWith(AblationConfig{Nodes: nodes, Horizon: horizon, Seed: seed})
-}
-
-// RunAblationWith is RunAblation under an explicit supply policy.
-func RunAblationWith(a AblationConfig) AblationResult {
-	res, _ := RunAblationCtx(context.Background(), a, nil) // never canceled
-	return res
-}
-
-// RunAblationCtx is RunAblationWith with cooperative cancellation and
-// progress across the variants: done/total span all variant days, so a
-// progress bar moves monotonically through the whole ablation.
+// RunAblationCtx runs a smaller cluster slice (for tractable bench
+// times) through each variant with identical trace and load seeds,
+// isolating the hand-off machinery's effect on lost requests. Progress
+// spans all variant days, so a progress bar moves monotonically
+// through the whole ablation.
 func RunAblationCtx(ctx context.Context, a AblationConfig, progress ProgressFunc) (AblationResult, error) {
 	res := AblationResult{Horizon: a.Horizon, Policy: a.Policy}
 	variants := AblationVariants()

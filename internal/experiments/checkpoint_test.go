@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"context"
 	"testing"
 	"time"
 )
@@ -12,7 +11,9 @@ import (
 // no-op guarantee: with CheckpointInterval = 0 the (attached but
 // disabled) model draws no RNG and schedules no events, so the
 // fib/var days reproduce the committed goldens byte for byte —
-// sequentially and under the sharded pdes coordinator.
+// sequentially and under the sharded pdes coordinator. Zero is the
+// default interval, so these are the golden test's days and share its
+// runs.
 func TestCheckpointDisabledMatchesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
@@ -34,25 +35,15 @@ func TestCheckpointDisabledMatchesGoldens(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := RunDay(tc.cfg)
-			var buf bytes.Buffer
-			r.Render(&buf)
-			r.RenderSeries(&buf)
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("render diverged from golden %s with checkpointing disabled (%d vs %d bytes)",
-					tc.golden, buf.Len(), len(want))
-			}
+			d := sharedDays.get(tc.cfg)
+			checkGolden(t, tc.golden, d.out, tc.cfg.Shards <= 1)
 			// The ledger must show a truly idle subsystem — goodput
 			// accrues regardless, but no checkpoint machinery ran.
-			if r.Work.Checkpoints != 0 || r.Work.Resumed != 0 ||
-				r.Work.CheckpointTime != 0 || r.Work.RestoreTime != 0 {
-				t.Errorf("disabled run touched the checkpoint ledger: %+v", r.Work)
+			if d.work.Checkpoints != 0 || d.work.Resumed != 0 ||
+				d.work.CheckpointTime != 0 || d.work.RestoreTime != 0 {
+				t.Errorf("disabled run touched the checkpoint ledger: %+v", d.work)
 			}
-			if r.Work.Goodput == 0 {
+			if d.work.Goodput == 0 {
 				t.Error("no goodput accounted on a loaded day")
 			}
 		})
@@ -67,19 +58,15 @@ func TestCheckpointAblationGoldenUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "ablation_n256_h4_seed5.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := RunAblationWith(AblationConfig{
+	r := sharedAblations.get(AblationConfig{
 		Nodes: 256, Horizon: 4 * time.Hour, Seed: 5, Checkpoint: false,
 	})
+	if len(r.Rows) != 3 {
+		t.Fatalf("rows = %d, want the 3 arms without the checkpoint arm", len(r.Rows))
+	}
 	var buf bytes.Buffer
 	r.Render(&buf)
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("ablation render diverged from golden with checkpoint arm off:\ngot:\n%s\nwant:\n%s",
-			buf.Bytes(), want)
-	}
+	checkGolden(t, "ablation_n256_h4_seed5.golden", buf.Bytes(), true)
 }
 
 // TestCheckpointEnabledShardedIdentity extends the shard-locality
@@ -101,9 +88,9 @@ func TestCheckpointEnabledShardedIdentity(t *testing.T) {
 	cfg.SleepExec = 500 * time.Millisecond
 	cfg.CheckpointInterval = 100 * time.Millisecond
 
-	seq := RunDay(cfg)
+	seq := must(RunDayCtx(context.Background(), cfg, nil))
 	cfg.Shards = 2
-	shd := RunDay(cfg)
+	shd := must(RunDayCtx(context.Background(), cfg, nil))
 
 	if seq.Work != shd.Work {
 		t.Errorf("work ledgers diverged:\nsequential: %+v\nsharded:    %+v", seq.Work, shd.Work)
@@ -135,7 +122,7 @@ func TestFrontierReclaimsRegion(t *testing.T) {
 	cfg.Durations = []time.Duration{3 * time.Minute}
 	cfg.Windows = []time.Duration{4 * time.Minute}
 	cfg.Horizon = time.Hour
-	r := RunFrontier(cfg)
+	r := must(RunFrontierCtx(context.Background(), cfg, nil))
 
 	if len(r.Cells) != 1 {
 		t.Fatalf("got %d cells, want 1", len(r.Cells))
@@ -169,9 +156,9 @@ func TestCheckpointAblationArmLowerLostWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
 	}
-	r := RunAblationWith(AblationConfig{
+	r := must(RunAblationCtx(context.Background(), AblationConfig{
 		Nodes: 64, Horizon: 2 * time.Hour, Seed: 5, Checkpoint: true,
-	})
+	}, nil))
 	if len(r.Rows) != 4 {
 		t.Fatalf("got %d rows, want the 3 base arms + checkpoint arm", len(r.Rows))
 	}

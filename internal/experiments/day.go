@@ -277,20 +277,15 @@ func offsetProgress(p ProgressFunc, off, total time.Duration) ProgressFunc {
 	return func(done, _ time.Duration) { p(off+done, total) }
 }
 
-// dayDrain is the post-horizon window RunDay gives in-flight work.
+// dayDrain is the post-horizon window RunDayCtx gives in-flight work.
 const dayDrain = 5 * time.Minute
 
-// RunDay executes one full 24-hour experiment.
-func RunDay(cfg DayConfig) DayResult {
-	res, _ := RunDayCtx(context.Background(), cfg, nil) // never canceled
-	return res
-}
-
-// RunDayCtx is RunDay with cooperative cancellation and progress: the
-// simulation advances in core.DefaultEpoch chunks of virtual time,
-// checking ctx between chunks. A run that completes is bit-identical
-// to RunDay. On cancellation the partial simulation is abandoned and
-// only the error returns.
+// RunDayCtx executes one full production-day experiment with
+// cooperative cancellation and progress: the simulation advances in
+// core.DefaultEpoch chunks of virtual time, checking ctx between
+// chunks, and a completed run is bit-identical to one unchunked run.
+// On cancellation the partial simulation is abandoned and only the
+// error returns.
 func RunDayCtx(ctx context.Context, cfg DayConfig, progress ProgressFunc) (DayResult, error) {
 	tr := cfg.Trace
 	if tr == nil {

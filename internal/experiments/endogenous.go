@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/dist"
 	"repro/internal/slurm"
 	"repro/internal/stats"
@@ -87,18 +88,12 @@ func (cfg EndogenousConfig) PolicyName() string {
 	return "fib"
 }
 
-// RunEndogenous executes the experiment.
-func RunEndogenous(cfg EndogenousConfig) EndogenousResult {
-	res, _ := RunEndogenousCtx(context.Background(), cfg, nil) // never canceled
-	return res
-}
-
-// RunEndogenousCtx is RunEndogenous with cooperative cancellation and
-// progress.
+// RunEndogenousCtx executes the experiment with cooperative
+// cancellation and progress.
 func RunEndogenousCtx(ctx context.Context, cfg EndogenousConfig, progress ProgressFunc) (EndogenousResult, error) {
 	sysCfg := core.DefaultSystemConfig(cfg.Nodes, cfg.PolicyName())
 	sysCfg.Seed = cfg.Seed + 10
-	sys := core.NewSystem(sysCfg)
+	sys := core.NewSite(des.New(), sysCfg)
 
 	// Build the clamped Fig. 2 job mix and size the stream so the
 	// offered load hits the utilization target.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ func TestEndogenousFullScheduler(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
 	}
-	r := RunEndogenous(DefaultEndogenousConfig(1))
+	r := must(RunEndogenousCtx(context.Background(), DefaultEndogenousConfig(1), nil))
 
 	// The prime load dominates the cluster (ramp-up and job-mix
 	// granularity keep a slice below Prometheus's 99%).
@@ -51,7 +52,7 @@ func TestEndogenousVarPolicy(t *testing.T) {
 	cfg.Policy = "var"
 	cfg.Horizon = 4 * time.Hour
 	cfg.Nodes = 128
-	r := RunEndogenous(cfg)
+	r := must(RunEndogenousCtx(context.Background(), cfg, nil))
 	if r.PilotsStarted == 0 {
 		t.Fatal("var pilots never started in full-scheduler mode")
 	}
@@ -64,8 +65,8 @@ func TestEndogenousDeterminism(t *testing.T) {
 	cfg := DefaultEndogenousConfig(3)
 	cfg.Nodes = 64
 	cfg.Horizon = 2 * time.Hour
-	a := RunEndogenous(cfg)
-	b := RunEndogenous(cfg)
+	a := must(RunEndogenousCtx(context.Background(), cfg, nil))
+	b := must(RunEndogenousCtx(context.Background(), cfg, nil))
 	if a.PrimeUtilization != b.PrimeUtilization || a.PilotsStarted != b.PilotsStarted ||
 		a.Preempted != b.Preempted {
 		t.Error("same-seed endogenous runs diverged")

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -10,8 +12,15 @@ import (
 // weekTr is shared by the Fig 1 / Table I tests.
 var weekTr = WeekTrace(1)
 
+// The seed-1 paper days back the Table II/III reproduction tests and
+// the fib-vs-var comparison; each full day runs once.
+var (
+	fibDay1 = sync.OnceValue(func() DayResult { return must(RunDayCtx(context.Background(), FibDay(1), nil)) })
+	varDay1 = sync.OnceValue(func() DayResult { return must(RunDayCtx(context.Background(), VarDay(1), nil)) })
+)
+
 func TestFig1Shape(t *testing.T) {
-	r := RunFig1(weekTr)
+	r := must(RunFig1Ctx(context.Background(), weekTr))
 	if r.MeanIdle < 7 || r.MeanIdle > 11.5 {
 		t.Errorf("mean idle = %.2f, want ≈9.23", r.MeanIdle)
 	}
@@ -40,7 +49,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	r := RunFig2(2)
+	r := must(RunFig2Ctx(context.Background(), 2, 0))
 	if r.Jobs != Fig2Jobs {
 		t.Errorf("jobs = %d", r.Jobs)
 	}
@@ -61,7 +70,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Reproduction(t *testing.T) {
-	r := RunFig3(3)
+	r := must(RunFig3Ctx(context.Background(), 3, nil))
 	if r.Makespan < 19*time.Minute || r.Makespan > 21*time.Minute {
 		t.Errorf("makespan = %v, want ≈20m", r.Makespan)
 	}
@@ -92,7 +101,7 @@ func TestFig3Reproduction(t *testing.T) {
 }
 
 func TestTableIRender(t *testing.T) {
-	r := RunTableI(weekTr)
+	r := must(RunTableICtx(context.Background(), weekTr))
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(r.Rows))
 	}
@@ -114,7 +123,7 @@ func TestFibDayReproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
 	}
-	r := RunDay(FibDay(1))
+	r := fibDay1()
 
 	if c := r.Coverage(); c < 0.80 || c > 0.95 {
 		t.Errorf("live coverage = %.3f, want ≈0.90", c)
@@ -164,7 +173,7 @@ func TestVarDayReproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
 	}
-	r := RunDay(VarDay(1))
+	r := varDay1()
 
 	if c := r.Coverage(); c < 0.55 || c > 0.78 {
 		t.Errorf("live coverage = %.3f, want ≈0.68", c)
@@ -194,8 +203,7 @@ func TestFibBeatsVar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
 	}
-	fib := RunDay(FibDay(1))
-	vr := RunDay(VarDay(1))
+	fib, vr := fibDay1(), varDay1()
 	if fib.Coverage() < vr.Coverage()+0.10 {
 		t.Errorf("fib %.3f should beat var %.3f by ≥10pp",
 			fib.Coverage(), vr.Coverage())
@@ -211,7 +219,7 @@ func TestFig7Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
 	}
-	r := RunFig7(20000, 8, 30, 4)
+	r := must(RunFig7Ctx(context.Background(), 20000, 8, 30, 4))
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -234,7 +242,7 @@ func TestFig7Reproduction(t *testing.T) {
 // prevents lost requests: killing workers without the hand-off loses
 // work, the full protocol loses (almost) none.
 func TestAblationHandoffMatters(t *testing.T) {
-	r := RunAblation(256, 4*time.Hour, 5)
+	r := goldenAblation()
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -268,8 +276,8 @@ func TestDayDeterminism(t *testing.T) {
 	cfg.Horizon = 2 * time.Hour
 	cfg.MeanIdleNodes = 5
 	cfg.QPS = 2
-	a := RunDay(cfg)
-	b := RunDay(cfg)
+	a := must(RunDayCtx(context.Background(), cfg, nil))
+	b := must(RunDayCtx(context.Background(), cfg, nil))
 	if a.Coverage() != b.Coverage() || a.Load.Issued != b.Load.Issued ||
 		a.PilotsStarted != b.PilotsStarted || a.Preempted != b.Preempted {
 		t.Error("same-seed day runs diverged")
@@ -282,7 +290,7 @@ func TestDayWithoutLoad(t *testing.T) {
 	cfg.Horizon = time.Hour
 	cfg.MeanIdleNodes = 4
 	cfg.QPS = 0
-	r := RunDay(cfg)
+	r := must(RunDayCtx(context.Background(), cfg, nil))
 	if r.Load.Issued != 0 {
 		t.Error("load ran despite QPS=0")
 	}
@@ -297,7 +305,7 @@ func TestPolicyMatchesSet(t *testing.T) {
 	cfg.Horizon = time.Hour
 	cfg.MeanIdleNodes = 4
 	cfg.QPS = 0
-	r := RunDay(cfg)
+	r := must(RunDayCtx(context.Background(), cfg, nil))
 	if r.Sim.Set.Name != "C2" {
 		t.Errorf("var day compared against %s, want C2", r.Sim.Set.Name)
 	}

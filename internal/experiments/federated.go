@@ -168,12 +168,6 @@ type FederatedResult struct {
 	Runs   []FederatedRun
 }
 
-// RunFederated executes the comparison.
-func RunFederated(cfg FederatedConfig) FederatedResult {
-	res, _ := RunFederatedCtx(context.Background(), cfg, nil) // never canceled
-	return res
-}
-
 // siteDay returns site i's calibrated day config: alternating calm
 // (fib) and contended (var) days, each on its own seed.
 func siteDay(i int, seed int64) DayConfig {
@@ -191,8 +185,9 @@ func siteKind(i int) string {
 	return "calm"
 }
 
-// RunFederatedCtx is RunFederated with cooperative cancellation and
-// progress across all routing runs.
+// RunFederatedCtx executes the comparison, one full federation run
+// per routing policy, with cooperative cancellation and progress
+// across all routing runs.
 func RunFederatedCtx(ctx context.Context, cfg FederatedConfig, progress ProgressFunc) (FederatedResult, error) {
 	routing := cfg.Routing
 	if len(routing) == 0 {

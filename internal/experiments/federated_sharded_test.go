@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"maps"
 	"runtime"
 	"strings"
@@ -29,10 +30,10 @@ func TestFederatedShardedMatchesSequential(t *testing.T) {
 	cfg := shortFederatedConfig(3)
 	cfg.Routing = []string{"capacity-weighted", "latency-weighted"}
 
-	seq := RunFederated(cfg)
+	seq := must(RunFederatedCtx(context.Background(), cfg, nil))
 
 	cfg.Shards = cfg.Sites
-	shd := RunFederated(cfg)
+	shd := must(RunFederatedCtx(context.Background(), cfg, nil))
 
 	seqOut, shdOut := renderFederated(seq), renderFederated(shd)
 	if seqOut != shdOut {
@@ -75,9 +76,9 @@ func TestFederatedShardCountInvariant(t *testing.T) {
 	cfg.Routing = []string{"spill-over"}
 
 	cfg.Shards = 2
-	two := RunFederated(cfg)
+	two := must(RunFederatedCtx(context.Background(), cfg, nil))
 	cfg.Shards = cfg.Sites
-	all := RunFederated(cfg)
+	all := must(RunFederatedCtx(context.Background(), cfg, nil))
 	if a, b := renderFederated(two), renderFederated(all); a != b {
 		t.Fatalf("shards=2 output diverged from shards=%d:\n%s\n---\n%s", cfg.Sites, a, b)
 	}
@@ -97,7 +98,7 @@ func TestFederatedShardedRace(t *testing.T) {
 	cfg.Routing = []string{"capacity-weighted"}
 	cfg.Shards = runtime.GOMAXPROCS(0) + 1
 	cfg.Streaming = true
-	res := RunFederated(cfg)
+	res := must(RunFederatedCtx(context.Background(), cfg, nil))
 	if len(res.Runs) != 1 || res.Runs[0].Load.Issued == 0 {
 		t.Fatalf("sharded streaming run produced no load: %+v", res.Runs)
 	}

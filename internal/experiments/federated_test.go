@@ -20,7 +20,7 @@ func shortFederatedConfig(seed int64) FederatedConfig {
 // runs (pilots, coverage, healthy time) while only the routing differs.
 func TestFederatedRoutingComparison(t *testing.T) {
 	cfg := shortFederatedConfig(3)
-	res := RunFederated(cfg)
+	res := must(RunFederatedCtx(context.Background(), cfg, nil))
 	if len(res.Runs) == 0 {
 		t.Fatal("no routing runs")
 	}
@@ -65,7 +65,7 @@ func TestFederatedRoutingComparison(t *testing.T) {
 func TestFederatedMetricsAndRender(t *testing.T) {
 	cfg := shortFederatedConfig(5)
 	cfg.Routing = []string{"spill-over", "capacity-weighted"}
-	res := RunFederated(cfg)
+	res := must(RunFederatedCtx(context.Background(), cfg, nil))
 	m := res.Metrics()
 	for _, r := range cfg.Routing {
 		for _, k := range []string{"-success-share", "-spill-share", "-healthy-avg", "-coverage"} {

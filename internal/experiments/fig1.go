@@ -50,18 +50,14 @@ type Fig1Result struct {
 	Periods          int
 }
 
-// RunFig1Ctx is RunFig1 behind a cancellation check: the analysis is a
-// single in-memory pass, so ctx is consulted once up front (callers
-// generate the trace — the heavy part — under their own ctx checks).
+// RunFig1Ctx analyzes a week trace the way §I analyzed the production
+// logs. The analysis is a single in-memory pass, so ctx is consulted
+// once up front (callers generate the trace — the heavy part — under
+// their own ctx checks).
 func RunFig1Ctx(ctx context.Context, tr *workload.Trace) (Fig1Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Fig1Result{}, err
 	}
-	return RunFig1(tr), nil
-}
-
-// RunFig1 analyzes a week trace the way §I analyzed the production logs.
-func RunFig1(tr *workload.Trace) Fig1Result {
 	tw := tr.IdleCount()
 	lengths := tr.PeriodLengths()
 	share, longest := tr.SaturationShare()
@@ -90,7 +86,7 @@ func RunFig1(tr *workload.Trace) Fig1Result {
 	r.PeakIdleNodes = tw.Quantile(1.0)
 	r.TotalIdleSurface = tr.TotalIdle()
 	r.Periods = lengths.Len()
-	return r
+	return r, nil
 }
 
 // Render prints the figure in the paper's terms.

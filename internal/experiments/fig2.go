@@ -27,8 +27,9 @@ type Fig2Result struct {
 	Jobs          int
 }
 
-// RunFig2Ctx is RunFig2 with a cancellation check before the job-stream
-// generation, and an optional job-count override (0 keeps Fig2Jobs).
+// RunFig2Ctx generates the calibrated job stream and reduces its CDFs,
+// with a cancellation check before the job-stream generation. jobs
+// sets the stream length (≤ 0 keeps Fig2Jobs).
 func RunFig2Ctx(ctx context.Context, seed int64, jobs int) (Fig2Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Fig2Result{}, err
@@ -36,15 +37,8 @@ func RunFig2Ctx(ctx context.Context, seed int64, jobs int) (Fig2Result, error) {
 	if jobs <= 0 {
 		jobs = Fig2Jobs
 	}
-	return runFig2(seed, jobs), nil
-}
-
-// RunFig2 generates the calibrated job stream and reduces its CDFs.
-func RunFig2(seed int64) Fig2Result { return runFig2(seed, Fig2Jobs) }
-
-func runFig2(seed int64, n int) Fig2Result {
-	jobs := workload.DefaultJobGen(n, Week, seed).Generate()
-	limits, runtimes, slacks := workload.JobCDFs(jobs)
+	stream := workload.DefaultJobGen(jobs, Week, seed).Generate()
+	limits, runtimes, slacks := workload.JobCDFs(stream)
 
 	probes := []float64{1, 5, 10, 15, 30, 60, 120, 180, 360, 720, 1440, 2880, 4320}
 	var r Fig2Result
@@ -55,8 +49,8 @@ func runFig2(seed int64, n int) Fig2Result {
 	r.P5Limit = time.Duration(limits.Quantile(0.05) * float64(time.Minute))
 	r.MedianRuntime = time.Duration(runtimes.Median() * float64(time.Minute))
 	r.MedianSlack = time.Duration(slacks.Median() * float64(time.Minute))
-	r.Jobs = len(jobs)
-	return r
+	r.Jobs = len(stream)
+	return r, nil
 }
 
 // Render prints the figure in the paper's terms.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/slurm"
 	"repro/internal/stats"
 )
@@ -34,22 +35,17 @@ type Fig3Result struct {
 	PilotsStarted int
 }
 
-// RunFig3 builds the example: job1 3×5min, job2 1×13min, job3 2×7min,
-// job4 4×8min, with pilot lengths 2/4/6/10 minutes as in the figure.
-func RunFig3(seed int64) Fig3Result {
-	res, _ := RunFig3Ctx(context.Background(), seed, nil) // never canceled
-	return res
-}
-
-// RunFig3Ctx is RunFig3 with cooperative cancellation and progress.
+// RunFig3Ctx builds the example — job1 3×5min, job2 1×13min, job3
+// 2×7min, job4 4×8min — with cooperative cancellation and progress.
+// The pilots come from the registry fib policy (the A1 lengths, 10
+// queued per length), not the figure's illustrative 2/4/6/10-minute
+// set.
 func RunFig3Ctx(ctx context.Context, seed int64, progress ProgressFunc) (Fig3Result, error) {
 	scfg := core.DefaultSystemConfig(5, "fib")
 	scfg.Seed = seed
 	scfg.Slurm.SchedInterval = 5 * time.Second
 	scfg.Slurm.PassBase = 100 * time.Millisecond
-	scfg.Manager.FibLengths = core.Minutes(2, 4, 6, 10)
-	scfg.Manager.FibDepth = 5
-	sys := core.NewSystem(scfg)
+	sys := core.NewSite(des.New(), scfg)
 
 	// Track idle and pilot node counts from cluster transitions.
 	var idleTW, pilotTW stats.TimeWeighted

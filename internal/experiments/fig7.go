@@ -30,20 +30,15 @@ type Fig7Result struct {
 	MemoryMB    int
 }
 
-// RunFig7Ctx is RunFig7 behind a cancellation check (the kernels run
-// real wall-clock work, but a whole benchmark completes in tens of
-// milliseconds, so one up-front check suffices).
+// RunFig7Ctx executes the real bfs/mst/pagerank kernels `invocations`
+// times each (warm), observing them under the Prometheus-node platform
+// and the Lambda memory-scaled platform. The kernels run real
+// wall-clock work, but a whole benchmark completes in tens of
+// milliseconds, so ctx is checked once up front.
 func RunFig7Ctx(ctx context.Context, graphN, graphDeg, invocations int, seed int64) (Fig7Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Fig7Result{}, err
 	}
-	return RunFig7(graphN, graphDeg, invocations, seed), nil
-}
-
-// RunFig7 executes the real bfs/mst/pagerank kernels `invocations`
-// times each (warm), observing them under the Prometheus-node platform
-// and the Lambda memory-scaled platform.
-func RunFig7(graphN, graphDeg, invocations int, seed int64) Fig7Result {
 	w := sebs.NewWorkload(graphN, graphDeg, seed)
 	platforms := []sebs.Platform{sebs.Prometheus(), lambda.Platform(2048)}
 	ms := sebs.RunBenchmark(w, platforms, invocations, nil)
@@ -73,7 +68,7 @@ func RunFig7(graphN, graphDeg, invocations int, seed int64) Fig7Result {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }
 
 // Render prints the comparison like Fig. 7.

@@ -145,13 +145,7 @@ func (c FrontierConfig) frontierDay(d, w, interval time.Duration) DayConfig {
 	}
 }
 
-// RunFrontier executes the sweep.
-func RunFrontier(cfg FrontierConfig) FrontierResult {
-	res, _ := RunFrontierCtx(context.Background(), cfg, nil) // never canceled
-	return res
-}
-
-// RunFrontierCtx is RunFrontier with cooperative cancellation and
+// RunFrontierCtx executes the sweep with cooperative cancellation and
 // monotone progress over all cells (two day runs per cell).
 func RunFrontierCtx(ctx context.Context, cfg FrontierConfig, progress ProgressFunc) (FrontierResult, error) {
 	res := FrontierResult{Config: cfg}

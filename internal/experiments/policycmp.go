@@ -67,14 +67,8 @@ type PolicyComparisonResult struct {
 	Rows   []PolicyRow
 }
 
-// RunPolicyComparison executes the shared day once per policy.
-func RunPolicyComparison(cfg PolicyComparisonConfig) PolicyComparisonResult {
-	res, _ := RunPolicyComparisonCtx(context.Background(), cfg, nil) // never canceled
-	return res
-}
-
-// RunPolicyComparisonCtx is RunPolicyComparison with cooperative
-// cancellation and whole-comparison progress.
+// RunPolicyComparisonCtx executes the shared day once per policy, with
+// cooperative cancellation and whole-comparison progress.
 func RunPolicyComparisonCtx(ctx context.Context, cfg PolicyComparisonConfig, progress ProgressFunc) (PolicyComparisonResult, error) {
 	names := cfg.Policies
 	if len(names) == 0 {

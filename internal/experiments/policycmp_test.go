@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 )
@@ -24,7 +25,7 @@ func TestNewPoliciesDeterministic(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			render := func() []byte {
-				r := RunDay(smallPolicyDay(name, 11))
+				r := must(RunDayCtx(context.Background(), smallPolicyDay(name, 11), nil))
 				var buf bytes.Buffer
 				r.Render(&buf)
 				r.RenderSeries(&buf)
@@ -44,7 +45,7 @@ func TestNewPoliciesHarvest(t *testing.T) {
 	for _, name := range []string{"adaptive", "lease", "hybrid"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := RunDay(smallPolicyDay(name, 12))
+			r := must(RunDayCtx(context.Background(), smallPolicyDay(name, 12), nil))
 			if r.PilotsStarted == 0 {
 				t.Error("no pilots started")
 			}
@@ -67,7 +68,7 @@ func TestPolicyComparison(t *testing.T) {
 	cfg.Horizon = time.Hour
 	cfg.MeanIdleNodes = 6
 	cfg.QPS = 5
-	res := RunPolicyComparison(cfg)
+	res := must(RunPolicyComparisonCtx(context.Background(), cfg, nil))
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows, want one per registered policy (5)", len(res.Rows))
 	}
@@ -96,7 +97,7 @@ func TestPolicyComparison(t *testing.T) {
 // TestAblationWithPolicy runs the hand-off ablation under a non-paper
 // supply policy.
 func TestAblationWithPolicy(t *testing.T) {
-	res := RunAblationWith(AblationConfig{Nodes: 32, Horizon: time.Hour, Seed: 3, Policy: "lease"})
+	res := must(RunAblationCtx(context.Background(), AblationConfig{Nodes: 32, Horizon: time.Hour, Seed: 3, Policy: "lease"}, nil))
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d rows, want 3 variants", len(res.Rows))
 	}

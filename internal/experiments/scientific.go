@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/faasload"
 	"repro/internal/lambda"
 	"repro/internal/loadgen"
@@ -107,14 +108,8 @@ type ScientificResult struct {
 	CloudResumes int
 }
 
-// RunScientific executes the experiment.
-func RunScientific(cfg ScientificConfig) ScientificResult {
-	res, _ := RunScientificCtx(context.Background(), cfg, nil) // never canceled
-	return res
-}
-
-// RunScientificCtx is RunScientific with cooperative cancellation and
-// progress.
+// RunScientificCtx executes the experiment with cooperative
+// cancellation and progress.
 func RunScientificCtx(ctx context.Context, cfg ScientificConfig, progress ProgressFunc) (ScientificResult, error) {
 	day := FibDay(cfg.Seed)
 	day.Policy = cfg.PolicyName()
@@ -134,7 +129,7 @@ func RunScientificCtx(ctx context.Context, cfg ScientificConfig, progress Progre
 	sysCfg.Seed = cfg.Seed + 2
 	// Long functions need headroom beyond the default 60 s timeout.
 	sysCfg.Controller.ActionTimeout = 10 * time.Minute
-	sys := core.NewSystem(sysCfg)
+	sys := core.NewSite(des.New(), sysCfg)
 
 	trCfg := day.TraceConfig()
 	trCfg.Nodes = cfg.Nodes

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestScientificWorkloadRun(t *testing.T) {
-	r := RunScientific(DefaultScientificConfig(1))
+	r := must(RunScientificCtx(context.Background(), DefaultScientificConfig(1), nil))
 
 	if r.Load.Issued != 43200 {
 		t.Fatalf("issued = %d, want 2 QPS × 6 h", r.Load.Issued)
@@ -60,7 +61,7 @@ func TestScientificWithoutWrapper(t *testing.T) {
 	cfg := DefaultScientificConfig(2)
 	cfg.UseWrapper = false
 	cfg.Horizon /= 3
-	r := RunScientific(cfg)
+	r := must(RunScientificCtx(context.Background(), cfg, nil))
 	// Raw cluster: 503s now surface to the client.
 	if r.Load.InvokedShare >= 1.0 {
 		t.Errorf("invoked share = %.4f; without the wrapper some 503s must surface", r.Load.InvokedShare)
@@ -73,8 +74,8 @@ func TestScientificWithoutWrapper(t *testing.T) {
 func TestScientificDeterminism(t *testing.T) {
 	cfg := DefaultScientificConfig(3)
 	cfg.Horizon /= 6
-	a := RunScientific(cfg)
-	b := RunScientific(cfg)
+	a := must(RunScientificCtx(context.Background(), cfg, nil))
+	b := must(RunScientificCtx(context.Background(), cfg, nil))
 	if a.Load.Issued != b.Load.Issued || a.Load.SuccessShare != b.Load.SuccessShare ||
 		a.PilotsStarted != b.PilotsStarted {
 		t.Error("same-seed scientific runs diverged")

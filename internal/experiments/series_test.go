@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func smallDay(seed int64) DayConfig {
 }
 
 func TestDaySeriesExported(t *testing.T) {
-	r := RunDay(smallDay(31))
+	r := must(RunDayCtx(context.Background(), smallDay(31), nil))
 	if len(r.SimReadyPerMinute) < 115 {
 		t.Fatalf("sim series = %d minutes", len(r.SimReadyPerMinute))
 	}
@@ -47,7 +48,7 @@ func TestDaySeriesExported(t *testing.T) {
 }
 
 func TestRenderSeries(t *testing.T) {
-	r := RunDay(smallDay(32))
+	r := must(RunDayCtx(context.Background(), smallDay(32), nil))
 	var buf bytes.Buffer
 	r.RenderSeries(&buf)
 	out := buf.String()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -37,8 +38,8 @@ func TestStreamingDayMatchesBuffered(t *testing.T) {
 	for _, day := range days {
 		day := day
 		t.Run(day.name, func(t *testing.T) {
-			buf := RunDay(streamingDay(day.base, 5, 2*time.Hour, false))
-			str := RunDay(streamingDay(day.base, 5, 2*time.Hour, true))
+			buf := must(RunDayCtx(context.Background(), streamingDay(day.base, 5, 2*time.Hour, false), nil))
+			str := must(RunDayCtx(context.Background(), streamingDay(day.base, 5, 2*time.Hour, true), nil))
 
 			// Emulator counters: identical simulation, identical counts.
 			if buf.PilotsStarted != str.PilotsStarted || buf.Submitted != str.Submitted ||
@@ -175,7 +176,7 @@ func TestWeekDayMetricsFootprintFlat(t *testing.T) {
 		cfg.NumActions = 20
 		cfg.SleepExec = 50 * time.Millisecond
 		cfg.Streaming = streaming
-		return RunDay(cfg)
+		return must(RunDayCtx(context.Background(), cfg, nil))
 	}
 	day := run(24*time.Hour, true)
 	week := run(7*24*time.Hour, true)

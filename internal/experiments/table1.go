@@ -15,16 +15,11 @@ type TableIResult struct {
 	Best coverage.Result
 }
 
-// RunTableI evaluates the six job-length sets against a week trace
-// using the clairvoyant packing simulator of §IV-B.
-func RunTableI(tr *workload.Trace) TableIResult {
-	res, _ := RunTableICtx(context.Background(), tr) // never canceled
-	return res
-}
-
-// RunTableICtx is RunTableI with cooperative cancellation checked
-// between the per-set packing simulations (each is one full-trace
-// clairvoyant pass, the natural epoch of this experiment).
+// RunTableICtx evaluates the six job-length sets against a week trace
+// using the clairvoyant packing simulator of §IV-B, with cooperative
+// cancellation checked between the per-set packing simulations (each
+// is one full-trace clairvoyant pass, the natural epoch of this
+// experiment).
 func RunTableICtx(ctx context.Context, tr *workload.Trace) (TableIResult, error) {
 	var rows []coverage.Result
 	for _, set := range coverage.TableISets() {

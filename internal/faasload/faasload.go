@@ -5,7 +5,7 @@
 // function popularity is so skewed that a handful of hot functions
 // dominate traffic. The paper names benchmarking HPC-Whisk under "a
 // representative scientific FaaS workload" as future work (§VII); this
-// package, together with experiments.RunScientific, implements it.
+// package, together with experiments.RunScientificCtx, implements it.
 package faasload
 
 import (
@@ -23,7 +23,7 @@ type Class string
 // Function classes: Short completes within 3 s (the Azure median band),
 // Medium within 30 s, Long above that. Long functions are registered as
 // non-interruptible — §III-C warns that calls running longer than the
-// grace period can fail on preemption, which RunScientific measures.
+// grace period can fail on preemption, which RunScientificCtx measures.
 const (
 	ClassShort  Class = "short"
 	ClassMedium Class = "medium"

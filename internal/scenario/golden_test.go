@@ -17,7 +17,7 @@ import (
 // production days run through the *scenario registry* must still
 // reproduce, byte for byte, the goldens rendered by the original
 // pre-refactor Mode-enum manager (the same files
-// internal/experiments/golden_test.go pins for the direct RunDay
+// internal/experiments/golden_test.go pins for the direct RunDayCtx
 // paths).
 func TestRegistryPathMatchesPreRefactorGolden(t *testing.T) {
 	if testing.Short() {
@@ -114,7 +114,10 @@ func TestChunkedRunMatchesDirectPath(t *testing.T) {
 	cfg.Nodes = 48
 	cfg.Horizon = 2 * time.Hour
 	cfg.QPS = 2
-	direct := experiments.RunDay(cfg)
+	direct, err := experiments.RunDayCtx(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	res, err := Run(context.Background(), "fib-day",
 		WithSeed(5), WithNodes(48), WithHorizon(2*time.Hour), WithQPS(2))
@@ -131,6 +134,6 @@ func TestChunkedRunMatchesDirectPath(t *testing.T) {
 	}
 	a, b := renderAll(direct), renderAll(viaRegistry)
 	if !bytes.Equal(a, b) {
-		t.Errorf("registry render diverged from direct RunDay (%d vs %d bytes)", len(b), len(a))
+		t.Errorf("registry render diverged from direct RunDayCtx (%d vs %d bytes)", len(b), len(a))
 	}
 }

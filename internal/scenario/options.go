@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -277,8 +278,9 @@ func (d OptionDoc) parseable(value string) error {
 
 // newConfig applies the options and validates the result against the
 // scenario's schema: set axes must be ones the scenario declares it
-// reads, raw keys must be documented, raw values must parse as their
-// documented kind, and a set policy must exist in the policy registry.
+// reads and lie in range (nodes ≥ 1, horizon > 0, finite qps ≥ 0), raw
+// keys must be documented, raw values must parse as their documented
+// kind, and a set policy must exist in the policy registry.
 func newConfig(sp Spec, opts []Option) (Config, error) {
 	var c Config
 	for _, opt := range opts {
@@ -295,6 +297,14 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 					sp.Name, axis, sp.Axes)
 			}
 		}
+	}
+	switch {
+	case c.set["nodes"] && c.nodes < 1:
+		return Config{}, fmt.Errorf("scenario: %q wants nodes ≥ 1, got %d", sp.Name, c.nodes)
+	case c.set["horizon"] && c.horizon <= 0:
+		return Config{}, fmt.Errorf("scenario: %q wants a positive horizon, got %v", sp.Name, c.horizon)
+	case c.set["qps"] && (c.qps < 0 || math.IsNaN(c.qps) || math.IsInf(c.qps, 0)):
+		return Config{}, fmt.Errorf("scenario: %q wants a finite qps ≥ 0, got %v", sp.Name, c.qps)
 	}
 	if c.set["policy"] {
 		if _, err := policy.New(c.policy); err != nil {

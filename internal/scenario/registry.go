@@ -37,7 +37,7 @@ type Spec struct {
 	Axes []string
 
 	// Run executes the scenario. Implementations must honor ctx at
-	// DES-epoch granularity (core.System.RunCtx does this for any
+	// DES-epoch granularity (core.Site.RunCtx does this for any
 	// simulation-backed scenario) and return ctx's error on
 	// cancellation; the registry wraps it into a *CancelError.
 	Run func(ctx context.Context, cfg Config) (Result, error)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,58 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 	}
 	if err := Validate("fig2", WithOption("jobs", "100"), WithSeed(3)); err != nil {
 		t.Errorf("valid options rejected: %v", err)
+	}
+}
+
+// TestUniformAxesRangeChecked: for every registered scenario and each
+// range-checked axis it honors, an out-of-range value fails Run (and
+// Validate) before anything simulates, with an error naming the axis —
+// never a panic inside the trace generator or a silently unloaded run.
+func TestUniformAxesRangeChecked(t *testing.T) {
+	bad := map[string][]Option{
+		"nodes":   {WithNodes(0), WithNodes(-3)},
+		"horizon": {WithHorizon(0), WithHorizon(-time.Hour)},
+		"qps":     {WithQPS(-1), WithQPS(math.NaN()), WithQPS(math.Inf(1))},
+	}
+	checked := 0
+	for _, sp := range All() {
+		axes := sp.Axes
+		if axes == nil { // permissive custom scenario: every axis honored
+			axes = []string{"nodes", "horizon", "qps"}
+		}
+		for _, axis := range axes {
+			for i, opt := range bad[axis] {
+				checked++
+				res, err := func() (res Result, err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%s: bad %s value #%d panicked: %v", sp.Name, axis, i, p)
+						}
+					}()
+					return Run(context.Background(), sp.Name, opt)
+				}()
+				if err == nil || res != nil {
+					t.Errorf("%s: bad %s value #%d ran (err %v)", sp.Name, axis, i, err)
+					continue
+				}
+				if !strings.Contains(err.Error(), axis) {
+					t.Errorf("%s: error %q does not name the %s axis", sp.Name, err, axis)
+				}
+				if Validate(sp.Name, opt) == nil {
+					t.Errorf("%s: Validate accepted bad %s value #%d", sp.Name, axis, i)
+				}
+			}
+		}
+		for _, axis := range axes {
+			if axis == "qps" {
+				if err := Validate(sp.Name, WithQPS(0)); err != nil {
+					t.Errorf("%s: qps 0 (load disabled) rejected: %v", sp.Name, err)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no scenario honors a range-checked axis — the check is vacuous")
 	}
 }
 

@@ -41,10 +41,10 @@ type ScenarioPoint struct {
 // SweepScenarios fans every registered-scenario grid cell across the
 // worker pool with decorrelated per-replica seeds — any scenario in
 // the registry becomes a multi-replica study by name, with no
-// experiment-specific glue. All cells are validated (scenario name,
-// option names, option values) before anything runs, so a typo fails
-// fast instead of after hours of replicas. Aggregation and
-// determinism guarantees match Sweep exactly.
+// experiment-specific glue. The replica count and all cells (scenario
+// name, option names, option values) are validated before anything
+// runs, so a typo fails fast instead of after hours of replicas.
+// Aggregation and determinism guarantees match Sweep exactly.
 //
 // Runtime failures are not swallowed: a replica whose scenario
 // returns an error (a failing custom scenario, a scenario-specific
@@ -57,6 +57,9 @@ type ScenarioPoint struct {
 // that workers × max shards stays within cfg.MaxParallelism (default
 // GOMAXPROCS). The cap changes wall time only, never results.
 func SweepScenarios(cfg Config, cells []ScenarioPoint) ([]Result, error) {
+	if cfg.Replicas <= 0 {
+		return nil, fmt.Errorf("sweep: want a positive replica count, got %d", cfg.Replicas)
+	}
 	points := make([]Point, len(cells))
 	var mu sync.Mutex
 	var runErrs []error

@@ -21,12 +21,21 @@ func TestSweepScenariosValidatesUpfront(t *testing.T) {
 		{"unknown scenario", []ScenarioPoint{{Scenario: "bogus"}}, "unknown scenario"},
 		{"unknown option", []ScenarioPoint{{Scenario: "fig2", Options: []scenario.Option{scenario.WithOption("jobz", "1")}}}, "no option"},
 		{"bad value", []ScenarioPoint{{Scenario: "fig2", Options: []scenario.Option{scenario.WithOption("jobs", "many")}}}, "does not parse"},
+		{"out-of-range axis", []ScenarioPoint{{Scenario: "fib-day", Options: []scenario.Option{scenario.WithHorizon(0)}}}, "horizon"},
 	}
 	for _, tc := range cases {
 		if res, err := SweepScenarios(cfg, tc.cells); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
 		} else if res != nil {
 			t.Errorf("%s: validation failure still returned results", tc.name)
+		}
+	}
+	for _, n := range []int{0, -2} {
+		res, err := SweepScenarios(Config{Replicas: n, BaseSeed: 1}, []ScenarioPoint{{Scenario: "fig2"}})
+		if err == nil || !strings.Contains(err.Error(), "replica count") {
+			t.Errorf("%d replicas: err = %v, want a replica-count error", n, err)
+		} else if res != nil {
+			t.Errorf("%d replicas: validation failure still returned results", n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -72,7 +73,8 @@ func TestConcurrentRealReplicas(t *testing.T) {
 		cfg.Nodes = 128
 		cfg.Horizon = time.Hour
 		cfg.QPS = 0
-		return experiments.RunDay(cfg).Metrics()
+		r, _ := experiments.RunDayCtx(context.Background(), cfg, nil) // never canceled
+		return r.Metrics()
 	}
 	res := Replicate(Config{Replicas: 4, Workers: 4, BaseSeed: 5}, run)
 	if res.Metrics["live-coverage"].N != 4 {
@@ -94,7 +96,8 @@ func TestReplicateFibDayWorkerCountInvariant(t *testing.T) {
 		cfg.Horizon = 2 * time.Hour
 		cfg.QPS = 2
 		cfg.NumActions = 10
-		return experiments.RunDay(cfg).Metrics()
+		r, _ := experiments.RunDayCtx(context.Background(), cfg, nil) // never canceled
+		return r.Metrics()
 	}
 	serial := Replicate(Config{Replicas: 32, Workers: 1, BaseSeed: 1}, run)
 	parallel := Replicate(Config{Replicas: 32, Workers: runtime.GOMAXPROCS(0), BaseSeed: 1}, run)
@@ -178,7 +181,8 @@ func TestPooledRequestPathRaceUnderSweep(t *testing.T) {
 		cfg.Horizon = 20 * time.Minute
 		cfg.QPS = 2
 		cfg.NumActions = 5
-		return experiments.RunDay(cfg).Metrics()
+		r, _ := experiments.RunDayCtx(context.Background(), cfg, nil) // never canceled
+		return r.Metrics()
 	}
 	res := Replicate(Config{Replicas: 4, Workers: runtime.GOMAXPROCS(0), BaseSeed: 9}, run)
 	if res.Replicas != 4 {
