@@ -7,8 +7,8 @@
 // bit-for-bit given fixed inputs and seeds.
 //
 // The kernel is the hot path of every experiment (a 24-hour production
-// run dispatches tens of millions of events), so the queue is a flat
-// 4-ary min-heap of value entries ordered by (instant, sequence): no
+// run dispatches millions of events), so the queue is built from 4-ary
+// min-heaps of value entries ordered by (instant, sequence): no
 // container/heap interface boxing, no per-event heap allocation, and no
 // index maintenance. Callback slots are pooled in a free list and
 // recycled as events fire; Event handles are small generation-checked
@@ -16,11 +16,23 @@
 // for a later scheduling are detected and refused rather than
 // corrupting the queue.
 //
+// The queue has two tiers. An event due less than farAhead after it was
+// scheduled goes to the near heap, every other one to the far heap. A
+// trace-driven run schedules thousands of idle-period boundaries hours
+// ahead at set-up, while its request path keeps a few dozen events in
+// flight; kept apart, those boundaries no longer deepen every sift of
+// the request path. Each dispatch takes the smaller of the two heap
+// tops, so events still fire in the one (instant, sequence) order
+// whichever tier holds them. Stopped events leave stale entries behind
+// (Stop is index-free), and each tier is compacted on its own once its
+// stale entries outnumber its live ones.
+//
 // The zero value of Sim is ready to use; its clock starts at instant 0.
 package des
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -101,12 +113,42 @@ func (e Event) Stop() bool {
 	}
 	// Release the slot immediately; the heap entry becomes stale and is
 	// skipped when it surfaces (the queue is index-free by design).
+	s.tierOf(e.when, n.at).dead++
 	n.fn, n.fnA, n.arg = nil, nil, nil
 	n.gen++
 	s.free = append(s.free, e.idx)
 	s.npending--
-	s.ndead++
 	return true
+}
+
+// farAhead splits the queue: an event due at least this long after it
+// was scheduled waits in the far tier. It sits above the request path's
+// horizons (the 60 s per-request timeout, the 3 min SIGTERM grace), so
+// those stay near where they are armed and stopped, and below pilot
+// walltimes and trace boundaries, which wait far.
+const farAhead = 5 * time.Minute
+
+// tier is one 4-ary min-heap of the queue.
+type tier struct {
+	h []entry
+
+	// dead counts the stopped entries h still carries. Canceled events
+	// release their slot immediately but leave their 24-byte entry
+	// behind until it surfaces — a request path that arms and cancels a
+	// 60-second timeout per invocation would otherwise let stale entries
+	// outnumber live ones and deepen every sift — so settle compacts the
+	// tier once they do. The count can only run high (an event stopped
+	// while it sits in the in-flight batch was already popped), and every
+	// compaction resets it to exact.
+	dead int
+}
+
+// tierOf reports the tier of an event due at when and scheduled at at.
+func (s *Sim) tierOf(when, at Time) *tier {
+	if when-at >= farAhead {
+		return &s.far
+	}
+	return &s.near
 }
 
 // Sim is a discrete-event simulation: a virtual clock plus a queue of
@@ -115,10 +157,10 @@ func (e Event) Stop() bool {
 // Independent Sims are fully isolated, so replicas of an experiment can
 // run concurrently on one Sim each (as internal/sweep does).
 type Sim struct {
-	now   Time
-	heap  []entry
-	nodes []node
-	free  []int32
+	now       Time
+	near, far tier
+	nodes     []node
+	free      []int32
 
 	// batch[batchPos:] is the in-flight same-instant dispatch batch:
 	// entries already popped off the heap but not yet fired. Keeping it
@@ -130,17 +172,6 @@ type Sim struct {
 
 	seq      uint64
 	npending int
-
-	// ndead estimates how many stale (stopped) entries the heap still
-	// carries. Canceled events release their slot immediately but leave
-	// their 24-byte heap entry behind until it surfaces — under a
-	// request-path workload that arms and cancels a 60-second timeout
-	// per invocation, stale entries can outnumber live ones and deepen
-	// every sift. When the estimate says the heap is mostly dead it is
-	// compacted in place (maybeCompact); the counter is a heuristic
-	// only — an event stopped while sitting in the in-flight batch
-	// briefly overcounts — and every compaction resets it to exact.
-	ndead int
 
 	// firingAt is the scheduling stamp of the callback now running, and
 	// firing whether one is (see FiringScheduledAt). fire saves and
@@ -227,11 +258,11 @@ func (s *Sim) acquire(at Time) (int32, *node) {
 	return idx, n
 }
 
-// enqueue pushes the filled slot onto the heap and hands out the handle.
+// enqueue pushes the filled slot onto its tier and hands out the handle.
 func (s *Sim) enqueue(at Time, idx int32, n *node) Event {
 	seq := s.seq
 	s.seq++
-	s.push(entry{when: at, seq: seq, gen: n.gen, idx: idx})
+	s.tierOf(at, n.at).push(entry{when: at, seq: seq, gen: n.gen, idx: idx})
 	s.npending++
 	return Event{sim: s, when: at, gen: n.gen, idx: idx}
 }
@@ -268,110 +299,16 @@ func (s *Sim) stepBatch() bool {
 			s.fire(e)
 			return true
 		}
-		s.noteDead()
 	}
 	return false
-}
-
-// advance consumes instant t: the caller verified the heap top is a
-// live entry at t. The overwhelmingly common case — a single event at
-// the instant — fires directly, bypassing the batch buffer; when
-// same-instant siblings exist they are all popped into the batch first
-// (one heap pop per event, no interleaved pushes) exactly as before,
-// and the caller's stepBatch loop drains them. Either way the
-// (when, seq) one-at-a-time order is reproduced exactly: callbacks
-// scheduling at t carry later sequence numbers than everything already
-// popped here.
-func (s *Sim) advance(t Time) {
-	e := s.pop()
-	s.now = t
-	if len(s.heap) == 0 || s.heap[0].when != t {
-		s.fire(e)
-		return
-	}
-	s.batch = append(s.batch[:0], e)
-	s.batchPos = 0
-	for len(s.heap) > 0 && s.heap[0].when == t {
-		e2 := s.pop()
-		if s.nodes[e2.idx].gen == e2.gen {
-			s.batch = append(s.batch, e2)
-		} else {
-			s.noteDead()
-		}
-	}
-}
-
-// noteDead records that a stale entry left the queue.
-func (s *Sim) noteDead() {
-	if s.ndead > 0 {
-		s.ndead--
-	}
-}
-
-// maybeCompact rebuilds the heap without its stale entries once they
-// (appear to) outnumber the live ones, so sift depth tracks the live
-// event count rather than the cancellation history. Compaction is
-// invisible to the simulation: the firing order is the (when, seq)
-// total order, which any valid heap over the same live entries yields.
-// Reports whether it compacted (the caller restarts its loop).
-func (s *Sim) maybeCompact() bool {
-	if s.ndead <= 64 || 2*s.ndead <= len(s.heap) {
-		return false
-	}
-	live := s.heap[:0]
-	for _, e := range s.heap {
-		if s.nodes[e.idx].gen == e.gen {
-			live = append(live, e)
-		}
-	}
-	s.heap = live
-	for i := (len(live) - 2) / 4; i >= 0 && len(live) > 1; i-- {
-		s.siftDown(i)
-	}
-	s.ndead = 0
-	return true
 }
 
 // Step fires the earliest pending event, advancing the clock to its
 // instant. It reports whether an event was fired.
-func (s *Sim) Step() bool {
-	if s.stepBatch() {
-		return true
-	}
-	for len(s.heap) > 0 {
-		e := s.pop()
-		if s.nodes[e.idx].gen != e.gen {
-			s.noteDead()
-			continue // stopped; slot already recycled
-		}
-		s.now = e.when
-		s.fire(e)
-		return true
-	}
-	return false
-}
+func (s *Sim) Step() bool { return s.dispatch(maxTime, true) }
 
 // Run fires events until the queue drains.
-func (s *Sim) Run() {
-	for {
-		if s.stepBatch() {
-			continue
-		}
-		if len(s.heap) == 0 {
-			return
-		}
-		top := s.heap[0]
-		if s.nodes[top.idx].gen != top.gen {
-			s.pop()
-			s.noteDead()
-			continue
-		}
-		if s.maybeCompact() {
-			continue
-		}
-		s.advance(top.when)
-	}
-}
+func (s *Sim) Run() { s.dispatch(maxTime, false) }
 
 // RunUntil fires every event scheduled at or before end, then advances the
 // clock to end (even if the queue drained earlier or is still non-empty).
@@ -379,28 +316,7 @@ func (s *Sim) RunUntil(end Time) {
 	if end < s.now {
 		panic(fmt.Sprintf("des: run until %v before now %v", end, s.now))
 	}
-	for {
-		// Batch entries fire at the already-set clock (≤ now ≤ end).
-		if s.stepBatch() {
-			continue
-		}
-		if len(s.heap) == 0 {
-			break
-		}
-		top := s.heap[0]
-		if s.nodes[top.idx].gen != top.gen {
-			s.pop()
-			s.noteDead()
-			continue
-		}
-		if s.maybeCompact() {
-			continue
-		}
-		if top.when > end {
-			break
-		}
-		s.advance(top.when)
-	}
+	s.dispatch(end, false)
 	s.now = end
 }
 
@@ -418,29 +334,86 @@ func (s *Sim) RunBefore(end Time) {
 	if end < s.now {
 		panic(fmt.Sprintf("des: run before %v behind now %v", end, s.now))
 	}
-	for {
-		// Batch entries fire at the already-set clock (≤ now < end).
-		if s.stepBatch() {
-			continue
-		}
-		if len(s.heap) == 0 {
-			break
-		}
-		top := s.heap[0]
-		if s.nodes[top.idx].gen != top.gen {
-			s.pop()
-			s.noteDead()
-			continue
-		}
-		if s.maybeCompact() {
-			continue
-		}
-		if top.when >= end {
-			break
-		}
-		s.advance(top.when)
-	}
+	s.dispatch(end-1, false) // instants are whole nanoseconds
 	s.now = end
+}
+
+// maxTime is the last instant; dispatching up to it runs unbounded.
+const maxTime = Time(math.MaxInt64)
+
+// dispatch is the one event loop behind Step, Run, RunUntil and
+// RunBefore: it fires events one at a time in (when, seq) order, the
+// in-flight batch first, while the earliest pending event is due at or
+// before last — only the first one if once is set. Reports whether an
+// event fired.
+func (s *Sim) dispatch(last Time, once bool) bool {
+	fired := false
+	for !fired || !once {
+		if !s.stepBatch() {
+			q := s.next()
+			if q == nil || q.h[0].when > last {
+				break
+			}
+			s.advance(q, !once)
+		}
+		fired = true
+	}
+	return fired
+}
+
+// advance pops q's top, which next found to be the earliest live entry,
+// moves the clock to its instant and fires it. With gather set its
+// same-instant siblings are popped into the batch first (one heap pop
+// per event, no interleaved pushes), where the dispatch loop drains them
+// next; callbacks scheduling at the instant carry later sequence numbers
+// than everything gathered, so the (when, seq) order is kept exactly.
+// Step does not gather, so no batch outlives a top-level call.
+func (s *Sim) advance(q *tier, gather bool) {
+	e := q.pop()
+	s.now = e.when
+	if gather {
+		s.batch, s.batchPos = s.batch[:0], 0
+		for q := s.first(); q != nil && q.h[0].when == e.when; q = s.first() {
+			if e2 := q.pop(); s.nodes[e2.idx].gen == e2.gen {
+				s.batch = append(s.batch, e2)
+			} else {
+				q.noteDead()
+			}
+		}
+	}
+	s.fire(e)
+}
+
+// next returns the tier whose top is the earliest live entry, or nil
+// when no live entry is queued: the one top-of-queue helper behind
+// every entry point. A tier is settled before its top is trusted: the
+// near tier on every call, the far tier only when its top comes first.
+// A stale far top behind the live near top cannot matter, and checking
+// it would touch a callback slot the request path never reads.
+func (s *Sim) next() *tier {
+	s.near.settle(s.nodes)
+	q := s.first()
+	if q == &s.far {
+		q.settle(s.nodes)
+		q = s.first()
+	}
+	return q
+}
+
+// first returns the tier whose top entry comes first in (when, seq)
+// order, or nil when both are empty. A far entry and a near entry due at
+// the same instant are ordered by sequence like any other pair.
+func (s *Sim) first() *tier {
+	switch {
+	case len(s.far.h) == 0:
+		if len(s.near.h) == 0 {
+			return nil
+		}
+		return &s.near
+	case len(s.near.h) == 0 || less(s.far.h[0], s.near.h[0]):
+		return &s.far
+	}
+	return &s.near
 }
 
 // NextAt reports the instant of the earliest live pending event — the
@@ -452,16 +425,46 @@ func (s *Sim) NextAt() (at Time, ok bool) {
 			return e.when, true
 		}
 	}
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if s.nodes[top.idx].gen != top.gen {
-			s.pop()
-			s.noteDead()
-			continue
-		}
-		return top.when, true
+	if q := s.next(); q != nil {
+		return q.h[0].when, true
 	}
 	return 0, false
+}
+
+// settle compacts the tier when its stale entries outnumber its live
+// ones, so sift depth tracks the live event count rather than the
+// cancellation history, then discards stale entries off the top.
+// Neither is visible to the simulation: the firing order is the
+// (when, seq) total order, which any valid heap over the same live
+// entries yields.
+func (q *tier) settle(nodes []node) {
+	if q.dead > 64 && 2*q.dead > len(q.h) {
+		live := q.h[:0]
+		for _, e := range q.h {
+			if nodes[e.idx].gen == e.gen {
+				live = append(live, e)
+			}
+		}
+		q.h = live
+		for i := (len(live) - 2) / 4; i >= 0 && len(live) > 1; i-- {
+			q.siftDown(i)
+		}
+		q.dead = 0
+	}
+	for len(q.h) > 0 {
+		if e := q.h[0]; nodes[e.idx].gen == e.gen {
+			return
+		}
+		q.pop()
+		q.noteDead()
+	}
+}
+
+// noteDead records that a stale entry left the tier.
+func (q *tier) noteDead() {
+	if q.dead > 0 {
+		q.dead--
+	}
 }
 
 // less orders entries by (when, seq): the deterministic total order.
@@ -474,8 +477,8 @@ func less(a, b entry) bool {
 
 // push inserts e into the 4-ary heap, sifting up with hole moves (each
 // level is one entry copy, not a swap).
-func (s *Sim) push(e entry) {
-	h := append(s.heap, e)
+func (q *tier) push(e entry) {
+	h := append(q.h, e)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -486,21 +489,21 @@ func (s *Sim) push(e entry) {
 		i = p
 	}
 	h[i] = e
-	s.heap = h
+	q.h = h
 }
 
 // pop removes and returns the minimum entry, sifting the displaced last
 // entry down. With 4 children per level the heap is half the depth of a
 // binary heap, trading slightly wider min-of-children scans (which stay
 // in one or two cache lines: entries are 24 bytes) for fewer levels.
-func (s *Sim) pop() entry {
-	h := s.heap
+func (q *tier) pop() entry {
+	h := q.h
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	s.heap = h[:last]
+	q.h = h[:last]
 	if last > 1 {
-		s.siftDown(0)
+		q.siftDown(0)
 	}
 	return top
 }
@@ -510,8 +513,8 @@ func (s *Sim) pop() entry {
 // their minimum with a pairwise tournament — two independent compare
 // chains instead of one serial scan. (when, seq) keys are unique, so
 // tie-break order between the variants can never matter.
-func (s *Sim) siftDown(i int) {
-	h := s.heap
+func (q *tier) siftDown(i int) {
+	h := q.h
 	n := len(h)
 	e := h[i]
 	for {

@@ -94,13 +94,15 @@ func (s *refSim) RunUntil(end Time) {
 }
 
 // kernel abstracts the two implementations so one scripted op sequence
-// can drive both.
+// can drive both. sim is the pooled kernel's Sim (nil for the
+// reference), read only to check which code paths a script reached.
 type kernel struct {
 	now      func() Time
 	schedule func(at Time, fn func()) (stop func() bool)
 	step     func() bool
 	runUntil func(end Time)
 	drain    func()
+	sim      *Sim
 }
 
 func pooledKernel() kernel {
@@ -114,6 +116,7 @@ func pooledKernel() kernel {
 		step:     s.Step,
 		runUntil: s.RunUntil,
 		drain:    s.Run,
+		sim:      s,
 	}
 }
 
@@ -136,85 +139,253 @@ func referenceKernel() kernel {
 	}
 }
 
-// runScript drives k through ops pseudo-random schedule / stop / tick
-// operations (from its own identically-seeded rng) and renders every
+// harness replays one op sequence on a kernel and renders every
 // observable — each firing as "id@instant", every Stop result, every
-// Step result — into one log. Callbacks with id ≡ 0 (mod 7) schedule a
-// child event from inside the dispatch, exercising reentrant
-// scheduling at (and after) the current instant.
+// Step result, the clock after every RunUntil — into one log. Callbacks
+// with id ≡ 0 (mod 7) schedule a child event from inside the dispatch,
+// exercising reentrant scheduling at (and after) the current instant;
+// with far set the children reach every offset class of at, so far
+// callbacks schedule too, into both tiers.
+type harness struct {
+	k     kernel
+	far   bool
+	log   []byte
+	stops []func() bool
+	whens []Time
+
+	// farDue counts ops after which the pooled kernel's far tier was due
+	// for compaction: more than 64 stale entries, outnumbering its live
+	// ones.
+	farDue int
+}
+
+func (d *harness) schedule(at Time) {
+	id := len(d.stops)
+	spawn := id%7 == 0
+	d.whens = append(d.whens, at)
+	d.stops = append(d.stops, d.k.schedule(at, func() {
+		d.log = append(d.log, fmt.Sprintf("%d@%d\n", id, d.k.now())...)
+		if spawn {
+			if d.far {
+				d.schedule(d.at(id/7, id))
+			} else {
+				d.schedule(d.k.now() + Time(1+id%911)*Time(time.Millisecond))
+			}
+		}
+		// Re-entrant dispatch from inside a callback: a sprinkle of
+		// events single-step the kernel or drain their own instant.
+		if id%97 == 13 {
+			d.log = append(d.log, fmt.Sprintf("rstep=%v\n", d.k.step())...)
+		}
+		if id%101 == 17 {
+			d.k.runUntil(d.k.now())
+		}
+	}))
+}
+
+// stop stops n handles from the j-th on (often already fired: stale).
+func (d *harness) stop(j, n int) {
+	for ; n > 0 && j < len(d.stops); j, n = j+1, n-1 {
+		d.log = append(d.log, fmt.Sprintf("stop%d=%v\n", j, d.stops[j]())...)
+	}
+}
+
+func (d *harness) step() {
+	d.log = append(d.log, fmt.Sprintf("step=%v\n", d.k.step())...)
+}
+
+func (d *harness) runUntil(end Time) {
+	d.k.runUntil(end)
+	d.log = append(d.log, fmt.Sprintf("tick->%d\n", d.k.now())...)
+}
+
+// at maps an offset class (mod 8) and a parameter p ≥ 0 to an instant at
+// or after now, spanning both tiers: milliseconds, seconds, minutes and
+// hours ahead; farAhead and 1 ns either side of it; and the instant of
+// an earlier scheduling still ahead, which makes same-instant ties —
+// across the tiers when that scheduling was far and the clock has since
+// come within farAhead of it.
+func (d *harness) at(class, p int) Time {
+	now := d.k.now()
+	ms := Time(time.Millisecond)
+	switch class % 8 {
+	case 0:
+		return now + Time(p%1_000)*ms
+	case 1:
+		return now + Time(p%10_000)*ms
+	case 2:
+		return now + Time(1+p%59)*Time(time.Minute) + Time(p%1_000)*ms
+	case 3:
+		return now + Time(1+p%24)*Time(time.Hour) + Time(p%60_000)*ms
+	case 4, 5, 6:
+		return now + farAhead + Time(class%8-5)
+	}
+	if n := len(d.whens); n > 0 {
+		w := d.whens[n-1-p%min(n, 64)] // a recent scheduling...
+		if p%2 == 1 {
+			w = d.whens[p%n] // ...or any
+		}
+		if w >= now {
+			return w
+		}
+	}
+	return now
+}
+
+// runScript drives k through ops pseudo-random schedule / stop / tick /
+// step operations (from its own identically-seeded rng), every offset
+// under 10 s, and returns the harness's log.
 func runScript(k kernel, ops int, seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
-	var log []byte
-	var stops []func() bool
-	nextID := 0
-
-	var scheduleOne func(at Time)
-	scheduleOne = func(at Time) {
-		id := nextID
-		nextID++
-		spawn := id%7 == 0
-		childOff := Time(1+id%911) * Time(time.Millisecond)
-		stop := k.schedule(at, func() {
-			log = append(log, fmt.Sprintf("%d@%d\n", id, k.now())...)
-			if spawn {
-				scheduleOne(k.now() + childOff)
-			}
-			// Re-entrant dispatch from inside a callback: a sprinkle of
-			// events single-step the kernel or drain their own instant.
-			if id%97 == 13 {
-				log = append(log, fmt.Sprintf("rstep=%v\n", k.step())...)
-			}
-			if id%101 == 17 {
-				k.runUntil(k.now())
-			}
-		})
-		stops = append(stops, stop)
-	}
-
+	d := &harness{k: k}
 	for i := 0; i < ops; i++ {
 		switch r := rng.Intn(10); {
 		case r < 6: // schedule at a random future offset
-			off := Time(rng.Intn(10_000)) * Time(time.Millisecond)
-			scheduleOne(k.now() + off)
-		case r < 8: // stop a random handle (often already fired: stale)
-			if len(stops) == 0 {
+			d.schedule(k.now() + Time(rng.Intn(10_000))*Time(time.Millisecond))
+		case r < 8: // stop a random handle
+			if len(d.stops) == 0 {
 				continue
 			}
-			j := rng.Intn(len(stops))
-			log = append(log, fmt.Sprintf("stop%d=%v\n", j, stops[j]())...)
+			d.stop(rng.Intn(len(d.stops)), 1)
 		case r == 8: // tick: advance the clock by a window
-			d := Time(rng.Intn(5_000)) * Time(time.Millisecond)
-			k.runUntil(k.now() + d)
-			log = append(log, fmt.Sprintf("tick->%d\n", k.now())...)
+			d.runUntil(k.now() + Time(rng.Intn(5_000))*Time(time.Millisecond))
 		default: // fire a single event
-			log = append(log, fmt.Sprintf("step=%v\n", k.step())...)
+			d.step()
 		}
 	}
 	k.drain()
-	return string(log)
+	return string(d.log)
 }
 
-// TestPropertyPooledHeapMatchesReference requires the pooled 4-ary
+// Op kinds of runOps' byte encoding.
+const (
+	opSchedule = iota
+	opStop
+	opStep
+	opRunUntil
+)
+
+// runOps decodes data into ops, three bytes each — kind (low 2 bits)
+// and argument (high 6 bits), then a 16-bit parameter p — replays them
+// on k with far-reaching children, drains k and returns the harness. A
+// schedule or RunUntil goes to at(argument, p); a stop stops up to
+// 1<<(argument%8) handles from the (p mod count)-th newest on.
+func runOps(k kernel, data []byte) *harness {
+	d := &harness{k: k, far: true}
+	for ; len(data) >= 3; data = data[3:] {
+		kind, arg, p := int(data[0]&3), int(data[0]>>2), int(data[1])<<8|int(data[2])
+		switch kind {
+		case opSchedule:
+			d.schedule(d.at(arg, p))
+		case opStop:
+			if n := len(d.stops); n > 0 {
+				d.stop(n-1-p%n, 1<<(arg%8))
+			}
+		case opStep:
+			d.step()
+		case opRunUntil:
+			d.runUntil(d.at(arg, p))
+		}
+		if s := k.sim; s != nil && s.far.dead > 64 && 2*s.far.dead > len(s.far.h) {
+			d.farDue++
+		}
+	}
+	k.drain()
+	return d
+}
+
+// farScript draws n ops for runOps the way a trace-driven day mixes
+// them: schedules over every offset class, near ones the most common;
+// single stops, and bulk stops of the 128 handles 129 to 256
+// schedulings back, whose near events have mostly fired by then, so
+// the stops strand far entries faster than they surface; single steps;
+// and RunUntil windows of mostly milliseconds to seconds, a few
+// minutes and rare hour-long jumps.
+func farScript(seed int64, n int) []byte {
+	const (
+		scheduleClasses = "0000011111223333334567"
+		windowClasses   = "000000000011111111122456"
+	)
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]byte, 0, 3*n)
+	for i := 0; i < n; i++ {
+		kind, arg, p := opSchedule, int(scheduleClasses[rng.Intn(len(scheduleClasses))]-'0'), rng.Intn(1<<16)
+		switch r := rng.Intn(40); {
+		case r < 8:
+			kind, arg = opStop, 0
+		case r < 10:
+			kind, arg, p = opStop, 7, 255
+		case r < 14:
+			kind = opStep
+		case r < 18:
+			kind, arg = opRunUntil, int(windowClasses[rng.Intn(len(windowClasses))]-'0')
+			if rng.Intn(50) == 0 {
+				arg = 3
+			}
+		}
+		data = append(data, byte(kind|arg<<2), byte(p>>8), byte(p))
+	}
+	return data
+}
+
+// TestPropertyPooledHeapMatchesReference requires the pooled two-tier
 // kernel and the container/heap oracle to produce byte-identical logs
-// over 100k random operations.
+// over 100k random operations: near-only scripts (every offset under
+// 10 s) and far-reaching ones, whose offsets span both tiers and their
+// boundary, whose bulk stops compact the far tier, whose RunUntil
+// windows jump hours of empty clock and whose ties put far and
+// later-scheduled near entries on the same instant.
 func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 	const ops = 100_000
 	for _, seed := range []int64{1, 2, 3} {
-		got := runScript(pooledKernel(), ops, seed)
-		want := runScript(referenceKernel(), ops, seed)
-		if got != want {
-			i := 0
-			for i < len(got) && i < len(want) && got[i] == want[i] {
-				i++
-			}
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("seed %d: logs diverge at byte %d:\npooled    ...%q\nreference ...%q",
-				seed, i, clip(got, lo), clip(want, lo))
+		sameLog(t, fmt.Sprintf("near seed %d", seed),
+			runScript(pooledKernel(), ops, seed), runScript(referenceKernel(), ops, seed))
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		data := farScript(seed, ops)
+		got := runOps(pooledKernel(), data)
+		sameLog(t, fmt.Sprintf("far seed %d", seed), string(got.log), string(runOps(referenceKernel(), data).log))
+		if got.farDue == 0 {
+			t.Errorf("far seed %d: the far tier was never due for compaction", seed)
 		}
 	}
+}
+
+// FuzzKernelMatchesReference decodes arbitrary bytes into schedule,
+// stop, step and RunUntil ops (runOps) and requires identical logs from
+// the pooled kernel and the container/heap oracle.
+func FuzzKernelMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{
+		opSchedule | 5<<2, 0, 0, // exactly farAhead: far
+		opRunUntil | 1<<2, 0, 10, // 10 ms later
+		opSchedule | 7<<2, 0, 0, // tie with it, now less than farAhead ahead: near
+		opSchedule | 4<<2, 0, 0, // farAhead - 1 ns: near
+		opSchedule | 6<<2, 0, 0, // farAhead + 1 ns: far
+		opStep, 0, 0,
+		opStop | 1<<2, 0, 1,
+	})
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(farScript(seed, 400))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameLog(t, "fuzz", string(runOps(pooledKernel(), data).log), string(runOps(referenceKernel(), data).log))
+	})
+}
+
+// sameLog fails t at the first byte where the two logs diverge.
+func sameLog(t *testing.T, name, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(i-40, 0)
+	t.Fatalf("%s: logs diverge at byte %d:\npooled    ...%q\nreference ...%q",
+		name, i, clip(got, lo), clip(want, lo))
 }
 
 func clip(s string, lo int) string {

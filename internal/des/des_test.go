@@ -307,6 +307,52 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceBacklog measures the request path over a trace-shaped
+// backlog: about 6,400 events spread over 24 h wait in the queue, the
+// idle-period boundaries a trace-driven day schedules at set-up (each
+// re-arms itself a day later when it fires, so the backlog stays put).
+// One op is one request-shaped cycle: arm a 60 s timeout, run 6 chained
+// hops of 10–400 ms, stop the timeout. Steady state is allocation-free.
+func BenchmarkTraceBacklog(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	var rearm func(any)
+	rearm = func(any) { s.AfterCall(24*time.Hour, rearm, nil) }
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 6400; i++ {
+		s.ScheduleCall(Time(rng.Int63n(int64(24*time.Hour))), rearm, nil)
+	}
+	hops := [...]time.Duration{10, 40, 120, 400, 25, 80}
+	var chain time.Duration
+	for i := range hops {
+		hops[i] *= time.Millisecond
+		chain += hops[i]
+	}
+	left := 0
+	var hop func(any)
+	hop = func(any) {
+		if left > 0 {
+			left--
+			s.AfterCall(hops[left], hop, nil)
+		}
+	}
+	noop := func(any) {}
+	cycle := func() {
+		timeout := s.AfterCall(time.Minute, noop, nil)
+		left = len(hops)
+		hop(nil)
+		s.RunFor(chain)
+		timeout.Stop()
+	}
+	for i := 0; i < 1000; i++ { // warm the pool so -benchtime=1x measures steady state
+		cycle()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
 // BenchmarkFreshSim tracks the cold-start cost: a new Sim's slab,
 // heap, and free list grow from empty each iteration.
 func BenchmarkFreshSim(b *testing.B) {

@@ -98,3 +98,29 @@ func TestNextAt(t *testing.T) {
 		t.Fatal("NextAt after drain reported an event")
 	}
 }
+
+// TestStepLoopKeepsQueueBounded drives the kernel the way a traced run
+// does, through NextAt and Step only, over a far backlog and a 30 s
+// ticker: every cycle arms a 60 s timeout, steps one 10 ms hop and
+// stops the timeout. The ticker keeps a live entry ahead of most stopped
+// timeouts, so discarding stale tops alone cannot clear them; NextAt
+// and Step must compact like Run does, or they pile up in the queue.
+func TestStepLoopKeepsQueueBounded(t *testing.T) {
+	s := New()
+	for i := 1; i <= 1000; i++ {
+		s.Schedule(Time(i)*Time(time.Hour), func() {})
+	}
+	noop := func() {}
+	s.Every(30*time.Second, noop)
+	for i := 0; i < 20_000; i++ {
+		timeout := s.After(time.Minute, noop)
+		hop := s.After(10*time.Millisecond, noop).When()
+		for at, ok := s.NextAt(); ok && at <= hop; at, ok = s.NextAt() {
+			s.Step()
+		}
+		timeout.Stop()
+		if n := len(s.near.h) + len(s.far.h); n > s.Pending()+130 {
+			t.Fatalf("cycle %d: queue holds %d entries for %d pending events", i, n, s.Pending())
+		}
+	}
+}

@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -142,14 +143,21 @@ func (e *Emulator) DriveTrace(tr *workload.Trace) {
 	for i := 0; i < e.cl.Len(); i++ {
 		e.cl.Set(i, cluster.Busy, e.sim.Now())
 	}
-	for _, p := range tr.Periods {
-		p := p
-		e.sim.Schedule(p.Start, func() { e.traceIdleStart(p) })
-		e.sim.Schedule(p.End, func() { e.traceIdleEnd(p) })
+	// Both boundaries of every period are queued up front through two
+	// callbacks per trace, not two closures per period. Each event
+	// carries a pointer into the emulator's own copy of the periods, so
+	// a caller that reuses tr cannot move a queued boundary.
+	periods := slices.Clone(tr.Periods)
+	start := func(p any) { e.traceIdleStart(p.(*workload.IdlePeriod)) }
+	end := func(p any) { e.traceIdleEnd(p.(*workload.IdlePeriod)) }
+	for i := range periods {
+		p := &periods[i]
+		e.sim.ScheduleCall(p.Start, start, p)
+		e.sim.ScheduleCall(p.End, end, p)
 	}
 }
 
-func (e *Emulator) traceIdleStart(p workload.IdlePeriod) {
+func (e *Emulator) traceIdleStart(p *workload.IdlePeriod) {
 	node := p.Node
 	if e.runningByNode[node] != nil {
 		// A pilot survived into this instant (grace overlap); leave it.
@@ -160,7 +168,7 @@ func (e *Emulator) traceIdleStart(p workload.IdlePeriod) {
 	e.cl.Set(node, cluster.Idle, e.sim.Now())
 }
 
-func (e *Emulator) traceIdleEnd(p workload.IdlePeriod) {
+func (e *Emulator) traceIdleEnd(p *workload.IdlePeriod) {
 	node := p.Node
 	now := e.sim.Now()
 	if j := e.runningByNode[node]; j != nil {
