@@ -40,7 +40,9 @@ func must[T any](res T, err error) T {
 }
 
 func weekTrace() *Trace {
-	benchWeekOnce.Do(func() { benchWeek = experiments.WeekTrace(1) })
+	benchWeekOnce.Do(func() {
+		benchWeek = workload.DefaultIdleProcess(experiments.PrometheusNodes, experiments.Week, 1).Generate()
+	})
 	return benchWeek
 }
 

@@ -145,9 +145,10 @@ func TestPolicyVarRunsVarDay(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOutOfRangeAxes: a uniform axis outside its range is
-// rejected with exit 2 and an error naming the axis, before anything
-// runs — never a panic deep inside the trace generator.
+// TestRunRejectsOutOfRangeAxes: a uniform axis or scenario option
+// outside its range is rejected with exit 2 and an error naming it,
+// before anything runs — never a panic deep inside the trace generator
+// or the experiment.
 func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -159,14 +160,15 @@ func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 		{[]string{"-qps", "-1"}, "qps"},
 		{[]string{"-qps", "NaN"}, "qps"},
 		{[]string{"-scenario", "ablation", "-nodes", "0"}, "nodes"},
+		{[]string{"-scenario", "fig7", "-set", "invocations=0"}, "invocations"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != 2 {
 			t.Errorf("%v: exit %d, want 2", tc.args, code)
 		}
-		if !strings.Contains(errb.String(), tc.wantErr) {
-			t.Errorf("%v: stderr %q does not name the %s axis", tc.args, errb.String(), tc.wantErr)
+		if !strings.Contains(errb.String(), tc.wantErr) || strings.Contains(errb.String(), "panic:") {
+			t.Errorf("%v: stderr %q does not name %s (or reports a panic)", tc.args, errb.String(), tc.wantErr)
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v: printed results despite the error:\n%s", tc.args, out.String())

@@ -91,6 +91,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-qps", "-1"}, "qps"},
 		{[]string{"-qps", "-5", "-nodes", "48", "-hours", "1"}, "qps"},
 		{[]string{"-scenario", "ablation", "-nodes", "0"}, "nodes"},
+		{[]string{"-scenario", "fig7", "-set", "invocations=0", "-replicas", "2"}, "invocations"},
 	}
 	for _, tc := range cases {
 		out.Reset()
@@ -98,7 +99,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if code := run(tc.args, &out, &errb); code != 2 {
 			t.Errorf("%v: exit %d, want 2", tc.args, code)
 		}
-		if !strings.Contains(errb.String(), tc.wantErr) {
+		if !strings.Contains(errb.String(), tc.wantErr) || strings.Contains(errb.String(), "panic:") {
 			t.Errorf("%v: stderr %q lacks %q", tc.args, errb.String(), tc.wantErr)
 		}
 		if out.Len() != 0 {

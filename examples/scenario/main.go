@@ -8,9 +8,9 @@
 // own): a named Spec whose Run builds its experiment from the uniform
 // Config (seed / nodes / horizon / policy / QPS plus documented
 // key=value options) and returns the uniform Result contract
-// (Metrics for sweeping, Table for rendering, Unwrap for the typed
-// value). Registered scenarios appear automatically in
-// hpcwhisk-sim -list, hpcwhisk-sweep -scenario, and
+// (Metrics for sweeping, Unwrap for the typed value, which renders
+// itself when it has a Render method). Registered scenarios appear
+// automatically in hpcwhisk-sim -list, hpcwhisk-sweep -scenario, and
 // hpcwhisk.Scenarios().
 package main
 
@@ -85,7 +85,7 @@ func main() {
 				"idle-periods":      float64(len(tr.Periods)),
 				"mean-period-hours": tr.TotalIdle().Hours() / float64(len(tr.Periods)),
 			}
-			return hpcwhisk.NewScenarioResult(tr, m, nil), nil
+			return hpcwhisk.NewScenarioResult(tr, m), nil
 		},
 	})
 

@@ -204,7 +204,7 @@ type ScenarioOptionDoc = scenario.OptionDoc
 type ScenarioConfig = scenario.Config
 
 // ScenarioResult is the uniform result contract: flat metrics for
-// sweeping, a table for rendering, and the typed value via Unwrap.
+// sweeping and the typed value via Unwrap.
 type ScenarioResult = scenario.Result
 
 // ScenarioCancelError reports a scenario cut short by its context;
@@ -243,13 +243,13 @@ func RegisterScenario(sp Scenario) { scenario.Register(sp) }
 
 // NewScenarioResult bundles a typed value into the Result contract
 // (for custom scenarios).
-func NewScenarioResult(typed any, metrics map[string]float64, table [][]string) ScenarioResult {
-	return scenario.NewResult(typed, metrics, table)
+func NewScenarioResult(typed any, metrics map[string]float64) ScenarioResult {
+	return scenario.NewResult(typed, metrics)
 }
 
 // RenderScenario prints a scenario result for humans: the typed
-// value's paper-shaped rendering when it has one, the generic aligned
-// table otherwise.
+// value's paper-shaped rendering when it has one, an aligned table of
+// its metrics otherwise.
 func RenderScenario(w io.Writer, res ScenarioResult) { scenario.Fprint(w, res) }
 
 // Typed results a scenario's Unwrap returns.

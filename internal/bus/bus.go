@@ -32,7 +32,7 @@ type Message struct {
 	ID        int64
 	TopicName string
 	Payload   any
-	Published des.Time // when Publish was called
+	Published des.Time // when PublishTo was called
 	Delivered des.Time // when it became pullable
 	Moves     int      // how many times it was moved between topics
 
@@ -89,18 +89,13 @@ func (b *Bus) Topic(name string) *Topic {
 	return t
 }
 
-// Publish enqueues payload on the named topic after the delivery latency.
-func (b *Bus) Publish(name string, payload any) *Message {
-	return b.PublishTo(b.Topic(name), payload)
-}
-
-// PublishTo is Publish for callers that already hold the topic: it
-// skips the name lookup, which matters on the request path where the
-// controller resolved the invoker's topic at routing time. The topic is
-// captured in the message; if it is Deleted while the delivery is in
-// flight, the delivery re-resolves deliberately — onto the topic
-// currently registered under the name if one exists, else by
-// re-registering this captured topic — see Bus.deliver.
+// PublishTo enqueues payload on topic t after the delivery latency. The
+// caller resolves the topic once (the controller does so at routing
+// time), and the message captures it, so delivery needs no name lookup.
+// If the topic is Deleted while the delivery is in flight, the delivery
+// re-resolves deliberately — onto the topic currently registered under
+// the name if one exists, else by re-registering this captured topic —
+// see Bus.deliver.
 func (b *Bus) PublishTo(t *Topic, payload any) *Message {
 	m := b.get()
 	m.ID = b.nextID
@@ -116,7 +111,7 @@ func (b *Bus) PublishTo(t *Topic, payload any) *Message {
 
 // Wrap takes a blank message from the pool around an out-of-band
 // payload (an invoker flushing interrupted work to the fast lane via
-// Requeue). Unlike Publish it assigns no ID, stamps no publish time,
+// Requeue). Unlike PublishTo it assigns no ID, stamps no publish time,
 // and counts nothing: the message never traveled through a delivery.
 func (b *Bus) Wrap(payload any) *Message {
 	m := b.get()
@@ -247,22 +242,10 @@ func (t *Topic) noteDepth(delta int) {
 // (used by invokers to wake their dispatch loop promptly).
 func (t *Topic) OnDelivery(fn func()) { t.onDelivery = fn }
 
-// Pull removes and returns up to max messages from the head.
-func (t *Topic) Pull(max int) []*Message {
-	if max <= 0 || len(t.queue) == 0 {
-		return nil
-	}
-	n := max
-	if n > len(t.queue) {
-		n = len(t.queue)
-	}
-	return t.PullAppend(make([]*Message, 0, n), max)
-}
-
 // PullAppend removes up to max messages from the head and appends them
-// to dst, returning the extended slice. It is Pull without the per-call
-// result allocation: invokers pull on every delivery and poll wake-up,
-// so they reuse their buffer as dst.
+// to dst, returning the extended slice. Invokers pull on every delivery
+// and poll wake-up, so they reuse their buffer as dst and the pull
+// allocates nothing.
 func (t *Topic) PullAppend(dst []*Message, max int) []*Message {
 	n := max
 	if n > len(t.queue) {
@@ -318,9 +301,9 @@ func (t *Topic) Requeue(msgs []*Message) {
 }
 
 // Delete removes the topic from the bus (its queue must be empty;
-// callers move messages first). Publishing to the name afterwards
-// recreates a fresh topic; a delivery already in flight at Delete time
-// re-resolves deliberately — see Bus.deliver.
+// callers move messages first). Resolving the name afterwards with
+// Bus.Topic creates a fresh topic; a delivery already in flight at
+// Delete time re-resolves deliberately — see Bus.deliver.
 func (t *Topic) Delete() {
 	if len(t.queue) > 0 {
 		panic("bus: deleting non-empty topic " + t.name)

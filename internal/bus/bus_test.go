@@ -14,9 +14,14 @@ func newBus() (*des.Sim, *Bus) {
 	return sim, New(sim, dist.Constant{Value: 0.01}, 1)
 }
 
+// publish and pull are test shorthands: PublishTo by topic name, and
+// PullAppend into a fresh slice (nil when nothing was pulled).
+func publish(b *Bus, name string, payload any) *Message { return b.PublishTo(b.Topic(name), payload) }
+func pull(t *Topic, max int) []*Message                 { return t.PullAppend(nil, max) }
+
 func TestPublishDeliversAfterLatency(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("t", "hello")
+	publish(b, "t", "hello")
 	if b.Topic("t").Len() != 0 {
 		t.Fatal("message visible before delivery latency")
 	}
@@ -24,7 +29,7 @@ func TestPublishDeliversAfterLatency(t *testing.T) {
 	if b.Topic("t").Len() != 1 {
 		t.Fatal("message not delivered")
 	}
-	msgs := b.Topic("t").Pull(10)
+	msgs := pull(b.Topic("t"), 10)
 	if len(msgs) != 1 || msgs[0].Payload != "hello" {
 		t.Fatalf("pulled %v", msgs)
 	}
@@ -36,18 +41,18 @@ func TestPublishDeliversAfterLatency(t *testing.T) {
 func TestPullFIFOAndPartial(t *testing.T) {
 	sim, b := newBus()
 	for i := 0; i < 5; i++ {
-		b.Publish("t", i)
+		publish(b, "t", i)
 	}
 	sim.Run()
-	first := b.Topic("t").Pull(2)
+	first := pull(b.Topic("t"), 2)
 	if len(first) != 2 || first[0].Payload != 0 || first[1].Payload != 1 {
 		t.Fatalf("first pull = %v", first)
 	}
-	rest := b.Topic("t").Pull(10)
+	rest := pull(b.Topic("t"), 10)
 	if len(rest) != 3 || rest[0].Payload != 2 {
 		t.Fatalf("rest pull = %v", rest)
 	}
-	if b.Topic("t").Pull(1) != nil {
+	if pull(b.Topic("t"), 1) != nil {
 		t.Error("pull from empty topic should be nil")
 	}
 }
@@ -55,7 +60,7 @@ func TestPullFIFOAndPartial(t *testing.T) {
 func TestMoveAllToFastLane(t *testing.T) {
 	sim, b := newBus()
 	for i := 0; i < 3; i++ {
-		b.Publish("invoker0", i)
+		publish(b, "invoker0", i)
 	}
 	sim.Run()
 	moved := b.Topic("invoker0").MoveAll(b.Topic("fastlane"))
@@ -65,7 +70,7 @@ func TestMoveAllToFastLane(t *testing.T) {
 	if b.Topic("invoker0").Len() != 0 {
 		t.Error("source topic not emptied")
 	}
-	msgs := b.Topic("fastlane").Pull(10)
+	msgs := pull(b.Topic("fastlane"), 10)
 	if len(msgs) != 3 {
 		t.Fatalf("fast lane has %d messages", len(msgs))
 	}
@@ -81,13 +86,13 @@ func TestMoveAllToFastLane(t *testing.T) {
 
 func TestRequeuePreservesOrderAtTail(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("fl", "a")
+	publish(b, "fl", "a")
 	sim.Run()
-	held := b.Topic("fl").Pull(1)
-	b.Publish("fl", "b")
+	held := pull(b.Topic("fl"), 1)
+	publish(b, "fl", "b")
 	sim.Run()
 	b.Topic("fl").Requeue(held)
-	msgs := b.Topic("fl").Pull(10)
+	msgs := pull(b.Topic("fl"), 10)
 	if len(msgs) != 2 || msgs[0].Payload != "b" || msgs[1].Payload != "a" {
 		t.Fatalf("requeue order = %v", msgs)
 	}
@@ -97,8 +102,8 @@ func TestOnDeliveryCallback(t *testing.T) {
 	sim, b := newBus()
 	calls := 0
 	b.Topic("t").OnDelivery(func() { calls++ })
-	b.Publish("t", 1)
-	b.Publish("t", 2)
+	publish(b, "t", 1)
+	publish(b, "t", 2)
 	sim.Run()
 	if calls != 2 {
 		t.Errorf("delivery callbacks = %d, want 2", calls)
@@ -113,12 +118,12 @@ func TestOnDeliveryCallback(t *testing.T) {
 
 func TestDeleteEmptyTopic(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("t", 1)
+	publish(b, "t", 1)
 	sim.Run()
-	b.Topic("t").Pull(1)
+	pull(b.Topic("t"), 1)
 	b.Topic("t").Delete()
 	// Publishing again recreates the topic.
-	b.Publish("t", 2)
+	publish(b, "t", 2)
 	sim.Run()
 	if b.Topic("t").Len() != 1 {
 		t.Error("topic not recreated")
@@ -127,7 +132,7 @@ func TestDeleteEmptyTopic(t *testing.T) {
 
 func TestDeleteNonEmptyPanics(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("t", 1)
+	publish(b, "t", 1)
 	sim.Run()
 	defer func() {
 		if recover() == nil {
@@ -140,10 +145,10 @@ func TestDeleteNonEmptyPanics(t *testing.T) {
 func TestCounters(t *testing.T) {
 	sim, b := newBus()
 	for i := 0; i < 4; i++ {
-		b.Publish("t", i)
+		publish(b, "t", i)
 	}
 	sim.Run()
-	b.Topic("t").Pull(2)
+	pull(b.Topic("t"), 2)
 	b.Topic("t").MoveAll(b.Topic("u"))
 	if b.Published != 4 {
 		t.Errorf("published = %d", b.Published)
@@ -158,9 +163,9 @@ func TestCounters(t *testing.T) {
 
 func TestTimeInQueue(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("t", 1)
+	publish(b, "t", 1)
 	sim.Run()
-	m := b.Topic("t").Pull(1)[0]
+	m := pull(b.Topic("t"), 1)[0]
 	if got := m.TimeInQueue(110 * time.Millisecond); got != 100*time.Millisecond {
 		t.Errorf("time in queue = %v, want 100ms", got)
 	}
@@ -178,11 +183,11 @@ func TestPropertyConservation(t *testing.T) {
 			to := topics[int(op/3)%3]
 			switch op % 4 {
 			case 0:
-				b.Publish(from, int(op))
+				publish(b, from, int(op))
 				published++
 			case 1:
 				sim.RunFor(time.Second)
-				consumed += len(b.Topic(from).Pull(int(op%5) + 1))
+				consumed += len(pull(b.Topic(from), int(op%5)+1))
 			case 2:
 				sim.RunFor(time.Second)
 				if from != to {

@@ -18,13 +18,13 @@ func TestDeliverIntoDeletedTopicReattaches(t *testing.T) {
 	wakes := 0
 	topic := b.Topic("t")
 	topic.OnDelivery(func() { wakes++ })
-	b.Publish("t", 1)
+	publish(b, "t", 1)
 	sim.Run()
-	topic.Pull(1)
+	pull(topic, 1)
 	before := topic.Delivered
 
-	b.Publish("t", 2) // in flight…
-	topic.Delete()    // …when the topic goes away
+	publish(b, "t", 2) // in flight…
+	topic.Delete()     // …when the topic goes away
 	sim.Run()
 
 	if got := b.Topic("t"); got != topic {
@@ -47,7 +47,7 @@ func TestDeliverIntoDeletedTopicReattaches(t *testing.T) {
 func TestDeliverPrefersCurrentTopicAfterRecreate(t *testing.T) {
 	sim, b := newBus()
 	old := b.Topic("t")
-	m := b.Publish("t", "late") // in flight…
+	m := publish(b, "t", "late") // in flight…
 	old.Delete()
 	fresh := b.Topic("t") // …name deliberately recreated…
 	sim.Run()             // …before the delivery fires
@@ -78,15 +78,15 @@ func TestPublishToSkipsLookup(t *testing.T) {
 
 func TestRecycleReusesAndBumpsGeneration(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("t", "first")
+	publish(b, "t", "first")
 	sim.Run()
-	m := b.Topic("t").Pull(1)[0]
+	m := pull(b.Topic("t"), 1)[0]
 	gen := m.Generation()
 	b.Recycle(m)
 
 	// The next publish must reuse the pooled object with a bumped
 	// generation and fully reset fields.
-	m2 := b.Publish("t", "second")
+	m2 := publish(b, "t", "second")
 	if m2 != m {
 		t.Fatalf("publish did not reuse the recycled message (%p vs %p)", m2, m)
 	}
@@ -97,7 +97,7 @@ func TestRecycleReusesAndBumpsGeneration(t *testing.T) {
 		t.Errorf("recycled message not reset: %+v", m2)
 	}
 	sim.Run()
-	got := b.Topic("t").Pull(1)
+	got := pull(b.Topic("t"), 1)
 	if len(got) != 1 || got[0].Payload != "second" {
 		t.Fatalf("pull after recycle = %v", got)
 	}
@@ -110,17 +110,17 @@ func TestRecycleReusesAndBumpsGeneration(t *testing.T) {
 // intervening publish.
 func TestPullOfRecycledMessage(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("t", "a")
+	publish(b, "t", "a")
 	sim.Run()
-	stale := b.Topic("t").Pull(1)[0]
+	stale := pull(b.Topic("t"), 1)[0]
 	b.Recycle(stale)
 
-	if got := b.Topic("t").Pull(1); got != nil {
+	if got := pull(b.Topic("t"), 1); got != nil {
 		t.Fatalf("empty topic yielded %v after recycle", got)
 	}
-	reused := b.Publish("t", "b")
+	reused := publish(b, "t", "b")
 	sim.Run()
-	got := b.Topic("t").Pull(1)
+	got := pull(b.Topic("t"), 1)
 	if len(got) != 1 || got[0] != reused {
 		t.Fatalf("pull = %v, want the reused message", got)
 	}
@@ -131,9 +131,9 @@ func TestPullOfRecycledMessage(t *testing.T) {
 
 func TestDoubleRecyclePanics(t *testing.T) {
 	sim, b := newBus()
-	b.Publish("t", 1)
+	publish(b, "t", 1)
 	sim.Run()
-	m := b.Topic("t").Pull(1)[0]
+	m := pull(b.Topic("t"), 1)[0]
 	b.Recycle(m)
 	defer func() {
 		if recover() == nil {
@@ -159,7 +159,7 @@ func TestWrapTakesFromPoolWithoutPublishBookkeeping(t *testing.T) {
 func TestPullAppendReusesDst(t *testing.T) {
 	sim, b := newBus()
 	for i := 0; i < 5; i++ {
-		b.Publish("t", i)
+		publish(b, "t", i)
 	}
 	sim.Run()
 	buf := make([]*Message, 0, 8)
@@ -186,7 +186,7 @@ func TestSteadyStatePublishIsAllocationFree(t *testing.T) {
 	sim, b := newBus()
 	buf := make([]*Message, 0, 4)
 	cycle := func() {
-		b.Publish("t", 7)
+		publish(b, "t", 7)
 		sim.RunFor(time.Second)
 		buf = b.Topic("t").PullAppend(buf[:0], 4)
 		for _, m := range buf {
@@ -207,10 +207,10 @@ func TestBusDeliveryLatencyStreamUnchanged(t *testing.T) {
 	ref := dist.NewRand(1) // newBus seed
 	for i := 0; i < 100; i++ {
 		before := sim.Now()
-		b.Publish("t", i)
+		publish(b, "t", i)
 		want := dist.Seconds(dist.Constant{Value: 0.01}, ref)
 		sim.Run()
-		m := b.Topic("t").Pull(1)[0]
+		m := pull(b.Topic("t"), 1)[0]
 		if got := m.Delivered - before; got != want {
 			t.Fatalf("publish %d: latency %v, want %v", i, got, want)
 		}

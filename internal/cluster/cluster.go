@@ -101,18 +101,6 @@ func (c *Cluster) Count(s State) int { return c.sets[s].len() }
 // retain or mutate it.
 func (c *Cluster) Nodes(s State) []int { return c.sets[s].ids }
 
-// SchedulableIdle reports how many nodes are idle (candidate pilot hosts).
-func (c *Cluster) SchedulableIdle() int { return c.Count(Idle) }
-
-// Reserve marks the given nodes as commercially reserved; they never
-// become schedulable again (matching the paper's exclusion of commercial
-// nodes from all measurements).
-func (c *Cluster) Reserve(nodes []int, at time.Duration) {
-	for _, i := range nodes {
-		c.Set(i, Reserved, at)
-	}
-}
-
 // stateSet is an integer set with O(1) add/remove and slice iteration.
 type stateSet struct {
 	ids []int

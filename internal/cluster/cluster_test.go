@@ -80,12 +80,14 @@ func TestNodesMembership(t *testing.T) {
 
 func TestReserve(t *testing.T) {
 	c := New(4)
-	c.Reserve([]int{1, 3}, 0)
+	for _, i := range []int{1, 3} {
+		c.Set(i, Reserved, 0)
+	}
 	if c.Count(Reserved) != 2 {
 		t.Errorf("reserved = %d, want 2", c.Count(Reserved))
 	}
-	if c.SchedulableIdle() != 2 {
-		t.Errorf("schedulable idle = %d, want 2", c.SchedulableIdle())
+	if c.Count(Idle) != 2 {
+		t.Errorf("idle = %d, want 2", c.Count(Idle))
 	}
 }
 

@@ -25,9 +25,6 @@ type WorkerStates struct {
 	Irresp  stats.TimeSeries
 }
 
-// NewWorkerStates starts all counts at zero with exact buffered series.
-func NewWorkerStates() *WorkerStates { return NewWorkerStatesStreaming(false) }
-
 // NewWorkerStatesStreaming starts all counts at zero; streaming selects
 // O(1)-memory sketch-backed series instead of buffered ones. Every
 // value Tables II/III read from the series (time means, zero-invoker
@@ -101,9 +98,6 @@ func (ws *WorkerStates) Finish(end time.Duration) {
 	ws.Irresp.Finish(end)
 }
 
-// HealthyNow returns the current healthy-worker count.
-func (ws *WorkerStates) HealthyNow() int { return ws.healthy }
-
 // SlurmLogEntry is one poll of the Slurm-level perspective: the counts
 // of idle and HPC-Whisk (pilot) nodes at the response instant.
 type SlurmLogEntry struct {
@@ -127,7 +121,6 @@ type SlurmLogger struct {
 	requestFn, recordFn func(any)
 
 	Entries []SlurmLogEntry
-	stopped bool
 
 	// Streaming accounting (SetStreaming): instead of appending to
 	// Entries (8,640/day — 60,480 for a week), polls fold into online
@@ -171,13 +164,7 @@ func (l *SlurmLogger) SetStreaming(on bool) {
 // Start issues the first request immediately.
 func (l *SlurmLogger) Start() { l.request() }
 
-// Stop ends the polling loop after the in-flight request.
-func (l *SlurmLogger) Stop() { l.stopped = true }
-
 func (l *SlurmLogger) request() {
-	if l.stopped {
-		return
-	}
 	l.sim.AfterCall(l.latency.Seconds(), l.recordFn, nil)
 }
 

@@ -107,8 +107,8 @@ func TestSigtermDuringWarmupExitsCleanly(t *testing.T) {
 	if s.Manager.Registered > 0 && s.Manager.KilledInWarmup > 0 {
 		t.Errorf("pilot counted both registered and killed-in-warmup")
 	}
-	if s.Manager.ActivePilots() != 0 {
-		t.Errorf("pilots still tracked after window closed: %d", s.Manager.ActivePilots())
+	if len(s.Manager.pilots) != 0 {
+		t.Errorf("pilots still tracked after window closed: %d", len(s.Manager.pilots))
 	}
 }
 
@@ -311,7 +311,7 @@ func TestOWStatsShape(t *testing.T) {
 }
 
 func TestWorkerStatesConservation(t *testing.T) {
-	ws := NewWorkerStates()
+	ws := NewWorkerStatesStreaming(false)
 	ws.Add(0, phaseWarming)
 	ws.Move(10*time.Second, phaseWarming, phaseHealthy)
 	ws.Move(30*time.Second, phaseHealthy, phaseDraining)
@@ -323,7 +323,7 @@ func TestWorkerStatesConservation(t *testing.T) {
 	if m := ws.Healthy.TimeMean(); m < 0.33 || m > 0.34 {
 		t.Errorf("healthy mean = %v, want 20/60", m)
 	}
-	if got := ws.HealthyNow(); got != 0 {
+	if got := ws.healthy; got != 0 {
 		t.Errorf("healthy now = %d", got)
 	}
 }

@@ -38,14 +38,6 @@ type FederationConfig struct {
 	// byte-identical output (the pdes determinism contract); sharding
 	// only changes wall-clock time.
 	Shards int
-
-	// SnapshotInterval overrides the routing health-snapshot refresh
-	// period of multi-site federations (≤ 0 means
-	// router.DefaultSnapshotInterval). It is also the sharded run's
-	// lookahead window. Ignored for 1-site federations, which keep
-	// live health reads (every pick lands on the only site either
-	// way, and the fib/var day goldens pin that path).
-	SnapshotInterval time.Duration
 }
 
 // UniformFederationConfig builds an n-site federation of identical
@@ -142,15 +134,11 @@ func NewFederation(cfg FederationConfig) *Federation {
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	snap := cfg.SnapshotInterval
-	if snap <= 0 {
-		snap = router.DefaultSnapshotInterval
-	}
 	front := des.New()
 	f := &Federation{Sim: front, Sites: make([]*Site, len(cfg.Sites))}
 	rsites := make([]router.Site, len(cfg.Sites))
 	if cfg.Shards > 1 {
-		f.coord = pdes.New(front, snap, cfg.Shards)
+		f.coord = pdes.New(front, router.DefaultSnapshotInterval, cfg.Shards)
 		for i, sc := range cfg.Sites {
 			ssim := des.New()
 			f.Sites[i] = NewSite(ssim, sc)
@@ -164,15 +152,17 @@ func NewFederation(cfg FederationConfig) *Federation {
 	}
 	f.Door = router.NewFrontDoor(rsites, pol)
 	// Multi-site federations route from grid-snapshot health views in
-	// both modes — the snapshot grid is the sharded run's lookahead
-	// window, and the sequential run adopts the same grid so the two
-	// stay byte-identical. 1-site federations keep live reads.
+	// both modes — the snapshot grid (router.DefaultSnapshotInterval) is
+	// the sharded run's lookahead window, and the sequential run adopts
+	// the same grid so the two stay byte-identical. 1-site federations
+	// keep live reads: every pick lands on the only site either way,
+	// and the fib/var day goldens pin that path.
 	if len(cfg.Sites) > 1 {
 		if f.coord != nil {
 			f.Door.EnableSnapshots()
 			f.coord.OnBarrier = f.Door.Refresh
 		} else {
-			f.Door.SnapshotEvery(front, snap)
+			f.Door.SnapshotEvery(front)
 		}
 	}
 	return f

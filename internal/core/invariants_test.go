@@ -71,9 +71,9 @@ func TestSystemInvariants(t *testing.T) {
 					t.Fatalf("t=%v: %d healthy invokers on %d pilot nodes",
 						now, healthy, cl.Count(cluster.Pilot))
 				}
-				if healthy != s.Manager.States.HealthyNow() {
+				if healthy != s.Manager.States.healthy {
 					t.Fatalf("t=%v: controller healthy %d != manager healthy %d",
-						now, healthy, s.Manager.States.HealthyNow())
+						now, healthy, s.Manager.States.healthy)
 				}
 				if q := s.Slurm.QueuedPilots(); q > maxQueue {
 					t.Fatalf("t=%v: pilot queue %d exceeds depth %d", now, q, maxQueue)

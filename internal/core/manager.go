@@ -161,10 +161,6 @@ func newPilotManager(emu *slurm.Emulator, ctrl *whisk.Controller, cfg ManagerCon
 	return m
 }
 
-// Policy exposes the active supply policy (e.g. to read
-// policy-specific observability like the adaptive depth).
-func (m *PilotManager) Policy() policy.SupplyPolicy { return m.policy }
-
 // Start begins the replenishment loop (first top-up immediately).
 func (m *PilotManager) Start() {
 	if m.ticker != nil {
@@ -398,6 +394,3 @@ func (m *PilotManager) finishPilot(p *pilot, at des.Time) {
 	m.States.Remove(at, p.phase)
 	p.phase = phaseDone
 }
-
-// ActivePilots returns how many pilots are currently tracked.
-func (m *PilotManager) ActivePilots() int { return len(m.pilots) }

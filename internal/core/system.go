@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/des"
-	"repro/internal/dist"
 	"repro/internal/slurm"
 	"repro/internal/whisk"
 	"repro/internal/workload"
@@ -19,7 +18,6 @@ type SystemConfig struct {
 	Slurm      slurm.Config
 	Controller whisk.ControllerConfig
 	Manager    ManagerConfig
-	BusLatency dist.Dist
 	Seed       int64
 
 	// StreamingStats switches the site's accounting (worker-state
@@ -79,7 +77,7 @@ type Site struct {
 // site is a pure function of its own config regardless of how many
 // other sites share the clock.
 func NewSite(sim *des.Sim, cfg SiteConfig) *Site {
-	b := bus.New(sim, cfg.BusLatency, cfg.Seed+1)
+	b := bus.New(sim, nil, cfg.Seed+1)
 	ctrl := whisk.NewController(sim, b, cfg.Controller, cfg.Seed+2)
 	emu := slurm.New(sim, cfg.Nodes, cfg.Slurm)
 	emu.AddPartition(slurm.Partition{Name: cfg.Manager.Partition, PriorityTier: 0})

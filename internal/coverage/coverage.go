@@ -173,16 +173,6 @@ func Simulate(tr *workload.Trace, set Set, cfg Config) Result {
 	return res
 }
 
-// SimulateAll evaluates every Table I set against one trace.
-func SimulateAll(tr *workload.Trace, cfg Config) []Result {
-	sets := TableISets()
-	out := make([]Result, len(sets))
-	for i, s := range sets {
-		out[i] = Simulate(tr, s, cfg)
-	}
-	return out
-}
-
 // Best returns the result with the highest ready share (the criterion
 // the paper used to pick A1 for fib).
 func Best(results []Result) Result {

@@ -121,7 +121,10 @@ func TestReadyWorkerSeries(t *testing.T) {
 // share of the trace.
 func TestTableIWeekTrace(t *testing.T) {
 	tr := workload.DefaultIdleProcess(2239, 7*24*time.Hour, 1).Generate()
-	results := SimulateAll(tr, DefaultConfig())
+	var results []Result
+	for _, set := range TableISets() {
+		results = append(results, Simulate(tr, set, DefaultConfig()))
+	}
 	byName := map[string]Result{}
 	for _, r := range results {
 		byName[r.Set.Name] = r

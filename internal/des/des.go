@@ -21,11 +21,11 @@
 // trace-driven run schedules thousands of idle-period boundaries hours
 // ahead at set-up, while its request path keeps a few dozen events in
 // flight; kept apart, those boundaries no longer deepen every sift of
-// the request path. Each dispatch takes the smaller of the two heap
-// tops, so events still fire in the one (instant, sequence) order
-// whichever tier holds them. Stopped events leave stale entries behind
-// (Stop is index-free), and each tier is compacted on its own once its
-// stale entries outnumber its live ones.
+// the request path. Each dispatch pops the smaller of the two heap
+// tops and fires it, so events still fire one at a time in the one
+// (instant, sequence) order whichever tier holds them. Stopped events
+// leave stale entries behind (Stop is index-free), and each tier is
+// compacted on its own once its stale entries outnumber its live ones.
 //
 // The zero value of Sim is ready to use; its clock starts at instant 0.
 package des
@@ -137,9 +137,7 @@ type tier struct {
 	// behind until it surfaces — a request path that arms and cancels a
 	// 60-second timeout per invocation would otherwise let stale entries
 	// outnumber live ones and deepen every sift — so settle compacts the
-	// tier once they do. The count can only run high (an event stopped
-	// while it sits in the in-flight batch was already popped), and every
-	// compaction resets it to exact.
+	// tier once they do.
 	dead int
 }
 
@@ -161,17 +159,8 @@ type Sim struct {
 	near, far tier
 	nodes     []node
 	free      []int32
-
-	// batch[batchPos:] is the in-flight same-instant dispatch batch:
-	// entries already popped off the heap but not yet fired. Keeping it
-	// on the Sim (with a cursor, not a local) makes re-entrant
-	// Run/RunUntil/Step calls from inside a callback drain the batch
-	// remainder first, preserving the (when, seq) total order.
-	batch    []entry
-	batchPos int
-
-	seq      uint64
-	npending int
+	seq       uint64
+	npending  int
 
 	// firingAt is the scheduling stamp of the callback now running, and
 	// firing whether one is (see FiringScheduledAt). fire saves and
@@ -286,23 +275,6 @@ func (s *Sim) fire(e entry) {
 	s.firingAt, s.firing = outerAt, outer
 }
 
-// stepBatch fires the next live entry of the in-flight same-instant
-// batch, if any. Batch entries were popped at the current instant, so
-// the clock is already right; entries stopped since the pop (by an
-// earlier callback of the same batch) are skipped. Reports whether a
-// callback ran.
-func (s *Sim) stepBatch() bool {
-	for s.batchPos < len(s.batch) {
-		e := s.batch[s.batchPos]
-		s.batchPos++
-		if s.nodes[e.idx].gen == e.gen {
-			s.fire(e)
-			return true
-		}
-	}
-	return false
-}
-
 // Step fires the earliest pending event, advancing the clock to its
 // instant. It reports whether an event was fired.
 func (s *Sim) Step() bool { return s.dispatch(maxTime, true) }
@@ -342,46 +314,22 @@ func (s *Sim) RunBefore(end Time) {
 const maxTime = Time(math.MaxInt64)
 
 // dispatch is the one event loop behind Step, Run, RunUntil and
-// RunBefore: it fires events one at a time in (when, seq) order, the
-// in-flight batch first, while the earliest pending event is due at or
-// before last — only the first one if once is set. Reports whether an
-// event fired.
+// RunBefore: it fires events one at a time in (when, seq) order while
+// the earliest pending event is due at or before last — only the first
+// one if once is set. Reports whether an event fired.
 func (s *Sim) dispatch(last Time, once bool) bool {
 	fired := false
 	for !fired || !once {
-		if !s.stepBatch() {
-			q := s.next()
-			if q == nil || q.h[0].when > last {
-				break
-			}
-			s.advance(q, !once)
+		q := s.next()
+		if q == nil || q.h[0].when > last {
+			break
 		}
+		e := q.pop()
+		s.now = e.when
+		s.fire(e)
 		fired = true
 	}
 	return fired
-}
-
-// advance pops q's top, which next found to be the earliest live entry,
-// moves the clock to its instant and fires it. With gather set its
-// same-instant siblings are popped into the batch first (one heap pop
-// per event, no interleaved pushes), where the dispatch loop drains them
-// next; callbacks scheduling at the instant carry later sequence numbers
-// than everything gathered, so the (when, seq) order is kept exactly.
-// Step does not gather, so no batch outlives a top-level call.
-func (s *Sim) advance(q *tier, gather bool) {
-	e := q.pop()
-	s.now = e.when
-	if gather {
-		s.batch, s.batchPos = s.batch[:0], 0
-		for q := s.first(); q != nil && q.h[0].when == e.when; q = s.first() {
-			if e2 := q.pop(); s.nodes[e2.idx].gen == e2.gen {
-				s.batch = append(s.batch, e2)
-			} else {
-				q.noteDead()
-			}
-		}
-	}
-	s.fire(e)
 }
 
 // next returns the tier whose top is the earliest live entry, or nil
@@ -420,11 +368,6 @@ func (s *Sim) first() *tier {
 // shard-horizon query of the parallel coordinator. ok is false when no
 // live event is pending. The clock does not move and nothing fires.
 func (s *Sim) NextAt() (at Time, ok bool) {
-	for i := s.batchPos; i < len(s.batch); i++ {
-		if e := s.batch[i]; s.nodes[e.idx].gen == e.gen {
-			return e.when, true
-		}
-	}
 	if q := s.next(); q != nil {
 		return q.h[0].when, true
 	}
@@ -456,13 +399,6 @@ func (q *tier) settle(nodes []node) {
 			return
 		}
 		q.pop()
-		q.noteDead()
-	}
-}
-
-// noteDead records that a stale entry left the tier.
-func (q *tier) noteDead() {
-	if q.dead > 0 {
 		q.dead--
 	}
 }

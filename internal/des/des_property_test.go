@@ -145,7 +145,8 @@ func referenceKernel() kernel {
 // with id ≡ 0 (mod 7) schedule a child event from inside the dispatch,
 // exercising reentrant scheduling at (and after) the current instant;
 // with far set the children reach every offset class of at, so far
-// callbacks schedule too, into both tiers.
+// callbacks schedule too, into both tiers. Callbacks with id ≡ 4
+// (mod 11) stop a later-scheduled sibling due at their own instant.
 type harness struct {
 	k     kernel
 	far   bool
@@ -157,6 +158,11 @@ type harness struct {
 	// for compaction: more than 64 stale entries, outnumbering its live
 	// ones.
 	farDue int
+
+	// miscount names the first op after which a tier of the pooled
+	// kernel counted a different number of stopped entries than its
+	// heap holds ("" while every count is exact).
+	miscount string
 }
 
 func (d *harness) schedule(at Time) {
@@ -179,6 +185,14 @@ func (d *harness) schedule(at Time) {
 		}
 		if id%101 == 17 {
 			d.k.runUntil(d.k.now())
+		}
+		if id%11 == 4 {
+			for j := len(d.whens) - 1; j > id && j >= len(d.whens)-64; j-- {
+				if d.whens[j] == d.k.now() {
+					d.log = append(d.log, fmt.Sprintf("sib%d=%v\n", j, d.stops[j]())...)
+					break
+				}
+			}
 		}
 	}))
 }
@@ -272,7 +286,7 @@ const (
 // 1<<(argument%8) handles from the (p mod count)-th newest on.
 func runOps(k kernel, data []byte) *harness {
 	d := &harness{k: k, far: true}
-	for ; len(data) >= 3; data = data[3:] {
+	for op := 0; len(data) >= 3; op, data = op+1, data[3:] {
 		kind, arg, p := int(data[0]&3), int(data[0]>>2), int(data[1])<<8|int(data[2])
 		switch kind {
 		case opSchedule:
@@ -286,12 +300,37 @@ func runOps(k kernel, data []byte) *harness {
 		case opRunUntil:
 			d.runUntil(d.at(arg, p))
 		}
-		if s := k.sim; s != nil && s.far.dead > 64 && 2*s.far.dead > len(s.far.h) {
-			d.farDue++
+		if s := k.sim; s != nil {
+			if s.far.dead > 64 && 2*s.far.dead > len(s.far.h) {
+				d.farDue++
+			}
+			if m := miscount(s); m != "" && d.miscount == "" {
+				d.miscount = fmt.Sprintf("op %d: %s", op, m)
+			}
 		}
 	}
 	k.drain()
 	return d
+}
+
+// miscount reports the first tier whose dead count differs from the
+// number of stopped entries its heap holds, or "" when both are exact.
+func miscount(s *Sim) string {
+	for _, q := range []struct {
+		name string
+		t    *tier
+	}{{"near", &s.near}, {"far", &s.far}} {
+		stale := 0
+		for _, e := range q.t.h {
+			if s.nodes[e.idx].gen != e.gen {
+				stale++
+			}
+		}
+		if stale != q.t.dead {
+			return fmt.Sprintf("%s dead=%d stale=%d", q.name, q.t.dead, stale)
+		}
+	}
+	return ""
 }
 
 // farScript draws n ops for runOps the way a trace-driven day mixes
@@ -334,7 +373,9 @@ func farScript(seed int64, n int) []byte {
 // 10 s) and far-reaching ones, whose offsets span both tiers and their
 // boundary, whose bulk stops compact the far tier, whose RunUntil
 // windows jump hours of empty clock and whose ties put far and
-// later-scheduled near entries on the same instant.
+// later-scheduled near entries on the same instant. After every op of
+// the far-reaching scripts each tier's dead count must equal its stale
+// entries.
 func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 	const ops = 100_000
 	for _, seed := range []int64{1, 2, 3} {
@@ -348,12 +389,16 @@ func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 		if got.farDue == 0 {
 			t.Errorf("far seed %d: the far tier was never due for compaction", seed)
 		}
+		if got.miscount != "" {
+			t.Errorf("far seed %d: stale count drifted after %s", seed, got.miscount)
+		}
 	}
 }
 
 // FuzzKernelMatchesReference decodes arbitrary bytes into schedule,
 // stop, step and RunUntil ops (runOps) and requires identical logs from
-// the pooled kernel and the container/heap oracle.
+// the pooled kernel and the container/heap oracle, and exact per-tier
+// stale counts after every op.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -369,7 +414,11 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		f.Add(farScript(seed, 400))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sameLog(t, "fuzz", string(runOps(pooledKernel(), data).log), string(runOps(referenceKernel(), data).log))
+		got := runOps(pooledKernel(), data)
+		sameLog(t, "fuzz", string(got.log), string(runOps(referenceKernel(), data).log))
+		if got.miscount != "" {
+			t.Fatalf("stale count drifted after %s", got.miscount)
+		}
 	})
 }
 
@@ -452,21 +501,30 @@ func TestStopStoppedThenRecycledSlot(t *testing.T) {
 	_ = b
 }
 
-// TestStopSameInstantSibling: an event stopping a same-instant sibling
-// during batched dispatch must prevent the sibling from firing.
+// TestStopSameInstantSibling: an event stopping a later same-instant
+// sibling must prevent the sibling from firing, and the stale entry the
+// stop leaves behind must be counted exactly.
 func TestStopSameInstantSibling(t *testing.T) {
 	s := New()
-	var b Event
-	bFired := false
+	var c Event
+	var fired []string
 	s.Schedule(time.Second, func() {
-		if !b.Stop() {
+		fired = append(fired, "a")
+		if !c.Stop() {
 			t.Error("stopping a same-instant pending sibling should report true")
 		}
+		if m := miscount(s); m != "" {
+			t.Errorf("after the stop: %s", m)
+		}
 	})
-	b = s.Schedule(time.Second, func() { bFired = true })
+	s.Schedule(time.Second, func() { fired = append(fired, "b") })
+	c = s.Schedule(time.Second, func() { fired = append(fired, "c") })
 	s.RunFor(2 * time.Second)
-	if bFired {
-		t.Error("stopped same-instant sibling fired anyway")
+	if got := strings.Join(fired, ","); got != "a,b" {
+		t.Errorf("fired %s, want a,b", got)
+	}
+	if m := miscount(s); m != "" {
+		t.Errorf("after the drain: %s", m)
 	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending = %d after drain, want 0", s.Pending())
@@ -498,14 +556,14 @@ func TestTickerStopInsideCallbackWithReuse(t *testing.T) {
 }
 
 // TestReentrantRunPreservesOrder: a callback that re-enters the event
-// loop mid-batch must see its same-instant siblings fire before any
-// later instant, at the right clock reading.
+// loop must see its same-instant siblings fire before any later
+// instant, at the right clock reading.
 func TestReentrantRunPreservesOrder(t *testing.T) {
 	s := New()
 	var order []string
 	s.Schedule(time.Second, func() {
 		order = append(order, "A")
-		s.Run() // re-enter while sibling B is mid-batch
+		s.Run() // re-enter while sibling B is still queued
 		order = append(order, "A-done")
 	})
 	s.Schedule(time.Second, func() {

@@ -287,8 +287,8 @@ func TestPropertyStopSubset(t *testing.T) {
 // BenchmarkScheduleAndRun measures steady-state queue throughput: one
 // long-lived Sim (the shape of every experiment — a 24-hour run keeps
 // one Sim for tens of millions of events) scheduling and draining 1000
-// events per iteration. Steady state is allocation-free: entries, the
-// node pool, and the batch buffer are all reused.
+// events per iteration. Steady state is allocation-free: the heap
+// entries and the node pool are reused.
 func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	s := New()

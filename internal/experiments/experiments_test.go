@@ -7,10 +7,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
-// weekTr is shared by the Fig 1 / Table I tests.
-var weekTr = WeekTrace(1)
+// weekTr, the calibrated stand-in for the production week, is shared by
+// the Fig 1 / Table I tests.
+var weekTr = workload.DefaultIdleProcess(PrometheusNodes, Week, 1).Generate()
 
 // The seed-1 paper days back the Table II/III reproduction tests and
 // the fib-vs-var comparison; each full day runs once.
@@ -156,7 +159,7 @@ func TestFibDayReproduction(t *testing.T) {
 	if r.Load.MedianLatency < 600*time.Millisecond || r.Load.MedianLatency > 1300*time.Millisecond {
 		t.Errorf("median latency = %v, want ≈865ms", r.Load.MedianLatency)
 	}
-	if r.Series == nil || r.Series.Buckets() < 24*60-5 {
+	if r.Series == nil || len(r.Series.Rows()) < 24*60-5 {
 		t.Error("per-minute series incomplete")
 	}
 	var buf bytes.Buffer

@@ -21,11 +21,6 @@ const PrometheusNodes = 2239
 // Week is the span of the paper's initial analysis (Feb 21-27, 2022).
 const Week = 7 * 24 * time.Hour
 
-// WeekTrace generates the calibrated stand-in for the production week.
-func WeekTrace(seed int64) *workload.Trace {
-	return workload.DefaultIdleProcess(PrometheusNodes, Week, seed).Generate()
-}
-
 // Fig1Result carries the three panels of Fig. 1.
 type Fig1Result struct {
 	// Panel (a): CDF of the number of idle nodes.

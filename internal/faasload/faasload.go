@@ -169,16 +169,3 @@ func (w *Workload) ClassOf(name string) Class {
 	}
 	return ""
 }
-
-// ClassShares returns the share of functions per class.
-func (w *Workload) ClassShares() map[Class]float64 {
-	counts := map[Class]int{}
-	for _, f := range w.Functions {
-		counts[f.Class]++
-	}
-	out := map[Class]float64{}
-	for c, n := range counts {
-		out[c] = float64(n) / float64(len(w.Functions))
-	}
-	return out
-}

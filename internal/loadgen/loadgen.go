@@ -56,11 +56,6 @@ type Config struct {
 	Streaming bool
 }
 
-// DefaultConfig returns the §V-C setup over the given action names.
-func DefaultConfig(actions []string, duration time.Duration) Config {
-	return Config{QPS: 10, Actions: actions, Duration: duration, BucketLen: time.Minute}
-}
-
 // Labels used in the per-minute series.
 const (
 	LabelSuccess = "success"

@@ -84,9 +84,6 @@ func (p *Adaptive) Name() string { return "adaptive" }
 // Init implements SupplyPolicy (the controller is deterministic).
 func (p *Adaptive) Init(*rand.Rand) {}
 
-// Depth is the current target queue depth.
-func (p *Adaptive) Depth() int { return p.depth }
-
 // Replenish runs one control step, then tops the queue up to (or
 // cancels it down to) the new depth.
 func (p *Adaptive) Replenish(env Env) {

@@ -57,12 +57,6 @@ func (p *Hybrid) Name() string { return "hybrid" }
 // Init implements SupplyPolicy (hybrid draws no randomness).
 func (p *Hybrid) Init(*rand.Rand) {}
 
-// FibDepth and VarDepth expose the effective per-kind depths.
-func (p *Hybrid) FibDepth() int { return p.fib.cfg.Depth }
-
-// VarDepth is the effective flexible-job depth.
-func (p *Hybrid) VarDepth() int { return p.varDepth }
-
 // Replenish tops both sub-queues up: the fixed half delegates to the
 // fib policy (which counts per limit), the flexible jobs count their
 // own pending jobs, so the two halves never double-count each other.

@@ -99,8 +99,8 @@ func TestHybridSplitsDepths(t *testing.T) {
 		Var:      VarConfig{Depth: 100, Min: 2 * time.Minute, Max: time.Hour},
 		FibShare: 0.3,
 	})
-	if p.FibDepth() != 3 || p.VarDepth() != 70 {
-		t.Fatalf("depths = %d fib / %d var, want 3 / 70", p.FibDepth(), p.VarDepth())
+	if p.fib.cfg.Depth != 3 || p.varDepth != 70 {
+		t.Fatalf("depths = %d fib / %d var, want 3 / 70", p.fib.cfg.Depth, p.varDepth)
 	}
 	env := newFakeEnv()
 	p.Replenish(env)
@@ -158,25 +158,25 @@ func TestLeaseRenewalDecision(t *testing.T) {
 func TestAdaptiveGrowsUnderOverload(t *testing.T) {
 	p := NewAdaptive(DefaultAdaptiveConfig())
 	env := newFakeEnv()
-	start := p.Depth()
+	start := p.depth
 
 	// A window full of 503 rejections must grow the queue.
 	env.done, env.n503 = 100, 50
 	p.Replenish(env)
-	if p.Depth() <= start {
-		t.Fatalf("depth %d after 50%% 503s, want > %d", p.Depth(), start)
+	if p.depth <= start {
+		t.Fatalf("depth %d after 50%% 503s, want > %d", p.depth, start)
 	}
-	if env.flexible != p.Depth() {
-		t.Fatalf("queued %d, want topped up to depth %d", env.flexible, p.Depth())
+	if env.flexible != p.depth {
+		t.Fatalf("queued %d, want topped up to depth %d", env.flexible, p.depth)
 	}
 
 	// Saturated invokers grow it too, even 503-free.
-	before := p.Depth()
+	before := p.depth
 	env.done, env.n503 = 200, 50 // no new 503s in this window
 	env.healthy, env.util = 10, 0.9
 	p.Replenish(env)
-	if p.Depth() <= before {
-		t.Errorf("depth %d under util 0.9, want > %d", p.Depth(), before)
+	if p.depth <= before {
+		t.Errorf("depth %d under util 0.9, want > %d", p.depth, before)
 	}
 }
 
@@ -185,19 +185,19 @@ func TestAdaptiveShrinksUnderSustainedLowLoad(t *testing.T) {
 	p := NewAdaptive(cfg)
 	env := newFakeEnv()
 	env.healthy, env.util = 5, 0.01
-	start := p.Depth()
+	start := p.depth
 	for i := 0; i < 5; i++ {
 		env.done += 100 // 503-free progress each window
 		p.Replenish(env)
 	}
-	if p.Depth() >= start {
-		t.Fatalf("depth %d after sustained 503-free low load, want < %d", p.Depth(), start)
+	if p.depth >= start {
+		t.Fatalf("depth %d after sustained 503-free low load, want < %d", p.depth, start)
 	}
 	if env.cancelled == 0 {
 		t.Error("shrinking never cancelled queued pilots")
 	}
-	if env.flexible != p.Depth() {
-		t.Errorf("queue %d out of step with depth %d", env.flexible, p.Depth())
+	if env.flexible != p.depth {
+		t.Errorf("queue %d out of step with depth %d", env.flexible, p.depth)
 	}
 
 	// The floor holds under unbounded decay.
@@ -205,8 +205,8 @@ func TestAdaptiveShrinksUnderSustainedLowLoad(t *testing.T) {
 		env.done += 100
 		p.Replenish(env)
 	}
-	if p.Depth() != cfg.MinDepth {
-		t.Errorf("depth %d, want clamped at MinDepth %d", p.Depth(), cfg.MinDepth)
+	if p.depth != cfg.MinDepth {
+		t.Errorf("depth %d, want clamped at MinDepth %d", p.depth, cfg.MinDepth)
 	}
 }
 
@@ -219,20 +219,20 @@ func TestAdaptiveCeilingHolds(t *testing.T) {
 		env.n503 += 100
 		p.Replenish(env)
 	}
-	if p.Depth() != cfg.MaxDepth {
-		t.Errorf("depth %d, want clamped at MaxDepth %d", p.Depth(), cfg.MaxDepth)
+	if p.depth != cfg.MaxDepth {
+		t.Errorf("depth %d, want clamped at MaxDepth %d", p.depth, cfg.MaxDepth)
 	}
 }
 
 func TestAdaptiveHoldsWithoutSignal(t *testing.T) {
 	p := NewAdaptive(DefaultAdaptiveConfig())
 	env := newFakeEnv() // no traffic, no healthy invokers
-	start := p.Depth()
+	start := p.depth
 	for i := 0; i < 10; i++ {
 		p.Replenish(env)
 	}
-	if p.Depth() != start {
-		t.Errorf("depth drifted %d → %d with no load signal", start, p.Depth())
+	if p.depth != start {
+		t.Errorf("depth drifted %d → %d with no load signal", start, p.depth)
 	}
 }
 

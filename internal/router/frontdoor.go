@@ -14,8 +14,8 @@ import (
 // degrading within a few hundred requests.
 const latencyEWMAWeight = 0.05
 
-// DefaultSnapshotInterval is the default refresh period of the
-// snapshot-consistent health view a multi-site federation routes from
+// DefaultSnapshotInterval is the refresh period of the snapshot-
+// consistent health view a multi-site federation routes from
 // (FrontDoor.SnapshotEvery / Refresh). It is also the lookahead window
 // of the sharded parallel run: between refreshes, routing decisions
 // depend only on state captured at the last grid instant, so site
@@ -130,15 +130,12 @@ func (fd *FrontDoor) Refresh() {
 }
 
 // SnapshotEvery enables snapshot views and schedules the refresh on
-// the plane hosting the door: first at now+interval, then every
-// interval — the exact grid instants the sharded coordinator refreshes
-// at. Pass interval ≤ 0 for DefaultSnapshotInterval.
-func (fd *FrontDoor) SnapshotEvery(sim *des.Sim, interval time.Duration) *des.Ticker {
-	if interval <= 0 {
-		interval = DefaultSnapshotInterval
-	}
+// the plane hosting the door: first at now+DefaultSnapshotInterval,
+// then every DefaultSnapshotInterval — the exact grid instants the
+// sharded coordinator refreshes at.
+func (fd *FrontDoor) SnapshotEvery(sim *des.Sim) *des.Ticker {
 	fd.EnableSnapshots()
-	return sim.Every(interval, fd.Refresh)
+	return sim.Every(DefaultSnapshotInterval, fd.Refresh)
 }
 
 // fdCall is one in-flight request's completion context.

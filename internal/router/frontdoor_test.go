@@ -258,13 +258,12 @@ func TestSnapshotViews(t *testing.T) {
 }
 
 // TestSnapshotEvery: the refresh ticker recaptures the view on the
-// grid — first at now+interval — and interval ≤ 0 means
-// DefaultSnapshotInterval.
+// DefaultSnapshotInterval grid, first at now+DefaultSnapshotInterval.
 func TestSnapshotEvery(t *testing.T) {
 	fs, sites := newFakeSites(2)
 	fd := NewFrontDoor(sites, MustNew("capacity-weighted"))
 	sim := des.New()
-	fd.SnapshotEvery(sim, 0)
+	fd.SnapshotEvery(sim)
 
 	fs[1].healthy = 9
 	sim.RunUntil(des.Time(DefaultSnapshotInterval) - 1)

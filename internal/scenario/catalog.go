@@ -34,8 +34,8 @@ func init() {
 		Axes:        []string{"nodes", "horizon", "policy", "qps"},
 		Options: []OptionDoc{
 			{Name: "day", Kind: KindString, Default: "fib", Help: "base calibration to stretch over the week: fib or var"},
-			{Name: "actions", Kind: KindInt, Default: "100", Help: "number of sleep functions under load"},
-			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call"},
+			{Name: "actions", Kind: KindInt, Default: "100", Help: "number of sleep functions under load", min: positive},
+			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call", min: nonNegative},
 			{Name: "streaming", Kind: KindBool, Default: "true", Help: "O(1)-memory streaming metrics (off: buffered collectors whose memory grows with the horizon)"},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
@@ -62,7 +62,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), dayTable(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -72,14 +72,15 @@ func init() {
 		Description: "cluster-of-clusters: N sites behind the routing front door, one run per routing policy",
 		Axes:        []string{"nodes", "horizon", "policy", "qps"},
 		Options: []OptionDoc{
-			{Name: "sites", Kind: KindInt, Default: "4", Help: "number of federated sites (alternating calm/contended days)"},
+			{Name: "sites", Kind: KindInt, Default: "4", Help: "number of federated sites (alternating calm/contended days)", min: positive},
 			{Name: "routing", Kind: KindString, Default: "", Help: "comma-separated routing policies to compare (default: all registered)"},
 			{Name: "cloud-fallback", Kind: KindBool, Default: "false", Help: "off-load federation-wide 503s to the commercial cloud (Alg. 1)"},
-			{Name: "actions", Kind: KindInt, Default: "100", Help: "number of sleep functions under load"},
-			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call"},
+			{Name: "actions", Kind: KindInt, Default: "100", Help: "number of sleep functions under load", min: positive},
+			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call", min: nonNegative},
 			{Name: "streaming", Kind: KindBool, Default: "false", Help: "O(1)-memory streaming metrics (t-digest quantiles, windowed series)"},
-			{Name: "shards", Kind: KindInt, Default: "1", Help: "site shards run in parallel under the pdes coordinator (>1; byte-identical to sequential, incompatible with cloud-fallback)"},
+			{Name: "shards", Kind: KindInt, Default: "1", Help: "site shards run in parallel under the pdes coordinator (>1; byte-identical to sequential, incompatible with cloud-fallback)", min: positive},
 		},
+		loaded: true,
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			fc := experiments.DefaultFederatedConfig(cfg.Seed())
 			fc.NodesPerSite = cfg.Nodes(fc.NodesPerSite)
@@ -90,9 +91,6 @@ func init() {
 				return nil, err
 			}
 			fc.Sites = cfg.Int("sites", fc.Sites)
-			if fc.Sites <= 0 {
-				return nil, fmt.Errorf("scenario: federated-day needs at least one site, got %d", fc.Sites)
-			}
 			fc.NumActions = cfg.Int("actions", fc.NumActions)
 			fc.SleepExec = cfg.Duration("sleep-exec", fc.SleepExec)
 			fc.CloudFallback = cfg.Bool("cloud-fallback", fc.CloudFallback)
@@ -112,7 +110,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), federatedTable(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -133,7 +131,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), nil), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -144,18 +142,14 @@ func init() {
 		Axes:        []string{},
 		Options: []OptionDoc{
 			{Name: "jobs", Kind: KindInt, Default: strconv.Itoa(experiments.Fig2Jobs),
-				Help: "number of jobs to generate (the monitored week had 74k)"},
+				Help: "number of jobs to generate (the monitored week had 74k)", min: positive},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
-			jobs := cfg.Int("jobs", experiments.Fig2Jobs)
-			if jobs <= 0 {
-				return nil, fmt.Errorf("scenario: fig2 needs a positive jobs count, got %d", jobs)
-			}
-			r, err := experiments.RunFig2Ctx(ctx, cfg.Seed(), jobs)
+			r, err := experiments.RunFig2Ctx(ctx, cfg.Seed(), cfg.Int("jobs", experiments.Fig2Jobs))
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), nil), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -169,7 +163,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), nil), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -190,7 +184,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), tableITable(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -200,9 +194,9 @@ func init() {
 		Description: "SeBS bfs/mst/pagerank kernels on a Prometheus node vs the Lambda baseline",
 		Axes:        []string{},
 		Options: []OptionDoc{
-			{Name: "vertices", Kind: KindInt, Default: "20000", Help: "graph size of the SeBS input"},
-			{Name: "degree", Kind: KindInt, Default: "8", Help: "average degree of the generated graph"},
-			{Name: "invocations", Kind: KindInt, Default: "30", Help: "warm invocations per function"},
+			{Name: "vertices", Kind: KindInt, Default: "20000", Help: "graph size of the SeBS input", min: positive},
+			{Name: "degree", Kind: KindInt, Default: "8", Help: "average degree of the generated graph", min: positive},
+			{Name: "invocations", Kind: KindInt, Default: "30", Help: "warm invocations per function", min: positive},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			r, err := experiments.RunFig7Ctx(ctx,
@@ -211,7 +205,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), fig7Table(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -223,7 +217,7 @@ func init() {
 		Options: []OptionDoc{
 			{Name: "streaming", Kind: KindBool, Default: "false", Help: "O(1)-memory streaming metrics (t-digest quantiles, windowed series)"},
 			{Name: "checkpoint", Kind: KindBool, Default: "false", Help: "add the handoff+interrupt+checkpoint design point"},
-			{Name: "checkpoint-interval", Kind: KindDuration, Default: "100ms", Help: "checkpoint cadence of the checkpoint arm"},
+			{Name: "checkpoint-interval", Kind: KindDuration, Default: "100ms", Help: "checkpoint cadence of the checkpoint arm", min: positive},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			a := experiments.AblationConfig{
@@ -239,7 +233,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), ablationTable(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -251,8 +245,8 @@ func init() {
 		Options: []OptionDoc{
 			{Name: "durations", Kind: KindString, Default: "1m,3m,6m", Help: "comma-separated function body durations (the D axis)"},
 			{Name: "windows", Kind: KindString, Default: "4m,8m,16m", Help: "comma-separated idle-window lengths of the periodic trace (the W axis)"},
-			{Name: "gap", Kind: KindDuration, Default: "2m", Help: "full-cluster saturation between consecutive idle windows"},
-			{Name: "checkpoint-interval", Kind: KindDuration, Default: "20s", Help: "checkpoint cadence of the checkpointed arm"},
+			{Name: "gap", Kind: KindDuration, Default: "2m", Help: "full-cluster saturation between consecutive idle windows", min: nonNegative},
+			{Name: "checkpoint-interval", Kind: KindDuration, Default: "20s", Help: "checkpoint cadence of the checkpointed arm", min: positive},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			fr := experiments.DefaultFrontierConfig(cfg.Seed())
@@ -272,7 +266,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), frontierTable(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -283,7 +277,7 @@ func init() {
 		Axes:        []string{"nodes", "horizon", "qps"},
 		Options: []OptionDoc{
 			{Name: "policies", Kind: KindString, Default: "", Help: "comma-separated policy names (empty: all registered)"},
-			{Name: "mean-idle-nodes", Kind: KindFloat, Default: "10", Help: "trace calibration: mean idle nodes"},
+			{Name: "mean-idle-nodes", Kind: KindFloat, Default: "10", Help: "trace calibration: mean idle nodes", min: nonNegative},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			pc := experiments.DefaultPolicyComparisonConfig(cfg.Seed())
@@ -305,7 +299,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), policyCmpTable(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -315,10 +309,11 @@ func init() {
 		Description: "heterogeneous scientific FaaS workload with the Alg. 1 commercial fallback",
 		Axes:        []string{"nodes", "horizon", "qps", "policy"},
 		Options: []OptionDoc{
-			{Name: "functions", Kind: KindInt, Default: "200", Help: "size of the heterogeneous function population"},
+			{Name: "functions", Kind: KindInt, Default: "200", Help: "size of the heterogeneous function population", min: positive},
 			{Name: "use-wrapper", Kind: KindBool, Default: "true", Help: "route calls through the Alg. 1 fallback"},
-			{Name: "checkpoint-interval", Kind: KindDuration, Default: "0", Help: "checkpoint cadence; > 0 makes long functions interruptible and resumes timed-out progress on the cloud (0: disabled)"},
+			{Name: "checkpoint-interval", Kind: KindDuration, Default: "0", Help: "checkpoint cadence; > 0 makes long functions interruptible and resumes timed-out progress on the cloud (0: disabled)", min: nonNegative},
 		},
+		loaded: true,
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			sc := experiments.DefaultScientificConfig(cfg.Seed())
 			sc.Nodes = cfg.Nodes(sc.Nodes)
@@ -335,7 +330,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), nil), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 
@@ -345,9 +340,9 @@ func init() {
 		Description: "full-scheduler run: pilots harvest the idleness emerging from a real prime-job stream",
 		Axes:        []string{"nodes", "horizon", "policy"},
 		Options: []OptionDoc{
-			{Name: "utilization", Kind: KindFloat, Default: "0.94", Help: "target prime-load share of the cluster"},
-			{Name: "max-walltime", Kind: KindDuration, Default: "4h", Help: "clamp on the Fig. 2 job walltimes"},
-			{Name: "max-job-nodes", Kind: KindInt, Default: "32", Help: "clamp on the Fig. 2 job widths"},
+			{Name: "utilization", Kind: KindFloat, Default: "0.94", Help: "target prime-load share of the cluster", min: positive},
+			{Name: "max-walltime", Kind: KindDuration, Default: "4h", Help: "clamp on the Fig. 2 job walltimes", min: positive},
+			{Name: "max-job-nodes", Kind: KindInt, Default: "32", Help: "clamp on the Fig. 2 job widths", min: positive},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			ec := experiments.DefaultEndogenousConfig(cfg.Seed())
@@ -364,7 +359,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), nil), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	})
 }
@@ -378,14 +373,14 @@ func dayScenario(name, artifact, desc string, base func(int64) experiments.DayCo
 		Description: desc,
 		Axes:        []string{"nodes", "horizon", "policy", "qps"},
 		Options: []OptionDoc{
-			{Name: "actions", Kind: KindInt, Default: "100", Help: "number of sleep functions under load"},
-			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call"},
+			{Name: "actions", Kind: KindInt, Default: "100", Help: "number of sleep functions under load", min: positive},
+			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call", min: nonNegative},
 			{Name: "graceful-handoff", Kind: KindBool, Default: "true", Help: "enable the §III-C hand-off protocol"},
 			{Name: "interrupt-running", Kind: KindBool, Default: "true", Help: "interrupt mid-execution activations on reclaim"},
-			{Name: "checkpoint-interval", Kind: KindDuration, Default: "0", Help: "checkpoint cadence for executions (0: checkpointing disabled, byte-identical to the goldens)"},
-			{Name: "action-timeout", Kind: KindDuration, Default: "0", Help: "client-visible action timeout override (0: the controller default, 60s)"},
+			{Name: "checkpoint-interval", Kind: KindDuration, Default: "0", Help: "checkpoint cadence for executions (0: checkpointing disabled, byte-identical to the goldens)", min: nonNegative},
+			{Name: "action-timeout", Kind: KindDuration, Default: "0", Help: "client-visible action timeout override (0: the controller default, 60s)", min: nonNegative},
 			{Name: "streaming", Kind: KindBool, Default: "false", Help: "O(1)-memory streaming metrics (t-digest quantiles, windowed series)"},
-			{Name: "shards", Kind: KindInt, Default: "1", Help: "run under the sharded pdes coordinator (>1; byte-identical to sequential)"},
+			{Name: "shards", Kind: KindInt, Default: "1", Help: "run under the sharded pdes coordinator (>1; byte-identical to sequential)", min: positive},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			day := base(cfg.Seed())
@@ -410,7 +405,7 @@ func dayScenario(name, artifact, desc string, base func(int64) experiments.DayCo
 			if err != nil {
 				return nil, err
 			}
-			return NewResult(r, r.Metrics(), dayTable(r)), nil
+			return NewResult(r, r.Metrics()), nil
 		},
 	}
 }
@@ -443,98 +438,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// Table builders for the results that have a paper table shape.
-
-func f2(x float64) string { return strconv.FormatFloat(x, 'f', 2, 64) }
-func pct(x float64) string {
-	return strconv.FormatFloat(100*x, 'f', 2, 64) + "%"
-}
-
-func dayTable(r experiments.DayResult) [][]string {
-	s := r.SlurmLevel
-	o := r.OW
-	rows := [][]string{
-		{"perspective", "p25", "p50", "p75", "avg", "used", "not-used"},
-		{"simulation-ready", f2(r.Sim.ReadyP25), f2(r.Sim.ReadyP50), f2(r.Sim.ReadyP75),
-			f2(r.Sim.ReadyAvg), pct(r.Sim.ShareReady), pct(r.Sim.ShareNotUsed)},
-		{"slurm-level", f2(s.WorkerP25), f2(s.WorkerP50), f2(s.WorkerP75),
-			f2(s.WorkerAvg), pct(s.ShareUsed), pct(s.ShareNotUsed)},
-		{"ow-healthy", f2(o.HealthyP25), f2(o.HealthyP50), f2(o.HealthyP75),
-			f2(o.HealthyAvg), "", ""},
-	}
-	return rows
-}
-
-func tableITable(r experiments.TableIResult) [][]string {
-	rows := [][]string{{"set", "jobs", "warmup", "ready", "not-used", "avg-ready"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Set.Name, strconv.Itoa(row.Jobs),
-			pct(row.ShareWarmup), pct(row.ShareReady), pct(row.ShareNotUsed),
-			f2(row.ReadyAvg),
-		})
-	}
-	return rows
-}
-
-func fig7Table(r experiments.Fig7Result) [][]string {
-	rows := [][]string{{"function", "prometheus", "lambda", "lambda/prometheus"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Function,
-			row.PrometheusMedian.Round(time.Microsecond).String(),
-			row.LambdaMedian.Round(time.Microsecond).String(),
-			strconv.FormatFloat(row.Speedup, 'f', 3, 64),
-		})
-	}
-	return rows
-}
-
-func ablationTable(r experiments.AblationResult) [][]string {
-	rows := [][]string{{"variant", "lost", "success", "handoffs", "preempted"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Variant.Name, pct(row.LostShare), pct(row.Load.SuccessShare),
-			strconv.Itoa(row.Handoffs), strconv.Itoa(row.Preempted),
-		})
-	}
-	return rows
-}
-
-func frontierTable(r experiments.FrontierResult) [][]string {
-	rows := [][]string{{"duration", "window", "ckpt-success", "base-success", "resumed", "reclaimed"}}
-	for _, c := range r.Cells {
-		rows = append(rows, []string{
-			c.Duration.String(), c.Window.String(),
-			pct(c.CheckpointShare), pct(c.BaselineShare),
-			strconv.Itoa(c.Work.Resumed), strconv.FormatBool(c.Reclaimed()),
-		})
-	}
-	return rows
-}
-
-func federatedTable(r experiments.FederatedResult) [][]string {
-	rows := [][]string{{"routing", "invoked", "success", "p95-ms", "spill", "no-site", "healthy-avg", "coverage"}}
-	for _, run := range r.Runs {
-		rows = append(rows, []string{
-			run.Routing, pct(run.Load.InvokedShare), pct(run.Load.SuccessShare),
-			strconv.FormatInt(run.P95.Milliseconds(), 10), pct(run.SpillShare()),
-			strconv.Itoa(run.NoSitePicks), f2(run.GlobalHealthyAvg), pct(run.GlobalCoverage),
-		})
-	}
-	return rows
-}
-
-func policyCmpTable(r experiments.PolicyComparisonResult) [][]string {
-	rows := [][]string{{"policy", "coverage", "healthy-avg", "503", "lost", "handoffs", "pilots"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Policy, pct(row.Coverage), f2(row.HealthyAvg),
-			pct(row.Share503), pct(row.LostShare),
-			strconv.Itoa(row.Handoffs), strconv.Itoa(row.PilotsStarted),
-		})
-	}
-	return rows
 }

@@ -246,26 +246,46 @@ const (
 // OptionDoc documents one scenario-specific raw option: its name, the
 // kind its values must parse as, the default in force when unset, and
 // one line of help. The docs double as the validation schema — a raw
-// option not documented here is rejected.
+// option not documented here is rejected, and a catalog option's
+// numeric range is checked too.
 type OptionDoc struct {
 	Name    string
 	Kind    Kind
 	Default string
 	Help    string
+
+	// min is the lower bound of a numeric catalog option; the zero
+	// value leaves the range unchecked.
+	min bound
 }
 
-// parseable reports whether value parses as the documented kind.
-func (d OptionDoc) parseable(value string) error {
+// bound is the lower bound of a numeric option; the zero value is no
+// bound. A bounded option also rejects non-finite floats.
+type bound uint8
+
+const (
+	nonNegative bound = iota + 1 // ≥ 0
+	positive                     // > 0
+)
+
+// check reports whether value parses as the documented kind and lies
+// in the documented range; scen names the scenario in a range error.
+func (d OptionDoc) check(scen, value string) error {
+	var x float64 // the parsed value, for the range check
 	var err error
 	switch d.Kind {
 	case KindInt:
-		_, err = strconv.Atoi(value)
+		var n int
+		n, err = strconv.Atoi(value)
+		x = float64(n)
 	case KindFloat:
-		_, err = strconv.ParseFloat(value, 64)
+		x, err = strconv.ParseFloat(value, 64)
 	case KindBool:
 		_, err = strconv.ParseBool(value)
 	case KindDuration:
-		_, err = time.ParseDuration(value)
+		var dur time.Duration
+		dur, err = time.ParseDuration(value)
+		x = float64(dur)
 	case KindString:
 	default:
 		err = fmt.Errorf("unknown option kind %q", d.Kind)
@@ -273,14 +293,21 @@ func (d OptionDoc) parseable(value string) error {
 	if err != nil {
 		return fmt.Errorf("scenario: option %s=%q does not parse as %s", d.Name, value, d.Kind)
 	}
+	switch {
+	case d.min == positive && (!(x > 0) || math.IsInf(x, 0)):
+		return fmt.Errorf("scenario: %q wants a positive %s, got %s", scen, d.Name, value)
+	case d.min == nonNegative && (!(x >= 0) || math.IsInf(x, 0)):
+		return fmt.Errorf("scenario: %q wants a non-negative %s, got %s", scen, d.Name, value)
+	}
 	return nil
 }
 
 // newConfig applies the options and validates the result against the
 // scenario's schema: set axes must be ones the scenario declares it
-// reads and lie in range (nodes ≥ 1, horizon > 0, finite qps ≥ 0), raw
-// keys must be documented, raw values must parse as their documented
-// kind, and a set policy must exist in the policy registry.
+// reads and lie in range (nodes ≥ 1, horizon > 0, finite qps ≥ 0, and
+// qps > 0 where the scenario cannot run unloaded), raw keys must be
+// documented, raw values must parse as their documented kind and lie
+// in its range, and a set policy must exist in the policy registry.
 func newConfig(sp Spec, opts []Option) (Config, error) {
 	var c Config
 	for _, opt := range opts {
@@ -305,6 +332,8 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 		return Config{}, fmt.Errorf("scenario: %q wants a positive horizon, got %v", sp.Name, c.horizon)
 	case c.set["qps"] && (c.qps < 0 || math.IsNaN(c.qps) || math.IsInf(c.qps, 0)):
 		return Config{}, fmt.Errorf("scenario: %q wants a finite qps ≥ 0, got %v", sp.Name, c.qps)
+	case c.set["qps"] && c.qps == 0 && sp.loaded:
+		return Config{}, fmt.Errorf("scenario: %q cannot run unloaded: wants qps > 0, got 0", sp.Name)
 	}
 	if c.set["policy"] {
 		if _, err := policy.New(c.policy); err != nil {
@@ -326,7 +355,7 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 			return Config{}, fmt.Errorf("scenario: %q has no option %q (have %v)",
 				sp.Name, name, optionNames(sp.Options))
 		}
-		if err := d.parseable(c.raw[name]); err != nil {
+		if err := d.check(sp.Name, c.raw[name]); err != nil {
 			return Config{}, err
 		}
 	}

@@ -41,6 +41,10 @@ type Spec struct {
 	// simulation-backed scenario) and return ctx's error on
 	// cancellation; the registry wraps it into a *CancelError.
 	Run func(ctx context.Context, cfg Config) (Result, error)
+
+	// loaded marks a catalog scenario whose experiment always drives
+	// load, so qps 0 is an error rather than "load disabled".
+	loaded bool
 }
 
 var registry = map[string]Spec{}
@@ -87,21 +91,15 @@ func All() []Spec {
 	return out
 }
 
-// Validate resolves name and builds the config without running:
-// unknown scenarios, unknown options, unparsable values and unknown
-// policies are all caught here. Sweeps call this once per grid cell
-// before fanning replicas out.
-func Validate(name string, opts ...Option) error {
-	_, err := Parallelism(name, opts...)
-	return err
-}
-
-// Parallelism resolves a configured cell like Validate and additionally
-// reports how many goroutines one replica of it will occupy: the value
-// of its "shards" option for scenarios that document one (the sharded
-// pdes runtime runs each site shard on its own goroutine), 1 for
-// everything else. Sweeps use it to keep workers × shards inside their
-// concurrency budget.
+// Parallelism resolves name and builds the config without running —
+// unknown scenarios, unknown options, unparsable or out-of-range values
+// and unknown policies are all caught here — and reports how many
+// goroutines one replica of the cell will occupy: the value of its
+// "shards" option for scenarios that document one (the sharded pdes
+// runtime runs each site shard on its own goroutine), 1 for everything
+// else. Sweeps call it once per grid cell before fanning replicas out,
+// and use the count to keep workers × shards inside their concurrency
+// budget.
 func Parallelism(name string, opts ...Option) (int, error) {
 	sp, err := Lookup(name)
 	if err != nil {

@@ -3,9 +3,9 @@
 // catalog — Figs. 1-3/5-7, Tables I-III, the hand-off ablation, the §VII
 // scientific workload — and each entry here is one registered Spec with a
 // stable name, a uniform Config built from functional options, a uniform
-// Result contract (flat metrics, a rendered table, and the underlying
-// typed value via Unwrap), and context-aware execution with cooperative
-// cancellation checked at DES-epoch granularity.
+// Result contract (flat metrics and the underlying typed value via
+// Unwrap), and context-aware execution with cooperative cancellation
+// checked at DES-epoch granularity.
 //
 // The package mirrors internal/policy's registry pattern one layer up:
 // policies made the *supply decision* pluggable; scenarios make the
@@ -30,20 +30,15 @@ import (
 // granularity at which cancellation is checked.
 type ProgressFunc = func(done, total time.Duration)
 
-// Result is the uniform contract every scenario returns. The three
-// views serve the three consumers: Metrics feeds the sweep engine's
-// replica aggregation, Table feeds generic rendering (CLIs, docs), and
-// Unwrap hands typed-result consumers the underlying experiment value
-// (e.g. experiments.DayResult) for everything scenario-specific.
+// Result is the uniform contract every scenario returns. The two views
+// serve the two consumers: Metrics feeds the sweep engine's replica
+// aggregation, and Unwrap hands typed-result consumers (renderers
+// included) the underlying experiment value (e.g.
+// experiments.DayResult) for everything scenario-specific.
 type Result interface {
 	// Metrics returns the flat named-scalar view aggregated across
 	// sweep replicas. Names are stable public API.
 	Metrics() map[string]float64
-
-	// Table returns the result as rows, first row the header — the
-	// shape the paper reports where one exists, a sorted metric table
-	// otherwise. Rows are freshly allocated; callers may mutate them.
-	Table() [][]string
 
 	// Unwrap returns the underlying typed experiment result.
 	Unwrap() any
@@ -53,44 +48,30 @@ type Result interface {
 type result struct {
 	typed   any
 	metrics map[string]float64
-	table   [][]string
 }
 
 // NewResult bundles a typed experiment value into the Result contract.
-// A nil table falls back to MetricsTable(metrics), so scenarios only
-// hand-build tables where the paper has a table shape to reproduce.
-func NewResult(typed any, metrics map[string]float64, table [][]string) Result {
-	return result{typed: typed, metrics: metrics, table: table}
+func NewResult(typed any, metrics map[string]float64) Result {
+	return result{typed: typed, metrics: metrics}
 }
 
 func (r result) Metrics() map[string]float64 { return r.metrics }
 func (r result) Unwrap() any                 { return r.typed }
-
-func (r result) Table() [][]string {
-	if r.table == nil {
-		return MetricsTable(r.metrics)
-	}
-	out := make([][]string, len(r.table))
-	for i, row := range r.table {
-		out[i] = append([]string(nil), row...)
-	}
-	return out
-}
 
 // Renderer is the optional paper-shaped rendering every experiment
 // result in this repo implements.
 type Renderer interface{ Render(w io.Writer) }
 
 // Fprint renders a scenario result for humans: the typed value's
-// paper-shaped Render when it has one, the aligned generic Table
-// otherwise — so custom scenarios print sensibly with zero support
-// code.
+// paper-shaped Render when it has one (every catalog result does), the
+// aligned MetricsTable otherwise — so custom scenarios print sensibly
+// with zero support code.
 func Fprint(w io.Writer, res Result) {
 	if r, ok := res.Unwrap().(Renderer); ok {
 		r.Render(w)
 		return
 	}
-	rows := res.Table()
+	rows := MetricsTable(res.Metrics())
 	widths := map[int]int{}
 	for _, row := range rows {
 		for i, cell := range row {
@@ -129,7 +110,7 @@ func FprintCatalog(w io.Writer) {
 }
 
 // MetricsTable renders a metric map as a two-column table in sorted
-// metric order — the generic Table() shape.
+// metric order — what Fprint prints for a result without a Renderer.
 func MetricsTable(m map[string]float64) [][]string {
 	names := make([]string, 0, len(m))
 	for name := range m {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -14,6 +15,12 @@ var catalogNames = []string{
 	"ablation", "endogenous", "federated-day", "fib-day", "fig1", "fig2",
 	"fig3", "fig7", "policy-comparison", "scientific", "table1",
 	"var-day", "week-day",
+}
+
+// validate resolves a scenario and builds its config without running it.
+func validate(name string, opts ...Option) error {
+	_, err := Parallelism(name, opts...)
+	return err
 }
 
 func TestCatalogComplete(t *testing.T) {
@@ -86,24 +93,26 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			err := Validate(tc.scen, tc.opts...)
+			err := validate(tc.scen, tc.opts...)
 			if err == nil {
-				t.Fatalf("Validate(%s) succeeded, want error containing %q", tc.scen, tc.wantErr)
+				t.Fatalf("validate(%s) succeeded, want error containing %q", tc.scen, tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q lacks %q", err, tc.wantErr)
 			}
 		})
 	}
-	if err := Validate("fig2", WithOption("jobs", "100"), WithSeed(3)); err != nil {
+	if err := validate("fig2", WithOption("jobs", "100"), WithSeed(3)); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 }
 
 // TestUniformAxesRangeChecked: for every registered scenario and each
 // range-checked axis it honors, an out-of-range value fails Run (and
-// Validate) before anything simulates, with an error naming the axis —
+// validate) before anything simulates, with an error naming the axis —
 // never a panic inside the trace generator or a silently unloaded run.
+// qps 0 disables load, except in the scenarios that always drive load,
+// which reject it the same way.
 func TestUniformAxesRangeChecked(t *testing.T) {
 	bad := map[string][]Option{
 		"nodes":   {WithNodes(0), WithNodes(-3)},
@@ -134,21 +143,150 @@ func TestUniformAxesRangeChecked(t *testing.T) {
 				if !strings.Contains(err.Error(), axis) {
 					t.Errorf("%s: error %q does not name the %s axis", sp.Name, err, axis)
 				}
-				if Validate(sp.Name, opt) == nil {
+				if validate(sp.Name, opt) == nil {
 					t.Errorf("%s: Validate accepted bad %s value #%d", sp.Name, axis, i)
 				}
 			}
 		}
 		for _, axis := range axes {
-			if axis == "qps" {
-				if err := Validate(sp.Name, WithQPS(0)); err != nil {
-					t.Errorf("%s: qps 0 (load disabled) rejected: %v", sp.Name, err)
-				}
+			if axis != "qps" {
+				continue
+			}
+			err := validate(sp.Name, WithQPS(0))
+			switch {
+			case !sp.loaded && err != nil:
+				t.Errorf("%s: qps 0 (load disabled) rejected: %v", sp.Name, err)
+			case sp.loaded && (err == nil || !strings.Contains(err.Error(), "qps")):
+				t.Errorf("%s: qps 0 = %v, want an error naming qps (the scenario always drives load)", sp.Name, err)
 			}
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no scenario honors a range-checked axis — the check is vacuous")
+	}
+}
+
+// TestOutOfRangeOptionsRejected: every scenario input that used to
+// panic mid-run or run silently wrong is refused where options are
+// parsed — before a sweep fans out a single replica — with an error
+// naming the option or axis.
+func TestOutOfRangeOptionsRejected(t *testing.T) {
+	type rangeCase struct {
+		scen, name string // name: the option or axis the error must name
+		opt        Option
+	}
+	cases := []rangeCase{
+		{"federated-day", "qps", WithQPS(0)},
+		{"scientific", "qps", WithQPS(0)},
+		{"scientific", "functions", WithOption("functions", "0")},
+		{"scientific", "checkpoint-interval", WithOption("checkpoint-interval", "-1s")},
+		{"endogenous", "utilization", WithOption("utilization", "0")},
+		{"endogenous", "utilization", WithOption("utilization", "NaN")},
+		{"endogenous", "max-walltime", WithOption("max-walltime", "0s")},
+		{"endogenous", "max-job-nodes", WithOption("max-job-nodes", "0")},
+		{"fig7", "vertices", WithOption("vertices", "0")},
+		{"fig7", "degree", WithOption("degree", "0")},
+		{"fig7", "invocations", WithOption("invocations", "0")},
+		{"ablation", "checkpoint-interval", WithOption("checkpoint-interval", "-1s")},
+		{"checkpoint-frontier", "checkpoint-interval", WithOption("checkpoint-interval", "-1s")},
+		{"checkpoint-frontier", "checkpoint-interval", WithOption("checkpoint-interval", "0s")},
+		{"checkpoint-frontier", "gap", WithOption("gap", "-1m")},
+		{"policy-comparison", "mean-idle-nodes", WithOption("mean-idle-nodes", "-1")},
+		{"policy-comparison", "mean-idle-nodes", WithOption("mean-idle-nodes", "NaN")},
+		{"fig2", "jobs", WithOption("jobs", "0")},
+		{"federated-day", "sites", WithOption("sites", "0")},
+		{"federated-day", "shards", WithOption("shards", "-2")},
+	}
+	for _, scen := range []string{"fib-day", "var-day", "week-day", "federated-day"} {
+		cases = append(cases,
+			rangeCase{scen, "actions", WithOption("actions", "0")},
+			rangeCase{scen, "actions", WithOption("actions", "-1")},
+			rangeCase{scen, "sleep-exec", WithOption("sleep-exec", "-1s")})
+	}
+	for _, scen := range []string{"fib-day", "var-day"} {
+		cases = append(cases,
+			rangeCase{scen, "checkpoint-interval", WithOption("checkpoint-interval", "-1s")},
+			rangeCase{scen, "action-timeout", WithOption("action-timeout", "-1s")},
+			rangeCase{scen, "shards", WithOption("shards", "-2")},
+			rangeCase{scen, "shards", WithOption("shards", "0")})
+	}
+	for _, tc := range cases {
+		err := validate(tc.scen, tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: validate = %v, want an error naming %s", tc.scen, err, tc.name)
+			continue
+		}
+		res, err := func() (res Result, err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			return Run(context.Background(), tc.scen, tc.opt)
+		}()
+		if err == nil || res != nil || !strings.Contains(err.Error(), tc.name) || strings.Contains(err.Error(), "panic") {
+			t.Errorf("%s: Run = %v, want the validation error naming %s", tc.scen, err, tc.name)
+		}
+	}
+	// The boundary values that mean something stay accepted: 0 disables
+	// checkpointing and keeps the default action timeout, a 0 gap puts
+	// the idle windows back to back, and qps 0 unloads a plain day.
+	for _, ok := range []struct {
+		scen string
+		opt  Option
+	}{
+		{"fib-day", WithOption("checkpoint-interval", "0")},
+		{"fib-day", WithOption("action-timeout", "0s")},
+		{"fib-day", WithOption("sleep-exec", "0s")},
+		{"fib-day", WithQPS(0)},
+		{"scientific", WithOption("checkpoint-interval", "0s")},
+		{"checkpoint-frontier", WithOption("gap", "0s")},
+		{"policy-comparison", WithOption("mean-idle-nodes", "0")},
+	} {
+		if err := validate(ok.scen, ok.opt); err != nil {
+			t.Errorf("%s: in-range value rejected: %v", ok.scen, err)
+		}
+	}
+}
+
+// TestCatalogResultsRender: every catalog scenario's typed result
+// renders itself, so Fprint prints the paper's shape for all of them
+// and falls back to MetricsTable only for custom scenarios. Each runs
+// at a toy size.
+func TestCatalogResultsRender(t *testing.T) {
+	tiny := []Option{WithNodes(16), WithHorizon(20 * time.Minute)}
+	sized := map[string][]Option{
+		"ablation":            tiny,
+		"checkpoint-frontier": {WithNodes(8), WithHorizon(20 * time.Minute), WithOption("durations", "1m"), WithOption("windows", "4m")},
+		"endogenous":          tiny,
+		"federated-day":       append([]Option{WithQPS(1), WithOption("sites", "2")}, tiny...),
+		"fib-day":             append([]Option{WithQPS(1)}, tiny...),
+		"fig1":                tiny,
+		"fig2":                {WithOption("jobs", "100")},
+		"fig3":                nil,
+		"fig7":                {WithOption("vertices", "200"), WithOption("invocations", "2")},
+		"policy-comparison":   append([]Option{WithQPS(1), WithOption("policies", "fib")}, tiny...),
+		"scientific":          append([]Option{WithQPS(1), WithOption("functions", "10")}, tiny...),
+		"table1":              tiny,
+		"var-day":             append([]Option{WithQPS(1)}, tiny...),
+		"week-day":            append([]Option{WithQPS(1)}, tiny...),
+	}
+	for _, sp := range All() {
+		opts, ok := sized[sp.Name]
+		if !ok {
+			if !strings.HasPrefix(sp.Name, "test-") {
+				t.Errorf("catalog scenario %q has no toy size here", sp.Name)
+			}
+			continue
+		}
+		res, err := Run(context.Background(), sp.Name, opts...)
+		if err != nil {
+			t.Errorf("%s: %v", sp.Name, err)
+			continue
+		}
+		if _, ok := res.Unwrap().(Renderer); !ok {
+			t.Errorf("%s: typed result %T has no Render", sp.Name, res.Unwrap())
+		}
 	}
 }
 
@@ -216,7 +354,7 @@ func TestConfigPlumbing(t *testing.T) {
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			got = cfg
-			return NewResult(nil, map[string]float64{"ok": 1}, nil), nil
+			return NewResult(nil, map[string]float64{"ok": 1}), nil
 		},
 	})
 
@@ -263,7 +401,7 @@ func TestConfigPlumbing(t *testing.T) {
 	}
 
 	// A nil-Axes (custom) scenario accepts every uniform axis.
-	if err := Validate("test-capture", WithNodes(64), WithQPS(5)); err != nil {
+	if err := validate("test-capture", WithNodes(64), WithQPS(5)); err != nil {
 		t.Errorf("nil-Axes scenario rejected axes: %v", err)
 	}
 
@@ -299,21 +437,15 @@ func TestMetricsTable(t *testing.T) {
 	}
 }
 
-// TestResultContract checks NewResult's three views and that Table
-// hands out fresh rows.
+// TestResultContract checks NewResult's two views.
 func TestResultContract(t *testing.T) {
 	typed := struct{ X int }{7}
-	res := NewResult(typed, map[string]float64{"x": 7}, [][]string{{"h"}, {"v"}})
+	res := NewResult(typed, map[string]float64{"x": 7})
 	if res.Unwrap().(struct{ X int }).X != 7 {
 		t.Error("Unwrap lost the typed value")
 	}
 	if res.Metrics()["x"] != 7 {
 		t.Error("Metrics lost the value")
-	}
-	tab := res.Table()
-	tab[0][0] = "mutated"
-	if res.Table()[0][0] != "h" {
-		t.Error("Table rows are shared with the caller")
 	}
 }
 

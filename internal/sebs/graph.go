@@ -5,11 +5,7 @@
 // these exact implementations under two platform speed models.
 package sebs
 
-import (
-	"math/rand"
-
-	"repro/internal/dist"
-)
+import "repro/internal/dist"
 
 // Graph is a directed graph in compressed adjacency form. For the MST
 // benchmark the graph is interpreted as undirected with edge weights.
@@ -76,18 +72,4 @@ func GenerateGraph(n, deg int, seed int64) *Graph {
 		}
 	}
 	return g
-}
-
-// randPerm fills a deterministic permutation (used by tests and by the
-// MST edge shuffle).
-func randPerm(n int, r *rand.Rand) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -38,24 +38,18 @@ type Config struct {
 	PassBase        time.Duration
 	PassPerFixedJob time.Duration
 	PassPerVarJob   time.Duration
-
-	// MaxStartsPerPass caps how many pilot jobs one pass can launch
-	// (0 = unlimited). Variable-length passes on Prometheus could not
-	// always work through a drained queue before the cluster changed.
-	MaxStartsPerPass int
 }
 
 // DefaultConfig returns the Prometheus-like configuration.
 func DefaultConfig() Config {
 	return Config{
-		Grace:            3 * time.Minute,
-		SchedInterval:    15 * time.Second,
-		Slot:             2 * time.Minute,
-		BackfillWindow:   120 * time.Minute,
-		PassBase:         500 * time.Millisecond,
-		PassPerFixedJob:  10 * time.Millisecond,
-		PassPerVarJob:    600 * time.Millisecond,
-		MaxStartsPerPass: 0,
+		Grace:           3 * time.Minute,
+		SchedInterval:   15 * time.Second,
+		Slot:            2 * time.Minute,
+		BackfillWindow:  120 * time.Minute,
+		PassBase:        500 * time.Millisecond,
+		PassPerFixedJob: 10 * time.Millisecond,
+		PassPerVarJob:   600 * time.Millisecond,
 	}
 }
 
@@ -120,9 +114,6 @@ func (e *Emulator) Cluster() *cluster.Cluster { return e.cl }
 
 // Sim exposes the simulation handle.
 func (e *Emulator) Sim() *des.Sim { return e.sim }
-
-// Config returns the active configuration.
-func (e *Emulator) Config() Config { return e.cfg }
 
 // AddPartition registers a partition.
 func (e *Emulator) AddPartition(p Partition) {
@@ -362,11 +353,7 @@ func (e *Emulator) schedulePilotsOn(idle []int) {
 		return
 	}
 	now := e.sim.Now()
-	starts := 0
 	for _, node := range idle {
-		if e.cfg.MaxStartsPerPass > 0 && starts >= e.cfg.MaxStartsPerPass {
-			break
-		}
 		if e.cl.State(node) != cluster.Idle {
 			continue // reclaimed while the pass was in flight
 		}
@@ -391,7 +378,6 @@ func (e *Emulator) schedulePilotsOn(idle []int) {
 		}
 		e.pilotRemove(j)
 		e.startJob(j, []int{node}, granted, cluster.Pilot)
-		starts++
 	}
 }
 
@@ -513,19 +499,6 @@ func (e *Emulator) finish(j *Job, reason EndReason) {
 	if j.Spec.OnEnd != nil {
 		j.Spec.OnEnd(j, reason)
 	}
-}
-
-// RunningJob returns the job occupying a node, if any.
-func (e *Emulator) RunningJob(node int) *Job { return e.runningByNode[node] }
-
-// Snapshot returns the current idle and pilot node id lists (sorted
-// copies), as the paper's 10-second pollers logged them.
-func (e *Emulator) Snapshot() (idle, pilot []int) {
-	idle = append([]int(nil), e.cl.Nodes(cluster.Idle)...)
-	pilot = append([]int(nil), e.cl.Nodes(cluster.Pilot)...)
-	sort.Ints(idle)
-	sort.Ints(pilot)
-	return idle, pilot
 }
 
 // jobHeap is a priority queue: higher Priority first, then FIFO.

@@ -51,9 +51,6 @@ func (s *Shell) Exec(line string) (string, error) {
 	}
 }
 
-// Job returns a submitted job by its sbatch id.
-func (s *Shell) Job(id int) *slurm.Job { return s.jobs[id] }
-
 // sbatch parses the §III-D submission flags:
 //
 //	sbatch --partition=NAME --nodes=N --time=MIN [--time-min=MIN]

@@ -63,7 +63,7 @@ func TestSbatchTimeFormats(t *testing.T) {
 		if _, err := sh.Exec("sbatch --partition=whisk --time=" + in); err != nil {
 			t.Fatalf("time %q: %v", in, err)
 		}
-		if got := sh.Job(id).Spec.TimeLimit; got != want {
+		if got := sh.jobs[id].Spec.TimeLimit; got != want {
 			t.Errorf("time %q parsed as %v, want %v", in, got, want)
 		}
 		id++
@@ -75,7 +75,7 @@ func TestSbatchVariableLength(t *testing.T) {
 	if _, err := sh.Exec("sbatch --partition=whisk --time-min=2 --time=120"); err != nil {
 		t.Fatal(err)
 	}
-	j := sh.Job(0)
+	j := sh.jobs[0]
 	if !j.Variable() {
 		t.Error("job should be variable-length")
 	}
@@ -107,7 +107,7 @@ func TestScancel(t *testing.T) {
 	if _, err := sh.Exec("scancel 0"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.Job(0).State != slurm.Done {
+	if sh.jobs[0].State != slurm.Done {
 		t.Error("job not cancelled")
 	}
 	if _, err := sh.Exec("scancel 0"); err == nil {
@@ -156,7 +156,7 @@ func TestScriptedManagerLoop(t *testing.T) {
 	queued := func() map[string]int {
 		out := map[string]int{}
 		for id := 0; ; id++ {
-			j := sh.Job(id)
+			j := sh.jobs[id]
 			if j == nil {
 				return out
 			}

@@ -24,8 +24,6 @@ type Collector interface {
 	Quantile(p float64) float64
 	// Median returns the 0.5-quantile.
 	Median() float64
-	// Summarize condenses the observations into the Summary contract.
-	Summarize() Summary
 	// Footprint returns the retained heap bytes of the collector —
 	// O(n) for Sample, O(compression) for TDigest.
 	Footprint() int
@@ -44,11 +42,6 @@ var (
 type SeriesCollector interface {
 	// Add counts one event with the given label at instant t.
 	Add(t time.Duration, label string)
-	// Count returns the events with the label in bucket i (0 when the
-	// bucket is unknown or, for WindowedCounts, already evicted).
-	Count(i int, label string) int
-	// Buckets returns the bucket count up to the last non-empty one.
-	Buckets() int
 	// Totals sums each label across the whole run (exact for both
 	// implementations).
 	Totals() map[string]int

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -141,9 +140,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -157,45 +153,3 @@ func (w *Welford) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Bins     []int
-	Under    int
-	Over     int
-	binWidth float64
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram [%v,%v)/%d", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n), binWidth: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Bins) {
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, b := range h.Bins {
-		n += b
-	}
-	return n
-}

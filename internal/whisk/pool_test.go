@@ -90,8 +90,8 @@ func TestTimeoutDuringExecutionDefersRecycle(t *testing.T) {
 	if len(c.invPool) != 0 {
 		t.Fatal("invocation recycled while the invoker still executes it")
 	}
-	if w.Running() != 1 {
-		t.Fatalf("running = %d, want 1", w.Running())
+	if len(w.running) != 1 {
+		t.Fatalf("running = %d, want 1", len(w.running))
 	}
 	sim.RunFor(time.Minute) // execution drains, last reference drops
 	if len(c.invPool) != 1 {

@@ -70,8 +70,8 @@ func handoffRig(t *testing.T, before func(*des.Sim)) (*des.Sim, *Controller, *In
 		before(sim)
 	}
 	sim.RunUntil(2 * time.Second)
-	if x.Running() != 1 || x.Buffered() != 1 {
-		t.Fatalf("rig: running=%d buffered=%d, want 1 and 1", x.Running(), x.Buffered())
+	if len(x.running) != 1 || x.Buffered() != 1 {
+		t.Fatalf("rig: running=%d buffered=%d, want 1 and 1", len(x.running), x.Buffered())
 	}
 	return sim, c, x
 }
@@ -93,7 +93,7 @@ func expectPickup(t *testing.T, sim *des.Sim, c *Controller, at des.Time, want *
 		if w == want {
 			exp = 1
 		}
-		if got := w.Running(); got != exp {
+		if got := len(w.running); got != exp {
 			t.Errorf("invoker attached at %v runs %d calls at %v, want %d", w.attachedAt, got, at, exp)
 		}
 	}
@@ -133,9 +133,9 @@ func TestFastLanePickupAtNextPollPhase(t *testing.T) {
 			t.Fatal("fast lane filled before the scheduled Sigterm")
 		}
 		sim.RunUntil(2500 * ms)
-		if c.FastLaneDepth() != 0 || w.Running() != 1 {
+		if c.FastLaneDepth() != 0 || len(w.running) != 1 {
 			t.Fatalf("at 2.5 s: fast lane %d, running %d; want the pickup in the push's own instant",
-				c.FastLaneDepth(), w.Running())
+				c.FastLaneDepth(), len(w.running))
 		}
 	})
 	t.Run("push on the grid after RunUntil", func(t *testing.T) {

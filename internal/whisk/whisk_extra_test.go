@@ -67,7 +67,7 @@ func TestDrainingInvokerStopsPolling(t *testing.T) {
 	sim, c, ws := newSystem(2)
 	c.RegisterAction(&Action{Name: "d", Exec: FixedExec(30 * time.Second), Interruptible: false})
 	// Occupy the non-owner so we know who should pull the fast lane.
-	owner := c.pickInvoker(c.Action("d"))
+	owner := c.pickInvoker(c.actions["d"])
 	other := ws[0]
 	if owner == ws[0] {
 		other = ws[1]
@@ -87,8 +87,8 @@ func TestDrainingInvokerStopsPolling(t *testing.T) {
 	if got == nil || got.Status != StatusSuccess {
 		t.Fatalf("second call lost: %+v", got)
 	}
-	if got.InvokerID != other.Slot() {
-		t.Errorf("second call ran on slot %d, want the survivor's slot %d", got.InvokerID, other.Slot())
+	if got.InvokerID != other.slot {
+		t.Errorf("second call ran on slot %d, want the survivor's slot %d", got.InvokerID, other.slot)
 	}
 }
 
@@ -99,12 +99,12 @@ func TestRequeueCountsHops(t *testing.T) {
 	var got *Invocation
 	c.Invoke("hop", func(inv *Invocation) { got = inv })
 	sim.RunFor(3 * time.Second)
-	owner := c.pickInvoker(c.Action("hop"))
+	owner := c.pickInvoker(c.actions["hop"])
 	owner.Sigterm(true, nil)
 	sim.RunFor(2 * time.Second)
 	// Interrupt the second executor too.
 	for _, w := range ws {
-		if w.State() == InvokerHealthy && w.Running() > 0 {
+		if w.State() == InvokerHealthy && len(w.running) > 0 {
 			w.Sigterm(true, nil)
 		}
 	}

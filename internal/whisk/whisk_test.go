@@ -130,7 +130,7 @@ func TestSigtermHandoffNoLoss(t *testing.T) {
 	sim.RunUntil(2 * time.Second)
 	// SIGTERM the invoker that owns "slow".
 	target := ws[0]
-	if c.pickInvoker(c.Action("slow")) == ws[1] {
+	if c.pickInvoker(c.actions["slow"]) == ws[1] {
 		target = ws[1]
 	}
 	drained := false
@@ -166,7 +166,7 @@ func TestSigtermMovesBufferToFastLane(t *testing.T) {
 	}
 	w.Sigterm(false, nil)
 	sim.RunUntil(4 * time.Second)
-	if c.FastLane().Len() == 0 {
+	if c.fastLane.Len() == 0 {
 		t.Error("fast lane empty after hand-off")
 	}
 	if w.Buffered() != 0 {
@@ -202,7 +202,7 @@ func TestInterruptibleRequeuedElsewhere(t *testing.T) {
 	sim.RunUntil(3 * time.Second)
 	owner := ws[0]
 	other := ws[1]
-	if c.pickInvoker(c.Action("longjob")) == ws[1] {
+	if c.pickInvoker(c.actions["longjob"]) == ws[1] {
 		owner, other = ws[1], ws[0]
 	}
 	owner.Sigterm(true, nil)
@@ -213,8 +213,8 @@ func TestInterruptibleRequeuedElsewhere(t *testing.T) {
 	if got.Requeues != 1 {
 		t.Errorf("requeues = %d, want 1", got.Requeues)
 	}
-	if got.InvokerID != other.Slot() {
-		t.Errorf("finished on invoker %d, want the surviving %d", got.InvokerID, other.Slot())
+	if got.InvokerID != other.slot {
+		t.Errorf("finished on invoker %d, want the surviving %d", got.InvokerID, other.slot)
 	}
 }
 
@@ -239,7 +239,7 @@ func TestKillLosesWork(t *testing.T) {
 func TestDrainingNotRoutedTo(t *testing.T) {
 	sim, c, ws := newSystem(2)
 	c.RegisterAction(sleepAction("g"))
-	owner := c.pickInvoker(c.Action("g"))
+	owner := c.pickInvoker(c.actions["g"])
 	owner.Sigterm(false, nil)
 	var got *Invocation
 	c.Invoke("g", func(inv *Invocation) { got = inv })
@@ -251,8 +251,8 @@ func TestDrainingNotRoutedTo(t *testing.T) {
 	if owner == ws[0] {
 		surviving = ws[1]
 	}
-	if got.InvokerID != surviving.Slot() {
-		t.Errorf("routed to %d, want surviving invoker %d", got.InvokerID, surviving.Slot())
+	if got.InvokerID != surviving.slot {
+		t.Errorf("routed to %d, want surviving invoker %d", got.InvokerID, surviving.slot)
 	}
 }
 

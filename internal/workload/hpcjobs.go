@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -113,40 +110,4 @@ func JobCDFs(jobs []Job) (limits, runtimes, slacks *stats.Sample) {
 		slacks.Add(j.Slack().Minutes())
 	}
 	return limits, runtimes, slacks
-}
-
-// WriteJobsCSV serializes jobs as "id,submit_s,nodes,declared_s,runtime_s".
-func WriteJobsCSV(w io.Writer, jobs []Job) error {
-	bw := bufio.NewWriter(w)
-	for _, j := range jobs {
-		if _, err := fmt.Fprintf(bw, "%d,%.3f,%d,%.3f,%.3f\n",
-			j.ID, j.Submit.Seconds(), j.Nodes, j.Declared.Seconds(), j.Runtime.Seconds()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJobsCSV parses jobs written by WriteJobsCSV.
-func ReadJobsCSV(r io.Reader) ([]Job, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var jobs []Job
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		var j Job
-		var submit, declared, runtime float64
-		if _, err := fmt.Sscanf(line, "%d,%f,%d,%f,%f",
-			&j.ID, &submit, &j.Nodes, &declared, &runtime); err != nil {
-			return nil, fmt.Errorf("workload: bad job row %q: %w", line, err)
-		}
-		j.Submit = time.Duration(submit * float64(time.Second))
-		j.Declared = time.Duration(declared * float64(time.Second))
-		j.Runtime = time.Duration(runtime * float64(time.Second))
-		jobs = append(jobs, j)
-	}
-	return jobs, sc.Err()
 }

@@ -240,27 +240,6 @@ func TestFig2Calibration(t *testing.T) {
 	}
 }
 
-func TestJobsCSVRoundTrip(t *testing.T) {
-	jobs := DefaultJobGen(200, 24*time.Hour, 9).Generate()
-	var buf bytes.Buffer
-	if err := WriteJobsCSV(&buf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJobsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(jobs) {
-		t.Fatalf("round trip count %d vs %d", len(back), len(jobs))
-	}
-	for i := range jobs {
-		if back[i].ID != jobs[i].ID || back[i].Nodes != jobs[i].Nodes ||
-			!near(back[i].Submit, jobs[i].Submit) || !near(back[i].Runtime, jobs[i].Runtime) {
-			t.Fatalf("job %d mismatch: %+v vs %+v", i, jobs[i], back[i])
-		}
-	}
-}
-
 // Property: any generated trace validates and clips cleanly to any
 // half-day window.
 func TestPropertyTraceAlwaysValid(t *testing.T) {
