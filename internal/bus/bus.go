@@ -14,8 +14,6 @@
 package bus
 
 import (
-	"time"
-
 	"repro/internal/des"
 	"repro/internal/dist"
 )
@@ -92,10 +90,6 @@ func (b *Bus) Topic(name string) *Topic {
 // PublishTo enqueues payload on topic t after the delivery latency. The
 // caller resolves the topic once (the controller does so at routing
 // time), and the message captures it, so delivery needs no name lookup.
-// If the topic is Deleted while the delivery is in flight, the delivery
-// re-resolves deliberately — onto the topic currently registered under
-// the name if one exists, else by re-registering this captured topic —
-// see Bus.deliver.
 func (b *Bus) PublishTo(t *Topic, payload any) *Message {
 	m := b.get()
 	m.ID = b.nextID
@@ -145,20 +139,10 @@ func (b *Bus) get() *Message {
 }
 
 // deliver lands a published message on its captured topic (the typed-arg
-// des callback of every publish). If the topic was Deleted while the
-// message was in flight, the delivery re-resolves deliberately: into
-// the topic currently registered under the name if one exists, else by
-// re-registering the captured topic itself — preserving its counters
-// and delivery callback rather than silently resurrecting a zeroed
-// twin under the same name.
+// des callback of every publish).
 func (b *Bus) deliver(v any) {
 	m := v.(*Message)
 	t := m.topic
-	if t.deleted {
-		t = b.reattach(t)
-		m.topic = t
-		m.TopicName = t.name
-	}
 	m.Delivered = b.sim.Now()
 	t.queue = append(t.queue, m)
 	t.noteDepth(1)
@@ -168,22 +152,11 @@ func (b *Bus) deliver(v any) {
 	}
 }
 
-// reattach resolves a delivery into a deleted topic (cold path).
-func (b *Bus) reattach(t *Topic) *Topic {
-	if cur, ok := b.topics[t.name]; ok {
-		return cur
-	}
-	t.deleted = false
-	b.topics[t.name] = t
-	return t
-}
-
 // Topic is a FIFO queue with single-consumer pull semantics.
 type Topic struct {
-	name    string
-	bus     *Bus
-	queue   []*Message
-	deleted bool
+	name  string
+	bus   *Bus
+	queue []*Message
 
 	// watch, when non-nil, is an external backlog counter this topic
 	// keeps in sync: every queue mutation adds its length delta. The
@@ -299,18 +272,3 @@ func (t *Topic) Requeue(msgs []*Message) {
 		t.onDelivery()
 	}
 }
-
-// Delete removes the topic from the bus (its queue must be empty;
-// callers move messages first). Resolving the name afterwards with
-// Bus.Topic creates a fresh topic; a delivery already in flight at
-// Delete time re-resolves deliberately — see Bus.deliver.
-func (t *Topic) Delete() {
-	if len(t.queue) > 0 {
-		panic("bus: deleting non-empty topic " + t.name)
-	}
-	t.deleted = true
-	delete(t.bus.topics, t.name)
-}
-
-// TimeInQueue reports how long a message has been waiting, given now.
-func (m *Message) TimeInQueue(now des.Time) time.Duration { return now - m.Delivered }

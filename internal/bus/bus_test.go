@@ -116,32 +116,6 @@ func TestOnDeliveryCallback(t *testing.T) {
 	}
 }
 
-func TestDeleteEmptyTopic(t *testing.T) {
-	sim, b := newBus()
-	publish(b, "t", 1)
-	sim.Run()
-	pull(b.Topic("t"), 1)
-	b.Topic("t").Delete()
-	// Publishing again recreates the topic.
-	publish(b, "t", 2)
-	sim.Run()
-	if b.Topic("t").Len() != 1 {
-		t.Error("topic not recreated")
-	}
-}
-
-func TestDeleteNonEmptyPanics(t *testing.T) {
-	sim, b := newBus()
-	publish(b, "t", 1)
-	sim.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("deleting non-empty topic should panic")
-		}
-	}()
-	b.Topic("t").Delete()
-}
-
 func TestCounters(t *testing.T) {
 	sim, b := newBus()
 	for i := 0; i < 4; i++ {
@@ -158,16 +132,6 @@ func TestCounters(t *testing.T) {
 	}
 	if b.Moved != 2 {
 		t.Errorf("moved = %d", b.Moved)
-	}
-}
-
-func TestTimeInQueue(t *testing.T) {
-	sim, b := newBus()
-	publish(b, "t", 1)
-	sim.Run()
-	m := pull(b.Topic("t"), 1)[0]
-	if got := m.TimeInQueue(110 * time.Millisecond); got != 100*time.Millisecond {
-		t.Errorf("time in queue = %v, want 100ms", got)
 	}
 }
 

@@ -7,62 +7,6 @@ import (
 	"repro/internal/dist"
 )
 
-// TestDeliverIntoDeletedTopicReattaches is the regression test for the
-// mid-flight deletion bug: before the topic pointer was captured at
-// publish time, the delivery closure re-resolved the topic by name and
-// silently resurrected it with zeroed counters and no delivery
-// callback. Now the captured topic itself is re-registered, so its
-// counter history and OnDelivery hook survive the delete/deliver race.
-func TestDeliverIntoDeletedTopicReattaches(t *testing.T) {
-	sim, b := newBus()
-	wakes := 0
-	topic := b.Topic("t")
-	topic.OnDelivery(func() { wakes++ })
-	publish(b, "t", 1)
-	sim.Run()
-	pull(topic, 1)
-	before := topic.Delivered
-
-	publish(b, "t", 2) // in flight…
-	topic.Delete()     // …when the topic goes away
-	sim.Run()
-
-	if got := b.Topic("t"); got != topic {
-		t.Fatalf("delivery resurrected a different topic object (counters zeroed): %p vs %p", got, topic)
-	}
-	if topic.Delivered != before+1 {
-		t.Errorf("delivered = %d, want %d (counter history preserved)", topic.Delivered, before+1)
-	}
-	if wakes != 2 {
-		t.Errorf("delivery callbacks = %d, want 2 (OnDelivery hook preserved)", wakes)
-	}
-	if topic.Len() != 1 {
-		t.Errorf("queue len = %d, want 1", topic.Len())
-	}
-}
-
-// TestDeliverPrefersCurrentTopicAfterRecreate: if the name was
-// re-registered between Delete and the in-flight delivery, the message
-// lands on the topic currently owning the name, not the deleted one.
-func TestDeliverPrefersCurrentTopicAfterRecreate(t *testing.T) {
-	sim, b := newBus()
-	old := b.Topic("t")
-	m := publish(b, "t", "late") // in flight…
-	old.Delete()
-	fresh := b.Topic("t") // …name deliberately recreated…
-	sim.Run()             // …before the delivery fires
-
-	if fresh == old {
-		t.Fatal("recreated topic should be a fresh object")
-	}
-	if old.Len() != 0 || fresh.Len() != 1 {
-		t.Fatalf("queue lens old=%d fresh=%d, want 0/1", old.Len(), fresh.Len())
-	}
-	if m.topic != fresh || m.TopicName != "t" {
-		t.Errorf("message rebound to %v/%q, want the current topic", m.topic, m.TopicName)
-	}
-}
-
 func TestPublishToSkipsLookup(t *testing.T) {
 	sim, b := newBus()
 	topic := b.Topic("direct")

@@ -68,7 +68,8 @@ type Event struct {
 // allocating a capturing closure per event.
 //
 // at stamps the instant the slot was filled (the clock at scheduling
-// time), read back by FiringScheduledAt while the callback runs.
+// time): with the event's instant it names the tier the entry waits in,
+// which Stop needs to credit that tier's stale count.
 type node struct {
 	fn  func()
 	fnA func(any)
@@ -161,13 +162,6 @@ type Sim struct {
 	free      []int32
 	seq       uint64
 	npending  int
-
-	// firingAt is the scheduling stamp of the callback now running, and
-	// firing whether one is (see FiringScheduledAt). fire saves and
-	// restores both, so after a nested Run inside a callback they read
-	// as the outer callback had them.
-	firingAt Time
-	firing   bool
 }
 
 // New returns an empty simulation with its clock at instant 0.
@@ -178,19 +172,6 @@ func (s *Sim) Now() Time { return s.now }
 
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int { return s.npending }
-
-// FiringScheduledAt reports the instant at which the callback now
-// running was scheduled; outside any callback it reports Now(). It is a
-// read-only ordering hint: an event scheduled at an earlier instant
-// carries a smaller sequence number, so a component can tell whether a
-// same-instant event it would have queued at some past instant would
-// still be ahead of the firing one.
-func (s *Sim) FiringScheduledAt() Time {
-	if !s.firing {
-		return s.now
-	}
-	return s.firingAt
-}
 
 // Schedule queues fn to run at instant at. Scheduling in the past panics:
 // a component that does so holds a stale view of the clock, which is a bug.
@@ -261,8 +242,6 @@ func (s *Sim) enqueue(at Time, idx int32, n *node) Event {
 func (s *Sim) fire(e entry) {
 	n := &s.nodes[e.idx]
 	fn, fnA, arg := n.fn, n.fnA, n.arg
-	outerAt, outer := s.firingAt, s.firing
-	s.firingAt, s.firing = n.at, true
 	n.fn, n.fnA, n.arg = nil, nil, nil
 	n.gen++
 	s.free = append(s.free, e.idx)
@@ -272,7 +251,6 @@ func (s *Sim) fire(e entry) {
 	} else {
 		fn()
 	}
-	s.firingAt, s.firing = outerAt, outer
 }
 
 // Step fires the earliest pending event, advancing the clock to its

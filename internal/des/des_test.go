@@ -460,30 +460,3 @@ func BenchmarkScheduleCallAndRun(b *testing.B) {
 		s.Run()
 	}
 }
-
-// TestFiringScheduledAt: inside a callback the hint reports the instant
-// the firing event was scheduled, for both callback forms; outside any
-// callback it reports Now(); and a nested Run inside a callback leaves
-// it as the outer callback had it.
-func TestFiringScheduledAt(t *testing.T) {
-	s := New()
-	s.RunUntil(5)
-	if got := s.FiringScheduledAt(); got != 5 {
-		t.Fatalf("outside any callback: %v, want Now() = 5", got)
-	}
-	var outer, inner, typed, afterNested Time
-	s.Schedule(20, func() { // scheduled at 5
-		outer = s.FiringScheduledAt()
-		s.After(3, func() { inner = s.FiringScheduledAt() }) // scheduled at 20
-		s.AfterCall(4, func(any) { typed = s.FiringScheduledAt() }, nil)
-		s.Run()
-		afterNested = s.FiringScheduledAt()
-	})
-	s.Run()
-	if outer != 5 || inner != 20 || typed != 20 || afterNested != 5 {
-		t.Fatalf("outer=%v inner=%v typed=%v afterNested=%v, want 5, 20, 20, 5", outer, inner, typed, afterNested)
-	}
-	if got := s.FiringScheduledAt(); got != s.Now() {
-		t.Fatalf("after Run returned: %v, want Now() = %v", got, s.Now())
-	}
-}

@@ -22,7 +22,6 @@ type ControllerConfig struct {
 	ProcessSeconds  dist.Dist     // routing decision
 	OverheadSeconds dist.Dist     // activation bookkeeping (dominates)
 	ResultSeconds   dist.Dist     // invoker → controller result hop
-	StatusLatency   time.Duration // worker status propagation delay
 	ActionTimeout   time.Duration // client-visible timeout
 
 	// PoolInvocations recycles completed Invocation objects through a
@@ -46,10 +45,13 @@ func DefaultControllerConfig() ControllerConfig {
 		ProcessSeconds:  dist.Uniform{Lo: 0.002, Hi: 0.008},
 		OverheadSeconds: dist.Lognormal{Mu: math.Log(0.62), Sigma: 0.30},
 		ResultSeconds:   dist.Uniform{Lo: 0.010, Hi: 0.030},
-		StatusLatency:   500 * time.Millisecond,
 		ActionTimeout:   60 * time.Second,
 	}
 }
+
+// statusLatency is the worker status propagation delay: the controller
+// acts on an invoker's SIGTERM this long after it (drainCb).
+const statusLatency = 500 * time.Millisecond
 
 // fastLaneTopic names the global priority topic of §III-C.
 const fastLaneTopic = "fastlane"
@@ -125,11 +127,6 @@ type Controller struct {
 
 	fastLane *bus.Topic
 
-	// pollGrids maps each poll grid (interval, phase) of healthy
-	// invokers to its first peer; the rest hang off peerNext (see
-	// joinPollGrid). Only invokers whose grids coincide share an entry.
-	pollGrids map[pollGrid]*Invoker
-
 	nextInvID int64
 	invPool   []*Invocation
 
@@ -144,8 +141,6 @@ type Controller struct {
 	NFailed   int
 	NTimeout  int
 	Registers int
-	Removes   int
-	MovedToFL int
 
 	// Work is the checkpoint subsystem's compute-accounting ledger,
 	// written by this controller's invokers (goodput on completion,
@@ -159,12 +154,11 @@ type Controller struct {
 // NewController builds a controller over the given bus.
 func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *Controller {
 	c := &Controller{
-		sim:       sim,
-		b:         b,
-		cfg:       cfg,
-		rng:       dist.NewRand(seed),
-		actions:   map[string]*Action{},
-		pollGrids: map[pollGrid]*Invoker{},
+		sim:     sim,
+		b:       b,
+		cfg:     cfg,
+		rng:     dist.NewRand(seed),
+		actions: map[string]*Action{},
 	}
 	c.ingress = dist.NewSampler(cfg.IngressSeconds, c.rng)
 	c.egress = dist.NewSampler(cfg.EgressSeconds, c.rng)
@@ -524,28 +518,20 @@ func (c *Controller) Register(inv *Invoker) int {
 	return slot
 }
 
-// SetDraining marks an invoker as leaving: the controller stops routing
-// to it and, after the status-propagation latency, moves the unpulled
-// messages from its topic to the fast lane (§III-C: "the controller
-// moves all the unpulled requests from the worker's Kafka topic to the
-// fast lane topic").
-func (c *Controller) SetDraining(inv *Invoker) {
-	c.sim.AfterCall(c.cfg.StatusLatency, c.drainFn, inv)
-}
-
-// drainCb is the delayed controller-side hand-off of SetDraining.
+// drainCb is the controller-side hand-off of a SIGTERM, statusLatency
+// after it: it moves the unpulled messages from the invoker's topic to
+// the fast lane. By now the invoker has usually drained and left its
+// slot, and messages routed to it before the SIGTERM may have landed on
+// its topic after it deregistered; the move rescues them. It is skipped
+// only when another invoker has taken the slot, and with it the same
+// topic: the new owner pulls those messages itself (attach arms its
+// poll when any are waiting).
 func (c *Controller) drainCb(v any) {
 	inv := v.(*Invoker)
-	c.MovedToFL += inv.topic.MoveAll(c.fastLane)
-}
-
-// pollGrid identifies a poll grid: invokers with equal keys poll at the
-// same instants. (Invokers with different intervals never share a key;
-// the few instants their grids have in common keep no peer order.)
-type pollGrid struct{ interval, phase time.Duration }
-
-func gridOf(w *Invoker) pollGrid {
-	return pollGrid{w.cfg.PollInterval, w.attachedAt % w.cfg.PollInterval}
+	if s := inv.slot; s < len(c.slots) && c.slots[s] != nil && c.slots[s] != inv {
+		return
+	}
+	inv.topic.MoveAll(c.fastLane)
 }
 
 // wakeInvokers is the fast lane's delivery callback: every healthy
@@ -559,63 +545,6 @@ func (c *Controller) wakeInvokers() {
 	}
 }
 
-// joinPollGrid links a just-attached invoker into its grid peers, in the
-// order their polls run at an instant the grids share. A poll loop
-// queues its first poll at attach and every later one an interval
-// before it runs, so peers keep their attach order — except that an
-// attach by an event scheduled before now − PollInterval runs ahead of
-// the peers' polls at now (queued at now − PollInterval), so its
-// invoker goes ahead of every peer attached before now. Every pilot
-// warm-up is such an event; an attach outside any event (as tests
-// register) goes last.
-func (c *Controller) joinPollGrid(w *Invoker) {
-	w.onGrid = true
-	key := gridOf(w)
-	head := c.pollGrids[key]
-	if head == nil {
-		c.pollGrids[key] = w
-		return
-	}
-	now := c.sim.Now()
-	ahead := c.sim.FiringScheduledAt() < now-w.cfg.PollInterval
-	var prev *Invoker
-	for p := head; p != nil && (!ahead || p.attachedAt == now); p = p.peerNext {
-		prev = p
-	}
-	if prev == nil {
-		w.peerNext = head
-		head.peerPrev = w
-		c.pollGrids[key] = w
-		return
-	}
-	w.peerPrev, w.peerNext = prev, prev.peerNext
-	if w.peerNext != nil {
-		w.peerNext.peerPrev = w
-	}
-	prev.peerNext = w
-}
-
-// leavePollGrid cancels w's pending wake-up and unlinks it from its
-// grid peers once it stops accepting work. Idempotent.
-func (c *Controller) leavePollGrid(w *Invoker) {
-	if !w.onGrid {
-		return
-	}
-	w.onGrid = false
-	w.wake.Stop()
-	if w.peerNext != nil {
-		w.peerNext.peerPrev = w.peerPrev
-	}
-	if w.peerPrev != nil {
-		w.peerPrev.peerNext = w.peerNext
-	} else if w.peerNext != nil {
-		c.pollGrids[gridOf(w)] = w.peerNext
-	} else {
-		delete(c.pollGrids, gridOf(w))
-	}
-	w.peerPrev, w.peerNext = nil, nil
-}
-
 // clearSlot frees the invoker's slot, stopping at the first match, and
 // compacts trailing free slots so churn doesn't grow the array without
 // bound. (slotSpan deliberately keeps the high-water mark — see the
@@ -627,7 +556,7 @@ func (c *Controller) leavePollGrid(w *Invoker) {
 // machine — takes its population, busy, and buffer contributions with
 // it.
 func (c *Controller) clearSlot(inv *Invoker) {
-	c.leavePollGrid(inv)
+	inv.wake.Stop()
 	c.noteStateChange(inv, inv.state, InvokerGone)
 	c.noteBuffer(inv, -len(inv.buffer))
 	inv.topic.Unwatch()
@@ -648,23 +577,12 @@ func (c *Controller) clearSlot(inv *Invoker) {
 // Deregister removes an invoker from the slot list. Any stragglers left
 // on its topic move to the fast lane first.
 func (c *Controller) Deregister(inv *Invoker) {
-	c.MovedToFL += inv.topic.MoveAll(c.fastLane)
+	inv.topic.MoveAll(c.fastLane)
 	c.clearSlot(inv)
-	c.Removes++
 }
 
 // DeregisterLossy removes an invoker without rescuing its topic: the
 // unmodified-OpenWhisk behavior where a vanished worker's requests are
 // never processed and time out (§II). Used by Invoker.Kill for the
 // no-hand-off ablation.
-func (c *Controller) DeregisterLossy(inv *Invoker) {
-	c.clearSlot(inv)
-	c.Removes++
-}
-
-// requeueFastLane is used by invokers handing off buffered or
-// interrupted work.
-func (c *Controller) requeueFastLane(msgs []*bus.Message) {
-	c.fastLane.Requeue(msgs)
-	c.MovedToFL += len(msgs)
-}
+func (c *Controller) DeregisterLossy(inv *Invoker) { c.clearSlot(inv) }

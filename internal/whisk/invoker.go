@@ -126,25 +126,17 @@ type Invoker struct {
 	containers int             // total containers (idle + busy)
 
 	// Poll wake-ups (see arm). attachedAt anchors the poll grid; wake is
-	// the one pending wake-up; onGrid is set from attach until the
-	// invoker stops accepting work. peerPrev/peerNext link the healthy
-	// invokers of the controller whose grids coincide, in the order
-	// their polls run at a shared instant (Controller.joinPollGrid).
-	attachedAt         des.Time
-	wake               des.Event
-	pollFn             func() // cached method value: wake-ups and deliveries
-	onGrid             bool
-	peerPrev, peerNext *Invoker
+	// the one pending wake-up.
+	attachedAt des.Time
+	wake       des.Event
+	pollFn     func() // cached method value: wake-ups and deliveries
 
 	onDrained func()
 
 	// Counters.
-	Executed    int
-	Failed      int
 	ColdStarts  int
 	WarmStarts  int
 	Rejected    int
-	Requeued    int
 	Checkpoints int // completed checkpoint dumps
 	Resumed     int // executions restored from a checkpoint here
 }
@@ -201,7 +193,6 @@ func (w *Invoker) attach(c *Controller, slot int) {
 	w.topic.Watch(&c.backlog)
 	w.topic.OnDelivery(w.pollFn)
 	w.attachedAt = c.sim.Now()
-	c.joinPollGrid(w)
 	w.arm()
 }
 
@@ -220,33 +211,18 @@ func (w *Invoker) hasWork() bool {
 	return w.ctrl.fastLane.Len() > 0 || w.topic.Len() > 0
 }
 
-// arm schedules the invoker's next poll wake-up if work is queued and
-// none is pending. The invoker models a poll loop on the grid attachedAt +
-// k·PollInterval (k ≥ 1) whose every poll is queued one interval before
-// it runs; only the polls that find work are simulated. So the wake-up
-// lands on the next grid instant — or on the current instant, if it is
-// on the grid and its poll would still be ahead of the firing event,
-// i.e. that event was scheduled before now − PollInterval.
-// Same-instant wake-ups of grid peers run in peer order: a peer behind
-// w already waiting at the same instant is re-queued after it. A
-// peerless invoker (the common case) arms in O(1).
+// arm schedules the invoker's next poll wake-up if it holds a slot,
+// accepts work, has work queued and has no wake-up pending. The invoker
+// models a poll loop on the grid attachedAt + k·PollInterval (k ≥ 1) of
+// which only the polls that find work are simulated, so the wake-up
+// lands on the first grid instant after now.
 func (w *Invoker) arm() {
-	if !w.onGrid || w.wake.Pending() || !w.hasWork() {
+	if !w.slotted || w.state != InvokerHealthy || w.wake.Pending() || !w.hasWork() {
 		return
 	}
 	sim := w.ctrl.sim
 	now, iv := sim.Now(), w.cfg.PollInterval
-	at := now - (now-w.attachedAt)%iv
-	if at != now || at == w.attachedAt || sim.FiringScheduledAt() >= now-iv {
-		at += iv
-	}
-	w.wake = sim.Schedule(at, w.pollFn)
-	for p := w.peerNext; p != nil; p = p.peerNext {
-		if p.wake.Pending() && p.wake.When() == at {
-			p.wake.Stop()
-			p.wake = sim.Schedule(at, p.pollFn)
-		}
-	}
+	w.wake = sim.Schedule(now-(now-w.attachedAt)%iv+iv, w.pollFn)
 }
 
 // poll pulls the fast lane first, then the invoker's own topic, and
@@ -392,13 +368,7 @@ func (w *Invoker) ckptDone(v any) {
 		w.removeRunning(inv)
 		w.ctrl.release(inv) // the running list's reference
 		w.releaseContainer(inv.Action)
-		ok := w.rng.Float64() >= w.cfg.FailureProb
-		if ok {
-			w.Executed++
-		} else {
-			w.Failed++
-		}
-		w.ctrl.finishFromInvoker(inv, ok)
+		w.ctrl.finishFromInvoker(inv, w.rng.Float64() >= w.cfg.FailureProb)
 		w.ctrl.release(inv) // the segment event's reference
 		if w.state == InvokerHealthy {
 			w.dispatch()
@@ -433,13 +403,7 @@ func (w *Invoker) execDone(v any) {
 	w.removeRunning(inv)
 	w.ctrl.release(inv) // the running list's reference
 	w.releaseContainer(inv.Action)
-	ok := w.rng.Float64() >= w.cfg.FailureProb
-	if ok {
-		w.Executed++
-	} else {
-		w.Failed++
-	}
-	w.ctrl.finishFromInvoker(inv, ok)
+	w.ctrl.finishFromInvoker(inv, w.rng.Float64() >= w.cfg.FailureProb)
 	w.ctrl.release(inv) // this event's reference
 	if w.state == InvokerHealthy {
 		w.dispatch()
@@ -626,18 +590,21 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 	// counting them.
 	w.ctrl.noteStateChange(w, InvokerHealthy, InvokerDraining)
 	w.onDrained = onDrained
-	w.ctrl.leavePollGrid(w)
-	w.ctrl.SetDraining(w)
+	w.wake.Stop()
+	// The controller stops routing to a draining invoker at once (it
+	// reads the state), but acts on the SIGTERM only once the status
+	// message reaches it: statusLatency later, drainCb moves the
+	// unpulled messages from the topic to the fast lane (§III-C).
+	w.ctrl.sim.AfterCall(statusLatency, w.ctrl.drainFn, w)
 
 	// Flush the unexecuted buffer to the fast lane (which the backlog
 	// aggregate does not cover — FastLaneDepth is its own signal).
 	if len(w.buffer) > 0 {
-		w.Requeued += len(w.buffer)
 		for _, m := range w.buffer {
 			m.Payload.(*Invocation).Requeues++
 		}
 		w.ctrl.noteBuffer(w, -len(w.buffer))
-		w.ctrl.requeueFastLane(w.buffer)
+		w.ctrl.fastLane.Requeue(w.buffer)
 		w.buffer = nil
 	}
 
@@ -655,7 +622,6 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 			w.releaseContainer(inv.Action)
 			inv.Requeues++
 			inv.invoker = nil
-			w.Requeued++
 			// Retain for the new fast-lane message BEFORE dropping the
 			// running list's reference: an interruptible execution whose
 			// client timeout already completed holds no other reference,
@@ -669,7 +635,7 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 			w.ctrl.retain(inv)
 			w.ctrl.release(inv) // the running list's reference
 			w.oneMsg[0] = w.ctrl.b.Wrap(inv)
-			w.ctrl.requeueFastLane(w.oneMsg[:1])
+			w.ctrl.fastLane.Requeue(w.oneMsg[:1])
 			w.oneMsg[0] = nil
 		}
 	}
@@ -757,7 +723,7 @@ func (w *Invoker) Kill() {
 	// drops len(running) executions out of the busy aggregate in one
 	// step.
 	w.ctrl.noteStateChange(w, w.state, InvokerGone)
-	w.ctrl.leavePollGrid(w)
+	w.wake.Stop()
 	for _, inv := range w.running {
 		if inv.execEv.Stop() {
 			w.ctrl.release(inv) // the canceled completion event

@@ -100,9 +100,8 @@ func expectPickup(t *testing.T, sim *des.Sim, c *Controller, at des.Time, want *
 }
 
 // TestFastLanePickupAtNextPollPhase pins when hand-off work is pulled:
-// at the earliest next poll instant among the healthy invokers, which
-// is the instant (and, within it, the order) at which the per-invoker
-// poll tickers polled.
+// at the earliest first grid instant after the push among the healthy
+// invokers, whichever event pushed it.
 func TestFastLanePickupAtNextPollPhase(t *testing.T) {
 	const ms = time.Millisecond
 	t.Run("earliest phase wins", func(t *testing.T) {
@@ -122,8 +121,8 @@ func TestFastLanePickupAtNextPollPhase(t *testing.T) {
 	t.Run("push on the grid from an old event", func(t *testing.T) {
 		var x *Invoker
 		sim, c, x := handoffRig(t, func(sim *des.Sim) {
-			// Queued at 0, long before 2.4 s: the tick at 2.5 s, queued at
-			// 2.4 s, was still behind it.
+			// Queued at 0: how long ago the pushing event was scheduled
+			// does not matter, the push at 2.5 s is picked up at 2.6 s.
 			sim.Schedule(2500*ms, func() { x.Sigterm(false, nil) })
 		})
 		w := NewInvoker(DefaultInvokerConfig(), 9)
@@ -132,11 +131,7 @@ func TestFastLanePickupAtNextPollPhase(t *testing.T) {
 		if c.FastLaneDepth() != 0 {
 			t.Fatal("fast lane filled before the scheduled Sigterm")
 		}
-		sim.RunUntil(2500 * ms)
-		if c.FastLaneDepth() != 0 || len(w.running) != 1 {
-			t.Fatalf("at 2.5 s: fast lane %d, running %d; want the pickup in the push's own instant",
-				c.FastLaneDepth(), len(w.running))
-		}
+		expectPickup(t, sim, c, 2600*ms, w, w)
 	})
 	t.Run("push on the grid after RunUntil", func(t *testing.T) {
 		sim, c, x := handoffRig(t, nil)
@@ -149,21 +144,21 @@ func TestFastLanePickupAtNextPollPhase(t *testing.T) {
 }
 
 // TestSharedPhasePeerOrder pins the same-instant order of invokers
-// whose poll grids coincide: at a shared instant the first peer in
-// poll order pulls the fast-lane message. An invoker attached by an
-// event scheduled more than one interval before the attach goes ahead
-// of peers attached earlier (but behind peers attached by earlier
-// events of the same instant); any other attach goes last.
+// whose poll grids coincide: a fast-lane push arms them in slot order
+// (wakeInvokers), so at the shared grid instant the lowest slot pulls
+// first, whenever the event that attached each invoker was scheduled.
 func TestSharedPhasePeerOrder(t *testing.T) {
 	const ms = time.Millisecond
 	for _, tc := range []struct {
 		name     string
 		queuedAt []des.Time // when each late invoker's attach event is scheduled
+		spares   int        // slots below the early invoker's left free for the late ones
 		winner   int        // index into [early, late...] of the expected puller
 	}{
-		{"old attach event goes ahead", []des.Time{0}, 1},
-		{"recent attach event goes behind", []des.Time{2950 * ms}, 0},
-		{"same-instant attaches keep their order", []des.Time{0, 0}, 1},
+		{"old attach event goes behind", []des.Time{0}, 0, 0},
+		{"recent attach event goes behind", []des.Time{2950 * ms}, 0, 0},
+		{"same-instant attaches keep their order", []des.Time{0, 0}, 2, 1},
+		{"lower slot goes ahead", []des.Time{2950 * ms}, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c *Controller
@@ -178,8 +173,23 @@ func TestSharedPhasePeerOrder(t *testing.T) {
 					sim.Schedule(q, func() { sim.Schedule(3*time.Second, func() { c.Register(w) }) })
 				}
 			})
-			c.Register(ws[0]) // at 2 s, outside any event
+			// At 2 s, outside any event: idle spares take the slots below
+			// the early invoker's and drain at once, leaving them free.
+			spares := make([]*Invoker, tc.spares)
+			for i := range spares {
+				spares[i] = NewInvoker(DefaultInvokerConfig(), int64(20+i))
+				c.Register(spares[i])
+			}
+			c.Register(ws[0])
+			for _, s := range spares {
+				s.Sigterm(false, nil)
+			}
 			sim.RunUntil(3150 * ms)
+			for _, w := range ws[1 : 1+tc.spares] {
+				if w.slot >= ws[0].slot {
+					t.Fatalf("late invoker in slot %d, early one in slot %d; want the late one lower", w.slot, ws[0].slot)
+				}
+			}
 			x.Sigterm(false, nil)
 			expectPickup(t, sim, c, 3200*ms, ws[tc.winner], ws...)
 		})
