@@ -42,30 +42,47 @@ func stripTiming(b []byte) []byte {
 	return bytes.Join(out, []byte("\n"))
 }
 
-// TestRunGolden pins the rendered output of a small deterministic run,
-// including the per-minute series flags. Regenerate with `go test
-// ./cmd/hpcwhisk-sim -run TestRunGolden -update` after an intentional
-// change.
+// TestRunGolden pins the rendered output of small deterministic runs:
+// the hybrid hour with the per-minute series flags, and one run per
+// path no paper-day golden reaches (faasload with lambda cold starts
+// and cloud resumes, the federated cloud off-load, the job generator,
+// and the adaptive, lease and hybrid policies). Regenerate with `go
+// test ./cmd/hpcwhisk-sim -run TestRunGolden -update` after an
+// intentional change.
 func TestRunGolden(t *testing.T) {
-	var out, errb bytes.Buffer
-	args := []string{"-policy", "hybrid", "-nodes", "48", "-hours", "1", "-qps", "2", "-seed", "7", "-minutes", "-series"}
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"hybrid_hour", []string{"-policy", "hybrid", "-nodes", "48", "-hours", "1", "-qps", "2", "-seed", "7", "-minutes", "-series"}},
+		{"scientific_resume", []string{"-scenario", "scientific", "-nodes", "256", "-hours", "2", "-set", "checkpoint-interval=30s"}},
+		{"federated_offload", []string{"-scenario", "federated-day", "-nodes", "32", "-hours", "1", "-qps", "5", "-seed", "3",
+			"-set", "sites=2", "-set", "routing=capacity-weighted", "-set", "cloud-fallback=true"}},
+		{"endogenous", []string{"-scenario", "endogenous", "-nodes", "64", "-hours", "2"}},
+		{"policy_comparison", []string{"-scenario", "policy-comparison", "-nodes", "64", "-hours", "1"}},
 	}
-	got := stripTiming(out.Bytes())
-	golden := filepath.Join("testdata", "hybrid_hour.golden")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output diverged from %s (%d vs %d bytes); run with -update if intentional",
-			golden, len(got), len(want))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(tc.args, &out, &errb); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errb.String())
+			}
+			got := stripTiming(out.Bytes())
+			golden := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("output diverged from %s (%d vs %d bytes); run with -update if intentional",
+					golden, len(got), len(want))
+			}
+		})
 	}
 }
 
