@@ -108,21 +108,6 @@ func TestVarManagerSubmitsFlexibleSpecs(t *testing.T) {
 	}
 }
 
-// TestManagerStopHaltsReplenishment.
-func TestManagerStopHaltsReplenishment(t *testing.T) {
-	s := newSeededSite(4, "fib", 22)
-	tr := smallTrace(4, time.Hour, 23, 2)
-	s.LoadTrace(tr)
-	s.Start()
-	s.Run(10 * time.Minute)
-	s.Manager.Stop()
-	queuedBefore := s.Slurm.QueuedPilots()
-	s.Run(20 * time.Minute)
-	if got := s.Slurm.QueuedPilots(); got > queuedBefore {
-		t.Errorf("queue grew after Stop: %d → %d", queuedBefore, got)
-	}
-}
-
 // TestSlurmLevelStatsMath: shares derived from entries are consistent.
 func TestSlurmLevelStatsMath(t *testing.T) {
 	l := &SlurmLogger{}

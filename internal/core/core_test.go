@@ -93,8 +93,6 @@ func TestSigtermDuringWarmupExitsCleanly(t *testing.T) {
 	// gets preempted while still warming up (warm-up median 12.5 s but
 	// scheduling takes ~15 s, so the reclaim hits during warm-up).
 	s := newSeededSite(1, "fib", 3)
-	mcfg := s.Manager.cfg
-	_ = mcfg
 	tr := &workload.Trace{Nodes: 1, Horizon: time.Hour, Periods: []workload.IdlePeriod{
 		{Node: 0, Start: 0, End: 40 * time.Second, DeclaredEnd: 30 * time.Minute},
 	}}
@@ -325,13 +323,6 @@ func TestWorkerStatesConservation(t *testing.T) {
 	}
 	if got := ws.healthy; got != 0 {
 		t.Errorf("healthy now = %d", got)
-	}
-}
-
-func TestMinutesHelper(t *testing.T) {
-	ds := Minutes(2, 90)
-	if ds[0] != 2*time.Minute || ds[1] != 90*time.Minute {
-		t.Errorf("Minutes = %v", ds)
 	}
 }
 

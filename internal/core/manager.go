@@ -25,24 +25,11 @@ import (
 // (Table I, set A1).
 var SetA1 = policy.SetA1
 
-// Minutes builds a duration slice from minute values.
-func Minutes(ms ...int) []time.Duration { return policy.Minutes(ms...) }
-
 // ManagerConfig parameterizes the HPC-Whisk job manager.
 type ManagerConfig struct {
 	// Policy is the pilot-supply policy (required; fib and var model
 	// knobs live in policy.FibConfig and policy.VarConfig).
 	Policy policy.SupplyPolicy
-
-	// Partition is the tier-0 Slurm partition pilots are submitted to.
-	Partition string
-
-	// Replenish is the queue top-up period (15 s in the paper).
-	Replenish time.Duration
-
-	// WarmupSeconds is the invoker boot-to-healthy time distribution
-	// (§IV-B: median 12.48 s, p95 26.5 s).
-	WarmupSeconds dist.Dist
 
 	// GracefulHandoff enables the §III-C hand-off; disabling it is the
 	// unmodified-OpenWhisk ablation where SIGTERM just kills the worker.
@@ -51,13 +38,6 @@ type ManagerConfig struct {
 	// InterruptRunning enables interrupting in-flight executions of
 	// interrupt-safe actions during hand-off.
 	InterruptRunning bool
-
-	// DrainExitDelay is the local cleanup time between finishing the
-	// hand-off and the pilot job exiting.
-	DrainExitDelay time.Duration
-
-	Invoker whisk.InvokerConfig
-	Seed    int64
 }
 
 // DefaultManagerConfig returns the paper's manager configuration with
@@ -67,16 +47,24 @@ type ManagerConfig struct {
 func DefaultManagerConfig(policyName string) ManagerConfig {
 	return ManagerConfig{
 		Policy:           policy.MustNew(policyName),
-		Partition:        "whisk",
-		Replenish:        15 * time.Second,
-		WarmupSeconds:    dist.WarmupSeconds(),
 		GracefulHandoff:  true,
 		InterruptRunning: true,
-		DrainExitDelay:   2 * time.Second,
-		Invoker:          whisk.DefaultInvokerConfig(),
-		Seed:             1,
 	}
 }
+
+// pilotPartition is the tier-0 Slurm partition pilots are submitted to.
+const pilotPartition = "whisk"
+
+// replenishPeriod is the queue top-up period (15 s in the paper).
+const replenishPeriod = 15 * time.Second
+
+// warmupSeconds is the invoker boot-to-healthy time distribution
+// (§IV-B: median 12.48 s, p95 26.5 s).
+var warmupSeconds = dist.WarmupSeconds()
+
+// drainExitDelay is the local cleanup time between finishing the
+// hand-off and the pilot job exiting.
+const drainExitDelay = 2 * time.Second
 
 // policySeedOffset decorrelates the policy's private random stream
 // from the manager's warm-up/invoker stream (both pass through the
@@ -139,20 +127,22 @@ type PilotManager struct {
 }
 
 // newPilotManager wires a manager to a Slurm emulator and controller.
-// streaming switches the worker-state series to O(1)-memory accounting
-// (see NewWorkerStatesStreaming); pilot behavior, RNG draws and event
-// order are unaffected — only what the accounting retains.
-func newPilotManager(emu *slurm.Emulator, ctrl *whisk.Controller, cfg ManagerConfig, streaming bool) *PilotManager {
+// seed roots the manager's warm-up/invoker stream and, at a fixed
+// offset, the policy's. streaming switches the worker-state series to
+// O(1)-memory accounting (see NewWorkerStatesStreaming); pilot
+// behavior, RNG draws and event order are unaffected — only what the
+// accounting retains.
+func newPilotManager(emu *slurm.Emulator, ctrl *whisk.Controller, cfg ManagerConfig, seed int64, streaming bool) *PilotManager {
 	if cfg.Policy == nil {
 		panic("core: ManagerConfig.Policy is nil (build configs with DefaultManagerConfig)")
 	}
-	cfg.Policy.Init(dist.NewRand(cfg.Seed + policySeedOffset))
+	cfg.Policy.Init(dist.NewRand(seed + policySeedOffset))
 	m := &PilotManager{
 		sim:    emu.Sim(),
 		emu:    emu,
 		ctrl:   ctrl,
 		cfg:    cfg,
-		rng:    dist.NewRand(cfg.Seed),
+		rng:    dist.NewRand(seed),
 		policy: cfg.Policy,
 		pilots: map[*slurm.Job]*pilot{},
 		States: NewWorkerStatesStreaming(streaming),
@@ -167,15 +157,7 @@ func (m *PilotManager) Start() {
 		return
 	}
 	m.replenish()
-	m.ticker = m.sim.Every(m.cfg.Replenish, m.replenish)
-}
-
-// Stop halts replenishment (queued jobs stay queued).
-func (m *PilotManager) Stop() {
-	if m.ticker != nil {
-		m.ticker.Stop()
-		m.ticker = nil
-	}
+	m.ticker = m.sim.Every(replenishPeriod, m.replenish)
 }
 
 // replenish delegates the queue top-up decision to the policy (§III-D:
@@ -221,7 +203,7 @@ func (e managerEnv) SubmitFixed(limit time.Duration, priority int64) {
 	m.Submitted++
 	j := m.emu.Submit(slurm.JobSpec{
 		Name:      "hpcwhisk-" + m.policy.Name(),
-		Partition: m.cfg.Partition,
+		Partition: pilotPartition,
 		Nodes:     1,
 		TimeLimit: limit,
 		Priority:  priority,
@@ -238,7 +220,7 @@ func (e managerEnv) SubmitFlexible(min, max time.Duration) {
 	m.Submitted++
 	j := m.emu.Submit(slurm.JobSpec{
 		Name:      "hpcwhisk-" + m.policy.Name(),
-		Partition: m.cfg.Partition,
+		Partition: pilotPartition,
 		Nodes:     1,
 		TimeMin:   min,
 		TimeLimit: max,
@@ -285,7 +267,7 @@ func (m *PilotManager) onPilotStart(j *slurm.Job) {
 	p := &pilot{job: j, phase: phaseWarming}
 	m.pilots[j] = p
 	m.States.Add(m.sim.Now(), phaseWarming)
-	warmup := dist.Seconds(m.cfg.WarmupSeconds, m.rng)
+	warmup := dist.Seconds(warmupSeconds, m.rng)
 	p.warmupEv = m.sim.AfterCall(warmup, m.warmupFn, p)
 	m.policy.PilotStarted(managerEnv{m})
 }
@@ -297,7 +279,7 @@ func (m *PilotManager) warmupCb(v any) {
 	if p.job.State != slurm.Running {
 		return
 	}
-	inv := whisk.NewInvoker(m.cfg.Invoker, m.rng.Int63())
+	inv := whisk.NewInvoker(whisk.DefaultInvokerConfig(), m.rng.Int63())
 	m.ctrl.Register(inv)
 	p.invoker = inv
 	p.healthyAt = m.sim.Now()
@@ -332,7 +314,7 @@ func (m *PilotManager) onSigterm(j *slurm.Job, at des.Time) {
 		m.ReadySpans.AddDuration(at - p.healthyAt)
 		m.Handoffs++
 		p.invoker.Sigterm(m.cfg.InterruptRunning, func() {
-			m.sim.After(m.cfg.DrainExitDelay, func() {
+			m.sim.After(drainExitDelay, func() {
 				if p.phase == phaseDraining {
 					m.finishPilot(p, m.sim.Now())
 				}
@@ -365,11 +347,7 @@ func (m *PilotManager) onEnd(j *slurm.Job, reason slurm.EndReason) {
 		}
 		m.finishPilot(p, m.sim.Now())
 	}
-	m.policy.PilotEnded(managerEnv{m}, policy.PilotEnd{
-		Reason:     endReason(reason),
-		Limit:      j.Granted,
-		Registered: p.invoker != nil,
-	})
+	m.policy.PilotEnded(managerEnv{m}, policy.PilotEnd{Reason: endReason(reason)})
 }
 
 // exitJob is the shared typed-arg callback for delayed pilot exits.

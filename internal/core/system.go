@@ -80,11 +80,9 @@ func NewSite(sim *des.Sim, cfg SiteConfig) *Site {
 	b := bus.New(sim, nil, cfg.Seed+1)
 	ctrl := whisk.NewController(sim, b, cfg.Controller, cfg.Seed+2)
 	emu := slurm.New(sim, cfg.Nodes, cfg.Slurm)
-	emu.AddPartition(slurm.Partition{Name: cfg.Manager.Partition, PriorityTier: 0})
+	emu.AddPartition(slurm.Partition{Name: pilotPartition, PriorityTier: 0})
 	emu.AddPartition(slurm.Partition{Name: "hpc", PriorityTier: 1})
-	mcfg := cfg.Manager
-	mcfg.Seed = cfg.Seed + 3
-	mgr := newPilotManager(emu, ctrl, mcfg, cfg.StreamingStats)
+	mgr := newPilotManager(emu, ctrl, cfg.Manager, cfg.Seed+3, cfg.StreamingStats)
 	logger := NewSlurmLogger(emu, cfg.Seed+4)
 	logger.SetStreaming(cfg.StreamingStats)
 	return &Site{

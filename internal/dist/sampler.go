@@ -79,6 +79,3 @@ func (s *Sampler) Seconds() time.Duration {
 	}
 	return time.Duration(v * float64(time.Second))
 }
-
-// Dist returns the bound distribution.
-func (s *Sampler) Dist() Dist { return s.d }

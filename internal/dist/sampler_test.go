@@ -51,14 +51,6 @@ func TestSamplerSecondsClampsNegative(t *testing.T) {
 	}
 }
 
-func TestSamplerDistAccessor(t *testing.T) {
-	d := Uniform{Lo: 1, Hi: 2}
-	s := NewSampler(d, NewRand(1))
-	if s.Dist() != d {
-		t.Errorf("Dist() = %v, want %v", s.Dist(), d)
-	}
-}
-
 // BenchmarkSampler* document why the request path caches Samplers: the
 // devirtualized draw avoids the interface call per sample.
 func BenchmarkSamplerUniform(b *testing.B) {

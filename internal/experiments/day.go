@@ -457,8 +457,9 @@ func (r DayResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "  responsiveness (Fig %sb): %s\n",
 			r.Config.figLabel(), r.Load.String())
 	}
-	// Gated on configuration, not Work.Zero(): goodput accrues on every
-	// run, and the golden-pinned runs never set CheckpointInterval.
+	// Gated on configuration, not on an all-zero ledger: goodput
+	// accrues on every run, and the golden-pinned runs never set
+	// CheckpointInterval.
 	if r.Config.CheckpointInterval > 0 {
 		wk := r.Work
 		fmt.Fprintf(w, "  checkpointing (%v interval): %d dumps, %d resumes (%d cloud); goodput %.1f%% of body time, wasted %v, lost %v; dump %v, restore %v\n",

@@ -109,8 +109,9 @@ type FederatedSiteStats struct {
 	Coverage   float64
 	HealthyAvg float64
 
-	// Successful end-to-end latency quantiles observed at the door.
-	P50, P95, P99 time.Duration
+	// P95 is the successful end-to-end latency quantile observed at
+	// the door.
+	P95 time.Duration
 
 	Pilots int
 }
@@ -316,9 +317,7 @@ func runFederatedOnce(ctx context.Context, cfg FederatedConfig, routing string, 
 			s.Share503 = float64(s.N503) / float64(completed)
 		}
 		if lat := fed.Door.LatencyBySite[i]; lat != nil && lat.Len() > 0 {
-			s.P50 = secondsDur(lat.Quantile(0.50))
 			s.P95 = secondsDur(lat.Quantile(0.95))
-			s.P99 = secondsDur(lat.Quantile(0.99))
 		}
 		if lat := fed.Door.LatencyBySite[i]; lat != nil {
 			run.MetricsBytes += lat.Footprint()

@@ -30,7 +30,7 @@ func (r DayResult) Metrics() map[string]float64 {
 	if r.Config.Streaming {
 		m["metrics-bytes"] = float64(r.MetricsBytes)
 	}
-	// Config-gated (not Work.Zero()-gated): goodput accrues on every
+	// Config-gated, not ledger-gated: goodput accrues on every
 	// run, but the ledger is only a headline when checkpointing is on.
 	if r.Config.CheckpointInterval > 0 {
 		m["checkpoints"] = float64(r.Work.Checkpoints)

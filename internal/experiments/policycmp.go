@@ -24,21 +24,23 @@ type PolicyComparisonConfig struct {
 	QPS     float64
 
 	// Trace calibration shared by all rows.
-	MeanIdleNodes     float64
-	SaturatedFraction float64
+	MeanIdleNodes float64
 }
+
+// comparisonSaturatedFraction is the zero-idle share of the trace all
+// rows share.
+const comparisonSaturatedFraction = 0.02
 
 // DefaultPolicyComparisonConfig returns a tractable afternoon-sized
 // scenario over every registered policy.
 func DefaultPolicyComparisonConfig(seed int64) PolicyComparisonConfig {
 	return PolicyComparisonConfig{
-		Policies:          policy.Names(),
-		Nodes:             256,
-		Horizon:           4 * time.Hour,
-		Seed:              seed,
-		QPS:               10,
-		MeanIdleNodes:     10,
-		SaturatedFraction: 0.02,
+		Policies:      policy.Names(),
+		Nodes:         256,
+		Horizon:       4 * time.Hour,
+		Seed:          seed,
+		QPS:           10,
+		MeanIdleNodes: 10,
 	}
 }
 
@@ -84,7 +86,7 @@ func RunPolicyComparisonCtx(ctx context.Context, cfg PolicyComparisonConfig, pro
 		day.Horizon = cfg.Horizon
 		day.QPS = cfg.QPS
 		day.MeanIdleNodes = cfg.MeanIdleNodes
-		day.SaturatedFraction = cfg.SaturatedFraction
+		day.SaturatedFraction = comparisonSaturatedFraction
 		r, err := RunDayCtx(ctx, day, offsetProgress(progress, time.Duration(i)*perDay, total))
 		if err != nil {
 			return res, err

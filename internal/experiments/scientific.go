@@ -76,7 +76,6 @@ type ClassStats struct {
 	Success     int
 	Lost        int
 	Failed      int
-	N503        int
 	Median      time.Duration
 	P95         time.Duration
 }
@@ -212,14 +211,14 @@ func RunScientificCtx(ctx context.Context, cfg ScientificConfig, progress Progre
 }
 
 type classAcc struct {
-	n, success, lost, failed, n503 int
-	lat                            stats.Sample
+	n, success, lost, failed int
+	lat                      stats.Sample
 }
 
 func (a *classAcc) stats() ClassStats {
 	out := ClassStats{
 		Invocations: a.n, Success: a.success, Lost: a.lost,
-		Failed: a.failed, N503: a.n503,
+		Failed: a.failed,
 	}
 	if a.lat.Len() > 0 {
 		out.Median = time.Duration(a.lat.Median() * float64(time.Second))
@@ -250,8 +249,6 @@ func (c *classifyingBackend) Invoke(action string, done func(*whisk.Invocation))
 				a.lost++
 			case whisk.StatusFailed:
 				a.failed++
-			case whisk.Status503:
-				a.n503++
 			}
 		}
 		if done != nil {

@@ -92,19 +92,3 @@ func TestTraceConfigReflectsDay(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestWeekWindowDay: cutting one experiment day out of the week trace
-// (as the paper did with separate working days) yields a valid day.
-func TestWeekWindowDay(t *testing.T) {
-	day := weekTr.Window(2*24*time.Hour, 3*24*time.Hour)
-	if day.Horizon != 24*time.Hour {
-		t.Fatalf("horizon = %v", day.Horizon)
-	}
-	if err := day.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mean := day.IdleCount().TimeMean()
-	if mean < 3 || mean > 20 {
-		t.Errorf("day mean idle = %.2f, implausible", mean)
-	}
-}

@@ -35,40 +35,36 @@ type Spec struct {
 	Functions int
 	Seed      int64
 
-	// MedianSeconds draws each function's median execution time; the
-	// default matches "50% under 3 s, 90% under 60 s".
-	MedianSeconds dist.Dist
-
-	// JitterSigma is the lognormal sigma of per-invocation variation
-	// around the function's median.
-	JitterSigma float64
-
 	// MaxExec caps a single execution (the platform's function-runtime
 	// ceiling).
 	MaxExec time.Duration
-
-	// ZipfS is the popularity skew exponent: weight(rank) = rank^-s.
-	ZipfS float64
-
-	// MemoryMB draws per-function memory sizes.
-	MemoryMB dist.Dist
 }
 
 // DefaultSpec returns the Azure-calibrated workload over n functions.
 func DefaultSpec(n int, seed int64) Spec {
 	return Spec{
-		Functions:     n,
-		Seed:          seed,
-		MedianSeconds: dist.LognormalFromQuantiles(3.0, 60.0, 0.90),
-		JitterSigma:   0.25,
-		MaxExec:       240 * time.Second,
-		ZipfS:         1.4,
-		MemoryMB: dist.NewDiscrete(
-			[]float64{128, 256, 512, 1024, 2048},
-			[]float64{30, 35, 20, 10, 5},
-		),
+		Functions: n,
+		Seed:      seed,
+		MaxExec:   240 * time.Second,
 	}
 }
+
+// medianSeconds draws each function's median execution time, matching
+// "50% under 3 s, 90% under 60 s".
+var medianSeconds = dist.LognormalFromQuantiles(3.0, 60.0, 0.90)
+
+// jitterSigma is the lognormal sigma of per-invocation variation around
+// a function's median.
+const jitterSigma = 0.25
+
+// zipfS is the popularity skew exponent: weight(rank) = rank^-s.
+const zipfS = 1.4
+
+// memoryMB draws per-function memory sizes.
+var memoryMB = dist.NewDiscrete(
+	[]float64{128, 256, 512, 1024, 2048},
+	[]float64{30, 35, 20, 10, 5},
+)
 
 // Function is one deployed function with its popularity weight.
 type Function struct {
@@ -91,24 +87,24 @@ func (s Spec) Build() *Workload {
 	r := dist.NewRand(s.Seed)
 	w := &Workload{Functions: make([]Function, s.Functions)}
 	for i := 0; i < s.Functions; i++ {
-		medianSec := s.MedianSeconds.Sample(r)
+		medianSec := medianSeconds.Sample(r)
 		maxSec := s.MaxExec.Seconds()
 		if medianSec > maxSec {
 			medianSec = maxSec
 		}
 		median := time.Duration(medianSec * float64(time.Second))
 		class := Classify(median)
-		exec := execModel(medianSec, s.JitterSigma, maxSec)
+		exec := execModel(medianSec, maxSec)
 		fn := Function{
 			Action: &whisk.Action{
 				Name:     fmt.Sprintf("fn-%s-%03d", class, i),
-				MemoryMB: int(s.MemoryMB.Sample(r)),
+				MemoryMB: int(memoryMB.Sample(r)),
 				Exec:     exec,
 				// Long-running functions opt out of mid-execution
 				// interruption (§III-C's non-atomic side-effect caveat).
 				Interruptible: class != ClassLong,
 			},
-			Weight: math.Pow(float64(i+1), -s.ZipfS),
+			Weight: math.Pow(float64(i+1), -zipfS),
 			Class:  class,
 			Median: median,
 		}
@@ -129,8 +125,8 @@ func Classify(median time.Duration) Class {
 	}
 }
 
-func execModel(medianSec, sigma, maxSec float64) whisk.ExecFunc {
-	ln := dist.Lognormal{Mu: math.Log(medianSec), Sigma: sigma}
+func execModel(medianSec, maxSec float64) whisk.ExecFunc {
+	ln := dist.Lognormal{Mu: math.Log(medianSec), Sigma: jitterSigma}
 	capped := dist.Clamped{D: ln, Min: 0.001, Max: maxSec}
 	return whisk.DistExec(capped)
 }

@@ -45,39 +45,43 @@ func Platform(memoryMB int) sebs.Platform {
 
 // ClientConfig models the invocation path of the commercial service.
 type ClientConfig struct {
-	MemoryMB        int
-	WarmOverhead    dist.Dist // request path overhead, seconds
-	ColdStart       dist.Dist // extra cold-start latency, seconds
-	ColdProb        float64   // probability a call hits a cold slot
-	FailureProb     float64
-	DefaultExecTime time.Duration // for actions without a registered model
-
-	// Resume path (InvokeResume): the checkpoint state of a stranded
-	// cluster execution is uploaded at ResumeBandwidthMBps, then the
-	// process reconstructs in ResumeOverhead seconds before the
-	// remaining body runs. Only drawn when a resume is invoked, so
-	// deployments without checkpointing keep their draw sequence.
-	ResumeBandwidthMBps dist.Dist
-	ResumeOverhead      dist.Dist
+	WarmOverhead dist.Dist // request path overhead, seconds
+	ColdProb     float64   // probability a call hits a cold slot
+	FailureProb  float64
 }
 
 // DefaultClientConfig returns a Lambda-like client model: sub-100 ms
 // warm overhead, occasional several-hundred-ms cold starts.
 func DefaultClientConfig() ClientConfig {
 	return ClientConfig{
-		MemoryMB:        2048,
-		WarmOverhead:    dist.Uniform{Lo: 0.030, Hi: 0.120},
-		ColdStart:       dist.Uniform{Lo: 0.250, Hi: 0.900},
-		ColdProb:        0.02,
-		FailureProb:     0.001,
-		DefaultExecTime: 10 * time.Millisecond,
-		// Cross-site upload is slower than the cluster-internal restore
-		// path: the calibrated RestoreBandwidthMBps halved (lognormal
-		// median 350→175 MB/s, same spread, clamps scaled to match).
-		ResumeBandwidthMBps: dist.Clamped{D: dist.Lognormal{Mu: math.Log(175), Sigma: 0.4}, Min: 40, Max: 600},
-		ResumeOverhead:      dist.RestoreOverheadSeconds(),
+		WarmOverhead: dist.Uniform{Lo: 0.030, Hi: 0.120},
+		ColdProb:     0.02,
+		FailureProb:  0.001,
 	}
 }
+
+// memoryMB is the function memory size of the modelled service.
+const memoryMB = 2048
+
+// defaultExecTime is the execution time of actions without a
+// registered model.
+const defaultExecTime = 10 * time.Millisecond
+
+// coldStartSeconds is the extra latency of a call that hits a cold slot.
+var coldStartSeconds dist.Dist = dist.Uniform{Lo: 0.250, Hi: 0.900}
+
+// The resume path (InvokeResume): the checkpoint state of a stranded
+// cluster execution is uploaded at resumeBandwidthMBps, then the
+// process reconstructs in resumeOverheadSeconds before the remaining
+// body runs. Only drawn when a resume is invoked, so deployments
+// without checkpointing keep their draw sequence.
+var (
+	// Cross-site upload is slower than the cluster-internal restore
+	// path: the calibrated restore bandwidth halved (lognormal median
+	// 350→175 MB/s, same spread, clamps scaled to match).
+	resumeBandwidthMBps   dist.Dist = dist.Clamped{D: dist.Lognormal{Mu: math.Log(175), Sigma: 0.4}, Min: 40, Max: 600}
+	resumeOverheadSeconds           = dist.RestoreOverheadSeconds()
+)
 
 // Client is a core.Backend that always has capacity (the commercial
 // cloud never runs out of idle HPC nodes). It executes registered
@@ -101,7 +105,7 @@ func NewClient(sim *des.Sim, cfg ClientConfig, seed int64) *Client {
 }
 
 // RegisterAction attaches an execution-time model to an action name.
-// Unregistered actions fall back to DefaultExecTime.
+// Unregistered actions fall back to defaultExecTime.
 func (c *Client) RegisterAction(name string, exec whisk.ExecFunc) { c.exec[name] = exec }
 
 // Invoke implements core.Backend: the call always succeeds (modulo the
@@ -119,13 +123,13 @@ func (c *Client) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invo
 	if fn, ok := c.exec[action]; ok {
 		execTime = fn(c.rng)
 	} else {
-		execTime = c.cfg.DefaultExecTime
+		execTime = defaultExecTime
 	}
-	execTime = time.Duration(float64(execTime) / SpeedFactor(c.cfg.MemoryMB))
+	execTime = time.Duration(float64(execTime) / SpeedFactor(memoryMB))
 
 	total := dist.Seconds(c.cfg.WarmOverhead, c.rng) + execTime
 	if c.rng.Float64() < c.cfg.ColdProb {
-		total += dist.Seconds(c.cfg.ColdStart, c.rng)
+		total += dist.Seconds(coldStartSeconds, c.rng)
 		inv.ColdStart = true
 		c.ColdCalls++
 	}
@@ -161,14 +165,14 @@ func (c *Client) InvokeResume(action string, remaining time.Duration, stateMB fl
 		Resumes:   1,
 	}
 	c.nextID++
-	exec := time.Duration(float64(remaining) / SpeedFactor(c.cfg.MemoryMB))
+	exec := time.Duration(float64(remaining) / SpeedFactor(memoryMB))
 	var transfer time.Duration
-	if bw := c.cfg.ResumeBandwidthMBps.Sample(c.rng); bw > 0 && stateMB > 0 {
+	if bw := resumeBandwidthMBps.Sample(c.rng); bw > 0 && stateMB > 0 {
 		transfer = time.Duration(stateMB / bw * float64(time.Second))
 	}
 	total := dist.Seconds(c.cfg.WarmOverhead, c.rng) +
-		dist.Seconds(c.cfg.ColdStart, c.rng) +
-		transfer + dist.Seconds(c.cfg.ResumeOverhead, c.rng) + exec
+		dist.Seconds(coldStartSeconds, c.rng) +
+		transfer + dist.Seconds(resumeOverheadSeconds, c.rng) + exec
 	c.ColdCalls++
 	status := whisk.StatusSuccess
 	if c.rng.Float64() < c.cfg.FailureProb {

@@ -71,13 +71,6 @@ func (r EndReason) String() string {
 // PilotEnd describes one ended pilot to the policy.
 type PilotEnd struct {
 	Reason EndReason
-
-	// Limit is the time limit Slurm granted the pilot.
-	Limit time.Duration
-
-	// Registered reports whether the pilot's invoker reached the
-	// controller (false: it was killed during warm-up).
-	Registered bool
 }
 
 // Env is the manager-provided view of the deployment a policy observes

@@ -129,7 +129,7 @@ func TestLeaseReplenishCountsRunning(t *testing.T) {
 }
 
 func TestLeaseRenewalDecision(t *testing.T) {
-	expired := PilotEnd{Reason: EndExpired, Limit: 30 * time.Minute, Registered: true}
+	expired := PilotEnd{Reason: EndExpired}
 
 	always := NewLease(LeaseConfig{Term: 30 * time.Minute, Target: 5, RenewProb: 1})
 	always.Init(dist.NewRand(1))
@@ -156,7 +156,7 @@ func TestLeaseRenewalDecision(t *testing.T) {
 }
 
 func TestAdaptiveGrowsUnderOverload(t *testing.T) {
-	p := NewAdaptive(DefaultAdaptiveConfig())
+	p := NewAdaptive()
 	env := newFakeEnv()
 	start := p.depth
 
@@ -181,8 +181,7 @@ func TestAdaptiveGrowsUnderOverload(t *testing.T) {
 }
 
 func TestAdaptiveShrinksUnderSustainedLowLoad(t *testing.T) {
-	cfg := DefaultAdaptiveConfig()
-	p := NewAdaptive(cfg)
+	p := NewAdaptive()
 	env := newFakeEnv()
 	env.healthy, env.util = 5, 0.01
 	start := p.depth
@@ -205,27 +204,26 @@ func TestAdaptiveShrinksUnderSustainedLowLoad(t *testing.T) {
 		env.done += 100
 		p.Replenish(env)
 	}
-	if p.depth != cfg.MinDepth {
-		t.Errorf("depth %d, want clamped at MinDepth %d", p.depth, cfg.MinDepth)
+	if p.depth != adaptiveMinDepth {
+		t.Errorf("depth %d, want clamped at the minimum depth %d", p.depth, adaptiveMinDepth)
 	}
 }
 
 func TestAdaptiveCeilingHolds(t *testing.T) {
-	cfg := DefaultAdaptiveConfig()
-	p := NewAdaptive(cfg)
+	p := NewAdaptive()
 	env := newFakeEnv()
 	for i := 0; i < 100; i++ {
 		env.done += 100
 		env.n503 += 100
 		p.Replenish(env)
 	}
-	if p.depth != cfg.MaxDepth {
-		t.Errorf("depth %d, want clamped at MaxDepth %d", p.depth, cfg.MaxDepth)
+	if p.depth != adaptiveMaxDepth {
+		t.Errorf("depth %d, want clamped at the maximum depth %d", p.depth, adaptiveMaxDepth)
 	}
 }
 
 func TestAdaptiveHoldsWithoutSignal(t *testing.T) {
-	p := NewAdaptive(DefaultAdaptiveConfig())
+	p := NewAdaptive()
 	env := newFakeEnv() // no traffic, no healthy invokers
 	start := p.depth
 	for i := 0; i < 10; i++ {

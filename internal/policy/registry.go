@@ -55,7 +55,7 @@ func Names() []string {
 func init() {
 	Register("fib", func() SupplyPolicy { return NewFib(DefaultFibConfig()) })
 	Register("var", func() SupplyPolicy { return NewVar(DefaultVarConfig()) })
-	Register("adaptive", func() SupplyPolicy { return NewAdaptive(DefaultAdaptiveConfig()) })
+	Register("adaptive", func() SupplyPolicy { return NewAdaptive() })
 	Register("lease", func() SupplyPolicy { return NewLease(DefaultLeaseConfig()) })
 	Register("hybrid", func() SupplyPolicy { return NewHybrid(DefaultHybridConfig()) })
 }

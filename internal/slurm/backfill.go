@@ -199,7 +199,7 @@ func (e *Emulator) computeShadow(need int, now des.Time) (shadow des.Time, needF
 		}
 	}
 	// Not satisfiable from declared info: plan at the backfill horizon.
-	return now + e.cfg.BackfillWindow, avail
+	return now + backfillWindow, avail
 }
 
 // reservationWindow bounds a pilot's window on a node in full-scheduler
@@ -209,7 +209,7 @@ func (e *Emulator) reservationWindow(node int, now des.Time) time.Duration {
 	if e.headReservation.nodes[node] && e.headReservation.shadow > now {
 		return e.headReservation.shadow - now
 	}
-	return e.cfg.BackfillWindow
+	return backfillWindow
 }
 
 // onPrimeNodeFree schedules a prompt prime pass after a prime job frees

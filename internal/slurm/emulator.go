@@ -15,21 +15,10 @@ import (
 // (see DefaultConfig) mirror the Prometheus configuration described in
 // the paper.
 type Config struct {
-	// Grace is the SIGTERM→SIGKILL notice (3 minutes on Prometheus).
-	Grace time.Duration
-
 	// SchedInterval is the nominal period of scheduling passes. A pass
 	// whose own duration exceeds the interval delays the next pass —
 	// the mechanism behind the var model's coverage loss (§V-B2).
 	SchedInterval time.Duration
-
-	// Slot is the backfill allocation granularity (2 minutes on
-	// Prometheus: job lengths must be even, §IV-B).
-	Slot time.Duration
-
-	// BackfillWindow is how far into the future backfill plans
-	// (120 minutes on Prometheus).
-	BackfillWindow time.Duration
 
 	// Scheduling-pass cost model: a pass lasts
 	// PassBase + PassPerFixedJob·(queued fixed) + PassPerVarJob·(queued
@@ -43,15 +32,26 @@ type Config struct {
 // DefaultConfig returns the Prometheus-like configuration.
 func DefaultConfig() Config {
 	return Config{
-		Grace:           3 * time.Minute,
 		SchedInterval:   15 * time.Second,
-		Slot:            2 * time.Minute,
-		BackfillWindow:  120 * time.Minute,
 		PassBase:        500 * time.Millisecond,
 		PassPerFixedJob: 10 * time.Millisecond,
 		PassPerVarJob:   600 * time.Millisecond,
 	}
 }
+
+// Prometheus's fixed scheduler settings.
+const (
+	// grace is the SIGTERM→SIGKILL notice (3 minutes on Prometheus).
+	grace = 3 * time.Minute
+
+	// slot is the backfill allocation granularity (2 minutes on
+	// Prometheus: job lengths must be even, §IV-B).
+	slot = 2 * time.Minute
+
+	// backfillWindow is how far into the future backfill plans
+	// (120 minutes on Prometheus).
+	backfillWindow = 120 * time.Minute
+)
 
 // Emulator is the Slurm controller (slurmctld) emulation.
 type Emulator struct {
@@ -90,7 +90,6 @@ type Emulator struct {
 	// Counters for tests and experiment reports.
 	Started    int
 	Preempted  int
-	TimedOut   int
 	Cancelled  int
 	GracefulEx int
 }
@@ -358,7 +357,7 @@ func (e *Emulator) schedulePilotsOn(idle []int) {
 			continue // reclaimed while the pass was in flight
 		}
 		window := e.visibleWindow(node, now)
-		if window < e.cfg.Slot {
+		if window < slot {
 			continue
 		}
 		j := e.pilotQueue.bestFit(window)
@@ -371,7 +370,7 @@ func (e *Emulator) schedulePilotsOn(idle []int) {
 			if granted > j.Spec.TimeLimit {
 				granted = j.Spec.TimeLimit
 			}
-			granted = granted - granted%e.cfg.Slot
+			granted = granted - granted%slot
 			if granted < j.Spec.TimeMin {
 				continue
 			}
@@ -393,15 +392,15 @@ func (e *Emulator) visibleWindow(node int, now des.Time) time.Duration {
 		if decl > now {
 			w = decl - now
 		} else {
-			w = e.cfg.Slot
+			w = slot
 		}
 	} else {
 		w = e.reservationWindow(node, now)
 	}
-	if w > e.cfg.BackfillWindow {
-		w = e.cfg.BackfillWindow
+	if w > backfillWindow {
+		w = backfillWindow
 	}
-	return w - w%e.cfg.Slot
+	return w - w%slot
 }
 
 // startJob launches a job on the given nodes.
@@ -439,13 +438,12 @@ func (e *Emulator) sigterm(j *Job, reason EndReason) {
 	now := e.sim.Now()
 	j.State = Completing
 	j.Reason = reason
-	j.SigtermAt = now
 	j.endEvent.Stop()
 	if j.Spec.OnSigterm == nil {
 		e.finish(j, reason)
 		return
 	}
-	j.killEv = e.sim.After(e.cfg.Grace, func() { e.finish(j, reason) })
+	j.killEv = e.sim.After(grace, func() { e.finish(j, reason) })
 	j.Spec.OnSigterm(j, now)
 }
 
@@ -487,11 +485,8 @@ func (e *Emulator) finish(j *Job, reason EndReason) {
 			e.onPrimeNodeFree()
 		}
 	}
-	switch reason {
-	case ReasonPreempted:
+	if reason == ReasonPreempted {
 		e.Preempted++
-	case ReasonTimeout:
-		e.TimedOut++
 	}
 	if wasCompleting && j.GracefulExit {
 		e.GracefulEx++

@@ -119,7 +119,6 @@ type Job struct {
 	Reason    EndReason
 	Submitted des.Time
 	Started   des.Time
-	SigtermAt des.Time
 	Ended     des.Time
 
 	// Granted is the walltime the scheduler allotted (equals

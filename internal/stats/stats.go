@@ -101,14 +101,6 @@ func (s *Sample) CDFAt(x float64) float64 {
 	return float64(n) / float64(len(s.xs))
 }
 
-// Values returns a copy of the observations in sorted order.
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
 // CDF renders the sample as (x, F(x)) points at the given probe points,
 // e.g. to regenerate the paper's CDF figures.
 func (s *Sample) CDF(probes []float64) []CDFPoint {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -200,27 +199,6 @@ func TestTimeWeightedOutOfOrderPanics(t *testing.T) {
 	tw.Observe(5*time.Second, 2)
 }
 
-func TestStateTracker(t *testing.T) {
-	st := NewStateTracker(0, "idle")
-	st.Set(10*time.Second, "busy")
-	st.Set(30*time.Second, "idle")
-	totals := st.Finish(40 * time.Second)
-	if totals["idle"] != 20*time.Second {
-		t.Errorf("idle = %v, want 20s", totals["idle"])
-	}
-	if totals["busy"] != 20*time.Second {
-		t.Errorf("busy = %v, want 20s", totals["busy"])
-	}
-}
-
-func TestStateTrackerCurrentState(t *testing.T) {
-	st := NewStateTracker(0, "a")
-	st.Set(time.Second, "b")
-	if st.State() != "b" {
-		t.Errorf("state = %q, want b", st.State())
-	}
-}
-
 func TestMinuteSeries(t *testing.T) {
 	ms := NewMinuteSeries(time.Minute)
 	ms.Add(10*time.Second, "ok")
@@ -310,44 +288,5 @@ func TestPropertyTimeWeightedMeanBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: StateTracker totals always sum to the tracked span.
-func TestPropertyStateTrackerConserves(t *testing.T) {
-	f := func(steps []uint8) bool {
-		st := NewStateTracker(0, "s0")
-		var now time.Duration
-		states := []string{"s0", "s1", "s2"}
-		for i, d := range steps {
-			now += time.Duration(d) * time.Second
-			st.Set(now, states[i%3])
-		}
-		end := now + time.Minute
-		totals := st.Finish(end)
-		var sum time.Duration
-		for _, v := range totals {
-			sum += v
-		}
-		return sum == end
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Sorted check: Values returns nondecreasing output and does not alias.
-func TestValuesSortedCopy(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{3, 1, 2} {
-		s.Add(x)
-	}
-	vs := s.Values()
-	if !sort.Float64sAreSorted(vs) {
-		t.Error("Values not sorted")
-	}
-	vs[0] = 999
-	if s.Min() == 999 {
-		t.Error("Values aliases internal storage")
 	}
 }

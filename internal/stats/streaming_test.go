@@ -70,26 +70,6 @@ func TestWindowedCountsRetainedTail(t *testing.T) {
 	checkTail("after the stale add") // no bucket rematerialized
 }
 
-func TestWindowedCountsRecentRate(t *testing.T) {
-	wc := NewWindowedCounts(time.Minute, 5)
-	// 120 events/min over minutes 0..4; minute 4 is the still-filling
-	// newest bucket and is excluded.
-	for m := 0; m < 5; m++ {
-		for j := 0; j < 120; j++ {
-			wc.Add(time.Duration(m)*time.Minute, "req")
-		}
-	}
-	if got, want := wc.RecentRate("req"), 2.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("RecentRate = %v, want %v", got, want)
-	}
-	if got := wc.RecentRate("other"); got != 0 {
-		t.Errorf("RecentRate(unknown) = %v, want 0", got)
-	}
-	if got := NewWindowedCounts(time.Minute, 5).RecentRate("req"); got != 0 {
-		t.Errorf("empty RecentRate = %v, want 0", got)
-	}
-}
-
 func TestWindowedCountsFootprintBounded(t *testing.T) {
 	short := NewWindowedCounts(time.Minute, 60)
 	long := NewWindowedCounts(time.Minute, 60)

@@ -82,7 +82,3 @@ func Summarize(xs []float64) Summary {
 	}
 	return out
 }
-
-// Summarize condenses the sample itself (replica values already
-// accumulated through Add).
-func (s *Sample) Summarize() Summary { return Summarize(s.xs) }

@@ -54,12 +54,6 @@ func TestSummarizeContract(t *testing.T) {
 	if got := Summarize([]float64{math.NaN(), math.Inf(1)}); got != (Summary{}) {
 		t.Errorf("all-non-finite input = %+v, want zero Summary", got)
 	}
-
-	// The zero-value Sample summarizes under the same contract.
-	var s Sample
-	if got := s.Summarize(); got != (Summary{}) {
-		t.Errorf("empty Sample.Summarize() = %+v, want zero Summary", got)
-	}
 }
 
 func TestSummarizeKnownValues(t *testing.T) {
@@ -95,15 +89,5 @@ func TestTCrit95Monotonic(t *testing.T) {
 	}
 	if TCrit95(1000) != 1.96 {
 		t.Errorf("large-sample critical value = %v, want 1.96", TCrit95(1000))
-	}
-}
-
-func TestSampleSummarizeMatchesSummarize(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{2, 9, 4, 7} {
-		s.Add(x)
-	}
-	if s.Summarize() != Summarize([]float64{2, 9, 4, 7}) {
-		t.Error("Sample.Summarize disagrees with Summarize")
 	}
 }

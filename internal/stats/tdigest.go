@@ -57,10 +57,9 @@ type TDigest struct {
 	n        int     // Add/AddWeighted call count
 	min, max float64 // exact extremes
 
-	// Weighted streaming moments (West's algorithm), so Summarize
-	// reports the exact mean and standard deviation alongside the
-	// ε-approximate quantiles.
-	wsum, wmean, wm2 float64
+	// Weighted streaming mean (West's algorithm), so Mean is exact
+	// alongside the ε-approximate quantiles.
+	wsum, wmean float64
 }
 
 // NewTDigest builds a digest with the given compression δ (≤0 selects
@@ -111,9 +110,7 @@ func (t *TDigest) AddWeighted(x, w float64) {
 		t.max = x
 	}
 	t.wsum += w
-	d := x - t.wmean
-	t.wmean += (w / t.wsum) * d
-	t.wm2 += w * d * (x - t.wmean)
+	t.wmean += (w / t.wsum) * (x - t.wmean)
 }
 
 // Len returns the number of recorded observations (Add calls, not
@@ -124,15 +121,6 @@ func (t *TDigest) Len() int { return t.n }
 // Mean returns the exact weighted mean of the observations (streaming
 // moments, not centroid approximation); 0 when empty.
 func (t *TDigest) Mean() float64 { return t.wmean }
-
-// Std returns the exact weighted standard deviation (frequency-weight
-// convention, unbiased; 0 with fewer than 2 observations).
-func (t *TDigest) Std() float64 {
-	if t.n < 2 || t.wsum <= 1 {
-		return 0
-	}
-	return math.Sqrt(t.wm2 / (t.wsum - 1))
-}
 
 // k1 scale function: k(q) = δ/(2π)·asin(2q−1). Centroid size limits
 // derived from it shrink toward the tails, which is why extreme
@@ -291,15 +279,13 @@ func (t *TDigest) Merge(other *TDigest) {
 	if other.max > t.max {
 		t.max = other.max
 	}
-	// Chan et al. pairwise moment combination.
+	// Chan et al. pairwise mean combination.
 	if t.wsum == 0 {
-		t.wsum, t.wmean, t.wm2 = other.wsum, other.wmean, other.wm2
+		t.wsum, t.wmean = other.wsum, other.wmean
 		return
 	}
-	d := other.wmean - t.wmean
 	w := t.wsum + other.wsum
-	t.wm2 += other.wm2 + d*d*t.wsum*other.wsum/w
-	t.wmean += d * other.wsum / w
+	t.wmean += (other.wmean - t.wmean) * other.wsum / w
 	t.wsum = w
 }
 
@@ -307,30 +293,6 @@ func (t *TDigest) Merge(other *TDigest) {
 func (t *TDigest) Clone() *TDigest {
 	out := NewTDigest(t.comp)
 	out.Merge(t)
-	return out
-}
-
-// Summarize condenses the digest into the Summary contract: exact
-// N/mean/std/min/max from the streaming moments, ε-approximate
-// quartiles from the centroids. The NaN-free edge-case contract of
-// Summarize holds (empty digest → zero Summary).
-func (t *TDigest) Summarize() Summary {
-	if t.n == 0 {
-		return Summary{}
-	}
-	out := Summary{
-		N:      t.n,
-		Mean:   t.Mean(),
-		Std:    t.Std(),
-		Min:    t.min,
-		P25:    t.Quantile(0.25),
-		Median: t.Quantile(0.5),
-		P75:    t.Quantile(0.75),
-		Max:    t.max,
-	}
-	if out.N >= 2 {
-		out.CI95 = TCrit95(out.N) * out.Std / math.Sqrt(float64(out.N))
-	}
 	return out
 }
 

@@ -246,42 +246,6 @@ func SumTimeWeighted(series ...*TimeWeighted) *TimeWeighted {
 	return out
 }
 
-// StateTracker accounts the time an entity spends in named states.
-type StateTracker struct {
-	started bool
-	lastT   time.Duration
-	state   string
-	total   map[string]time.Duration
-}
-
-// NewStateTracker starts tracking in the given initial state at instant t.
-func NewStateTracker(t time.Duration, state string) *StateTracker {
-	return &StateTracker{started: true, lastT: t, state: state, total: map[string]time.Duration{}}
-}
-
-// Set transitions to a new state at instant t.
-func (st *StateTracker) Set(t time.Duration, state string) {
-	if t < st.lastT {
-		panic("stats: state transition out of order")
-	}
-	st.total[st.state] += t - st.lastT
-	st.lastT = t
-	st.state = state
-}
-
-// State returns the current state.
-func (st *StateTracker) State() string { return st.state }
-
-// Finish closes the current state at instant end and returns totals.
-func (st *StateTracker) Finish(end time.Duration) map[string]time.Duration {
-	st.Set(end, st.state)
-	out := make(map[string]time.Duration, len(st.total))
-	for k, v := range st.total {
-		out[k] = v
-	}
-	return out
-}
-
 // MinuteSeries counts labeled events into fixed-width time buckets,
 // regenerating the per-minute aggregation of Figs. 5b and 6b.
 type MinuteSeries struct {

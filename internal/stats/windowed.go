@@ -112,37 +112,6 @@ func (w *WindowedCounts) Rows() []Row {
 	return rows
 }
 
-// RecentRate returns the label's events per second averaged over the
-// retained complete buckets (excluding the still-filling newest one
-// when more than one is retained); 0 when nothing is retained.
-func (w *WindowedCounts) RecentRate(label string) float64 {
-	if !w.any {
-		return 0
-	}
-	n, count := 0, 0
-	for slot, i := range w.slotIdx {
-		if i < 0 || (i == w.maxIdx && w.retained() > 1) {
-			continue
-		}
-		n++
-		count += w.ring[slot][label]
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(count) / (float64(n) * w.Bucket.Seconds())
-}
-
-func (w *WindowedCounts) retained() int {
-	n := 0
-	for _, i := range w.slotIdx {
-		if i >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Footprint estimates the retained heap bytes — bounded by
 // Keep × labels regardless of horizon (same flat per-entry estimate as
 // MinuteSeries.Footprint so the two are comparable).

@@ -47,25 +47,6 @@ type WorkCounters struct {
 	RestoreTime time.Duration
 }
 
-// Merge accumulates another ledger into w (for federations merging
-// per-site accounting and sweeps merging replicas).
-func (w *WorkCounters) Merge(o WorkCounters) {
-	w.Checkpoints += o.Checkpoints
-	w.Resumed += o.Resumed
-	w.CloudResumes += o.CloudResumes
-	w.Goodput += o.Goodput
-	w.Wasted += o.Wasted
-	w.Lost += o.Lost
-	w.CheckpointTime += o.CheckpointTime
-	w.RestoreTime += o.RestoreTime
-}
-
-// Zero reports whether nothing has been accounted. Goodput accrues on
-// every completed execution, checkpointing or not, so render paths
-// that must keep golden-pinned output byte-identical gate on their
-// experiment's configuration rather than on Zero.
-func (w WorkCounters) Zero() bool { return w == WorkCounters{} }
-
 // GoodputShare returns Goodput over all accounted execution-body time
 // (goodput + wasted + lost), in [0, 1]; 0 when nothing is accounted.
 // Checkpoint and restore overheads are excluded from the denominator:

@@ -5,39 +5,6 @@ import (
 	"time"
 )
 
-func TestWorkCountersZero(t *testing.T) {
-	var w WorkCounters
-	if !w.Zero() {
-		t.Fatal("fresh counters must be Zero")
-	}
-	w.Checkpoints++
-	if w.Zero() {
-		t.Fatal("non-empty counters must not be Zero")
-	}
-}
-
-func TestWorkCountersMerge(t *testing.T) {
-	a := WorkCounters{
-		Checkpoints: 3, Resumed: 1, CloudResumes: 1,
-		Goodput: 10 * time.Second, Wasted: 2 * time.Second, Lost: time.Second,
-		CheckpointTime: 300 * time.Millisecond, RestoreTime: 700 * time.Millisecond,
-	}
-	b := WorkCounters{
-		Checkpoints: 2, Resumed: 2,
-		Goodput: 5 * time.Second, Lost: 3 * time.Second,
-		RestoreTime: 100 * time.Millisecond,
-	}
-	a.Merge(b)
-	want := WorkCounters{
-		Checkpoints: 5, Resumed: 3, CloudResumes: 1,
-		Goodput: 15 * time.Second, Wasted: 2 * time.Second, Lost: 4 * time.Second,
-		CheckpointTime: 300 * time.Millisecond, RestoreTime: 800 * time.Millisecond,
-	}
-	if a != want {
-		t.Fatalf("merge mismatch:\n got %+v\nwant %+v", a, want)
-	}
-}
-
 func TestGoodputShare(t *testing.T) {
 	var w WorkCounters
 	if got := w.GoodputShare(); got != 0 {

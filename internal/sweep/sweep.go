@@ -135,12 +135,6 @@ type Result struct {
 	Digests map[string]*stats.TDigest `json:"-"`
 }
 
-// Replicate runs one experiment across cfg.Replicas decorrelated seeds
-// and aggregates its metrics. It is Sweep for a single anonymous point.
-func Replicate(cfg Config, run func(seed int64) Metrics) Result {
-	return Sweep(cfg, []Point{{Name: "replicate", Run: run}})[0]
-}
-
 // Sweep runs every (point, replica) pair across the worker pool and
 // aggregates per point. Results are in point order regardless of
 // completion order.

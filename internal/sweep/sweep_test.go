@@ -63,22 +63,55 @@ func spin(n int) {
 	}
 }
 
+// replicate runs one experiment across cfg.Replicas decorrelated seeds
+// and aggregates its metrics: Sweep for a single anonymous point.
+func replicate(cfg Config, run func(seed int64) Metrics) Result {
+	return Sweep(cfg, []Point{{Name: "replicate", Run: run}})[0]
+}
+
 // TestConcurrentRealReplicas runs real experiment replicas in parallel
 // without a -short gate, so the CI race job always exercises actual
 // experiment code on concurrent workers (catching package-level shared
-// state anywhere under internal/experiments).
+// state anywhere under internal/experiments). Besides the paper day,
+// every replica runs a toy scientific workload with checkpointing on
+// (faasload functions, lambda cold starts and the resume path) and a
+// toy endogenous run (the job generator), whose distributions are
+// package-level values all replicas share.
 func TestConcurrentRealReplicas(t *testing.T) {
 	run := func(seed int64) Metrics {
+		ctx := context.Background()
 		cfg := experiments.FibDay(seed)
 		cfg.Nodes = 128
 		cfg.Horizon = time.Hour
 		cfg.QPS = 0
-		r, _ := experiments.RunDayCtx(context.Background(), cfg, nil) // never canceled
-		return r.Metrics()
+		day, _ := experiments.RunDayCtx(ctx, cfg, nil) // never canceled
+
+		sci := experiments.DefaultScientificConfig(seed)
+		sci.Nodes = 64
+		sci.Horizon = 20 * time.Minute
+		sci.Functions = 20
+		sci.CheckpointInterval = 30 * time.Second
+		sr, _ := experiments.RunScientificCtx(ctx, sci, nil)
+
+		endo := experiments.DefaultEndogenousConfig(seed)
+		endo.Nodes = 32
+		endo.Horizon = time.Hour
+		er, _ := experiments.RunEndogenousCtx(ctx, endo, nil)
+
+		m := day.Metrics()
+		for k, v := range sr.Metrics() {
+			m["scientific/"+k] = v
+		}
+		for k, v := range er.Metrics() {
+			m["endogenous/"+k] = v
+		}
+		return m
 	}
-	res := Replicate(Config{Replicas: 4, Workers: 4, BaseSeed: 5}, run)
-	if res.Metrics["live-coverage"].N != 4 {
-		t.Fatalf("aggregated %d replicas, want 4", res.Metrics["live-coverage"].N)
+	res := replicate(Config{Replicas: 4, Workers: 4, BaseSeed: 5}, run)
+	for _, k := range []string{"live-coverage", "scientific/success-share", "endogenous/prime-utilization"} {
+		if n := res.Metrics[k].N; n != 4 {
+			t.Fatalf("%s aggregated %d replicas, want 4", k, n)
+		}
 	}
 }
 
@@ -99,8 +132,8 @@ func TestReplicateFibDayWorkerCountInvariant(t *testing.T) {
 		r, _ := experiments.RunDayCtx(context.Background(), cfg, nil) // never canceled
 		return r.Metrics()
 	}
-	serial := Replicate(Config{Replicas: 32, Workers: 1, BaseSeed: 1}, run)
-	parallel := Replicate(Config{Replicas: 32, Workers: runtime.GOMAXPROCS(0), BaseSeed: 1}, run)
+	serial := replicate(Config{Replicas: 32, Workers: 1, BaseSeed: 1}, run)
+	parallel := replicate(Config{Replicas: 32, Workers: runtime.GOMAXPROCS(0), BaseSeed: 1}, run)
 
 	a, err := json.Marshal(serial)
 	if err != nil {
@@ -159,11 +192,12 @@ func TestSweepPanicsOnZeroReplicas(t *testing.T) {
 	Sweep(Config{}, []Point{{Name: "x", Run: func(int64) Metrics { return nil }}})
 }
 
-func ExampleReplicate() {
-	res := Replicate(Config{Replicas: 4, Workers: 2, BaseSeed: 1}, func(seed int64) Metrics {
+func ExampleSweep() {
+	parity := Point{Name: "parity", Run: func(seed int64) Metrics {
 		return Metrics{"parity": float64(seed % 2)}
-	})
-	fmt.Println(res.Metrics["parity"].N)
+	}}
+	res := Sweep(Config{Replicas: 4, Workers: 2, BaseSeed: 1}, []Point{parity})
+	fmt.Println(res[0].Metrics["parity"].N)
 	// Output: 4
 }
 
@@ -184,7 +218,7 @@ func TestPooledRequestPathRaceUnderSweep(t *testing.T) {
 		r, _ := experiments.RunDayCtx(context.Background(), cfg, nil) // never canceled
 		return r.Metrics()
 	}
-	res := Replicate(Config{Replicas: 4, Workers: runtime.GOMAXPROCS(0), BaseSeed: 9}, run)
+	res := replicate(Config{Replicas: 4, Workers: runtime.GOMAXPROCS(0), BaseSeed: 9}, run)
 	if res.Replicas != 4 {
 		t.Fatalf("replicas = %d, want 4", res.Replicas)
 	}

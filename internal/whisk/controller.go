@@ -17,11 +17,7 @@ import (
 // completes in ≈0.8-0.9 s end to end, matching §V-C (median 865 ms) and
 // the SeBS observation the paper cites for short functions.
 type ControllerConfig struct {
-	IngressSeconds  dist.Dist     // client → controller (one way)
-	EgressSeconds   dist.Dist     // controller → client (one way)
-	ProcessSeconds  dist.Dist     // routing decision
 	OverheadSeconds dist.Dist     // activation bookkeeping (dominates)
-	ResultSeconds   dist.Dist     // invoker → controller result hop
 	ActionTimeout   time.Duration // client-visible timeout
 
 	// PoolInvocations recycles completed Invocation objects through a
@@ -40,14 +36,18 @@ type ControllerConfig struct {
 // DefaultControllerConfig returns the calibrated request-path model.
 func DefaultControllerConfig() ControllerConfig {
 	return ControllerConfig{
-		IngressSeconds:  dist.Uniform{Lo: 0.010, Hi: 0.040},
-		EgressSeconds:   dist.Uniform{Lo: 0.010, Hi: 0.040},
-		ProcessSeconds:  dist.Uniform{Lo: 0.002, Hi: 0.008},
 		OverheadSeconds: dist.Lognormal{Mu: math.Log(0.62), Sigma: 0.30},
-		ResultSeconds:   dist.Uniform{Lo: 0.010, Hi: 0.030},
 		ActionTimeout:   60 * time.Second,
 	}
 }
+
+// The calibrated request-path hop latencies, in seconds.
+var (
+	ingressSeconds dist.Dist = dist.Uniform{Lo: 0.010, Hi: 0.040} // client → controller (one way)
+	egressSeconds  dist.Dist = dist.Uniform{Lo: 0.010, Hi: 0.040} // controller → client (one way)
+	processSeconds dist.Dist = dist.Uniform{Lo: 0.002, Hi: 0.008} // routing decision
+	resultSeconds  dist.Dist = dist.Uniform{Lo: 0.010, Hi: 0.030} // invoker → controller result hop
+)
 
 // statusLatency is the worker status propagation delay: the controller
 // acts on an invoker's SIGTERM this long after it (drainCb).
@@ -160,11 +160,11 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 		rng:     dist.NewRand(seed),
 		actions: map[string]*Action{},
 	}
-	c.ingress = dist.NewSampler(cfg.IngressSeconds, c.rng)
-	c.egress = dist.NewSampler(cfg.EgressSeconds, c.rng)
-	c.process = dist.NewSampler(cfg.ProcessSeconds, c.rng)
+	c.ingress = dist.NewSampler(ingressSeconds, c.rng)
+	c.egress = dist.NewSampler(egressSeconds, c.rng)
+	c.process = dist.NewSampler(processSeconds, c.rng)
 	c.overhead = dist.NewSampler(cfg.OverheadSeconds, c.rng)
-	c.result = dist.NewSampler(cfg.ResultSeconds, c.rng)
+	c.result = dist.NewSampler(resultSeconds, c.rng)
 	c.routeFn = c.routeCb
 	c.publishFn = c.publishCb
 	c.timeoutFn = c.timeoutCb

@@ -62,9 +62,6 @@ type InvokerConfig struct {
 	// immediately (container-limit pressure).
 	BufferLimit int
 
-	ColdStartSeconds dist.Dist // container creation (≈0.5 s, §II)
-	WarmStartSeconds dist.Dist // dispatch into a warm container
-
 	// FailureProb is the base probability an execution errors.
 	FailureProb float64
 }
@@ -73,16 +70,20 @@ type InvokerConfig struct {
 // (24-core node hosting up to 16 concurrent function containers).
 func DefaultInvokerConfig() InvokerConfig {
 	return InvokerConfig{
-		Capacity:         16,
-		PoolLimit:        48,
-		PollInterval:     100 * time.Millisecond,
-		PullBatch:        16,
-		BufferLimit:      128,
-		ColdStartSeconds: dist.Uniform{Lo: 0.35, Hi: 0.70},
-		WarmStartSeconds: dist.Uniform{Lo: 0.005, Hi: 0.025},
-		FailureProb:      0.01,
+		Capacity:     16,
+		PoolLimit:    48,
+		PollInterval: 100 * time.Millisecond,
+		PullBatch:    16,
+		BufferLimit:  128,
+		FailureProb:  0.01,
 	}
 }
+
+// Container start latencies, in seconds.
+var (
+	coldStartSeconds dist.Dist = dist.Uniform{Lo: 0.35, Hi: 0.70}   // container creation (≈0.5 s, §II)
+	warmStartSeconds dist.Dist = dist.Uniform{Lo: 0.005, Hi: 0.025} // dispatch into a warm container
+)
 
 // Invoker executes invocations on one node. It pulls the global fast
 // lane before its own topic, keeps per-action warm containers, and
@@ -169,8 +170,8 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 		state: InvokerGone,
 		pool:  map[string]*containerSet{},
 	}
-	w.cold = dist.NewSampler(cfg.ColdStartSeconds, w.rng)
-	w.warm = dist.NewSampler(cfg.WarmStartSeconds, w.rng)
+	w.cold = dist.NewSampler(coldStartSeconds, w.rng)
+	w.warm = dist.NewSampler(warmStartSeconds, w.rng)
 	w.execDoneFn = w.execDone
 	w.ckptDoneFn = w.ckptDone
 	w.pollFn = w.poll

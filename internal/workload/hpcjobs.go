@@ -11,7 +11,6 @@ import (
 // Job is one prime HPC job: the unit of Fig. 2's analysis and the input
 // of the full-scheduler mode of the Slurm emulator.
 type Job struct {
-	ID       int
 	Submit   time.Duration // submission instant
 	Nodes    int           // requested node count
 	Declared time.Duration // user-declared walltime limit
@@ -30,12 +29,13 @@ type JobGenConfig struct {
 	Horizon time.Duration // submissions are uniform-Poisson over this span
 	// NodesDist yields the requested node count (values are rounded).
 	NodesDist dist.Dist
-	// WalltimeSeconds yields the declared limit; RuntimeFraction yields
-	// runtime/limit.
+	// WalltimeSeconds yields the declared limit.
 	WalltimeSeconds dist.Dist
-	RuntimeFraction dist.Dist
 	Seed            int64
 }
+
+// runtimeFraction yields a job's runtime/limit.
+var runtimeFraction = dist.RuntimeFraction()
 
 // DefaultJobGen returns the Fig. 2 calibration for n jobs over horizon.
 func DefaultJobGen(n int, horizon time.Duration, seed int64) JobGenConfig {
@@ -47,7 +47,6 @@ func DefaultJobGen(n int, horizon time.Duration, seed int64) JobGenConfig {
 			[]float64{52, 12, 5, 8, 7, 4, 4, 3, 2.5, 1.8, 0.7},
 		),
 		WalltimeSeconds: dist.DeclaredWalltimeSeconds(),
-		RuntimeFraction: dist.RuntimeFraction(),
 		Seed:            seed,
 	}
 }
@@ -74,7 +73,7 @@ func (cfg JobGenConfig) Generate() []Job {
 	jobs := make([]Job, cfg.N)
 	for i := range jobs {
 		wall := cfg.WalltimeSeconds.Sample(rWall)
-		frac := cfg.RuntimeFraction.Sample(rFrac)
+		frac := runtimeFraction.Sample(rFrac)
 		if frac <= 0 {
 			frac = 0.001
 		}
@@ -90,7 +89,6 @@ func (cfg JobGenConfig) Generate() []Job {
 			runtime = time.Second
 		}
 		jobs[i] = Job{
-			ID:       i,
 			Submit:   time.Duration(arrivals[i] * float64(time.Second)),
 			Nodes:    nodes,
 			Declared: time.Duration(wall * float64(time.Second)),

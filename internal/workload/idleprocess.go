@@ -40,31 +40,40 @@ type IdleProcessConfig struct {
 	ContendedMean time.Duration
 	CalmMean      time.Duration
 
-	ContendedPeriod   dist.Dist // idle-period lengths while contended (s)
 	CalmPeriod        dist.Dist // idle-period lengths while calm (s)
 	SaturationSeconds dist.Dist // saturation-window lengths (s)
 
-	BurstsPerDay  float64   // mean number of drain bursts per day
-	BurstFactor   dist.Dist // arrival-rate multiplier during a burst
-	BurstSeconds  dist.Dist // burst-window lengths (s)
-	DeclaredError DeclaredErrorModel
-
 	Seed int64
 }
+
+// contendedPeriodSeconds yields idle-period lengths while contended.
+var contendedPeriodSeconds = dist.ContendedIdlePeriodSeconds()
+
+// Drain bursts: burstsPerDay on average, each multiplying the
+// contended arrival rate by a burstFactor draw for a burstSeconds draw.
+const burstsPerDay = 3
+
+var (
+	burstFactor  dist.Dist = dist.Uniform{Lo: 10, Hi: 30}
+	burstSeconds dist.Dist = dist.Uniform{Lo: 3 * 60, Hi: 15 * 60}
+)
+
+// The declared-error model: how the scheduler-visible window length
+// (DeclaredEnd - Start) deviates from the actual idle length. With
+// probability pUnder the window is underestimated by an underFactor
+// draw (< 1), with probability pOver overestimated by an overFactor
+// draw (> 1).
+const pUnder, pOver = 0.15, 0.15
+
+var (
+	underFactor dist.Dist = dist.Uniform{Lo: 0.40, Hi: 0.95}
+	overFactor  dist.Dist = dist.Uniform{Lo: 1.05, Hi: 1.80}
+)
 
 // contendedDepression is the ratio of contended-regime concurrency to
 // the overall target mean; calm-regime concurrency is derived from it
 // so that the time average lands on MeanIdleNodes for any regime split.
 const contendedDepression = 0.54
-
-// DeclaredErrorModel controls how the scheduler-visible window length
-// (DeclaredEnd - Start) deviates from the actual idle length.
-type DeclaredErrorModel struct {
-	PUnder      float64   // probability the window is underestimated
-	UnderFactor dist.Dist // multiplier < 1
-	POver       float64   // probability the window is overestimated
-	OverFactor  dist.Dist // multiplier > 1
-}
 
 // DefaultIdleProcess returns the configuration calibrated to §I of the
 // paper for a cluster of the given size and horizon.
@@ -76,19 +85,9 @@ func DefaultIdleProcess(nodes int, horizon time.Duration, seed int64) IdleProces
 		SaturatedFraction: 0.1011,
 		ContendedMean:     3 * time.Hour,
 		CalmMean:          150 * time.Minute,
-		ContendedPeriod:   dist.ContendedIdlePeriodSeconds(),
 		CalmPeriod:        dist.CalmIdlePeriodSeconds(),
 		SaturationSeconds: dist.SaturationPeriodSeconds(),
-		BurstsPerDay:      3,
-		BurstFactor:       dist.Uniform{Lo: 10, Hi: 30},
-		BurstSeconds:      dist.Uniform{Lo: 3 * 60, Hi: 15 * 60},
-		DeclaredError: DeclaredErrorModel{
-			PUnder:      0.15,
-			UnderFactor: dist.Uniform{Lo: 0.40, Hi: 0.95},
-			POver:       0.15,
-			OverFactor:  dist.Uniform{Lo: 1.05, Hi: 1.80},
-		},
-		Seed: seed,
+		Seed:              seed,
 	}
 }
 
@@ -109,14 +108,14 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 	horizonSec := cfg.Horizon.Seconds()
 	calms := cfg.calmWindows(rRegime, horizonSec)
 	saturations := cfg.saturationWindows(rSat, calms, horizonSec)
-	bursts := cfg.burstWindows(rBurst, horizonSec)
+	bursts := burstWindows(rBurst, horizonSec)
 
 	// Per-regime arrival rates from the target concurrency:
 	// lambda = concurrency / E[period length]. Contended stretches sit
 	// below the overall mean; the calm concurrency is derived so the
 	// overall time average hits MeanIdleNodes given the realized regime
 	// split and the saturation share.
-	meanContD := sampleMean(cfg.ContendedPeriod, rPeriod, 20000)
+	meanContD := sampleMean(contendedPeriodSeconds, rPeriod, 20000)
 	meanCalmD := sampleMean(cfg.CalmPeriod, rPeriod, 20000)
 	var calmTotal float64
 	for _, w := range calms {
@@ -182,7 +181,7 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 			continue
 		}
 		rate := lambdaCont
-		periodDist := cfg.ContendedPeriod
+		periodDist := contendedPeriodSeconds
 		if seg.calm {
 			rate = lambdaCalm
 			periodDist = cfg.CalmPeriod
@@ -209,7 +208,7 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 				free.add(node)
 				continue
 			}
-			declared := t + cfg.DeclaredError.apply(rDecl, end-t)
+			declared := t + declaredLength(rDecl, end-t)
 			if declared > horizonSec {
 				declared = horizonSec
 			}
@@ -232,13 +231,15 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 	return tr
 }
 
-func (m DeclaredErrorModel) apply(r *rand.Rand, actual float64) float64 {
+// declaredLength draws the scheduler-visible length of an idle period
+// that actually lasts actual seconds.
+func declaredLength(r *rand.Rand, actual float64) float64 {
 	u := r.Float64()
 	switch {
-	case u < m.PUnder && m.UnderFactor != nil:
-		return actual * m.UnderFactor.Sample(r)
-	case u < m.PUnder+m.POver && m.OverFactor != nil:
-		return actual * m.OverFactor.Sample(r)
+	case u < pUnder:
+		return actual * underFactor.Sample(r)
+	case u < pUnder+pOver:
+		return actual * overFactor.Sample(r)
 	default:
 		return actual
 	}
@@ -317,16 +318,13 @@ func (cfg IdleProcessConfig) saturationWindows(r *rand.Rand, calms []window, hor
 	return out
 }
 
-func (cfg IdleProcessConfig) burstWindows(r *rand.Rand, horizon float64) []burst {
-	if cfg.BurstsPerDay <= 0 {
-		return nil
-	}
-	meanGap := 86400.0 / cfg.BurstsPerDay
+func burstWindows(r *rand.Rand, horizon float64) []burst {
+	meanGap := 86400.0 / burstsPerDay
 	var out []burst
 	t := r.ExpFloat64() * meanGap
 	for t < horizon {
-		d := cfg.BurstSeconds.Sample(r)
-		f := cfg.BurstFactor.Sample(r)
+		d := burstSeconds.Sample(r)
+		f := burstFactor.Sample(r)
 		end := t + d
 		if end > horizon {
 			end = horizon

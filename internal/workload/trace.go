@@ -244,38 +244,3 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
-
-// Window clips the trace to [from, to), shifting times so the clip starts
-// at 0. Periods straddling the boundaries are truncated; their declared
-// ends are clipped likewise. Used to cut 24-hour experiment days out of a
-// week-long trace, as the paper does.
-func (t *Trace) Window(from, to time.Duration) *Trace {
-	if from < 0 || to > t.Horizon || to <= from {
-		panic(fmt.Sprintf("workload: bad window [%v,%v) of %v", from, to, t.Horizon))
-	}
-	out := &Trace{Nodes: t.Nodes, Horizon: to - from}
-	for _, p := range t.Periods {
-		if p.End <= from || p.Start >= to {
-			continue
-		}
-		q := p
-		if q.Start < from {
-			q.Start = from
-		}
-		if q.End > to {
-			q.End = to
-		}
-		if q.DeclaredEnd > to {
-			q.DeclaredEnd = to
-		}
-		if q.DeclaredEnd < q.Start {
-			q.DeclaredEnd = q.Start
-		}
-		q.Start -= from
-		q.End -= from
-		q.DeclaredEnd -= from
-		out.Periods = append(out.Periods, q)
-	}
-	out.Sort()
-	return out
-}

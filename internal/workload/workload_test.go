@@ -139,33 +139,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestWindowClipping(t *testing.T) {
-	day := weekTrace.Window(24*time.Hour, 48*time.Hour)
-	if day.Horizon != 24*time.Hour {
-		t.Errorf("window horizon = %v", day.Horizon)
-	}
-	if err := day.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(day.Periods) == 0 {
-		t.Fatal("empty day window")
-	}
-	for _, p := range day.Periods {
-		if p.Start < 0 || p.End > day.Horizon {
-			t.Fatalf("period [%v,%v) outside window", p.Start, p.End)
-		}
-	}
-}
-
-func TestWindowBadArgsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad window should panic")
-		}
-	}()
-	weekTrace.Window(5*time.Hour, 5*time.Hour)
-}
-
 func TestTraceCSVRoundTrip(t *testing.T) {
 	tr := DefaultIdleProcess(32, 2*time.Hour, 3).Generate()
 	var buf bytes.Buffer
@@ -240,17 +213,12 @@ func TestFig2Calibration(t *testing.T) {
 	}
 }
 
-// Property: any generated trace validates and clips cleanly to any
-// half-day window.
+// Property: any generated trace validates.
 func TestPropertyTraceAlwaysValid(t *testing.T) {
 	f := func(seed int64, nodes uint8) bool {
 		n := int(nodes%60) + 4
 		tr := DefaultIdleProcess(n, 3*time.Hour, seed).Generate()
-		if tr.Validate() != nil {
-			return false
-		}
-		w := tr.Window(time.Hour, 2*time.Hour)
-		return w.Validate() == nil
+		return tr.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
