@@ -14,6 +14,8 @@
 package bus
 
 import (
+	"math/rand"
+
 	"repro/internal/des"
 	"repro/internal/dist"
 )
@@ -47,7 +49,8 @@ func (m *Message) Generation() uint32 { return m.gen }
 // Bus manages topics on the simulation plane.
 type Bus struct {
 	sim     *des.Sim
-	latency dist.Sampler // publish→deliver latency in seconds
+	latency dist.Dist // publish→deliver latency in seconds, drawn from rng
+	rng     *rand.Rand
 	topics  map[string]*Topic
 	nextID  int64
 
@@ -70,7 +73,8 @@ func New(sim *des.Sim, latency dist.Dist, seed int64) *Bus {
 	}
 	b := &Bus{
 		sim:     sim,
-		latency: dist.NewSampler(latency, dist.NewRand(seed)),
+		latency: latency,
+		rng:     dist.NewRand(seed),
 		topics:  map[string]*Topic{},
 	}
 	b.deliverFn = b.deliver
@@ -99,7 +103,7 @@ func (b *Bus) PublishTo(t *Topic, payload any) *Message {
 	m.topic = t
 	b.nextID++
 	b.Published++
-	b.sim.AfterCall(b.latency.Seconds(), b.deliverFn, m)
+	b.sim.AfterCall(dist.Seconds(b.latency, b.rng), b.deliverFn, m)
 	return m
 }
 

@@ -145,8 +145,8 @@ func TestSteadyStatePublishIsAllocationFree(t *testing.T) {
 }
 
 func TestBusDeliveryLatencyStreamUnchanged(t *testing.T) {
-	// The sampler refactor must keep the delivery-latency stream of a
-	// seeded bus identical to the pre-refactor dist.Seconds draws.
+	// A seeded bus draws each delivery latency as dist.Seconds on its
+	// own stream, one draw per publish.
 	sim, b := newBus()
 	ref := dist.NewRand(1) // newBus seed
 	for i := 0; i < 100; i++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/cluster"
@@ -114,7 +115,8 @@ type SlurmLogger struct {
 	sim     *des.Sim
 	emu     *slurm.Emulator
 	gap     time.Duration
-	latency dist.Sampler
+	latency dist.Dist // query round trip in seconds, drawn from rng
+	rng     *rand.Rand
 
 	// Cached typed-arg callbacks: the poll loop runs 8,640 times per
 	// simulated day and schedules without allocating a closure per hop.
@@ -141,7 +143,8 @@ func NewSlurmLogger(emu *slurm.Emulator, seed int64) *SlurmLogger {
 		sim:     emu.Sim(),
 		emu:     emu,
 		gap:     10 * time.Second,
-		latency: dist.NewSampler(dist.QueryLatencySeconds(), dist.NewRand(seed)),
+		latency: dist.QueryLatencySeconds(),
+		rng:     dist.NewRand(seed),
 	}
 	l.requestFn = func(any) { l.request() }
 	l.recordFn = l.recordCb
@@ -165,7 +168,7 @@ func (l *SlurmLogger) SetStreaming(on bool) {
 func (l *SlurmLogger) Start() { l.request() }
 
 func (l *SlurmLogger) request() {
-	l.sim.AfterCall(l.latency.Seconds(), l.recordFn, nil)
+	l.sim.AfterCall(dist.Seconds(l.latency, l.rng), l.recordFn, nil)
 }
 
 // recordCb logs the response and waits the fixed gap before polling

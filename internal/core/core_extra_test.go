@@ -43,7 +43,7 @@ type patternBackend struct {
 	calls   int
 }
 
-func (p *patternBackend) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invocation {
+func (p *patternBackend) Invoke(action string, done func(*whisk.Invocation)) {
 	i := p.calls
 	p.calls++
 	status := whisk.StatusSuccess
@@ -58,7 +58,6 @@ func (p *patternBackend) Invoke(action string, done func(*whisk.Invocation)) *wh
 			done(inv)
 		}
 	})
-	return inv
 }
 
 // TestWrapperWithoutFallbackSurfaces503: no fallback → the caller sees

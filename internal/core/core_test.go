@@ -178,7 +178,7 @@ type fakeBackend struct {
 	calls int
 }
 
-func (f *fakeBackend) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invocation {
+func (f *fakeBackend) Invoke(action string, done func(*whisk.Invocation)) {
 	f.calls++
 	inv := &whisk.Invocation{Submitted: f.sim.Now(), InvokerID: -1}
 	f.sim.After(f.delay, func() {
@@ -188,7 +188,6 @@ func (f *fakeBackend) Invoke(action string, done func(*whisk.Invocation)) *whisk
 			done(inv)
 		}
 	})
-	return inv
 }
 
 func TestWrapperFallsBackOn503(t *testing.T) {
@@ -257,7 +256,7 @@ type flakyBackend struct {
 	calls     int
 }
 
-func (f *flakyBackend) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invocation {
+func (f *flakyBackend) Invoke(action string, done func(*whisk.Invocation)) {
 	f.calls++
 	inv := &whisk.Invocation{Submitted: f.sim.Now(), InvokerID: -1}
 	status := whisk.StatusSuccess
@@ -271,7 +270,6 @@ func (f *flakyBackend) Invoke(action string, done func(*whisk.Invocation)) *whis
 			done(inv)
 		}
 	})
-	return inv
 }
 
 func TestSlurmLoggerSpacing(t *testing.T) {

@@ -88,17 +88,6 @@ type Federation struct {
 	coord *pdes.Coordinator
 }
 
-// doorBackend adapts the front door to core.Backend (the wrapper's
-// primary). The front door completes through callbacks only, so the
-// synchronous return is always nil.
-type doorBackend struct{ d *router.FrontDoor }
-
-// Invoke implements Backend.
-func (b doorBackend) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invocation {
-	b.d.Invoke(action, done)
-	return nil
-}
-
 // shardSite adapts one sharded site for the front door: Invoke queues
 // a timestamped inter-shard message on the site's pdes inbox, and the
 // health getters read the site directly — the coordinator only calls
@@ -179,7 +168,7 @@ func (f *Federation) SetFallback(b Backend) {
 	if f.coord != nil {
 		panic("core: a sharded federation cannot host the Alg. 1 fallback wrapper (completion-coupled cooldown state breaks the lookahead contract)")
 	}
-	f.Wrap = NewWrapper(f.Sim, doorBackend{f.Door}, b)
+	f.Wrap = NewWrapper(f.Sim, f.Door, b)
 }
 
 // Invoke submits a request through the federation's client entry

@@ -33,7 +33,7 @@ func TestFederationOneSiteMatchesSystem(t *testing.T) {
 			backend = fed
 		} else {
 			site = newSite(cfg)
-			backend = loadgen.ForController(site.Ctrl)
+			backend = site.Ctrl
 		}
 
 		site.LoadTrace(smallTrace(16, 2*time.Hour, 7, 6))

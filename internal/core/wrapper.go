@@ -8,10 +8,11 @@ import (
 	"repro/internal/whisk"
 )
 
-// Backend issues function invocations; whisk.Controller and the
-// commercial-cloud model of internal/lambda both implement it.
+// Backend issues function invocations; whisk.Controller, the
+// federation's front door and the commercial-cloud model of
+// internal/lambda all implement it.
 type Backend interface {
-	Invoke(action string, done func(*whisk.Invocation)) *whisk.Invocation
+	Invoke(action string, done func(*whisk.Invocation))
 }
 
 // ResumeBackend is a Backend that can continue a checkpointed
@@ -20,7 +21,7 @@ type Backend interface {
 // running only the remaining body.
 type ResumeBackend interface {
 	Backend
-	InvokeResume(action string, remaining time.Duration, stateMB float64, done func(*whisk.Invocation)) *whisk.Invocation
+	InvokeResume(action string, remaining time.Duration, stateMB float64, done func(*whisk.Invocation))
 }
 
 // Wrapper is the client-side fallback of Alg. 1 (§III-E): calls go to

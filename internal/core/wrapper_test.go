@@ -59,7 +59,7 @@ type statusBackend struct {
 	calls  int
 }
 
-func (b *statusBackend) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invocation {
+func (b *statusBackend) Invoke(action string, done func(*whisk.Invocation)) {
 	b.calls++
 	inv := &whisk.Invocation{Submitted: b.sim.Now(), InvokerID: -1}
 	b.sim.After(b.delay, func() {
@@ -69,7 +69,6 @@ func (b *statusBackend) Invoke(action string, done func(*whisk.Invocation)) *whi
 			done(inv)
 		}
 	})
-	return inv
 }
 
 // TestWrapperFallbackFailurePropagates pins the failure path of the

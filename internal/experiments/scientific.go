@@ -156,7 +156,7 @@ func RunScientificCtx(ctx context.Context, cfg ScientificConfig, progress Progre
 		wr.ResumeTimeouts = cfg.CheckpointInterval > 0
 		backend = wr
 	} else {
-		backend = loadgen.ForController(sys.Ctrl)
+		backend = sys.Ctrl
 	}
 
 	// Per-class accounting wraps the backend.

@@ -111,7 +111,7 @@ func (c *Client) RegisterAction(name string, exec whisk.ExecFunc) { c.exec[name]
 // Invoke implements core.Backend: the call always succeeds (modulo the
 // small failure probability) after overhead plus the speed-scaled
 // execution time.
-func (c *Client) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invocation {
+func (c *Client) Invoke(action string, done func(*whisk.Invocation)) {
 	c.Calls++
 	inv := &whisk.Invocation{
 		ID:        c.nextID,
@@ -144,7 +144,6 @@ func (c *Client) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invo
 			done(inv)
 		}
 	})
-	return inv
 }
 
 // InvokeResume continues a checkpointed execution stranded on the
@@ -153,7 +152,7 @@ func (c *Client) Invoke(action string, done func(*whisk.Invocation)) *whisk.Invo
 // remaining body runs — speed-scaled like every execution here. The
 // resume slot is always cold (the cloud never saw this function's
 // state before).
-func (c *Client) InvokeResume(action string, remaining time.Duration, stateMB float64, done func(*whisk.Invocation)) *whisk.Invocation {
+func (c *Client) InvokeResume(action string, remaining time.Duration, stateMB float64, done func(*whisk.Invocation)) {
 	c.Calls++
 	c.Resumes++
 	inv := &whisk.Invocation{
@@ -185,5 +184,4 @@ func (c *Client) InvokeResume(action string, remaining time.Duration, stateMB fl
 			done(inv)
 		}
 	})
-	return inv
 }

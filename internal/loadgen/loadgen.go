@@ -15,21 +15,12 @@ import (
 	"repro/internal/whisk"
 )
 
-// Backend matches core.Backend (duplicated locally to avoid an import
-// cycle); both whisk.Controller and core.Wrapper satisfy it.
+// Backend has core.Backend's method set (declared here to avoid an
+// import cycle); whisk.Controller, core.Wrapper and core.Federation
+// satisfy it.
 type Backend interface {
 	Invoke(action string, done func(*whisk.Invocation))
 }
-
-// controllerBackend adapts whisk.Controller's two-return signature.
-type controllerBackend struct{ c *whisk.Controller }
-
-func (cb controllerBackend) Invoke(action string, done func(*whisk.Invocation)) {
-	cb.c.Invoke(action, done)
-}
-
-// ForController wraps a controller as a Backend.
-func ForController(c *whisk.Controller) Backend { return controllerBackend{c} }
 
 // Config parameterizes the generator. The paper used 10 QPS against
 // 100 identically-sleeping functions for 24 hours (864,000 requests).

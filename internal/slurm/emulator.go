@@ -62,8 +62,8 @@ type Emulator struct {
 	partitions map[string]*Partition
 
 	nextID     int
-	pilotQueue jobHeap // tier-0 queue ordered by (priority desc, submit)
-	primeQueue []*Job  // tier ≥1 FIFO queue (full-scheduler mode)
+	pilotQueue []*Job // pending tier-0 jobs, unordered (bestFit scans them all)
+	primeQueue []*Job // tier ≥1 FIFO queue (full-scheduler mode)
 
 	// O(1) pilot-queue aggregates, maintained at the queue's only two
 	// mutation points (pilotPush, pilotRemove) with values identical to
@@ -219,7 +219,7 @@ func (e *Emulator) passCost() time.Duration {
 // pilotPush enqueues a tier-0 job, maintaining the queue aggregates.
 // Every pilotQueue insertion goes through here.
 func (e *Emulator) pilotPush(j *Job) {
-	e.pilotQueue.push(j)
+	e.pilotQueue = append(e.pilotQueue, j)
 	if j.Variable() {
 		e.nVariable++
 	} else {
@@ -228,16 +228,20 @@ func (e *Emulator) pilotPush(j *Job) {
 	}
 }
 
-// pilotRemove dequeues a tier-0 job, maintaining the queue aggregates.
-// Every pilotQueue removal goes through here. Zero-count histogram keys
-// are deleted so the live map's length and iteration match the
-// fresh-map scan it replaced.
-func (e *Emulator) pilotRemove(j *Job) {
-	before := len(e.pilotQueue)
-	e.pilotQueue.remove(j)
-	if len(e.pilotQueue) == before {
-		return // not queued; remove was a no-op
+// pilotRemove dequeues a tier-0 job by swapping the last entry into
+// its place, maintaining the queue aggregates, and reports whether j
+// was queued. Every pilotQueue removal goes through here. Zero-count
+// histogram keys are deleted so the live map's length and iteration
+// match the fresh-map scan it replaced.
+func (e *Emulator) pilotRemove(j *Job) bool {
+	i := slices.Index(e.pilotQueue, j)
+	if i < 0 {
+		return false
 	}
+	last := len(e.pilotQueue) - 1
+	e.pilotQueue[i] = e.pilotQueue[last]
+	e.pilotQueue[last] = nil
+	e.pilotQueue = e.pilotQueue[:last]
 	if j.Variable() {
 		e.nVariable--
 	} else {
@@ -248,6 +252,7 @@ func (e *Emulator) pilotRemove(j *Job) {
 			e.byLimit[j.Spec.TimeLimit] = n
 		}
 	}
+	return true
 }
 
 // recomputeQueueAggregates rebuilds the pilot-queue aggregates by full
@@ -285,7 +290,6 @@ func (e *Emulator) Submit(spec JobSpec) *Job {
 		State:     Pending,
 		Submitted: e.sim.Now(),
 		emu:       e,
-		heapIdx:   -1,
 	}
 	e.nextID++
 	if p.PriorityTier == 0 {
@@ -302,14 +306,9 @@ func (e *Emulator) Cancel(j *Job) bool {
 	if j.State != Pending {
 		return false
 	}
-	if j.heapIdx >= 0 {
-		e.pilotRemove(j)
-	} else {
-		for i, q := range e.primeQueue {
-			if q == j {
-				e.primeQueue = append(e.primeQueue[:i], e.primeQueue[i+1:]...)
-				break
-			}
+	if !e.pilotRemove(j) {
+		if i := slices.Index(e.primeQueue, j); i >= 0 {
+			e.primeQueue = slices.Delete(e.primeQueue, i, i+1)
 		}
 	}
 	j.State = Done
@@ -360,7 +359,7 @@ func (e *Emulator) schedulePilotsOn(idle []int) {
 		if window < slot {
 			continue
 		}
-		j := e.pilotQueue.bestFit(window)
+		j := bestFit(e.pilotQueue, window)
 		if j == nil {
 			continue
 		}
@@ -449,14 +448,13 @@ func (e *Emulator) sigterm(j *Job, reason EndReason) {
 
 // detach releases a job's nodes without ending the job (used when prime
 // load reclaims nodes while the job drains through its grace period).
+// Node states are updated by the caller. startJob is the only code that
+// puts a job into runningByNode, and it puts it exactly on j.NodeIDs.
 func (e *Emulator) detach(j *Job) {
-	j.NodeIDs = j.NodeIDs[:0]
-	// Node states are updated by the caller.
-	for n, q := range e.runningByNode {
-		if q == j {
-			e.runningByNode[n] = nil
-		}
+	for _, n := range j.NodeIDs {
+		e.runningByNode[n] = nil
 	}
+	j.NodeIDs = j.NodeIDs[:0]
 }
 
 // finish ends a job and frees any nodes it still holds.
@@ -496,82 +494,14 @@ func (e *Emulator) finish(j *Job, reason EndReason) {
 	}
 }
 
-// jobHeap is a priority queue: higher Priority first, then FIFO.
-type jobHeap []*Job
-
-func (h jobHeap) less(i, j int) bool {
-	if h[i].Spec.Priority != h[j].Spec.Priority {
-		return h[i].Spec.Priority > h[j].Spec.Priority
-	}
-	return h[i].Submitted < h[j].Submitted || (h[i].Submitted == h[j].Submitted && h[i].ID < h[j].ID)
-}
-
-func (h jobHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-
-func (h *jobHeap) push(j *Job) {
-	*h = append(*h, j)
-	j.heapIdx = len(*h) - 1
-	h.up(j.heapIdx)
-}
-
-func (h jobHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h jobHeap) down(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (h *jobHeap) remove(j *Job) {
-	i := j.heapIdx
-	if i < 0 || i >= len(*h) || (*h)[i] != j {
-		return
-	}
-	last := len(*h) - 1
-	h.swap(i, last)
-	(*h)[last] = nil
-	*h = (*h)[:last]
-	j.heapIdx = -1
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
-}
-
-// bestFit returns the highest-priority pending job whose limit fits the
-// window (for the fib manager, priority ∝ length, so this is the
-// greedy longest-fits choice of §III-D). Variable-length jobs fit if
-// their TimeMin does.
-func (h jobHeap) bestFit(window time.Duration) *Job {
+// bestFit returns the pending job that goes first under before among
+// those whose limit fits the window (for the fib manager, priority ∝
+// length, so this is the greedy longest-fits choice of §III-D).
+// Variable-length jobs fit if their TimeMin does. before is a strict
+// total order, so the pick does not depend on the queue's order.
+func bestFit(queue []*Job, window time.Duration) *Job {
 	var best *Job
-	bestIdx := -1
-	for i, j := range h {
+	for _, j := range queue {
 		need := j.Spec.TimeLimit
 		if j.Variable() {
 			need = j.Spec.TimeMin
@@ -579,10 +509,18 @@ func (h jobHeap) bestFit(window time.Duration) *Job {
 		if need > window {
 			continue
 		}
-		if best == nil || h.less(i, bestIdx) {
+		if best == nil || before(j, best) {
 			best = j
-			bestIdx = i
 		}
 	}
 	return best
+}
+
+// before is the pilot queue's order: higher Priority first, then
+// earlier submission, then the lower (unique) ID.
+func before(a, b *Job) bool {
+	if a.Spec.Priority != b.Spec.Priority {
+		return a.Spec.Priority > b.Spec.Priority
+	}
+	return a.Submitted < b.Submitted || (a.Submitted == b.Submitted && a.ID < b.ID)
 }

@@ -136,7 +136,6 @@ type Job struct {
 	emu      *Emulator
 	endEvent des.Event // natural SIGTERM-at-limit or completion event
 	killEv   des.Event // SIGKILL at the end of the grace period
-	heapIdx  int       // position in the pending queue heap
 }
 
 // Variable reports whether the job has a flexible duration.

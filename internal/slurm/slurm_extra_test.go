@@ -2,6 +2,8 @@ package slurm
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -153,52 +155,98 @@ func TestQueueByLimitAfterStart(t *testing.T) {
 	}
 }
 
-// TestJobHeapProperty: random push/remove sequences keep the heap's
-// extraction order consistent with (priority desc, FIFO).
-func TestJobHeapProperty(t *testing.T) {
+// TestPilotQueueBestFitProperty: the pilot queue is an unordered
+// slice, so bestFit must return the same job whatever order the
+// entries are in. Random fixed and flexible jobs go through
+// pilotPush/pilotRemove; before every bestFit the queue is shuffled
+// and the pick is checked against a minimum computed independently,
+// by sorting the jobs that fit (flexible ones by TimeMin) under
+// (priority desc, submit, ID), over random finite windows and an
+// infinite one.
+func TestPilotQueueBestFitProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 60; trial++ {
-		var h jobHeap
+	fits := func(j *Job, window time.Duration) bool {
+		if j.Variable() {
+			return j.Spec.TimeMin <= window
+		}
+		return j.Spec.TimeLimit <= window
+	}
+	want := func(alive []*Job, window time.Duration) *Job {
+		var fit []*Job
+		for _, j := range alive {
+			if fits(j, window) {
+				fit = append(fit, j)
+			}
+		}
+		if len(fit) == 0 {
+			return nil
+		}
+		sort.Slice(fit, func(a, b int) bool {
+			x, y := fit[a], fit[b]
+			if x.Spec.Priority != y.Spec.Priority {
+				return x.Spec.Priority > y.Spec.Priority
+			}
+			if x.Submitted != y.Submitted {
+				return x.Submitted < y.Submitted
+			}
+			return x.ID < y.ID
+		})
+		return fit[0]
+	}
+	jobID := func(j *Job) int {
+		if j == nil {
+			return -1
+		}
+		return j.ID
+	}
+	remove := func(e *Emulator, alive []*Job, j *Job, trial int) []*Job {
+		if !e.pilotRemove(j) {
+			t.Fatalf("trial %d: pilotRemove(job %d) reported it not queued", trial, j.ID)
+		}
+		if e.pilotRemove(j) {
+			t.Fatalf("trial %d: second pilotRemove(job %d) reported it queued", trial, j.ID)
+		}
+		return slices.DeleteFunc(alive, func(q *Job) bool { return q == j })
+	}
+	for trial := 0; trial < 200; trial++ {
+		e := New(des.New(), 1, DefaultConfig())
 		var alive []*Job
 		n := 3 + rng.Intn(40)
 		for i := 0; i < n; i++ {
-			j := &Job{
-				ID:        i,
-				Submitted: des.Time(rng.Intn(1000)) * des.Time(time.Second),
-				Spec:      JobSpec{Priority: int64(rng.Intn(5))},
-				heapIdx:   -1,
+			limit := time.Duration(1+rng.Intn(60)) * slot
+			spec := JobSpec{Priority: int64(rng.Intn(5)), TimeLimit: limit}
+			if rng.Intn(3) == 0 {
+				spec.TimeMin = time.Duration(1+rng.Intn(int(limit/slot))) * slot
 			}
-			h.push(j)
+			j := &Job{ID: i, Submitted: des.Time(rng.Intn(1000)) * des.Time(time.Second), Spec: spec}
+			e.pilotPush(j)
 			alive = append(alive, j)
 		}
 		// Remove a random subset.
 		for i := 0; i < n/3; i++ {
-			k := rng.Intn(len(alive))
-			h.remove(alive[k])
-			alive = append(alive[:k], alive[k+1:]...)
+			alive = remove(e, alive, alive[rng.Intn(len(alive))], trial)
 		}
-		// bestFit with an infinite window must return the overall best.
+		checkQueueAggregates(t, e, trial)
 		for len(alive) > 0 {
-			best := h.bestFit(1000 * time.Hour)
-			want := alive[0]
-			for _, j := range alive[1:] {
-				if j.Spec.Priority > want.Spec.Priority ||
-					(j.Spec.Priority == want.Spec.Priority &&
-						(j.Submitted < want.Submitted ||
-							(j.Submitted == want.Submitted && j.ID < want.ID))) {
-					want = j
-				}
+			window := time.Duration(rng.Intn(130)) * time.Minute
+			if rng.Intn(4) == 0 {
+				window = 1000 * time.Hour
 			}
-			if best != want {
-				t.Fatalf("trial %d: bestFit = job %d, want job %d", trial, best.ID, want.ID)
+			rng.Shuffle(len(e.pilotQueue), func(a, b int) {
+				e.pilotQueue[a], e.pilotQueue[b] = e.pilotQueue[b], e.pilotQueue[a]
+			})
+			got, exp := bestFit(e.pilotQueue, window), want(alive, window)
+			if got != exp {
+				t.Fatalf("trial %d window %v: bestFit = job %d, want job %d", trial, window, jobID(got), jobID(exp))
 			}
-			h.remove(best)
-			for k, j := range alive {
-				if j == best {
-					alive = append(alive[:k], alive[k+1:]...)
-					break
-				}
+			if got == nil {
+				got = alive[rng.Intn(len(alive))] // nothing fits; drain another way
 			}
+			alive = remove(e, alive, got, trial)
+			checkQueueAggregates(t, e, trial)
+		}
+		if e.QueuedPilots() != 0 {
+			t.Fatalf("trial %d: %d pilots left queued", trial, e.QueuedPilots())
 		}
 	}
 }

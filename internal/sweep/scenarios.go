@@ -79,7 +79,7 @@ func SweepScenarios(cfg Config, cells []ScenarioPoint) ([]Result, error) {
 		}
 		points[i] = Point{
 			Name: name,
-			RunSketched: func(seed int64) (Metrics, map[string]*stats.TDigest) {
+			Run: func(seed int64) (Metrics, map[string]*stats.TDigest) {
 				opts := append(append([]scenario.Option(nil), cell.Options...), scenario.WithSeed(seed))
 				res, err := scenario.Run(context.Background(), cell.Scenario, opts...)
 				if err != nil {

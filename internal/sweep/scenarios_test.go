@@ -73,12 +73,12 @@ func TestSweepSurvivesNilFirstReplica(t *testing.T) {
 	calls := 0
 	res := Sweep(Config{Replicas: 3, Workers: 1, BaseSeed: 1}, []Point{{
 		Name: "flaky-first",
-		Run: func(seed int64) Metrics {
+		Run: func(seed int64) (Metrics, map[string]*stats.TDigest) {
 			calls++
 			if calls == 1 {
-				return nil // replica 0 fails
+				return nil, nil // replica 0 fails
 			}
-			return Metrics{"x": float64(calls)}
+			return Metrics{"x": float64(calls)}, nil
 		},
 	}})
 	s := res[0].Metrics["x"]
@@ -88,16 +88,16 @@ func TestSweepSurvivesNilFirstReplica(t *testing.T) {
 	}
 }
 
-// TestSweepMergesSketches: a point run via RunSketched gets its
-// per-replica t-digests merged in replica order into Result.Digests —
-// identically across worker counts — while plain Run points stay
+// TestSweepMergesSketches: a point whose replicas return t-digests
+// gets them merged in replica order into Result.Digests — identically
+// across worker counts — while a point returning nil digests stays
 // digest-free.
 func TestSweepMergesSketches(t *testing.T) {
 	run := func(workers int) []Result {
 		return Sweep(Config{Replicas: 4, Workers: workers, BaseSeed: 3}, []Point{
 			{
 				Name: "sketched",
-				RunSketched: func(seed int64) (Metrics, map[string]*stats.TDigest) {
+				Run: func(seed int64) (Metrics, map[string]*stats.TDigest) {
 					d := stats.NewTDigest(0)
 					// A deterministic per-seed stream: 1000 observations
 					// spread by the seed so replicas differ.
@@ -107,7 +107,7 @@ func TestSweepMergesSketches(t *testing.T) {
 					return Metrics{"n": float64(d.Len())}, map[string]*stats.TDigest{"v": d}
 				},
 			},
-			{Name: "plain", Run: func(seed int64) Metrics { return Metrics{"n": 1} }},
+			{Name: "plain", Run: func(seed int64) (Metrics, map[string]*stats.TDigest) { return Metrics{"n": 1}, nil }},
 		})
 	}
 	res := run(1)

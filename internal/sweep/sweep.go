@@ -97,18 +97,15 @@ func (c Config) Seeds() []int64 {
 // Point is one cell of a parameter grid: a label plus the experiment
 // closure. Run must be a pure function of its seed (every entry point in
 // internal/experiments is), because it will be called concurrently with
-// other replicas.
+// other replicas. It returns the replica's scalar metrics plus its
+// mergeable quantile sketches (keyed by stable names, e.g.
+// "latency-s"; nil when it has none). The sweep merges the per-replica
+// digests into Result.Digests in replica order — O(compression)
+// retained bytes per key regardless of replica count, instead of
+// concatenating raw samples across replicas.
 type Point struct {
 	Name string
-	Run  func(seed int64) Metrics
-
-	// RunSketched, when non-nil, is used instead of Run: it returns the
-	// replica's scalar metrics plus its mergeable quantile sketches
-	// (keyed by stable names, e.g. "latency-s"). The sweep merges the
-	// per-replica digests into Result.Digests in replica order —
-	// O(compression) retained bytes per key regardless of replica count,
-	// instead of concatenating raw samples across replicas.
-	RunSketched func(seed int64) (Metrics, map[string]*stats.TDigest)
+	Run  func(seed int64) (Metrics, map[string]*stats.TDigest)
 }
 
 // Result aggregates the replicas of one grid point.
@@ -128,8 +125,8 @@ type Result struct {
 	// each aggregate, for CDFs or external re-analysis.
 	Values map[string][]float64 `json:"values"`
 
-	// Digests holds the cross-replica merged quantile sketches of a
-	// point run via Point.RunSketched (nil otherwise, and omitted from
+	// Digests holds the cross-replica merged quantile sketches of the
+	// point's replicas (nil when none returned any, and omitted from
 	// serialization — read quantiles off and report those). Merging is
 	// in replica order, so the sketch is identical across worker counts.
 	Digests map[string]*stats.TDigest `json:"-"`
@@ -161,11 +158,7 @@ func Sweep(cfg Config, points []Point) []Result {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				if p := points[j.point]; p.RunSketched != nil {
-					raw[j.point][j.rep], sketches[j.point][j.rep] = p.RunSketched(seeds[j.rep])
-				} else {
-					raw[j.point][j.rep] = p.Run(seeds[j.rep])
-				}
+				raw[j.point][j.rep], sketches[j.point][j.rep] = points[j.point].Run(seeds[j.rep])
 			}
 		}()
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/stats"
 )
 
 func TestSeedsDeterministicAndDistinct(t *testing.T) {
@@ -36,13 +37,13 @@ func TestSeedsDeterministicAndDistinct(t *testing.T) {
 // order (the synthetic experiment spins longer for some seeds).
 func TestSweepWorkerCountInvariant(t *testing.T) {
 	points := []Point{
-		{Name: "a", Run: func(seed int64) Metrics {
+		{Name: "a", Run: func(seed int64) (Metrics, map[string]*stats.TDigest) {
 			spin(int(seed % 5000))
-			return Metrics{"x": float64(seed % 1000), "y": float64(seed % 7)}
+			return Metrics{"x": float64(seed % 1000), "y": float64(seed % 7)}, nil
 		}},
-		{Name: "b", Run: func(seed int64) Metrics {
+		{Name: "b", Run: func(seed int64) (Metrics, map[string]*stats.TDigest) {
 			spin(int(seed % 9000))
-			return Metrics{"x": float64(seed % 13)}
+			return Metrics{"x": float64(seed % 13)}, nil
 		}},
 	}
 	serial := Sweep(Config{Replicas: 50, Workers: 1, BaseSeed: 3}, points)
@@ -66,7 +67,9 @@ func spin(n int) {
 // replicate runs one experiment across cfg.Replicas decorrelated seeds
 // and aggregates its metrics: Sweep for a single anonymous point.
 func replicate(cfg Config, run func(seed int64) Metrics) Result {
-	return Sweep(cfg, []Point{{Name: "replicate", Run: run}})[0]
+	return Sweep(cfg, []Point{{Name: "replicate", Run: func(seed int64) (Metrics, map[string]*stats.TDigest) {
+		return run(seed), nil
+	}}})[0]
 }
 
 // TestConcurrentRealReplicas runs real experiment replicas in parallel
@@ -162,8 +165,8 @@ func TestReplicateFibDayWorkerCountInvariant(t *testing.T) {
 
 func TestSweepAggregatesPerPoint(t *testing.T) {
 	points := []Point{
-		{Name: "p0", Run: func(seed int64) Metrics { return Metrics{"m": 1} }},
-		{Name: "p1", Run: func(seed int64) Metrics { return Metrics{"m": 2} }},
+		{Name: "p0", Run: func(seed int64) (Metrics, map[string]*stats.TDigest) { return Metrics{"m": 1}, nil }},
+		{Name: "p1", Run: func(seed int64) (Metrics, map[string]*stats.TDigest) { return Metrics{"m": 2}, nil }},
 	}
 	res := Sweep(Config{Replicas: 5, Workers: 2, BaseSeed: 1}, points)
 	if len(res) != 2 || res[0].Name != "p0" || res[1].Name != "p1" {
@@ -189,12 +192,12 @@ func TestSweepPanicsOnZeroReplicas(t *testing.T) {
 			t.Error("zero replicas should panic")
 		}
 	}()
-	Sweep(Config{}, []Point{{Name: "x", Run: func(int64) Metrics { return nil }}})
+	Sweep(Config{}, []Point{{Name: "x", Run: func(int64) (Metrics, map[string]*stats.TDigest) { return nil, nil }}})
 }
 
 func ExampleSweep() {
-	parity := Point{Name: "parity", Run: func(seed int64) Metrics {
-		return Metrics{"parity": float64(seed % 2)}
+	parity := Point{Name: "parity", Run: func(seed int64) (Metrics, map[string]*stats.TDigest) {
+		return Metrics{"parity": float64(seed % 2)}, nil
 	}}
 	res := Sweep(Config{Replicas: 4, Workers: 2, BaseSeed: 1}, []Point{parity})
 	fmt.Println(res[0].Metrics["parity"].N)

@@ -103,8 +103,8 @@ func (s Status) String() string {
 // count covering pending request-path hops, queued bus messages, and
 // the executing invoker, and the last release recycles the object for
 // a later request. With pooling enabled, a pointer retained past the
-// done/OnComplete callback goes stale once traffic continues;
-// Generation detects such reuse.
+// done callback goes stale once traffic continues; Generation detects
+// such reuse.
 type Invocation struct {
 	ID     int64
 	Action *Action

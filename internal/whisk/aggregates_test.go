@@ -55,13 +55,13 @@ func checkWakeups(t *testing.T, c *Controller, ws []*Invoker, op int) (armed int
 }
 
 // checkIdleHeap verifies an invoker's idle min-heap invariants against
-// the dense pool list: membership (exactly the sets with idle > 0,
+// the pool: membership (exactly the sets with idle > 0,
 // each knowing its index), the heap order, and — the property eviction
 // relies on — root == the scan oracle's victim.
 func checkIdleHeap(t *testing.T, w *Invoker, op int) {
 	t.Helper()
 	idleSets := 0
-	for _, cs := range w.poolList {
+	for _, cs := range w.pool {
 		if cs.idle > 0 {
 			idleSets++
 			if cs.heapIdx < 0 || cs.heapIdx >= len(w.idleHeap) || w.idleHeap[cs.heapIdx] != cs {

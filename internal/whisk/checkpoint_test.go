@@ -219,7 +219,7 @@ func TestRecycleResetsResumeToken(t *testing.T) {
 	if len(c.invPool) != 1 {
 		t.Fatalf("pool size = %d, want 1", len(c.invPool))
 	}
-	fresh := c.Invoke("f", nil)
+	fresh := c.invoke("f", nil)
 	if fresh.Progress != 0 || fresh.StateMB != 0 || fresh.Resumes != 0 {
 		t.Errorf("recycled invocation leaked resume state: progress=%v state=%.1fMB resumes=%d",
 			fresh.Progress, fresh.StateMB, fresh.Resumes)

@@ -23,13 +23,13 @@ type ControllerConfig struct {
 	// PoolInvocations recycles completed Invocation objects through a
 	// controller-side free list, making the request path allocation-free
 	// in steady state (a paper day invokes 864k times). With pooling on,
-	// the *Invocation passed to done/OnComplete is only valid for the
-	// duration of the callback: the controller may hand the object to a
-	// later invocation once every reference (pending hops, queued
-	// messages, the executing invoker) has been released. Callers that
-	// retain invocation pointers across further traffic must leave
-	// pooling off (the default here; core.DefaultSystemConfig turns it
-	// on for the wired deployment, whose clients never retain).
+	// the *Invocation passed to done is only valid for the duration of
+	// the callback: the controller may hand the object to a later
+	// invocation once every reference (pending hops, queued messages, the
+	// executing invoker) has been released. Callers that retain
+	// invocation pointers across further traffic must leave pooling off
+	// (the default here; core.DefaultSystemConfig turns it on for the
+	// wired deployment, whose clients never retain).
 	PoolInvocations bool
 }
 
@@ -41,12 +41,14 @@ func DefaultControllerConfig() ControllerConfig {
 	}
 }
 
-// The calibrated request-path hop latencies, in seconds.
+// The calibrated request-path hop latencies, in seconds. They are
+// typed dist.Uniform, not dist.Dist, so each dist.Seconds draw inlines
+// and devirtualizes.
 var (
-	ingressSeconds dist.Dist = dist.Uniform{Lo: 0.010, Hi: 0.040} // client → controller (one way)
-	egressSeconds  dist.Dist = dist.Uniform{Lo: 0.010, Hi: 0.040} // controller → client (one way)
-	processSeconds dist.Dist = dist.Uniform{Lo: 0.002, Hi: 0.008} // routing decision
-	resultSeconds  dist.Dist = dist.Uniform{Lo: 0.010, Hi: 0.030} // invoker → controller result hop
+	ingressSeconds = dist.Uniform{Lo: 0.010, Hi: 0.040} // client → controller (one way)
+	egressSeconds  = dist.Uniform{Lo: 0.010, Hi: 0.040} // controller → client (one way)
+	processSeconds = dist.Uniform{Lo: 0.002, Hi: 0.008} // routing decision
+	resultSeconds  = dist.Uniform{Lo: 0.010, Hi: 0.030} // invoker → controller result hop
 )
 
 // statusLatency is the worker status propagation delay: the controller
@@ -64,20 +66,17 @@ const fastLaneTopic = "fastlane"
 // The request path ingress→route→publish→timeout→result→egress is
 // allocation-free per invocation: every hop is a typed-arg des event
 // (des.AfterCall) whose callback is a method value cached once at
-// construction and whose argument is the invocation itself, and the
-// per-hop latencies draw through cached dist.Samplers. Invocation
-// lifetime is reference-counted (pending hops + queued messages + the
-// executing invoker); when pooling is enabled the last release recycles
-// the object.
+// construction and whose argument is the invocation itself. Every
+// per-hop latency draws from the controller's one stream, rng, and the
+// draw order on it is part of the pinned deterministic behavior.
+// Invocation lifetime is reference-counted (pending hops + queued
+// messages + the executing invoker); when pooling is enabled the last
+// release recycles the object.
 type Controller struct {
 	sim *des.Sim
 	b   *bus.Bus
 	cfg ControllerConfig
 	rng *rand.Rand
-
-	// Cached per-hop latency samplers, all over rng (draw order on the
-	// shared stream is part of the pinned deterministic behavior).
-	ingress, egress, process, overhead, result dist.Sampler
 
 	// Cached request-path callbacks: one method value each, not one
 	// closure per hop per invocation.
@@ -86,17 +85,13 @@ type Controller struct {
 	actions map[string]*Action
 
 	// slots is the dynamic invoker list: index = slot id, nil = free.
-	// Trailing nils are compacted away on deregistration so a day of
-	// register/deregister churn doesn't leave HealthyCount, Utilization,
-	// and slot scans walking an ever-growing mostly-nil array. slotSpan
-	// is the high-water slot count and never shrinks: it is the modulus
-	// of the action-hash home-invoker mapping, and keeping it stable
+	// It never shrinks, so its length is the high-water slot count: the
+	// modulus of the action-hash home-invoker mapping. Keeping it stable
 	// preserves each action's home assignment (and warm-container
 	// affinity) across churn instead of reshuffling every action
 	// whenever the tail empties. (It also pins the routing sequence the
 	// simulation goldens were recorded under.)
-	slots    []*Invoker
-	slotSpan int
+	slots []*Invoker
 
 	// O(1) control-plane aggregates. Every routing decision, router
 	// snapshot, and supply-policy tick reads these signals, so they are
@@ -130,10 +125,6 @@ type Controller struct {
 	nextInvID int64
 	invPool   []*Invocation
 
-	// OnComplete observes every finished invocation (for load
-	// generators and experiment accounting).
-	OnComplete func(*Invocation)
-
 	// Counters.
 	Total     int
 	N503      int
@@ -160,11 +151,6 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 		rng:     dist.NewRand(seed),
 		actions: map[string]*Action{},
 	}
-	c.ingress = dist.NewSampler(ingressSeconds, c.rng)
-	c.egress = dist.NewSampler(egressSeconds, c.rng)
-	c.process = dist.NewSampler(processSeconds, c.rng)
-	c.overhead = dist.NewSampler(cfg.OverheadSeconds, c.rng)
-	c.result = dist.NewSampler(resultSeconds, c.rng)
 	c.routeFn = c.routeCb
 	c.publishFn = c.publishCb
 	c.timeoutFn = c.timeoutCb
@@ -328,9 +314,13 @@ func (c *Controller) getInvocation() *Invocation {
 }
 
 // Invoke submits a call to the named action; done fires exactly once
-// with the final status. It returns the tracked invocation (valid only
-// until it completes when pooling is enabled — see PoolInvocations).
-func (c *Controller) Invoke(name string, done func(*Invocation)) *Invocation {
+// with the final status.
+func (c *Controller) Invoke(name string, done func(*Invocation)) { c.invoke(name, done) }
+
+// invoke is Invoke returning the tracked invocation (valid only until
+// it completes when pooling is enabled — see PoolInvocations), for
+// tests that watch the object recycle.
+func (c *Controller) invoke(name string, done func(*Invocation)) *Invocation {
 	a, ok := c.actions[name]
 	if !ok {
 		panic(fmt.Sprintf("whisk: unknown action %q", name))
@@ -343,7 +333,7 @@ func (c *Controller) Invoke(name string, done func(*Invocation)) *Invocation {
 	inv.done = done
 	c.nextInvID++
 	c.Total++
-	ingress := c.ingress.Seconds() + c.process.Seconds()
+	ingress := dist.Seconds(ingressSeconds, c.rng) + dist.Seconds(processSeconds, c.rng)
 	c.retain(inv)
 	c.sim.AfterCall(ingress, c.routeFn, inv)
 	return inv
@@ -367,7 +357,7 @@ func (c *Controller) route(inv *Invocation) {
 	}
 	// Activation bookkeeping (the dominant fixed cost of the request
 	// path), then the message lands on the invoker's topic.
-	overhead := c.overhead.Seconds()
+	overhead := dist.Seconds(c.cfg.OverheadSeconds, c.rng)
 	inv.routeTarget = target
 	c.retain(inv)
 	c.sim.AfterCall(overhead, c.publishFn, inv)
@@ -393,22 +383,16 @@ func (c *Controller) publishCb(v any) {
 // half its limit free), the probe continues to a less-loaded healthy
 // invoker — the load-balancing role of §II — and falls back to the
 // home invoker when every candidate is saturated. The probe runs over
-// the stable slotSpan (see the field comment); virtual slots past the
-// compacted array are skipped for free.
+// the whole slot list, whose length is stable (see the field comment).
 func (c *Controller) pickInvoker(a *Action) *Invoker {
-	n := c.slotSpan
+	n := len(c.slots)
 	if n == 0 {
 		return nil
 	}
 	start := int(a.nameHash) % n
-	live := len(c.slots)
 	var home *Invoker
 	for i := 0; i < n; i++ {
-		idx := (start + i) % n
-		if idx >= live {
-			continue
-		}
-		inv := c.slots[idx]
+		inv := c.slots[(start+i)%n]
 		if inv == nil || inv.state != InvokerHealthy {
 			continue
 		}
@@ -437,7 +421,7 @@ func (c *Controller) timeoutCb(v any) {
 // finishFromInvoker is called by invokers on execution completion; the
 // result travels back through the result hop before the client sees it.
 func (c *Controller) finishFromInvoker(inv *Invocation, ok bool) {
-	d := c.result.Seconds()
+	d := dist.Seconds(resultSeconds, c.rng)
 	inv.execOK = ok
 	c.retain(inv)
 	c.sim.AfterCall(d, c.resultFn, inv)
@@ -463,7 +447,7 @@ func (c *Controller) complete(inv *Invocation, status Status) {
 		c.release(inv) // the canceled timeout event's reference
 	}
 	inv.Status = status
-	egress := c.egress.Seconds()
+	egress := dist.Seconds(egressSeconds, c.rng)
 	c.retain(inv)
 	c.sim.AfterCall(egress, c.egressFn, inv)
 }
@@ -482,9 +466,6 @@ func (c *Controller) egressCb(v any) {
 		c.NFailed++
 	case StatusTimeout:
 		c.NTimeout++
-	}
-	if c.OnComplete != nil {
-		c.OnComplete(inv)
 	}
 	if inv.done != nil {
 		inv.done(inv)
@@ -510,9 +491,6 @@ func (c *Controller) Register(inv *Invoker) int {
 		c.slots = append(c.slots, nil)
 	}
 	c.slots[slot] = inv
-	if slot+1 > c.slotSpan {
-		c.slotSpan = slot + 1
-	}
 	inv.attach(c, slot)
 	c.Registers++
 	return slot
@@ -528,7 +506,7 @@ func (c *Controller) Register(inv *Invoker) int {
 // poll when any are waiting).
 func (c *Controller) drainCb(v any) {
 	inv := v.(*Invoker)
-	if s := inv.slot; s < len(c.slots) && c.slots[s] != nil && c.slots[s] != inv {
+	if s := c.slots[inv.slot]; s != nil && s != inv {
 		return
 	}
 	inv.topic.MoveAll(c.fastLane)
@@ -545,33 +523,23 @@ func (c *Controller) wakeInvokers() {
 	}
 }
 
-// clearSlot frees the invoker's slot, stopping at the first match, and
-// compacts trailing free slots so churn doesn't grow the array without
-// bound. (slotSpan deliberately keeps the high-water mark — see the
-// field comment.) This is the single point an invoker leaves the slot
-// list, so every aggregate retires here: the topic watcher disarms
-// (messages rotting on the departed topic stop counting, exactly as
-// the slot scan stopped seeing them), and an invoker removed while
-// still live — Deregister called directly, bypassing the drain state
-// machine — takes its population, busy, and buffer contributions with
-// it.
+// clearSlot frees the invoker's slot; the list keeps its length (see
+// the field comment). This is the single point an invoker leaves the
+// slot list, so every aggregate retires here: the topic watcher
+// disarms (messages rotting on the departed topic stop counting,
+// exactly as the slot scan stopped seeing them), and an invoker
+// removed while still live — Deregister called directly, bypassing the
+// drain state machine — takes its population, busy, and buffer
+// contributions with it.
 func (c *Controller) clearSlot(inv *Invoker) {
 	inv.wake.Stop()
 	c.noteStateChange(inv, inv.state, InvokerGone)
 	c.noteBuffer(inv, -len(inv.buffer))
 	inv.topic.Unwatch()
 	inv.slotted = false
-	for i, s := range c.slots {
-		if s == inv {
-			c.slots[i] = nil
-			break
-		}
+	if c.slots[inv.slot] == inv {
+		c.slots[inv.slot] = nil
 	}
-	n := len(c.slots)
-	for n > 0 && c.slots[n-1] == nil {
-		n--
-	}
-	c.slots = c.slots[:n]
 }
 
 // Deregister removes an invoker from the slot list. Any stragglers left

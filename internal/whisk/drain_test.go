@@ -73,7 +73,7 @@ func TestDrainRescuesLateMessageOnEmptySlot(t *testing.T) {
 	c.RegisterAction(sleepAction("f"))
 	a := NewInvoker(DefaultInvokerConfig(), 3)
 	c.Register(a)
-	inv := c.Invoke("f", nil)
+	inv := c.invoke("f", nil)
 	sim.RunUntil(60 * ms)
 	if inv.routeTarget != a {
 		t.Fatal("the call was not routed to a by 60 ms")

@@ -79,10 +79,11 @@ func DefaultInvokerConfig() InvokerConfig {
 	}
 }
 
-// Container start latencies, in seconds.
+// Container start latencies, in seconds, typed dist.Uniform so each
+// dist.Seconds draw inlines and devirtualizes.
 var (
-	coldStartSeconds dist.Dist = dist.Uniform{Lo: 0.35, Hi: 0.70}   // container creation (≈0.5 s, §II)
-	warmStartSeconds dist.Dist = dist.Uniform{Lo: 0.005, Hi: 0.025} // dispatch into a warm container
+	coldStartSeconds = dist.Uniform{Lo: 0.35, Hi: 0.70}   // container creation (≈0.5 s, §II)
+	warmStartSeconds = dist.Uniform{Lo: 0.005, Hi: 0.025} // dispatch into a warm container
 )
 
 // Invoker executes invocations on one node. It pulls the global fast
@@ -93,12 +94,10 @@ var (
 // pull straight into the reusable buffer (bus.PullAppend), consumed
 // messages recycle to the bus pool, execution completion is a typed-arg
 // des event on a cached method value, and the start latencies draw
-// through cached samplers.
+// from rng.
 type Invoker struct {
 	cfg InvokerConfig
 	rng *rand.Rand
-
-	cold, warm dist.Sampler // container start latencies over rng
 
 	execDoneFn func(any) // cached method value for execution completion
 	ckptDoneFn func(any) // cached method value for checkpoint-segment boundaries
@@ -122,7 +121,6 @@ type Invoker struct {
 	oneMsg    [1]*bus.Message // scratch for single-message requeues
 
 	pool       map[string]*containerSet
-	poolList   []*containerSet // dense view of pool (sets are never removed; the eviction oracle scans it)
 	idleHeap   []*containerSet // min-heap over sets with idle > 0, keyed (lastUsed, name)
 	containers int             // total containers (idle + busy)
 
@@ -170,8 +168,6 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 		state: InvokerGone,
 		pool:  map[string]*containerSet{},
 	}
-	w.cold = dist.NewSampler(coldStartSeconds, w.rng)
-	w.warm = dist.NewSampler(warmStartSeconds, w.rng)
 	w.execDoneFn = w.execDone
 	w.ckptDoneFn = w.ckptDone
 	w.pollFn = w.poll
@@ -428,7 +424,6 @@ func (w *Invoker) acquireContainer(inv *Invocation) containerStart {
 	if cs == nil {
 		cs = &containerSet{name: inv.Action.Name, heapIdx: -1}
 		w.pool[inv.Action.Name] = cs
-		w.poolList = append(w.poolList, cs)
 	}
 	cs.lastUsed = now
 	if cs.idle > 0 {
@@ -442,7 +437,7 @@ func (w *Invoker) acquireContainer(inv *Invocation) containerStart {
 			w.idleHeapDown(cs.heapIdx)
 		}
 		w.WarmStarts++
-		return containerStart{cold: false, delay: w.warm.Seconds()}
+		return containerStart{cold: false, delay: dist.Seconds(warmStartSeconds, w.rng)}
 	}
 	// Need a new container; evict an idle one if the pool is full.
 	if w.containers >= w.cfg.PoolLimit {
@@ -451,7 +446,7 @@ func (w *Invoker) acquireContainer(inv *Invocation) containerStart {
 	w.containers++
 	cs.busy++
 	w.ColdStarts++
-	return containerStart{cold: true, delay: w.cold.Seconds()}
+	return containerStart{cold: true, delay: dist.Seconds(coldStartSeconds, w.rng)}
 }
 
 func (w *Invoker) releaseContainer(a *Action) {
@@ -468,9 +463,9 @@ func (w *Invoker) releaseContainer(a *Action) {
 
 // evictLRUIdle drops the least-recently-used idle container: the root
 // of the idle min-heap, whose (lastUsed, name) key is a strict total
-// order (names are unique), so the root is exactly the minimum the
-// poolList scan used to find — recomputeEvictionVictim pins the
-// equivalence in tests. O(log sets) instead of O(sets).
+// order (names are unique), so the root is exactly the minimum a scan
+// of the pool finds — recomputeEvictionVictim pins the equivalence in
+// tests. O(log sets) instead of O(sets).
 func (w *Invoker) evictLRUIdle() {
 	if len(w.idleHeap) == 0 {
 		return
@@ -483,13 +478,14 @@ func (w *Invoker) evictLRUIdle() {
 	w.containers--
 }
 
-// recomputeEvictionVictim is the eviction oracle: the pre-heap dense
-// scan over poolList, returning the idle set with the minimum
-// (lastUsed, name) key, or nil if none is idle. Tests compare it
+// recomputeEvictionVictim is the eviction oracle: the pre-heap scan
+// over the pool, returning the idle set with the minimum (lastUsed,
+// name) key, or nil if none is idle. The key is a strict total order,
+// so map iteration order cannot change the result. Tests compare it
 // against the heap root; it is not called on any hot path.
 func (w *Invoker) recomputeEvictionVictim() *containerSet {
 	var victim *containerSet
-	for _, cs := range w.poolList {
+	for _, cs := range w.pool {
 		if cs.idle == 0 {
 			continue
 		}

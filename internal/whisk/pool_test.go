@@ -47,7 +47,7 @@ func TestStaleInvocationHandleAfterRecycle(t *testing.T) {
 		t.Fatalf("pool size = %d after completion, want 1", len(c.invPool))
 	}
 
-	fresh := c.Invoke("f", nil)
+	fresh := c.invoke("f", nil)
 	if fresh != stale {
 		t.Fatalf("second invocation did not reuse the pooled object (%p vs %p)", fresh, stale)
 	}
@@ -124,12 +124,11 @@ func TestKillRecyclesRotInvocationsOnlyAfterTimeout(t *testing.T) {
 	}
 }
 
-// TestDeregisterCompactsTrailingSlots is the regression test for the
-// unbounded slot-array growth: a day of register/deregister churn must
-// not leave HealthyCount and Utilization scanning a mostly-nil array.
-// The hash modulus (slotSpan) deliberately keeps the high-water mark so
-// home-invoker routing stays stable — see the field comment.
-func TestDeregisterCompactsTrailingSlots(t *testing.T) {
+// TestDeregisterKeepsSlotListLength pins the slot list's one length:
+// deregistrations free slots but never shrink the list, so len(slots)
+// stays the high-water count that home-invoker routing hashes over,
+// and Register refills the lowest free slot before the list grows.
+func TestDeregisterKeepsSlotListLength(t *testing.T) {
 	sim := des.New()
 	b := bus.New(sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
@@ -143,38 +142,32 @@ func TestDeregisterCompactsTrailingSlots(t *testing.T) {
 		}
 		ws = append(ws, w)
 	}
-	// Deregister the tail: the array must shrink with it.
-	for i := 7; i >= 3; i-- {
+	// Tail and middle deregistrations keep the high-water length.
+	for _, i := range []int{7, 6, 5, 4, 3, 1} {
 		c.Deregister(ws[i])
-		if len(c.slots) != i {
-			t.Fatalf("after deregistering slot %d: len(slots) = %d, want %d", i, len(c.slots), i)
+		if len(c.slots) != 8 {
+			t.Fatalf("after deregistering slot %d: len(slots) = %d, want the high-water 8", i, len(c.slots))
+		}
+		if c.slots[i] != nil {
+			t.Fatalf("slot %d still occupied after deregistering", i)
 		}
 	}
-	if c.slotSpan != 8 {
-		t.Errorf("slotSpan = %d, want the high-water 8", c.slotSpan)
-	}
-	// A hole in the middle stays until the tail reaches it…
-	c.Deregister(ws[1])
-	if len(c.slots) != 3 {
-		t.Errorf("mid-hole deregister should not shrink: len = %d, want 3", len(c.slots))
-	}
-	// …and the freed middle slot is reused before the array grows.
+	// The freed middle slot is reused first.
 	w := mk()
 	if got := c.Register(w); got != 1 {
 		t.Errorf("register into hole got slot %d, want 1", got)
 	}
-	// Clearing everything empties the array entirely.
 	c.Deregister(ws[0])
 	c.Deregister(ws[2])
 	c.Deregister(w)
-	if len(c.slots) != 0 {
-		t.Errorf("len(slots) = %d after full churn, want 0", len(c.slots))
+	if len(c.slots) != 8 {
+		t.Errorf("len(slots) = %d after full churn, want the high-water 8", len(c.slots))
 	}
 	if c.HealthyCount() != 0 {
 		t.Errorf("healthy = %d, want 0", c.HealthyCount())
 	}
-	// Routing still works over the compacted array: a fresh register
-	// reuses slot 0 and receives traffic.
+	// Routing still works after the churn: a fresh register takes slot
+	// 0 and receives traffic.
 	c.RegisterAction(&Action{Name: "g", MemoryMB: 128, Exec: FixedExec(time.Millisecond)})
 	w2 := mk()
 	if got := c.Register(w2); got != 0 {
@@ -215,9 +208,9 @@ func TestUnpooledControllerNeverRecycles(t *testing.T) {
 	c.RegisterAction(&Action{Name: "f", MemoryMB: 256, Exec: FixedExec(time.Millisecond)})
 	w := NewInvoker(DefaultInvokerConfig(), 3)
 	c.Register(w)
-	first := c.Invoke("f", nil)
+	first := c.invoke("f", nil)
 	sim.RunFor(time.Minute)
-	second := c.Invoke("f", nil)
+	second := c.invoke("f", nil)
 	sim.RunFor(time.Minute)
 	if first == second {
 		t.Error("unpooled controller reused an invocation object")

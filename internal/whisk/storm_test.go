@@ -43,7 +43,7 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 	}
 
 	var log []string
-	c.OnComplete = func(inv *Invocation) {
+	logDone := func(inv *Invocation) {
 		log = append(log, fmt.Sprintf("%d %s %v sub=%v rt=%v ex=%v cp=%v rq=%d inv=%d cold=%v",
 			inv.ID, inv.Action.Name, inv.Status, inv.Submitted, inv.Routed,
 			inv.Executed, inv.Completed, inv.Requeues, inv.InvokerID, inv.ColdStart))
@@ -81,7 +81,7 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 		case 3: // let virtual time pass
 			sim.RunFor(time.Duration(rng.Intn(5000)) * time.Millisecond)
 		default: // invoke (the storm is mostly traffic)
-			c.Invoke(actions[rng.Intn(len(actions))], nil)
+			c.Invoke(actions[rng.Intn(len(actions))], logDone)
 			sim.RunFor(time.Duration(rng.Intn(200)) * time.Millisecond)
 		}
 	}
