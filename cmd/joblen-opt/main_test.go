@@ -40,6 +40,21 @@ func TestTraceErrors(t *testing.T) {
 	if code := run([]string{"-trace", bad}, &out, &errb); code != 1 {
 		t.Errorf("malformed trace: exit %d, want 1", code)
 	}
+
+	// NaN parses as a float and passes a "<= 0" check; it must still
+	// be an error naming the horizon, not a trace that panics the
+	// coverage simulation.
+	nan := filepath.Join(t.TempDir(), "nan.csv")
+	if err := os.WriteFile(nan, []byte("#4,NaN\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errb.Reset()
+	if code := run([]string{"-trace", nan}, &out, &errb); code != 1 {
+		t.Errorf("NaN horizon: exit %d, want 1", code)
+	}
+	if msg := errb.String(); !strings.Contains(msg, "trace:") || !strings.Contains(msg, "horizon") || strings.Contains(msg, "panic:") {
+		t.Errorf("NaN horizon: stderr %q, want a trace error naming the horizon", msg)
+	}
 }
 
 func TestSmallRun(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,15 +53,19 @@ func stormArrivals(horizon time.Duration, seed int64, actions int) []stormArriva
 // produce a byte-identical per-completion event log — outcome, all
 // timestamps, cold-start and requeue history, in completion order —
 // whether it runs sequentially or sharded, across several seeds and
-// shard counts.
+// shard counts. Odd sites time requests out after shortTimeout, the
+// others after the 60 s default, so the sequential plane carries two
+// timeout lanes, a shard one or two; every seed's log must hold
+// timeouts, so lanes that fire are compared, not only stopped ones.
 func TestFederationStormShardedEventLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping federation storm replay")
 	}
 	const (
-		sites   = 5
-		horizon = 12 * time.Minute
-		nAct    = 12
+		sites        = 5
+		horizon      = 12 * time.Minute
+		nAct         = 12
+		shortTimeout = 2 * time.Second
 	)
 	actions := make([]string, nAct)
 	for i := range actions {
@@ -71,6 +76,9 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 		base := DefaultSystemConfig(24, "fib")
 		base.Seed = seed
 		cfg := UniformFederationConfig(sites, base)
+		for i := 1; i < sites; i += 2 {
+			cfg.Sites[i].Controller.ActionTimeout = shortTimeout
+		}
 		cfg.Shards = shards
 		fed := NewFederation(cfg)
 		troot := dist.NewRand(seed + 101)
@@ -102,6 +110,16 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 		seq := replay(seed, 1)
 		if len(seq) == 0 {
 			t.Fatalf("seed %d: storm produced no completions", seed)
+		}
+		timeouts := 0
+		for _, line := range seq {
+			if strings.Contains(line, " timeout ") {
+				timeouts++
+			}
+		}
+		t.Logf("seed %d: %d of %d completions timed out", seed, timeouts, len(seq))
+		if timeouts == 0 {
+			t.Errorf("seed %d: no request timed out, so no lane fired", seed)
 		}
 		for _, shards := range []int{2, sites} {
 			shd := replay(seed, shards)

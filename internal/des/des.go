@@ -16,16 +16,22 @@
 // for a later scheduling are detected and refused rather than
 // corrupting the queue.
 //
-// The queue has two tiers. An event due less than farAhead after it was
-// scheduled goes to the near heap, every other one to the far heap. A
-// trace-driven run schedules thousands of idle-period boundaries hours
-// ahead at set-up, while its request path keeps a few dozen events in
-// flight; kept apart, those boundaries no longer deepen every sift of
-// the request path. Each dispatch pops the smaller of the two heap
-// tops and fires it, so events still fire one at a time in the one
-// (instant, sequence) order whichever tier holds them. Stopped events
-// leave stale entries behind (Stop is index-free), and each tier is
-// compacted on its own once its stale entries outnumber its live ones.
+// The queue has three kinds of part: two heap tiers and any number of
+// lanes. An event scheduled on a Lane waits in that lane, a FIFO of the
+// events that share one constant delay; any other event due less than
+// farAhead after it was scheduled goes to the near heap, and every
+// other one to the far heap. A trace-driven run schedules thousands of
+// idle-period boundaries hours ahead at set-up, while its request path
+// keeps a few dozen events in flight; kept apart, those boundaries no
+// longer deepen every sift of the request path. A lane needs no sift at
+// all: events with one delay come due in the order they are scheduled.
+// The per-request client timeout waits on one, so the hundreds of
+// thousands a day armed and stopped again never enter a heap. Each
+// dispatch fires the first of the two heap tops and the lane heads, so
+// events still fire one at a time in the one (instant, sequence) order
+// whichever queue holds them. Stopped events leave stale entries behind
+// (Stop is index-free), and each tier and each lane is compacted on its
+// own once its stale entries outnumber its live ones.
 //
 // The zero value of Sim is ready to use; its clock starts at instant 0.
 package des
@@ -69,13 +75,17 @@ type Event struct {
 //
 // at stamps the instant the slot was filled (the clock at scheduling
 // time): with the event's instant it names the tier the entry waits in,
-// which Stop needs to credit that tier's stale count.
+// which Stop needs to credit that tier's stale count. lane names the
+// lane it waits in instead, as an index into Sim.lanes plus one, and is
+// 0 for a tier entry. (It fills the struct's padding: 48 bytes either
+// way.)
 type node struct {
-	fn  func()
-	fnA func(any)
-	arg any
-	at  Time
-	gen uint32
+	fn   func()
+	fnA  func(any)
+	arg  any
+	at   Time
+	gen  uint32
+	lane int32
 }
 
 // entry is one queue element: 24 bytes (8+8+4+4), pointer-free, ordered
@@ -112,21 +122,25 @@ func (e Event) Stop() bool {
 	if n.gen != e.gen {
 		return false
 	}
-	// Release the slot immediately; the heap entry becomes stale and is
-	// skipped when it surfaces (the queue is index-free by design).
-	s.tierOf(e.when, n.at).dead++
+	// Release the slot immediately; the queued entry becomes stale and
+	// is skipped when it surfaces (the queue is index-free by design).
 	n.fn, n.fnA, n.arg = nil, nil, nil
 	n.gen++
 	s.free = append(s.free, e.idx)
 	s.npending--
+	if n.lane != 0 {
+		s.lanes[n.lane-1].stopped(s.nodes)
+	} else {
+		s.tierOf(e.when, n.at).dead++
+	}
 	return true
 }
 
-// farAhead splits the queue: an event due at least this long after it
+// farAhead splits the heaps: an event due at least this long after it
 // was scheduled waits in the far tier. It sits above the request path's
-// horizons (the 60 s per-request timeout, the 3 min SIGTERM grace), so
-// those stay near where they are armed and stopped, and below pilot
-// walltimes and trace boundaries, which wait far.
+// hops and the 3 min SIGTERM grace, so those stay near where they are
+// armed and stopped, and below pilot walltimes and trace boundaries,
+// which wait far. (The client timeout waits on a lane.)
 const farAhead = 5 * time.Minute
 
 // tier is one 4-ary min-heap of the queue.
@@ -135,10 +149,9 @@ type tier struct {
 
 	// dead counts the stopped entries h still carries. Canceled events
 	// release their slot immediately but leave their 24-byte entry
-	// behind until it surfaces — a request path that arms and cancels a
-	// 60-second timeout per invocation would otherwise let stale entries
-	// outnumber live ones and deepen every sift — so settle compacts the
-	// tier once they do.
+	// behind until it surfaces. Stale entries that came to outnumber
+	// live ones would deepen every sift, so settle compacts the tier
+	// once they do.
 	dead int
 }
 
@@ -158,6 +171,7 @@ func (s *Sim) tierOf(when, at Time) *tier {
 type Sim struct {
 	now       Time
 	near, far tier
+	lanes     []*Lane
 	nodes     []node
 	free      []int32
 	seq       uint64
@@ -179,7 +193,7 @@ func (s *Sim) Schedule(at Time, fn func()) Event {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	idx, n := s.acquire(at)
+	idx, n := s.acquire(at, 0)
 	n.fn = fn
 	return s.enqueue(at, idx, n)
 }
@@ -199,7 +213,7 @@ func (s *Sim) ScheduleCall(at Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	idx, n := s.acquire(at)
+	idx, n := s.acquire(at, 0)
 	n.fnA = fn
 	n.arg = arg
 	return s.enqueue(at, idx, n)
@@ -210,8 +224,9 @@ func (s *Sim) AfterCall(d time.Duration, fn func(any), arg any) Event {
 	return s.ScheduleCall(s.now+d, fn, arg)
 }
 
-// acquire validates the instant and takes a free callback slot.
-func (s *Sim) acquire(at Time) (int32, *node) {
+// acquire validates the instant and takes a free callback slot for an
+// event on the given lane (0: a tier).
+func (s *Sim) acquire(at Time, lane int32) (int32, *node) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
 	}
@@ -224,17 +239,131 @@ func (s *Sim) acquire(at Time) (int32, *node) {
 		idx = int32(len(s.nodes) - 1)
 	}
 	n := &s.nodes[idx]
-	n.at = s.now
+	n.at, n.lane = s.now, lane
 	return idx, n
 }
 
-// enqueue pushes the filled slot onto its tier and hands out the handle.
+// enqueue queues the filled slot on its lane or tier and hands out the
+// handle.
 func (s *Sim) enqueue(at Time, idx int32, n *node) Event {
-	seq := s.seq
+	e := entry{when: at, seq: s.seq, gen: n.gen, idx: idx}
 	s.seq++
-	s.tierOf(at, n.at).push(entry{when: at, seq: seq, gen: n.gen, idx: idx})
+	if n.lane != 0 {
+		s.lanes[n.lane-1].push(e)
+	} else {
+		s.tierOf(at, n.at).push(e)
+	}
 	s.npending++
 	return Event{sim: s, when: at, gen: n.gen, idx: idx}
+}
+
+// Lane is a FIFO of the events that share one constant delay, from
+// Sim.Lane. Events with one delay come due in the order they are
+// scheduled, so a lane keeps them due-ordered without a heap:
+// scheduling appends, and dispatch takes the head when it comes first.
+// Its events keep their place in the Sim's one (instant, sequence)
+// order; they only wait apart. A lane suits a delay that is armed often
+// and nearly always stopped before it fires, like a request timeout.
+type Lane struct {
+	sim   *Sim
+	delay time.Duration
+	id    int32 // index in sim.lanes plus one, as node.lane records it
+
+	// q[head:] holds the lane's entries in (when, seq) order; q[:head]
+	// is room that entries taken off the head left behind.
+	q    []entry
+	head int
+
+	// dead counts the stopped entries q[head:] still holds.
+	dead int
+}
+
+// Lane returns the Sim's lane for delay d, created on first use: every
+// caller of one delay shares one lane.
+func (s *Sim) Lane(d time.Duration) *Lane {
+	for _, l := range s.lanes {
+		if l.delay == d {
+			return l
+		}
+	}
+	l := &Lane{sim: s, delay: d, id: int32(len(s.lanes) + 1)}
+	s.lanes = append(s.lanes, l)
+	return l
+}
+
+// AfterCall queues fn(arg) on the lane, to run its delay from now: the
+// lane's Sim.AfterCall. A negative delay panics.
+func (l *Lane) AfterCall(fn func(any), arg any) Event {
+	if fn == nil {
+		panic("des: schedule with nil callback")
+	}
+	s := l.sim
+	at := s.now + l.delay
+	if k := len(l.q); k > l.head && at < l.q[k-1].when {
+		// The clock went back: RunUntil or RunBefore set it to their end
+		// after a re-entrant Step fired past it. The lane would fall out
+		// of order; a heap keeps the event in its place.
+		return s.ScheduleCall(at, fn, arg)
+	}
+	idx, n := s.acquire(at, l.id)
+	n.fnA = fn
+	n.arg = arg
+	return s.enqueue(at, idx, n)
+}
+
+// push appends e. Before the buffer would grow it takes back the room
+// in front of the head once that is at least half the buffer, so a lane
+// in steady state allocates nothing.
+func (l *Lane) push(e entry) {
+	if len(l.q) == cap(l.q) && l.head > 0 && 2*l.head >= len(l.q) {
+		n := copy(l.q, l.q[l.head:])
+		l.q, l.head = l.q[:n], 0
+	}
+	l.q = append(l.q, e)
+}
+
+// pop removes and returns the head entry.
+func (l *Lane) pop() entry {
+	e := l.q[l.head]
+	l.head++
+	if l.head == len(l.q) {
+		l.q, l.head = l.q[:0], 0
+	}
+	return e
+}
+
+// settle discards stale entries off the head. It reports whether it
+// discarded any.
+func (l *Lane) settle(nodes []node) bool {
+	dropped := false
+	for l.head < len(l.q) {
+		if e := l.q[l.head]; nodes[e.idx].gen == e.gen {
+			break
+		}
+		l.pop()
+		l.dead--
+		dropped = true
+	}
+	return dropped
+}
+
+// stopped counts one more stopped entry, and compacts the lane in place,
+// in FIFO order, once more than 64 of its entries are stale and they
+// outnumber the live ones: the tiers' rule. Stale entries leave at the
+// head only once their instant comes, so without it a lane whose events
+// are nearly all stopped would hold every one scheduled in the last
+// delay.
+func (l *Lane) stopped(nodes []node) {
+	l.dead++
+	if l.dead > 64 && 2*l.dead > len(l.q)-l.head {
+		live := l.q[:0]
+		for _, e := range l.q[l.head:] {
+			if nodes[e.idx].gen == e.gen {
+				live = append(live, e)
+			}
+		}
+		l.q, l.head, l.dead = live, 0, 0
+	}
 }
 
 // fire releases e's slot and runs its callback. The caller must have
@@ -298,11 +427,15 @@ const maxTime = Time(math.MaxInt64)
 func (s *Sim) dispatch(last Time, once bool) bool {
 	fired := false
 	for !fired || !once {
-		q := s.next()
-		if q == nil || q.h[0].when > last {
-			break
+		var e entry
+		switch q, l := s.next(); {
+		case l != nil && l.q[l.head].when <= last:
+			e = l.pop()
+		case q != nil && q.h[0].when <= last:
+			e = q.pop()
+		default:
+			return fired
 		}
-		e := q.pop()
 		s.now = e.when
 		s.fire(e)
 		fired = true
@@ -310,43 +443,60 @@ func (s *Sim) dispatch(last Time, once bool) bool {
 	return fired
 }
 
-// next returns the tier whose top is the earliest live entry, or nil
-// when no live entry is queued: the one top-of-queue helper behind
-// every entry point. A tier is settled before its top is trusted: the
-// near tier on every call, the far tier only when its top comes first.
-// A stale far top behind the live near top cannot matter, and checking
-// it would touch a callback slot the request path never reads.
-func (s *Sim) next() *tier {
+// next returns the queue (a tier or a lane) whose head is the earliest
+// live entry, or neither when no live entry is queued: the one
+// top-of-queue helper behind every entry point. A queue is settled
+// before its head is trusted: the near tier on every call, the far tier
+// and the lanes only when their head comes first. A stale far top or
+// lane head behind the live near top cannot matter, and checking it
+// would touch a callback slot the request path never reads.
+func (s *Sim) next() (*tier, *Lane) {
 	s.near.settle(s.nodes)
-	q := s.first()
-	if q == &s.far {
-		q.settle(s.nodes)
-		q = s.first()
+	for {
+		q, l := s.first()
+		if l != nil && l.settle(s.nodes) || q == &s.far && q.settle(s.nodes) {
+			continue // it discarded its head or compacted: look again
+		}
+		return q, l
 	}
-	return q
 }
 
-// first returns the tier whose top entry comes first in (when, seq)
-// order, or nil when both are empty. A far entry and a near entry due at
-// the same instant are ordered by sequence like any other pair.
-func (s *Sim) first() *tier {
-	switch {
-	case len(s.far.h) == 0:
-		if len(s.near.h) == 0 {
-			return nil
-		}
-		return &s.near
-	case len(s.near.h) == 0 || less(s.far.h[0], s.near.h[0]):
-		return &s.far
+// first returns the queue whose head entry comes first in (when, seq)
+// order, or neither when all are empty. Entries due at the same instant
+// are ordered by sequence whichever queues hold them.
+func (s *Sim) first() (*tier, *Lane) {
+	var q *tier
+	top := none
+	if len(s.near.h) > 0 {
+		q, top = &s.near, s.near.h[0]
 	}
-	return &s.near
+	if len(s.far.h) > 0 && less(s.far.h[0], top) {
+		q, top = &s.far, s.far.h[0]
+	}
+	var lane *Lane
+	for _, l := range s.lanes {
+		if l.head < len(l.q) && less(l.q[l.head], top) {
+			lane, top = l, l.q[l.head]
+		}
+	}
+	if lane != nil {
+		return nil, lane
+	}
+	return q, nil
 }
+
+// none orders after every entry a Sim can queue (no sequence number
+// reaches MaxUint64): the head of an empty queue.
+var none = entry{when: maxTime, seq: math.MaxUint64}
 
 // NextAt reports the instant of the earliest live pending event — the
 // shard-horizon query of the parallel coordinator. ok is false when no
 // live event is pending. The clock does not move and nothing fires.
 func (s *Sim) NextAt() (at Time, ok bool) {
-	if q := s.next(); q != nil {
+	switch q, l := s.next(); {
+	case l != nil:
+		return l.q[l.head].when, true
+	case q != nil:
 		return q.h[0].when, true
 	}
 	return 0, false
@@ -357,8 +507,9 @@ func (s *Sim) NextAt() (at Time, ok bool) {
 // cancellation history, then discards stale entries off the top.
 // Neither is visible to the simulation: the firing order is the
 // (when, seq) total order, which any valid heap over the same live
-// entries yields.
-func (q *tier) settle(nodes []node) {
+// entries yields. It reports whether it did either.
+func (q *tier) settle(nodes []node) bool {
+	changed := false
 	if q.dead > 64 && 2*q.dead > len(q.h) {
 		live := q.h[:0]
 		for _, e := range q.h {
@@ -371,14 +522,17 @@ func (q *tier) settle(nodes []node) {
 			q.siftDown(i)
 		}
 		q.dead = 0
+		changed = true
 	}
 	for len(q.h) > 0 {
 		if e := q.h[0]; nodes[e.idx].gen == e.gen {
-			return
+			return changed
 		}
 		q.pop()
 		q.dead--
+		changed = true
 	}
+	return changed
 }
 
 // less orders entries by (when, seq): the deterministic total order.

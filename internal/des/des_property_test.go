@@ -99,11 +99,17 @@ func (s *refSim) RunUntil(end Time) {
 type kernel struct {
 	now      func() Time
 	schedule func(at Time, fn func()) (stop func() bool)
+	lane     func(i int, fn func()) (stop func() bool)
 	step     func() bool
 	runUntil func(end Time)
 	drain    func()
 	sim      *Sim
 }
+
+// laneDelays are the delays of the scripts' two lanes: a request-path
+// hop and exactly farAhead, so lane entries tie on one instant with near
+// entries (offset class 1) and far ones (class 5).
+var laneDelays = [2]time.Duration{time.Second, farAhead}
 
 func pooledKernel() kernel {
 	s := New()
@@ -113,6 +119,10 @@ func pooledKernel() kernel {
 			e := s.Schedule(at, fn)
 			return e.Stop
 		},
+		lane: func(i int, fn func()) func() bool {
+			e := s.Lane(laneDelays[i]).AfterCall(func(any) { fn() }, nil)
+			return e.Stop
+		},
 		step:     s.Step,
 		runUntil: s.RunUntil,
 		drain:    s.Run,
@@ -120,12 +130,18 @@ func pooledKernel() kernel {
 	}
 }
 
+// referenceKernel has no lanes: it schedules a lane op as a plain event
+// at now plus the lane's delay.
 func referenceKernel() kernel {
 	s := &refSim{}
 	return kernel{
 		now: func() Time { return s.now },
 		schedule: func(at Time, fn func()) func() bool {
 			e := s.Schedule(at, fn)
+			return e.Stop
+		},
+		lane: func(i int, fn func()) func() bool {
+			e := s.Schedule(s.now+laneDelays[i], fn)
 			return e.Stop
 		},
 		step: s.Step,
@@ -145,7 +161,8 @@ func referenceKernel() kernel {
 // with id ≡ 0 (mod 7) schedule a child event from inside the dispatch,
 // exercising reentrant scheduling at (and after) the current instant;
 // with far set the children reach every offset class of at, so far
-// callbacks schedule too, into both tiers. Callbacks with id ≡ 4
+// callbacks schedule too, into both tiers, and one in seven of them
+// (id ≡ 0 mod 49) schedules on a lane instead. Callbacks with id ≡ 4
 // (mod 11) stop a later-scheduled sibling due at their own instant.
 type harness struct {
 	k     kernel
@@ -159,23 +176,38 @@ type harness struct {
 	// ones.
 	farDue int
 
-	// miscount names the first op after which a tier of the pooled
-	// kernel counted a different number of stopped entries than its
-	// heap holds ("" while every count is exact).
+	// miscount names the first op after which a tier or a lane of the
+	// pooled kernel counted a different number of stopped entries than
+	// it holds ("" while every count is exact).
 	miscount string
 }
 
+// schedule queues the next event at instant at.
 func (d *harness) schedule(at Time) {
+	d.whens = append(d.whens, at)
+	d.stops = append(d.stops, d.k.schedule(at, d.callback()))
+}
+
+// scheduleLane queues the next event on lane i (laneDelays).
+func (d *harness) scheduleLane(i int) {
+	d.whens = append(d.whens, d.k.now()+laneDelays[i])
+	d.stops = append(d.stops, d.k.lane(i, d.callback()))
+}
+
+// callback returns the callback of the event about to be queued.
+func (d *harness) callback() func() {
 	id := len(d.stops)
 	spawn := id%7 == 0
-	d.whens = append(d.whens, at)
-	d.stops = append(d.stops, d.k.schedule(at, func() {
+	return func() {
 		d.log = append(d.log, fmt.Sprintf("%d@%d\n", id, d.k.now())...)
 		if spawn {
-			if d.far {
-				d.schedule(d.at(id/7, id))
-			} else {
+			switch {
+			case !d.far:
 				d.schedule(d.k.now() + Time(1+id%911)*Time(time.Millisecond))
+			case id%49 == 0:
+				d.scheduleLane(id / 49 % 2)
+			default:
+				d.schedule(d.at(id/7, id))
 			}
 		}
 		// Re-entrant dispatch from inside a callback: a sprinkle of
@@ -194,7 +226,7 @@ func (d *harness) schedule(at Time) {
 				}
 			}
 		}
-	}))
+	}
 }
 
 // stop stops n handles from the j-th on (often already fired: stale).
@@ -279,18 +311,27 @@ const (
 	opRunUntil
 )
 
+// laneArg is the first schedule argument that selects a lane.
+const laneArg = 8
+
 // runOps decodes data into ops, three bytes each — kind (low 2 bits)
 // and argument (high 6 bits), then a 16-bit parameter p — replays them
 // on k with far-reaching children, drains k and returns the harness. A
-// schedule or RunUntil goes to at(argument, p); a stop stops up to
-// 1<<(argument%8) handles from the (p mod count)-th newest on.
+// schedule with an argument of laneArg to laneArg+7 goes on lane
+// argument%2; any other schedule, and a RunUntil, goes to
+// at(argument, p). A stop stops up to 1<<(argument%8) handles from the
+// (p mod count)-th newest on.
 func runOps(k kernel, data []byte) *harness {
 	d := &harness{k: k, far: true}
 	for op := 0; len(data) >= 3; op, data = op+1, data[3:] {
 		kind, arg, p := int(data[0]&3), int(data[0]>>2), int(data[1])<<8|int(data[2])
 		switch kind {
 		case opSchedule:
-			d.schedule(d.at(arg, p))
+			if arg >= laneArg && arg < laneArg+8 {
+				d.scheduleLane(arg % 2)
+			} else {
+				d.schedule(d.at(arg, p))
+			}
 		case opStop:
 			if n := len(d.stops); n > 0 {
 				d.stop(n-1-p%n, 1<<(arg%8))
@@ -313,33 +354,42 @@ func runOps(k kernel, data []byte) *harness {
 	return d
 }
 
-// miscount reports the first tier whose dead count differs from the
-// number of stopped entries its heap holds, or "" when both are exact.
+// miscount reports the first tier or lane whose dead count differs from
+// the number of stopped entries it holds, or "" when every count is
+// exact.
 func miscount(s *Sim) string {
-	for _, q := range []struct {
-		name string
-		t    *tier
-	}{{"near", &s.near}, {"far", &s.far}} {
-		stale := 0
-		for _, e := range q.t.h {
-			if s.nodes[e.idx].gen != e.gen {
-				stale++
-			}
-		}
-		if stale != q.t.dead {
-			return fmt.Sprintf("%s dead=%d stale=%d", q.name, q.t.dead, stale)
+	if n := stale(s, s.near.h); n != s.near.dead {
+		return fmt.Sprintf("near dead=%d stale=%d", s.near.dead, n)
+	}
+	if n := stale(s, s.far.h); n != s.far.dead {
+		return fmt.Sprintf("far dead=%d stale=%d", s.far.dead, n)
+	}
+	for _, l := range s.lanes {
+		if n := stale(s, l.q[l.head:]); n != l.dead {
+			return fmt.Sprintf("lane %v dead=%d stale=%d", l.delay, l.dead, n)
 		}
 	}
 	return ""
 }
 
+// stale counts the entries of q whose slot was released.
+func stale(s *Sim, q []entry) int {
+	n := 0
+	for _, e := range q {
+		if s.nodes[e.idx].gen != e.gen {
+			n++
+		}
+	}
+	return n
+}
+
 // farScript draws n ops for runOps the way a trace-driven day mixes
-// them: schedules over every offset class, near ones the most common;
-// single stops, and bulk stops of the 128 handles 129 to 256
-// schedulings back, whose near events have mostly fired by then, so
-// the stops strand far entries faster than they surface; single steps;
-// and RunUntil windows of mostly milliseconds to seconds, a few
-// minutes and rare hour-long jumps.
+// them: schedules over every offset class, near ones the most common,
+// and on both lanes; single stops, and bulk stops of the 128 handles
+// 129 to 256 schedulings back, whose near events have mostly fired by
+// then, so the stops strand far entries faster than they surface;
+// single steps; and RunUntil windows of mostly milliseconds to
+// seconds, a few minutes and rare hour-long jumps.
 func farScript(seed int64, n int) []byte {
 	const (
 		scheduleClasses = "0000011111223333334567"
@@ -361,21 +411,25 @@ func farScript(seed int64, n int) []byte {
 			if rng.Intn(50) == 0 {
 				arg = 3
 			}
+		case r < 22:
+			arg = laneArg + rng.Intn(2)
 		}
 		data = append(data, byte(kind|arg<<2), byte(p>>8), byte(p))
 	}
 	return data
 }
 
-// TestPropertyPooledHeapMatchesReference requires the pooled two-tier
-// kernel and the container/heap oracle to produce byte-identical logs
-// over 100k random operations: near-only scripts (every offset under
-// 10 s) and far-reaching ones, whose offsets span both tiers and their
-// boundary, whose bulk stops compact the far tier, whose RunUntil
-// windows jump hours of empty clock and whose ties put far and
-// later-scheduled near entries on the same instant. After every op of
-// the far-reaching scripts each tier's dead count must equal its stale
-// entries.
+// TestPropertyPooledHeapMatchesReference requires the pooled kernel,
+// with its two tiers and its lanes, and the container/heap oracle to
+// produce byte-identical logs over 100k random operations: near-only
+// scripts (every offset under 10 s) and far-reaching ones, whose
+// offsets span both tiers and their boundary, whose lane schedules
+// wait 1 s or exactly farAhead, whose bulk stops compact the far tier,
+// whose RunUntil windows jump hours of empty clock and whose ties put
+// far, lane and later-scheduled near entries on the same instant.
+// After every op of the far-reaching scripts each tier's and each
+// lane's dead count must equal its stale entries. (A seed of
+// FuzzKernelMatchesReference compacts a lane.)
 func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 	const ops = 100_000
 	for _, seed := range []int64{1, 2, 3} {
@@ -395,10 +449,11 @@ func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzKernelMatchesReference decodes arbitrary bytes into schedule,
-// stop, step and RunUntil ops (runOps) and requires identical logs from
-// the pooled kernel and the container/heap oracle, and exact per-tier
-// stale counts after every op.
+// FuzzKernelMatchesReference decodes arbitrary bytes into schedule
+// (at an instant or on a lane), stop, step and RunUntil ops (runOps)
+// and requires identical logs from the pooled kernel and the
+// container/heap oracle, and exact per-tier and per-lane stale counts
+// after every op.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -410,6 +465,33 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		opStep, 0, 0,
 		opStop | 1<<2, 0, 1,
 	})
+	f.Add([]byte{
+		opSchedule | 5<<2, 0, 0, // exactly farAhead: far
+		opSchedule | (laneArg+1)<<2, 0, 0, // the farAhead lane: the same instant
+		opRunUntil | 1<<2, 0, 10, // 10 ms later
+		opSchedule | 7<<2, 0, 0, // tie with the lane entry, now near
+		opStop, 0, 1, // stop the lane entry
+		opRunUntil | 5<<2, 0, 0, // past the instant: far, then near fire
+		opSchedule | laneArg<<2, 0, 0, // the 1 s lane...
+		opSchedule | 1<<2, 0x03, 0xe8, // ...tied with a near entry 1,000 ms ahead
+		opStop, 0, 0, // stop the near one
+	})
+	// 100 events on the farAhead lane, all due at one instant, then the
+	// oldest 65 of them stopped: the last of those stops compacts the
+	// lane. More follow it on the lane before the drain.
+	var compact []byte
+	for i := 0; i < 100; i++ {
+		compact = append(compact, opSchedule|(laneArg+1)<<2, 0, 0)
+	}
+	compact = append(compact,
+		opStop|6<<2, 0, 99, // 64 from the oldest on
+		opStop, 0, 35, // the 65th oldest: compacts
+		opRunUntil|1<<2, 0, 10,
+		opSchedule|(laneArg+1)<<2, 0, 0,
+		opStop|7<<2, 0, 0, // the newest, and no more
+		opSchedule|(laneArg+1)<<2, 0, 0,
+	)
+	f.Add(compact)
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(farScript(seed, 400))
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestScheduleOrdersByTime(t *testing.T) {
@@ -311,8 +312,9 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 // backlog: about 6,400 events spread over 24 h wait in the queue, the
 // idle-period boundaries a trace-driven day schedules at set-up (each
 // re-arms itself a day later when it fires, so the backlog stays put).
-// One op is one request-shaped cycle: arm a 60 s timeout, run 6 chained
-// hops of 10–400 ms, stop the timeout. Steady state is allocation-free.
+// One op is one request-shaped cycle: arm a 60 s timeout on its lane,
+// as the controller does, run 6 chained hops of 10–400 ms, stop the
+// timeout. Steady state is allocation-free.
 func BenchmarkTraceBacklog(b *testing.B) {
 	b.ReportAllocs()
 	s := New()
@@ -337,8 +339,9 @@ func BenchmarkTraceBacklog(b *testing.B) {
 		}
 	}
 	noop := func(any) {}
+	timeouts := s.Lane(time.Minute)
 	cycle := func() {
-		timeout := s.AfterCall(time.Minute, noop, nil)
+		timeout := timeouts.AfterCall(noop, nil)
 		left = len(hops)
 		hop(nil)
 		s.RunFor(chain)
@@ -363,6 +366,29 @@ func BenchmarkFreshSim(b *testing.B) {
 			s.Schedule(Time(j)*Time(time.Millisecond), func() {})
 		}
 		s.Run()
+	}
+}
+
+// TestLanePerDelay: a Sim keeps one lane per distinct delay, shared by
+// every caller of that delay, and recording the lane leaves a callback
+// slot at 48 bytes.
+func TestLanePerDelay(t *testing.T) {
+	s := New()
+	minute, short := s.Lane(time.Minute), s.Lane(20*time.Second)
+	if s.Lane(time.Minute) != minute || minute == short || len(s.lanes) != 2 {
+		t.Fatalf("lanes %v: want one per delay", s.lanes)
+	}
+	var order []int
+	record := func(v any) { order = append(order, v.(int)) }
+	minute.AfterCall(record, 2)
+	short.AfterCall(record, 1)
+	s.ScheduleCall(time.Minute, record, 3) // ties with the minute lane's entry, scheduled later
+	s.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Errorf("order = %v, want [1 2 3]", order)
+	}
+	if n := unsafe.Sizeof(node{}); n != 48 {
+		t.Errorf("node is %d bytes, want 48", n)
 	}
 }
 

@@ -7,8 +7,10 @@ package workload
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -166,13 +168,25 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxTraceNodes bounds the cluster size a trace header may declare:
+// Validate and the packing simulators allocate per node, so a header
+// naming billions of nodes would exhaust memory before any row is read.
+const maxTraceNodes = 1 << 20
+
+// rowFields names the time fields of a trace row, in order.
+var rowFields = [3]string{"start_s", "end_s", "declared_end_s"}
+
 // ReadCSV parses a trace written by WriteCSV. Parsing is strict —
-// wrong field counts, non-numeric fields, trailing garbage, rows
-// naming nodes outside the header's cluster size, and semantically
-// invalid traces (empty or reversed periods, periods past the
-// horizon, per-node overlaps — the Validate invariants) are all
-// rejected — because joblen-opt feeds user-supplied files through
-// here and the packing simulators assume a well-formed trace.
+// wrong field counts, non-numeric fields, trailing garbage, times that
+// are not finite or overflow a time.Duration, a header naming no nodes
+// or more than maxTraceNodes, rows naming nodes outside the header's
+// cluster size, and semantically invalid traces (empty or reversed
+// periods, periods past the horizon, per-node overlaps — the Validate
+// invariants) are all rejected — because joblen-opt feeds
+// user-supplied files through here and the packing simulators assume a
+// well-formed trace. Times are read to the millisecond, the resolution
+// WriteCSV writes, so every trace ReadCSV returns writes and reads back
+// unchanged.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -196,15 +210,18 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("workload: bad trace header %q: want 2 fields, got %d", line, len(fields))
 			}
 			nodes, err := strconv.Atoi(fields[0])
-			if err != nil || nodes <= 0 {
-				return nil, fmt.Errorf("workload: bad trace header %q: node count %q", line, fields[0])
+			if err != nil || nodes <= 0 || nodes > maxTraceNodes {
+				return nil, fmt.Errorf("workload: bad trace header %q: node count %q (want 1 to %d)", line, fields[0], maxTraceNodes)
 			}
-			horizon, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || horizon <= 0 {
-				return nil, fmt.Errorf("workload: bad trace header %q: horizon %q", line, fields[1])
+			horizon, err := parseSeconds(fields[1])
+			if err == nil && horizon <= 0 {
+				err = errors.New("not positive")
+			}
+			if err != nil {
+				return nil, fmt.Errorf("workload: bad trace header %q: horizon %q: %v", line, fields[1], err)
 			}
 			t.Nodes = nodes
-			t.Horizon = time.Duration(horizon * float64(time.Second))
+			t.Horizon = horizon
 			continue
 		}
 		fields := strings.Split(line, ",")
@@ -218,19 +235,13 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if node < 0 || node >= t.Nodes {
 			return nil, fmt.Errorf("workload: bad trace row %d %q: node %d outside cluster of %d", lineNo, line, node, t.Nodes)
 		}
-		secs := make([]float64, 3)
+		var at [3]time.Duration
 		for i, f := range fields[1:] {
-			secs[i], err = strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: bad trace row %d %q: field %q: %v", lineNo, line, f, err)
+			if at[i], err = parseSeconds(f); err != nil {
+				return nil, fmt.Errorf("workload: bad trace row %d %q: %s field %q: %v", lineNo, line, rowFields[i], f, err)
 			}
 		}
-		t.Periods = append(t.Periods, IdlePeriod{
-			Node:        node,
-			Start:       time.Duration(secs[0] * float64(time.Second)),
-			End:         time.Duration(secs[1] * float64(time.Second)),
-			DeclaredEnd: time.Duration(secs[2] * float64(time.Second)),
-		})
+		t.Periods = append(t.Periods, IdlePeriod{Node: node, Start: at[0], End: at[1], DeclaredEnd: at[2]})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -243,4 +254,23 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// parseSeconds parses a trace time in seconds, rounded to the
+// millisecond. It rejects NaN and infinities, which ParseFloat accepts,
+// and times whose nanoseconds overflow a time.Duration (about 292
+// years).
+func parseSeconds(f string) (time.Duration, error) {
+	v, err := strconv.ParseFloat(f, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, errors.New("not a finite number")
+	}
+	ms := math.Round(v * 1e3)
+	if math.Abs(ms) > math.MaxInt64/1e6 {
+		return 0, errors.New("beyond a duration's range of ±292 years")
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,13 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 		{"header-nodes", "#four,86400\n", "node count"},
 		{"header-zero-nodes", "#0,86400\n", "node count"},
 		{"header-horizon", "#4,soon\n", "horizon"},
+		{"header-many-nodes", "#99999999999,86400\n", "node count"},
+		{"header-horizon-nan", "#4,NaN\n", `horizon "NaN": not a finite number`},
+		{"header-horizon-inf", "#4,Inf\n", `horizon "Inf": not a finite number`},
+		{"header-horizon-huge", "#4,1e300\n", `horizon "1e300": beyond`},
+		{"header-horizon-overflow", "#4,1e10\n", `horizon "1e10": beyond`},
+		{"header-horizon-zero", "#4,0\n", `horizon "0": not positive`},
+		{"header-horizon-submillisecond", "#4,0.0001\n", `horizon "0.0001": not positive`},
 		{"row-fields", header + "0,1.0,2.0\n", "want node,start_s"},
 		{"row-extra-field", header + "0,1.0,2.0,2.0,9\n", "want node,start_s"},
 		{"row-node", header + "zero,1.0,2.0,2.0\n", "node \"zero\""},
@@ -81,6 +89,10 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 		{"row-negative-node", header + "-1,1.0,2.0,2.0\n", "outside cluster"},
 		{"row-number", header + "0,1.0,soon,2.0\n", "field \"soon\""},
 		{"row-trailing-garbage", header + "0,1.0,2.0,2.0junk\n", "field \"2.0junk\""},
+		{"row-start-nan", header + "0,NaN,2.0,2.0\n", `start_s field "NaN": not a finite number`},
+		{"row-end-inf", header + "0,1.0,Inf,2.0\n", `end_s field "Inf": not a finite number`},
+		{"row-declared-overflow", header + "0,1.0,2.0,1e10\n", `declared_end_s field "1e10": beyond`},
+		{"row-start-huge", header + "0,-1e300,2.0,2.0\n", `start_s field "-1e300": beyond`},
 		{"row-reversed-period", header + "0,50.0,10.0,10.0\n", "bad bounds"},
 		{"row-empty-period", header + "0,10.0,10.0,10.0\n", "bad bounds"},
 		{"row-past-horizon", header + "0,1.0,90000.0,90000.0\n", "bad bounds"},
@@ -99,6 +111,36 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadCSV feeds arbitrary bytes to ReadCSV (the checked-in corpus
+// under testdata/fuzz replays in every test run). Each input must come
+// back as an error, or as a trace with a positive horizon that passes
+// Validate and reads back from its own WriteCSV unchanged.
+func FuzzReadCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if tr.Horizon <= 0 {
+			t.Fatalf("accepted a trace with horizon %v", tr.Horizon)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted a trace that fails Validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("the trace's own CSV does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", back, tr)
+		}
+	})
 }
 
 // TestReadCSVSortsAndSkipsBlankLines documents the two permissive
