@@ -22,11 +22,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -35,6 +35,10 @@ import (
 	"repro/internal/policy"
 	"repro/internal/scenario"
 )
+
+// maxHours is the longest horizon, in hours, a time.Duration holds;
+// a longer one would wrap around to a short run.
+const maxHours = math.MaxInt64 / time.Hour
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -51,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nodes := fs.Int("nodes", experiments.PrometheusNodes, "cluster size")
 	hours := fs.Int("hours", 24, "experiment length in hours")
 	qps := fs.Float64("qps", 10, "responsiveness load (0 disables)")
-	shards := fs.Int("shards", 1, "site shards run in parallel under the pdes coordinator (>1; byte-identical to sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; 0 runs to completion (^C also cancels)")
 	minutes := fs.Bool("minutes", false, "print the per-minute Fig 5b/6b series (day scenarios)")
 	series := fs.Bool("series", false, "print the per-minute worker-count panels (Fig 5a/6a, day scenarios)")
@@ -89,6 +92,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = append(opts, scenario.WithNodes(*nodes))
 	}
 	if explicit["hours"] {
+		if time.Duration(*hours) > maxHours {
+			fmt.Fprintf(stderr, "-hours wants at most %d, got %d\n", maxHours, *hours)
+			return 2
+		}
 		opts = append(opts, scenario.WithHorizon(time.Duration(*hours)*time.Hour))
 	}
 	if explicit["qps"] {
@@ -98,15 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = append(opts, scenario.WithPolicy(*policyName))
 	}
 	opts = append(opts, sets.Options()...)
-	// -shards is sugar for -set shards=N; appended after the sets so the
-	// dedicated flag wins when both are given.
-	if explicit["shards"] {
-		if *shards < 1 {
-			fmt.Fprintf(stderr, "-shards wants a positive shard count, got %d\n", *shards)
-			return 2
-		}
-		opts = append(opts, scenario.WithOption("shards", strconv.Itoa(*shards)))
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -165,7 +165,8 @@ func TestPolicyVarRunsVarDay(t *testing.T) {
 // TestRunRejectsOutOfRangeAxes: a uniform axis or scenario option
 // outside its range is rejected with exit 2 and an error naming it,
 // before anything runs — never a panic deep inside the trace generator
-// or the experiment.
+// or the experiment, an exhausted heap, or an -hours that wraps a
+// time.Duration around to a short run.
 func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -178,6 +179,9 @@ func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 		{[]string{"-qps", "NaN"}, "qps"},
 		{[]string{"-scenario", "ablation", "-nodes", "0"}, "nodes"},
 		{[]string{"-scenario", "fig7", "-set", "invocations=0"}, "invocations"},
+		{[]string{"-scenario", "table1", "-nodes", "64", "-hours", "5124097"}, "-hours"},
+		{[]string{"-scenario", "fib-day", "-nodes", "99999999999"}, "nodes"},
+		{[]string{"-scenario", "federated-day", "-set", "sites=10000000000"}, "sites"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer
@@ -193,29 +197,35 @@ func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 	}
 }
 
-// TestShardsFlag: -shards reaches the scenario as its shards option —
-// the sharded run renders byte-identically to the sequential one — and
-// invalid shard counts are rejected with exit 2 before anything runs.
+// TestShardsFlag: -set shards=N is the one CLI path to the sharded
+// runtime — a sharded federated day renders byte-identically to the
+// sequential one — and there is no -shards flag. The paper days have
+// no shards option, and invalid counts are rejected with exit 2 before
+// anything runs.
 func TestShardsFlag(t *testing.T) {
 	render := func(extra ...string) []byte {
 		var out, errb bytes.Buffer
-		args := append([]string{"-policy", "fib", "-nodes", "48", "-hours", "1", "-qps", "2", "-seed", "7"}, extra...)
+		args := append([]string{"-scenario", "federated-day", "-nodes", "32", "-hours", "1", "-qps", "5",
+			"-seed", "3", "-set", "sites=2", "-set", "routing=spill-over"}, extra...)
 		if code := run(args, &out, &errb); code != 0 {
 			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
 		}
 		return stripTiming(out.Bytes())
 	}
-	if !bytes.Equal(render(), render("-shards", "2")) {
-		t.Error("-shards 2 rendered differently from the sequential run")
+	if !bytes.Equal(render(), render("-set", "shards=2")) {
+		t.Error("-set shards=2 rendered differently from the sequential run")
 	}
 
 	cases := []struct {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-shards", "0"}, "positive shard count"},
-		{[]string{"-scenario", "fig2", "-shards", "2"}, "no option"},
-		{[]string{"-set", "shards=two"}, "does not parse"},
+		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
+		{[]string{"-scenario", "fib-day", "-set", "shards=2"}, "has no option"},
+		{[]string{"-scenario", "var-day", "-set", "shards=2"}, "has no option"},
+		{[]string{"-scenario", "fig2", "-set", "shards=2"}, "has no option"},
+		{[]string{"-scenario", "federated-day", "-set", "shards=0"}, "shards"},
+		{[]string{"-scenario", "federated-day", "-set", "shards=two"}, "does not parse"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -31,6 +32,10 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
+
+// maxHours is the longest horizon, in hours, a time.Duration holds;
+// a longer one would wrap around to a short run.
+const maxHours = math.MaxInt64 / time.Hour
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -49,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	replicas := fs.Int("replicas", 8, "independent seeds per grid point")
 	seed := fs.Int64("seed", 1, "base seed of the decorrelated replica-seed sequence")
 	workers := fs.Int("workers", 0, "concurrent replicas (0 = GOMAXPROCS); never affects results")
-	shards := fs.Int("shards", 1, "site shards per replica under the pdes coordinator, applied to every cell (>1; byte-identical; workers are capped so workers × shards ≤ GOMAXPROCS)")
 	format := fs.String("format", "json", "output format: json or csv")
 	out := fs.String("out", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -68,15 +72,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	// -shards is sugar for a shards=N option on every cell; appended
-	// after any -set so the dedicated flag wins when both are given.
-	// SweepScenarios reads it back to cap workers × shards.
-	if explicit["shards"] {
-		if *shards < 1 {
-			fmt.Fprintf(stderr, "-shards wants a positive shard count, got %d\n", *shards)
-			return 2
-		}
-		sets = append(sets, fmt.Sprintf("shards=%d", *shards))
+	if time.Duration(*hours) > maxHours {
+		fmt.Fprintf(stderr, "-hours wants at most %d, got %d\n", maxHours, *hours)
+		return 2
 	}
 
 	// The policy grid belongs to the paper-day sweep; with -scenario the

@@ -78,8 +78,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 	// Out-of-range counts and axes fail SweepScenarios' upfront
 	// validation: exit 2 with an error naming the culprit, and no
-	// replica runs (a worker goroutine would panic on -hours 0, and a
-	// negative QPS would silently sweep an unloaded day).
+	// replica runs (a worker goroutine would panic on -hours 0, a
+	// negative QPS would silently sweep an unloaded day, and an -hours
+	// past a time.Duration would wrap around to a short one).
 	cases := []struct {
 		args    []string
 		wantErr string
@@ -92,6 +93,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-qps", "-5", "-nodes", "48", "-hours", "1"}, "qps"},
 		{[]string{"-scenario", "ablation", "-nodes", "0"}, "nodes"},
 		{[]string{"-scenario", "fig7", "-set", "invocations=0", "-replicas", "2"}, "invocations"},
+		{[]string{"-hours", "5124097"}, "-hours"},
+		{[]string{"-nodes", "99999999999"}, "nodes"},
 	}
 	for _, tc := range cases {
 		out.Reset()
@@ -265,36 +268,39 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestShardsFlag: -shards lands on every grid cell — the sharded sweep
-// renders bit-identically to the sequential one — and invalid counts
-// or cells whose scenario has no shards option fail before anything
-// runs.
+// TestShardsFlag: -set shards=N lands on every grid cell — the
+// sharded sweep renders bit-identically to the sequential one — and
+// there is no -shards flag; cells whose scenario has no shards option
+// fail before anything runs.
 func TestShardsFlag(t *testing.T) {
 	render := func(extra ...string) []byte {
 		var out, errb bytes.Buffer
-		args := append([]string{"-policy", "fib", "-qps", "0", "-nodes", "48", "-hours", "1",
-			"-replicas", "2", "-seed", "9", "-format", "csv"}, extra...)
+		args := append([]string{"-scenario", "federated-day", "-nodes", "32", "-hours", "1", "-qps", "5",
+			"-replicas", "2", "-seed", "9", "-set", "sites=2", "-set", "routing=spill-over", "-format", "csv"}, extra...)
 		if code := run(args, &out, &errb); code != 0 {
 			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
 		}
 		return out.Bytes()
 	}
-	if !bytes.Equal(render(), render("-shards", "2")) {
+	if !bytes.Equal(render(), render("-set", "shards=2")) {
 		t.Error("sharded sweep rendered differently from the sequential one")
 	}
 
-	var out, errb bytes.Buffer
-	if code := run([]string{"-shards", "0"}, &out, &errb); code != 2 {
-		t.Errorf("-shards 0: exit %d, want 2", code)
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
+		{[]string{"-policy", "fib,var", "-set", "shards=2", "-replicas", "1"}, "has no option"},
+		{[]string{"-scenario", "fig2", "-set", "shards=2", "-replicas", "1"}, "has no option"},
 	}
-	if !strings.Contains(errb.String(), "positive shard count") {
-		t.Errorf("stderr %q lacks the shard-count error", errb.String())
-	}
-	errb.Reset()
-	if code := run([]string{"-scenario", "fig2", "-shards", "2", "-replicas", "1"}, &out, &errb); code != 2 {
-		t.Errorf("fig2 -shards: exit %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "no option") {
-		t.Errorf("stderr %q lacks the no-option error", errb.String())
+	for _, tc := range cases {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.wantErr) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, errb.String(), tc.wantErr)
+		}
 	}
 }

@@ -25,6 +25,35 @@ func TestFlagParity(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeFlags: a cluster size or horizon the trace
+// generator cannot build exits 2 with an error naming the flag — never
+// a panic, an exhausted heap, or a -days that wraps a time.Duration
+// around to a short trace.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-nodes", "0"}, "-nodes"},
+		{[]string{"-nodes", "99999999999"}, "-nodes"},
+		{[]string{"-days", "0"}, "-days"},
+		{[]string{"-days", "-1"}, "-days"},
+		{[]string{"-days", "213504"}, "-days"},
+	}
+	for _, tc := range cases {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.wantErr) || strings.Contains(errb.String(), "panic:") {
+			t.Errorf("%v: stderr %q does not name %s (or reports a panic)", tc.args, errb.String(), tc.wantErr)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed results despite the error:\n%s", tc.args, out.String())
+		}
+	}
+}
+
 func TestRunAndTraceOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a full trace and job stream (skipped under -short)")

@@ -12,12 +12,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/workload"
 )
+
+// maxDays is the longest horizon, in days, a time.Duration holds.
+const maxDays = math.MaxInt64 / (24 * time.Hour)
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -33,6 +37,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == flag.ErrHelp {
 			return 0
 		}
+		return 2
+	}
+
+	// The idle-process generator allocates per node and needs a horizon
+	// a time.Duration can hold, so sizes outside these ranges are usage
+	// errors, not a panic, an exhausted heap or a horizon that wrapped.
+	if *nodes < 1 || *nodes > workload.MaxNodes {
+		fmt.Fprintf(stderr, "-nodes wants 1 to %d, got %d\n", workload.MaxNodes, *nodes)
+		return 2
+	}
+	if *days < 1 || time.Duration(*days) > maxDays {
+		fmt.Fprintf(stderr, "-days wants 1 to %d, got %d\n", maxDays, *days)
 		return 2
 	}
 

@@ -29,12 +29,7 @@ import (
 // rotting queues of killed invokers — simply leave the message to the
 // garbage collector, exactly as before pooling.
 type Message struct {
-	ID        int64
-	TopicName string
-	Payload   any
-	Published des.Time // when PublishTo was called
-	Delivered des.Time // when it became pullable
-	Moves     int      // how many times it was moved between topics
+	Payload any
 
 	topic  *Topic // delivery/requeue target, captured at publish time
 	gen    uint32 // increments on every recycle
@@ -52,7 +47,6 @@ type Bus struct {
 	latency dist.Dist // publish→deliver latency in seconds, drawn from rng
 	rng     *rand.Rand
 	topics  map[string]*Topic
-	nextID  int64
 
 	free      []*Message
 	deliverFn func(any) // cached method value: one closure per bus, not per publish
@@ -96,12 +90,8 @@ func (b *Bus) Topic(name string) *Topic {
 // time), and the message captures it, so delivery needs no name lookup.
 func (b *Bus) PublishTo(t *Topic, payload any) *Message {
 	m := b.get()
-	m.ID = b.nextID
-	m.TopicName = t.name
 	m.Payload = payload
-	m.Published = b.sim.Now()
 	m.topic = t
-	b.nextID++
 	b.Published++
 	b.sim.AfterCall(dist.Seconds(b.latency, b.rng), b.deliverFn, m)
 	return m
@@ -109,8 +99,8 @@ func (b *Bus) PublishTo(t *Topic, payload any) *Message {
 
 // Wrap takes a blank message from the pool around an out-of-band
 // payload (an invoker flushing interrupted work to the fast lane via
-// Requeue). Unlike PublishTo it assigns no ID, stamps no publish time,
-// and counts nothing: the message never traveled through a delivery.
+// Requeue). Unlike PublishTo it captures no topic and counts nothing:
+// the message never traveled through a delivery.
 func (b *Bus) Wrap(payload any) *Message {
 	m := b.get()
 	m.Payload = payload
@@ -147,10 +137,8 @@ func (b *Bus) get() *Message {
 func (b *Bus) deliver(v any) {
 	m := v.(*Message)
 	t := m.topic
-	m.Delivered = b.sim.Now()
 	t.queue = append(t.queue, m)
 	t.noteDepth(1)
-	t.Delivered++
 	if t.onDelivery != nil {
 		t.onDelivery()
 	}
@@ -170,10 +158,6 @@ type Topic struct {
 	watch *int
 
 	onDelivery func()
-
-	// Counters.
-	Delivered int
-	Pulled    int
 }
 
 // Name returns the topic name.
@@ -238,7 +222,6 @@ func (t *Topic) PullAppend(dst []*Message, max int) []*Message {
 	}
 	t.queue = t.queue[:len(t.queue)-n]
 	t.noteDepth(-n)
-	t.Pulled += n
 	return dst
 }
 
@@ -247,8 +230,6 @@ func (t *Topic) PullAppend(dst []*Message, max int) []*Message {
 func (t *Topic) MoveAll(to *Topic) int {
 	n := len(t.queue)
 	for _, m := range t.queue {
-		m.Moves++
-		m.TopicName = to.name
 		m.topic = to
 		to.queue = append(to.queue, m)
 	}
@@ -266,8 +247,6 @@ func (t *Topic) MoveAll(to *Topic) int {
 // invoker flushing its internal buffer to the fast lane).
 func (t *Topic) Requeue(msgs []*Message) {
 	for _, m := range msgs {
-		m.Moves++
-		m.TopicName = t.name
 		m.topic = t
 		t.queue = append(t.queue, m)
 	}

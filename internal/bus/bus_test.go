@@ -21,6 +21,8 @@ func pull(t *Topic, max int) []*Message                 { return t.PullAppend(ni
 
 func TestPublishDeliversAfterLatency(t *testing.T) {
 	sim, b := newBus()
+	var deliveredAt time.Duration
+	b.Topic("t").OnDelivery(func() { deliveredAt = sim.Now() })
 	publish(b, "t", "hello")
 	if b.Topic("t").Len() != 0 {
 		t.Fatal("message visible before delivery latency")
@@ -33,8 +35,8 @@ func TestPublishDeliversAfterLatency(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Payload != "hello" {
 		t.Fatalf("pulled %v", msgs)
 	}
-	if msgs[0].Delivered != 10*time.Millisecond {
-		t.Errorf("delivered at %v, want 10ms", msgs[0].Delivered)
+	if deliveredAt != 10*time.Millisecond {
+		t.Errorf("delivered at %v, want 10ms", deliveredAt)
 	}
 }
 
@@ -63,14 +65,15 @@ func TestMoveAllToFastLane(t *testing.T) {
 		publish(b, "invoker0", i)
 	}
 	sim.Run()
-	moved := b.Topic("invoker0").MoveAll(b.Topic("fastlane"))
-	if moved != 3 {
-		t.Fatalf("moved = %d, want 3", moved)
+	fastlane := b.Topic("fastlane")
+	moved := b.Topic("invoker0").MoveAll(fastlane)
+	if moved != 3 || b.Moved != 3 {
+		t.Fatalf("moved = %d (counter %d), want 3", moved, b.Moved)
 	}
 	if b.Topic("invoker0").Len() != 0 {
 		t.Error("source topic not emptied")
 	}
-	msgs := pull(b.Topic("fastlane"), 10)
+	msgs := pull(fastlane, 10)
 	if len(msgs) != 3 {
 		t.Fatalf("fast lane has %d messages", len(msgs))
 	}
@@ -78,8 +81,8 @@ func TestMoveAllToFastLane(t *testing.T) {
 		if m.Payload != i {
 			t.Errorf("order broken: %v at %d", m.Payload, i)
 		}
-		if m.Moves != 1 || m.TopicName != "fastlane" {
-			t.Errorf("move bookkeeping: moves=%d topic=%s", m.Moves, m.TopicName)
+		if m.topic != fastlane {
+			t.Errorf("message %d still targets topic %q", i, m.topic.Name())
 		}
 	}
 }
@@ -127,11 +130,8 @@ func TestCounters(t *testing.T) {
 	if b.Published != 4 {
 		t.Errorf("published = %d", b.Published)
 	}
-	if b.Topic("t").Delivered != 4 || b.Topic("t").Pulled != 2 {
-		t.Errorf("topic counters = %d/%d", b.Topic("t").Delivered, b.Topic("t").Pulled)
-	}
-	if b.Moved != 2 {
-		t.Errorf("moved = %d", b.Moved)
+	if b.Moved != 2 || b.Topic("t").Len() != 0 || b.Topic("u").Len() != 2 {
+		t.Errorf("moved = %d, lens = %d/%d, want 2, 0/2", b.Moved, b.Topic("t").Len(), b.Topic("u").Len())
 	}
 }
 

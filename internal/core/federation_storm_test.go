@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dist"
+	"repro/internal/stats"
 	"repro/internal/whisk"
 	"repro/internal/workload"
 )
@@ -51,12 +53,17 @@ func stormArrivals(horizon time.Duration, seed int64, actions int) []stormArriva
 // test of the sharded runtime: a 5-site federation under register/kill
 // storms (high-churn traces) and invoke storms (bursty arrivals) must
 // produce a byte-identical per-completion event log — outcome, all
-// timestamps, cold-start and requeue history, in completion order —
+// timestamps, cold-start, requeue and resume history, checkpointed
+// progress, in completion order — and equal per-site work ledgers,
 // whether it runs sequentially or sharded, across several seeds and
 // shard counts. Odd sites time requests out after shortTimeout, the
 // others after the 60 s default, so the sequential plane carries two
 // timeout lanes, a shard one or two; every seed's log must hold
 // timeouts, so lanes that fire are compared, not only stopped ones.
+// Every sixth action checkpoints a body several checkpoint intervals
+// long, so segment events, resume tokens and the ledger cross shard
+// boundaries too; some seed must record both a checkpoint and a
+// resume.
 func TestFederationStormShardedEventLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping federation storm replay")
@@ -66,13 +73,15 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 		horizon      = 12 * time.Minute
 		nAct         = 12
 		shortTimeout = 2 * time.Second
+		ckptBody     = time.Second
+		ckptInterval = 200 * time.Millisecond
 	)
 	actions := make([]string, nAct)
 	for i := range actions {
 		actions[i] = fmt.Sprintf("storm-%02d", i)
 	}
 
-	replay := func(seed int64, shards int) []string {
+	replay := func(seed int64, shards int) ([]string, []stats.WorkCounters) {
 		base := DefaultSystemConfig(24, "fib")
 		base.Seed = seed
 		cfg := UniformFederationConfig(sites, base)
@@ -85,9 +94,14 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 		for i := range fed.Sites {
 			fed.LoadTrace(i, stormTrace(24, horizon, troot.Int63()))
 		}
-		for _, n := range actions {
-			fed.RegisterAction(&whisk.Action{Name: n, MemoryMB: 256,
-				Exec: whisk.FixedExec(15 * time.Millisecond), Interruptible: true})
+		for i, n := range actions {
+			a := &whisk.Action{Name: n, MemoryMB: 256,
+				Exec: whisk.FixedExec(15 * time.Millisecond), Interruptible: true}
+			if i%6 == 0 {
+				a.Exec = whisk.FixedExec(ckptBody)
+				a.Checkpoint = checkpoint.WithInterval(ckptInterval)
+			}
+			fed.RegisterAction(a)
 		}
 
 		var log []string
@@ -95,19 +109,24 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 			action := actions[a.action]
 			fed.Sim.Schedule(a.at, func() {
 				fed.Invoke(action, func(inv *whisk.Invocation) {
-					log = append(log, fmt.Sprintf("%s %v sub=%d done=%d cold=%v req=%d inv=%d",
+					log = append(log, fmt.Sprintf("%s %v sub=%d done=%d cold=%v req=%d inv=%d prog=%d res=%d",
 						inv.Action.Name, inv.Status, int64(inv.Submitted), int64(inv.Completed),
-						inv.ColdStart, inv.Requeues, inv.InvokerID))
+						inv.ColdStart, inv.Requeues, inv.InvokerID, int64(inv.Progress), inv.Resumes))
 				})
 			})
 		}
 		fed.Start()
 		fed.Run(horizon + 5*time.Minute)
-		return log
+		work := make([]stats.WorkCounters, len(fed.Sites))
+		for i, site := range fed.Sites {
+			work[i] = site.Ctrl.Work
+		}
+		return log, work
 	}
 
+	resumed := false // some seed both checkpointed and resumed
 	for _, seed := range []int64{3, 17, 29} {
-		seq := replay(seed, 1)
+		seq, seqWork := replay(seed, 1)
 		if len(seq) == 0 {
 			t.Fatalf("seed %d: storm produced no completions", seed)
 		}
@@ -117,12 +136,19 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 				timeouts++
 			}
 		}
-		t.Logf("seed %d: %d of %d completions timed out", seed, timeouts, len(seq))
+		var ckpts, resumes int
+		for _, w := range seqWork {
+			ckpts += w.Checkpoints
+			resumes += w.Resumed
+		}
+		resumed = resumed || (ckpts > 0 && resumes > 0)
+		t.Logf("seed %d: %d of %d completions timed out; %d checkpoints, %d resumes",
+			seed, timeouts, len(seq), ckpts, resumes)
 		if timeouts == 0 {
 			t.Errorf("seed %d: no request timed out, so no lane fired", seed)
 		}
 		for _, shards := range []int{2, sites} {
-			shd := replay(seed, shards)
+			shd, shdWork := replay(seed, shards)
 			if len(seq) != len(shd) {
 				t.Fatalf("seed %d shards %d: %d completions vs %d sequential",
 					seed, shards, len(shd), len(seq))
@@ -133,6 +159,15 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 						seed, shards, i, seq[i], shd[i])
 				}
 			}
+			for i := range seqWork {
+				if seqWork[i] != shdWork[i] {
+					t.Errorf("seed %d shards %d: site %d work ledger diverged\n  sequential: %+v\n  sharded:    %+v",
+						seed, shards, i, seqWork[i], shdWork[i])
+				}
+			}
 		}
+	}
+	if !resumed {
+		t.Error("no seed recorded both a checkpoint and a resume, so resumes across shards went unchecked")
 	}
 }

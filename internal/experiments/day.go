@@ -62,12 +62,6 @@ type DayConfig struct {
 	NumActions int
 	SleepExec  time.Duration
 
-	// Shards > 1 runs the day's 1-site federation with the site on its
-	// own event plane under the pdes coordinator — the configuration
-	// that pins the sharded runtime byte-for-byte against the day
-	// goldens. Results are identical to the sequential run.
-	Shards int
-
 	// GracefulHandoff / InterruptRunning expose the §III-C machinery
 	// for ablations.
 	GracefulHandoff  bool
@@ -296,10 +290,7 @@ func RunDayCtx(ctx context.Context, cfg DayConfig, progress ProgressFunc) (DayRe
 	// events, no RNG draws, and no allocations, so this path reproduces
 	// the pre-federation single-cluster run byte-for-byte (pinned by the
 	// day goldens).
-	fed := core.NewFederation(core.FederationConfig{
-		Sites:  []core.SiteConfig{systemConfig(cfg)},
-		Shards: cfg.Shards,
-	})
+	fed := core.NewFederation(core.FederationConfig{Sites: []core.SiteConfig{systemConfig(cfg)}})
 	sys := fed.Sites[0]
 	sys.LoadTrace(tr)
 
@@ -323,9 +314,8 @@ func RunDayCtx(ctx context.Context, cfg DayConfig, progress ProgressFunc) (DayRe
 
 	fed.Start()
 	total := cfg.Horizon + dayDrain
-	// fed.RunCtx drives the shared plane sequentially or the pdes
-	// coordinator when sharded; either way it is byte-identical to the
-	// pre-federation sys.RunCtx this path grew from.
+	// fed.RunCtx is byte-identical to the pre-federation sys.RunCtx
+	// this path grew from.
 	if err := fed.RunCtx(ctx, cfg.Horizon, 0, offsetProgress(progress, 0, total)); err != nil {
 		return DayResult{}, err
 	}

@@ -26,14 +26,14 @@ func must[T any](res T, err error) T {
 }
 
 // checkGolden compares got against testdata/name, rewriting the file
-// first when write is set and the test runs with -update. Regenerate
-// every golden after an intentional behavior change with
+// first when the test runs with -update. Regenerate every golden after
+// an intentional behavior change with
 //
 //	go test ./internal/experiments -run Golden -update
-func checkGolden(t *testing.T, name string, got []byte, write bool) {
+func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *update && write {
+	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -94,12 +94,11 @@ var sharedDays = &memo[DayConfig, dayRender]{run: renderDay}
 // TestRunDayMatchesPreRefactorGolden pins the day engine to the
 // committed renders: the goldens were rendered by the original
 // core.Mode-enum manager (before the supply-policy interface existed,
-// since removed), and the fib/var runs — default-config, with the
-// registry policy named explicitly, and as a 1-site federation with
-// the site on its own plane under the pdes lookahead coordinator —
-// must still reproduce them byte for byte. FibDay/VarDay already name
-// their policy, so the -policy cases are the default configuration and
-// share its run: four distinct 24-hour days back the six cases.
+// since removed), and the fib/var runs — default-config and with the
+// registry policy named explicitly — must still reproduce them byte
+// for byte. FibDay/VarDay already name their policy, so the -policy
+// cases are the default configuration and share its run: two distinct
+// 24-hour days back the four cases.
 func TestRunDayMatchesPreRefactorGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
@@ -113,13 +112,11 @@ func TestRunDayMatchesPreRefactorGolden(t *testing.T) {
 		{"var-default", "varday_seed2.golden", VarDay(2)},
 		{"fib-policy", "fibday_seed2.golden", withPolicy(FibDay(2), "fib")},
 		{"var-policy", "varday_seed2.golden", withPolicy(VarDay(2), "var")},
-		{"fib-sharded", "fibday_seed2.golden", withShards(FibDay(2), 2)},
-		{"var-sharded", "varday_seed2.golden", withShards(VarDay(2), 2)},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			checkGolden(t, tc.golden, sharedDays.get(tc.cfg).out, tc.cfg.Shards <= 1)
+			checkGolden(t, tc.golden, sharedDays.get(tc.cfg).out)
 		})
 	}
 }
@@ -157,11 +154,6 @@ func withPolicy(cfg DayConfig, name string) DayConfig {
 	return cfg
 }
 
-func withShards(cfg DayConfig, n int) DayConfig {
-	cfg.Shards = n
-	return cfg
-}
-
 // goldenAblationConfig is the golden-pinned three-arm ablation: 256
 // nodes, 4 h, seed 5, checkpoint arm off.
 var goldenAblationConfig = AblationConfig{Nodes: 256, Horizon: 4 * time.Hour, Seed: 5}
@@ -188,5 +180,5 @@ func TestRunAblationMatchesPreRefactorGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	goldenAblation().Render(&buf)
-	checkGolden(t, "ablation_n256_h4_seed5.golden", buf.Bytes(), true)
+	checkGolden(t, "ablation_n256_h4_seed5.golden", buf.Bytes())
 }

@@ -91,6 +91,12 @@ func init() {
 				return nil, err
 			}
 			fc.Sites = cfg.Int("sites", fc.Sites)
+			// Every site allocates its nodes up front, so the whole
+			// federation gets the one-cluster bound.
+			if fc.Sites > workload.MaxNodes/fc.NodesPerSite {
+				return nil, fmt.Errorf("scenario: federated-day wants sites × nodes ≤ %d, got %d × %d",
+					workload.MaxNodes, fc.Sites, fc.NodesPerSite)
+			}
 			fc.NumActions = cfg.Int("actions", fc.NumActions)
 			fc.SleepExec = cfg.Duration("sleep-exec", fc.SleepExec)
 			fc.CloudFallback = cfg.Bool("cloud-fallback", fc.CloudFallback)
@@ -380,7 +386,6 @@ func dayScenario(name, artifact, desc string, base func(int64) experiments.DayCo
 			{Name: "checkpoint-interval", Kind: KindDuration, Default: "0", Help: "checkpoint cadence for executions (0: checkpointing disabled, byte-identical to the goldens)", min: nonNegative},
 			{Name: "action-timeout", Kind: KindDuration, Default: "0", Help: "client-visible action timeout override (0: the controller default, 60s)", min: nonNegative},
 			{Name: "streaming", Kind: KindBool, Default: "false", Help: "O(1)-memory streaming metrics (t-digest quantiles, windowed series)"},
-			{Name: "shards", Kind: KindInt, Default: "1", Help: "run under the sharded pdes coordinator (>1; byte-identical to sequential)", min: positive},
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			day := base(cfg.Seed())
@@ -400,7 +405,6 @@ func dayScenario(name, artifact, desc string, base func(int64) experiments.DayCo
 			day.CheckpointInterval = cfg.Duration("checkpoint-interval", 0)
 			day.ActionTimeout = cfg.Duration("action-timeout", 0)
 			day.Streaming = cfg.Bool("streaming", false)
-			day.Shards = cfg.Int("shards", day.Shards)
 			r, err := experiments.RunDayCtx(ctx, day, cfg.Progress())
 			if err != nil {
 				return nil, err

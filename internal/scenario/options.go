@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/workload"
 )
 
 // Config is the uniform scenario configuration, built from functional
@@ -304,10 +305,11 @@ func (d OptionDoc) check(scen, value string) error {
 
 // newConfig applies the options and validates the result against the
 // scenario's schema: set axes must be ones the scenario declares it
-// reads and lie in range (nodes ≥ 1, horizon > 0, finite qps ≥ 0, and
-// qps > 0 where the scenario cannot run unloaded), raw keys must be
-// documented, raw values must parse as their documented kind and lie
-// in its range, and a set policy must exist in the policy registry.
+// reads and lie in range (1 ≤ nodes ≤ workload.MaxNodes, horizon > 0,
+// finite qps ≥ 0, and qps > 0 where the scenario cannot run unloaded),
+// raw keys must be documented, raw values must parse as their
+// documented kind and lie in its range, and a set policy must exist in
+// the policy registry.
 func newConfig(sp Spec, opts []Option) (Config, error) {
 	var c Config
 	for _, opt := range opts {
@@ -326,8 +328,8 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 		}
 	}
 	switch {
-	case c.set["nodes"] && c.nodes < 1:
-		return Config{}, fmt.Errorf("scenario: %q wants nodes ≥ 1, got %d", sp.Name, c.nodes)
+	case c.set["nodes"] && (c.nodes < 1 || c.nodes > workload.MaxNodes):
+		return Config{}, fmt.Errorf("scenario: %q wants nodes from 1 to %d, got %d", sp.Name, workload.MaxNodes, c.nodes)
 	case c.set["horizon"] && c.horizon <= 0:
 		return Config{}, fmt.Errorf("scenario: %q wants a positive horizon, got %v", sp.Name, c.horizon)
 	case c.set["qps"] && (c.qps < 0 || math.IsNaN(c.qps) || math.IsInf(c.qps, 0)):

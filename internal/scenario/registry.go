@@ -91,33 +91,17 @@ func All() []Spec {
 	return out
 }
 
-// Parallelism resolves name and builds the config without running —
+// Validate resolves name and builds the config without running:
 // unknown scenarios, unknown options, unparsable or out-of-range values
-// and unknown policies are all caught here — and reports how many
-// goroutines one replica of the cell will occupy: the value of its
-// "shards" option for scenarios that document one (the sharded pdes
-// runtime runs each site shard on its own goroutine), 1 for everything
-// else. Sweeps call it once per grid cell before fanning replicas out,
-// and use the count to keep workers × shards inside their concurrency
-// budget.
-func Parallelism(name string, opts ...Option) (int, error) {
+// and unknown policies are all caught here. Sweeps call it once per
+// grid cell before fanning replicas out.
+func Validate(name string, opts ...Option) error {
 	sp, err := Lookup(name)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	cfg, err := newConfig(sp, opts)
-	if err != nil {
-		return 0, err
-	}
-	for _, d := range sp.Options {
-		if d.Name == "shards" {
-			if n := cfg.Int("shards", 1); n > 1 {
-				return n, nil
-			}
-			break
-		}
-	}
-	return 1, nil
+	_, err = newConfig(sp, opts)
+	return err
 }
 
 // Run executes a registered scenario. Cancellation surfaces as a

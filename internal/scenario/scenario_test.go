@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // catalogNames is the full paper catalog this package must register.
@@ -15,12 +17,6 @@ var catalogNames = []string{
 	"ablation", "endogenous", "federated-day", "fib-day", "fig1", "fig2",
 	"fig3", "fig7", "policy-comparison", "scientific", "table1",
 	"var-day", "week-day",
-}
-
-// validate resolves a scenario and builds its config without running it.
-func validate(name string, opts ...Option) error {
-	_, err := Parallelism(name, opts...)
-	return err
 }
 
 func TestCatalogComplete(t *testing.T) {
@@ -93,29 +89,29 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			err := validate(tc.scen, tc.opts...)
+			err := Validate(tc.scen, tc.opts...)
 			if err == nil {
-				t.Fatalf("validate(%s) succeeded, want error containing %q", tc.scen, tc.wantErr)
+				t.Fatalf("Validate(%s) succeeded, want error containing %q", tc.scen, tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q lacks %q", err, tc.wantErr)
 			}
 		})
 	}
-	if err := validate("fig2", WithOption("jobs", "100"), WithSeed(3)); err != nil {
+	if err := Validate("fig2", WithOption("jobs", "100"), WithSeed(3)); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 }
 
 // TestUniformAxesRangeChecked: for every registered scenario and each
 // range-checked axis it honors, an out-of-range value fails Run (and
-// validate) before anything simulates, with an error naming the axis —
+// Validate) before anything simulates, with an error naming the axis —
 // never a panic inside the trace generator or a silently unloaded run.
 // qps 0 disables load, except in the scenarios that always drive load,
 // which reject it the same way.
 func TestUniformAxesRangeChecked(t *testing.T) {
 	bad := map[string][]Option{
-		"nodes":   {WithNodes(0), WithNodes(-3)},
+		"nodes":   {WithNodes(0), WithNodes(-3), WithNodes(workload.MaxNodes + 1)},
 		"horizon": {WithHorizon(0), WithHorizon(-time.Hour)},
 		"qps":     {WithQPS(-1), WithQPS(math.NaN()), WithQPS(math.Inf(1))},
 	}
@@ -143,7 +139,7 @@ func TestUniformAxesRangeChecked(t *testing.T) {
 				if !strings.Contains(err.Error(), axis) {
 					t.Errorf("%s: error %q does not name the %s axis", sp.Name, err, axis)
 				}
-				if validate(sp.Name, opt) == nil {
+				if Validate(sp.Name, opt) == nil {
 					t.Errorf("%s: Validate accepted bad %s value #%d", sp.Name, axis, i)
 				}
 			}
@@ -152,7 +148,7 @@ func TestUniformAxesRangeChecked(t *testing.T) {
 			if axis != "qps" {
 				continue
 			}
-			err := validate(sp.Name, WithQPS(0))
+			err := Validate(sp.Name, WithQPS(0))
 			switch {
 			case !sp.loaded && err != nil:
 				t.Errorf("%s: qps 0 (load disabled) rejected: %v", sp.Name, err)
@@ -196,6 +192,7 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"fig2", "jobs", WithOption("jobs", "0")},
 		{"federated-day", "sites", WithOption("sites", "0")},
 		{"federated-day", "shards", WithOption("shards", "-2")},
+		{"fib-day", "nodes", WithNodes(99999999999)},
 	}
 	for _, scen := range []string{"fib-day", "var-day", "week-day", "federated-day"} {
 		cases = append(cases,
@@ -207,13 +204,12 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		cases = append(cases,
 			rangeCase{scen, "checkpoint-interval", WithOption("checkpoint-interval", "-1s")},
 			rangeCase{scen, "action-timeout", WithOption("action-timeout", "-1s")},
-			rangeCase{scen, "shards", WithOption("shards", "-2")},
-			rangeCase{scen, "shards", WithOption("shards", "0")})
+			rangeCase{scen, "shards", WithOption("shards", "2")})
 	}
 	for _, tc := range cases {
-		err := validate(tc.scen, tc.opt)
+		err := Validate(tc.scen, tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.name) {
-			t.Errorf("%s: validate = %v, want an error naming %s", tc.scen, err, tc.name)
+			t.Errorf("%s: Validate = %v, want an error naming %s", tc.scen, err, tc.name)
 			continue
 		}
 		res, err := func() (res Result, err error) {
@@ -243,7 +239,7 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"checkpoint-frontier", WithOption("gap", "0s")},
 		{"policy-comparison", WithOption("mean-idle-nodes", "0")},
 	} {
-		if err := validate(ok.scen, ok.opt); err != nil {
+		if err := Validate(ok.scen, ok.opt); err != nil {
 			t.Errorf("%s: in-range value rejected: %v", ok.scen, err)
 		}
 	}
@@ -401,7 +397,7 @@ func TestConfigPlumbing(t *testing.T) {
 	}
 
 	// A nil-Axes (custom) scenario accepts every uniform axis.
-	if err := validate("test-capture", WithNodes(64), WithQPS(5)); err != nil {
+	if err := Validate("test-capture", WithNodes(64), WithQPS(5)); err != nil {
 		t.Errorf("nil-Axes scenario rejected axes: %v", err)
 	}
 

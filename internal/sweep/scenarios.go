@@ -51,11 +51,6 @@ type ScenarioPoint struct {
 // constraint like the fib/var-only experiments) contributes no
 // metrics, and SweepScenarios returns the joined per-replica errors
 // alongside the (partial) results.
-//
-// Cells running sharded (a "shards" option > 1) occupy shards
-// goroutines per replica; the effective worker count is lowered so
-// that workers × max shards stays within cfg.MaxParallelism (default
-// GOMAXPROCS). The cap changes wall time only, never results.
 func SweepScenarios(cfg Config, cells []ScenarioPoint) ([]Result, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("sweep: want a positive replica count, got %d", cfg.Replicas)
@@ -63,15 +58,10 @@ func SweepScenarios(cfg Config, cells []ScenarioPoint) ([]Result, error) {
 	points := make([]Point, len(cells))
 	var mu sync.Mutex
 	var runErrs []error
-	maxShards := 1
 	for i, cell := range cells {
 		cell := cell
-		shards, err := scenario.Parallelism(cell.Scenario, cell.Options...)
-		if err != nil {
+		if err := scenario.Validate(cell.Scenario, cell.Options...); err != nil {
 			return nil, err
-		}
-		if shards > maxShards {
-			maxShards = shards
 		}
 		name := cell.Name
 		if name == "" {
@@ -96,7 +86,7 @@ func SweepScenarios(cfg Config, cells []ScenarioPoint) ([]Result, error) {
 			},
 		}
 	}
-	results := Sweep(cfg.capWorkers(maxShards), points)
+	results := Sweep(cfg, points)
 	// Replica completion order depends on worker scheduling; sort so
 	// the joined error is as deterministic as the results.
 	sort.Slice(runErrs, func(i, j int) bool { return runErrs[i].Error() < runErrs[j].Error() })

@@ -223,31 +223,10 @@ func TestSweepScenariosAggregates(t *testing.T) {
 	}
 }
 
-// TestCapWorkers pins the workers × shards budget arithmetic: the
-// effective worker count is lowered until it fits MaxParallelism, but
-// never below one, and unsharded sweeps are untouched.
-func TestCapWorkers(t *testing.T) {
-	cases := []struct{ workers, budget, shards, want int }{
-		{8, 8, 4, 2}, // 8×4 over an 8-budget → 2 workers
-		{8, 8, 1, 8}, // unsharded: budget not consulted
-		{1, 8, 4, 1}, // already within budget
-		{2, 8, 4, 2}, // exactly at budget
-		{3, 4, 8, 1}, // shards alone exceed the budget → one-worker floor
-	}
-	for _, c := range cases {
-		cfg := Config{Workers: c.workers, MaxParallelism: c.budget}
-		if got := cfg.capWorkers(c.shards).workers(); got != c.want {
-			t.Errorf("capWorkers(workers=%d budget=%d shards=%d) = %d, want %d",
-				c.workers, c.budget, c.shards, got, c.want)
-		}
-	}
-}
-
 // TestSweepScenariosShardedWorkerInvariance: a sharded federated cell
 // is still bit-identical across worker counts — the sweep's
-// determinism guarantee composes with the pdes runtime's — and the
-// engine resolves the cell's shards option through
-// scenario.Parallelism to cap combined concurrency.
+// determinism guarantee composes with the pdes runtime's, and
+// concurrent replicas each run their own 2-shard coordinator.
 func TestSweepScenariosShardedWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full federated replicas (skipped under -short for the CI race gate)")

@@ -38,40 +38,6 @@ type Config struct {
 
 	// BaseSeed roots the decorrelated per-replica seed sequence.
 	BaseSeed int64
-
-	// MaxParallelism is the sweep's total goroutine budget when replicas
-	// are themselves parallel: a scenario cell running sharded (its
-	// "shards" option > 1) occupies shards goroutines per replica, and
-	// SweepScenarios lowers the effective worker count so that
-	// workers × max(shards across cells) never exceeds this budget.
-	// ≤0 means GOMAXPROCS. Like Workers, the budget only changes wall
-	// time and machine load, never results — both worker count and shard
-	// count are result-invariant by construction.
-	MaxParallelism int
-}
-
-// budget resolves the effective concurrency budget.
-func (c Config) budget() int {
-	if c.MaxParallelism > 0 {
-		return c.MaxParallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// capWorkers returns a copy of c whose effective worker count is
-// clamped so that workers × shards stays within the budget (always
-// leaving at least one worker).
-func (c Config) capWorkers(shards int) Config {
-	if shards <= 1 {
-		return c
-	}
-	if w := c.budget() / shards; c.workers() > w {
-		if w < 1 {
-			w = 1
-		}
-		c.Workers = w
-	}
-	return c
 }
 
 // workers resolves the effective worker count.

@@ -168,10 +168,12 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxTraceNodes bounds the cluster size a trace header may declare:
-// Validate and the packing simulators allocate per node, so a header
-// naming billions of nodes would exhaust memory before any row is read.
-const maxTraceNodes = 1 << 20
+// MaxNodes bounds the cluster size a trace may have: Validate, the
+// idle-process generator and the packing simulators allocate per node,
+// so a header or a flag naming billions of nodes would exhaust memory
+// before anything ran. ReadCSV enforces it on trace headers; the
+// scenario registry and the CLIs on every cluster-size input.
+const MaxNodes = 1 << 20
 
 // rowFields names the time fields of a trace row, in order.
 var rowFields = [3]string{"start_s", "end_s", "declared_end_s"}
@@ -179,7 +181,7 @@ var rowFields = [3]string{"start_s", "end_s", "declared_end_s"}
 // ReadCSV parses a trace written by WriteCSV. Parsing is strict —
 // wrong field counts, non-numeric fields, trailing garbage, times that
 // are not finite or overflow a time.Duration, a header naming no nodes
-// or more than maxTraceNodes, rows naming nodes outside the header's
+// or more than MaxNodes, rows naming nodes outside the header's
 // cluster size, and semantically invalid traces (empty or reversed
 // periods, periods past the horizon, per-node overlaps — the Validate
 // invariants) are all rejected — because joblen-opt feeds
@@ -210,8 +212,8 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("workload: bad trace header %q: want 2 fields, got %d", line, len(fields))
 			}
 			nodes, err := strconv.Atoi(fields[0])
-			if err != nil || nodes <= 0 || nodes > maxTraceNodes {
-				return nil, fmt.Errorf("workload: bad trace header %q: node count %q (want 1 to %d)", line, fields[0], maxTraceNodes)
+			if err != nil || nodes <= 0 || nodes > MaxNodes {
+				return nil, fmt.Errorf("workload: bad trace header %q: node count %q (want 1 to %d)", line, fields[0], MaxNodes)
 			}
 			horizon, err := parseSeconds(fields[1])
 			if err == nil && horizon <= 0 {
