@@ -3,8 +3,16 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/core"
+	"repro/internal/loadgen"
+	"repro/internal/stats"
+	"repro/internal/whisk"
 )
 
 // TestCheckpointDisabledMatchesGoldens pins the checkpoint subsystem's
@@ -64,6 +72,95 @@ func TestCheckpointAblationGoldenUnchanged(t *testing.T) {
 	var buf bytes.Buffer
 	r.Render(&buf)
 	checkGolden(t, "ablation_n256_h4_seed5.golden", buf.Bytes())
+}
+
+// TestCheckpointEnabledShardedIdentity extends the shard-locality
+// invariant to checkpointing itself: segment events, resume tokens,
+// and the work ledger live entirely on the site's plane, so a
+// checkpoint-enabled federation under the pdes coordinator is
+// byte-identical to the sequential run — load report, site counters
+// and every site's ledger. A paper day is one site and never shards,
+// so the same small checkpointed day runs on two sites, one seed each.
+func TestCheckpointEnabledShardedIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
+	}
+	cfg := FibDay(7)
+	cfg.Nodes = 64
+	cfg.Horizon = 2 * time.Hour
+	cfg.MeanIdleNodes = 6
+	cfg.SaturatedFraction = 0.02
+	cfg.QPS = 5
+	cfg.NumActions = 50
+	cfg.SleepExec = 500 * time.Millisecond
+	cfg.CheckpointInterval = 100 * time.Millisecond
+	other := cfg
+	other.Seed = 8
+	days := []DayConfig{cfg, other}
+
+	seqWork, seqOut := runCheckpointedFederation(days, 0)
+	shdWork, shdOut := runCheckpointedFederation(days, 2)
+
+	var dumps int
+	for i := range seqWork {
+		if seqWork[i] != shdWork[i] {
+			t.Errorf("site %d work ledgers diverged:\nsequential: %+v\nsharded:    %+v",
+				i, seqWork[i], shdWork[i])
+		}
+		dumps += seqWork[i].Checkpoints
+	}
+	if seqOut != shdOut {
+		t.Errorf("checkpoint-enabled runs diverged between sequential and sharded:\n%s\nvs\n%s",
+			seqOut, shdOut)
+	}
+	if dumps == 0 {
+		t.Error("checkpoint-enabled federation dumped no checkpoints — the identity check is vacuous")
+	}
+}
+
+// runCheckpointedFederation runs one site per day config behind the
+// front door — on one plane (shards ≤ 1) or under the pdes
+// coordinator — with days[0]'s checkpointed sleep actions and load
+// (QPS per site), and returns every site's work ledger plus a
+// rendering of the load report and each site's counters.
+func runCheckpointedFederation(days []DayConfig, shards int) ([]stats.WorkCounters, string) {
+	sites := make([]core.SiteConfig, len(days))
+	for i, d := range days {
+		sites[i] = systemConfig(d)
+	}
+	fed := core.NewFederation(core.FederationConfig{Sites: sites, Shards: shards})
+	for i, d := range days {
+		fed.LoadTrace(i, d.TraceConfig().Generate())
+	}
+	day := days[0]
+	actions := loadgen.ActionNames("sleep", day.NumActions)
+	for _, name := range actions {
+		fed.RegisterAction(&whisk.Action{
+			Name:          name,
+			MemoryMB:      256,
+			Exec:          whisk.FixedExec(day.SleepExec),
+			Interruptible: true,
+			Checkpoint:    checkpoint.WithInterval(day.CheckpointInterval),
+		})
+	}
+	gen := loadgen.New(fed.Sim, fed, loadgen.Config{
+		QPS: day.QPS * float64(len(days)), Actions: actions, Duration: day.Horizon,
+		BucketLen: time.Minute,
+	})
+	gen.Start()
+	fed.Start()
+	fed.Run(day.Horizon + dayDrain)
+
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "load %+v\n", gen.Report())
+	work := make([]stats.WorkCounters, len(fed.Sites))
+	for i, s := range fed.Sites {
+		fmt.Fprintf(&sb, "site %d issued=%d success=%d failed=%d timeout=%d 503=%d pilots=%d preempted=%d handoffs=%d slurm=%+v\n",
+			i, fed.Door.IssuedBySite[i], s.Ctrl.NSuccess, s.Ctrl.NFailed, s.Ctrl.NTimeout, s.Ctrl.N503,
+			s.Manager.PilotsStarted, s.Slurm.Preempted, s.Manager.Handoffs, s.Logger.Stats())
+		work[i] = s.Ctrl.Work
+	}
+	return work, sb.String()
 }
 
 // TestFrontierReclaimsRegion is the tentpole's acceptance check: on a
