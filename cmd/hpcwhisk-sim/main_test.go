@@ -182,6 +182,14 @@ func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 		{[]string{"-scenario", "table1", "-nodes", "64", "-hours", "5124097"}, "-hours"},
 		{[]string{"-scenario", "fib-day", "-nodes", "99999999999"}, "nodes"},
 		{[]string{"-scenario", "federated-day", "-set", "sites=10000000000"}, "sites"},
+		// Rates the generator cannot pace (1s/qps truncates to 0 or
+		// overflows) and durations that overflow an instant of the run.
+		{[]string{"-scenario", "fib-day", "-nodes", "64", "-hours", "1", "-qps", "2e9"}, "qps"},
+		{[]string{"-scenario", "fib-day", "-nodes", "64", "-hours", "1", "-qps", "1e-12"}, "qps"},
+		{[]string{"-scenario", "fib-day", "-nodes", "64", "-hours", "1", "-set", "action-timeout=2562047h"}, "action-timeout"},
+		{[]string{"-scenario", "fib-day", "-nodes", "64", "-hours", "1", "-set", "sleep-exec=2562047h"}, "sleep-exec"},
+		{[]string{"-scenario", "var-day", "-nodes", "64", "-hours", "1", "-set", "sleep-exec=2562047h"}, "sleep-exec"},
+		{[]string{"-scenario", "week-day", "-nodes", "64", "-hours", "1", "-set", "sleep-exec=2562047h"}, "sleep-exec"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

@@ -78,7 +78,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 	// Out-of-range counts and axes fail SweepScenarios' upfront
 	// validation: exit 2 with an error naming the culprit, and no
-	// replica runs (a worker goroutine would panic on -hours 0, a
+	// replica runs (a worker goroutine would panic on -hours 0 or on a
+	// qps whose arrival interval truncates to 0 or overflows, a
 	// negative QPS would silently sweep an unloaded day, and an -hours
 	// past a time.Duration would wrap around to a short one).
 	cases := []struct {
@@ -95,6 +96,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-scenario", "fig7", "-set", "invocations=0", "-replicas", "2"}, "invocations"},
 		{[]string{"-hours", "5124097"}, "-hours"},
 		{[]string{"-nodes", "99999999999"}, "nodes"},
+		{[]string{"-nodes", "64", "-hours", "1", "-qps", "2e9", "-replicas", "2"}, "qps"},
+		{[]string{"-nodes", "64", "-hours", "1", "-qps", "1e-12", "-replicas", "2"}, "qps"},
 	}
 	for _, tc := range cases {
 		out.Reset()

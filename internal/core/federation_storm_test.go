@@ -57,9 +57,10 @@ func stormArrivals(horizon time.Duration, seed int64, actions int) []stormArriva
 // progress, in completion order — and equal per-site work ledgers,
 // whether it runs sequentially or sharded, across several seeds and
 // shard counts. Odd sites time requests out after shortTimeout, the
-// others after the 60 s default, so the sequential plane carries two
-// timeout lanes, a shard one or two; every seed's log must hold
-// timeouts, so lanes that fire are compared, not only stopped ones.
+// others after the 60 s default, so the sequential plane's wheel holds
+// timeouts of two delays, a shard's one or two; every seed's log must
+// hold timeouts, so timeouts that fire are compared, not only stopped
+// ones.
 // Every sixth action checkpoints a body several checkpoint intervals
 // long, so segment events, resume tokens and the ledger cross shard
 // boundaries too; some seed must record both a checkpoint and a
@@ -145,7 +146,7 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 		t.Logf("seed %d: %d of %d completions timed out; %d checkpoints, %d resumes",
 			seed, timeouts, len(seq), ckpts, resumes)
 		if timeouts == 0 {
-			t.Errorf("seed %d: no request timed out, so no lane fired", seed)
+			t.Errorf("seed %d: no request timed out, so no timeout fired", seed)
 		}
 		for _, shards := range []int{2, sites} {
 			shd, shdWork := replay(seed, shards)

@@ -7,31 +7,31 @@
 // bit-for-bit given fixed inputs and seeds.
 //
 // The kernel is the hot path of every experiment (a 24-hour production
-// run dispatches millions of events), so the queue is built from 4-ary
-// min-heaps of value entries ordered by (instant, sequence): no
-// container/heap interface boxing, no per-event heap allocation, and no
-// index maintenance. Callback slots are pooled in a free list and
-// recycled as events fire; Event handles are small generation-checked
-// values, so Stop and Pending on a handle whose slot has been recycled
-// for a later scheduling are detected and refused rather than
-// corrupting the queue.
+// run dispatches millions of events), so the queue holds pointer-free
+// value entries ordered by (instant, sequence): no container/heap
+// interface boxing, no per-event heap allocation, and no index
+// maintenance. Callback slots are pooled in a free list and recycled as
+// events fire; Event handles are small generation-checked values, so
+// Stop and Pending on a handle whose slot has been recycled for a later
+// scheduling are detected and refused rather than corrupting the queue.
 //
-// The queue has three kinds of part: two heap tiers and any number of
-// lanes. An event scheduled on a Lane waits in that lane, a FIFO of the
-// events that share one constant delay; any other event due less than
-// farAhead after it was scheduled goes to the near heap, and every
-// other one to the far heap. A trace-driven run schedules thousands of
-// idle-period boundaries hours ahead at set-up, while its request path
-// keeps a few dozen events in flight; kept apart, those boundaries no
-// longer deepen every sift of the request path. A lane needs no sift at
-// all: events with one delay come due in the order they are scheduled.
-// The per-request client timeout waits on one, so the hundreds of
-// thousands a day armed and stopped again never enter a heap. Each
-// dispatch fires the first of the two heap tops and the lane heads, so
-// events still fire one at a time in the one (instant, sequence) order
-// whichever queue holds them. Stopped events leave stale entries behind
-// (Stop is index-free), and each tier and each lane is compacted on its
-// own once its stale entries outnumber its live ones.
+// The queue has two parts: a two-level timing wheel and a 4-ary min-heap.
+// Nearly every event comes due within seconds of being scheduled (request
+// hops, timeouts, grace periods), while a trace-driven run also schedules
+// thousands of idle-period boundaries and pilot walltimes hours ahead. An
+// event due within the wheel's reach, the current block of 2^32 ns and the
+// next 63 (about 4.6 min), goes to the wheel at O(1); every later one goes
+// to the far heap. Level 0 of the wheel holds the current block in 4,096
+// buckets of 2^20 ns (about 1 ms); level 1 holds the next 63 blocks and
+// cascades each into level 0 once, when it comes due. A bucket that comes
+// due is sorted once into a short array whose last entry is the wheel's
+// head, and an event due before that bucket ends is inserted into the
+// array in order. Each dispatch fires the first of the wheel's head and
+// the heap's top, so events still fire one at a time in the one (instant,
+// sequence) order whichever part holds them. Stopped events leave stale
+// entries behind (Stop is index-free): the wheel drops them when their
+// bucket is sorted or cascaded, and the wheel and the heap are each
+// compacted once their stale entries outnumber their live ones.
 //
 // The zero value of Sim is ready to use; its clock starts at instant 0.
 package des
@@ -39,6 +39,8 @@ package des
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -61,7 +63,7 @@ type Event struct {
 }
 
 // node is one pooled callback slot. gen increments every time the slot
-// is released (fired or stopped), so a heap entry or handle created for
+// is released (fired or stopped), so a queue entry or handle created for
 // an earlier scheduling can never act on a later one. (uint32 suffices:
 // a false match needs one slot to cycle exactly 2^32 times while a
 // stale reference is held; whole runs schedule orders of magnitude
@@ -73,23 +75,20 @@ type Event struct {
 // long-lived func(any) (typically a cached method value) instead of
 // allocating a capturing closure per event.
 //
-// at stamps the instant the slot was filled (the clock at scheduling
-// time): with the event's instant it names the tier the entry waits in,
-// which Stop needs to credit that tier's stale count. lane names the
-// lane it waits in instead, as an index into Sim.lanes plus one, and is
-// 0 for a tier entry. (It fills the struct's padding: 48 bytes either
-// way.)
+// far records that the event's entry waits in the far heap rather than
+// the wheel, so Stop credits the stale count of the part that holds it.
 type node struct {
-	fn   func()
-	fnA  func(any)
-	arg  any
-	at   Time
-	gen  uint32
-	lane int32
+	fn  func()
+	fnA func(any)
+	arg any
+	gen uint32
+	far bool
 }
 
 // entry is one queue element: 24 bytes (8+8+4+4), pointer-free, ordered
-// by (when, seq) for the deterministic total order.
+// by (when, seq) for the deterministic total order. The far heap and the
+// wheel's sorted head array hold entries; the wheel's buckets hold them
+// in links.
 type entry struct {
 	when Time
 	seq  uint64
@@ -128,39 +127,12 @@ func (e Event) Stop() bool {
 	n.gen++
 	s.free = append(s.free, e.idx)
 	s.npending--
-	if n.lane != 0 {
-		s.lanes[n.lane-1].stopped(s.nodes)
+	if n.far {
+		s.far.dead++
 	} else {
-		s.tierOf(e.when, n.at).dead++
+		s.wheel.dead++
 	}
 	return true
-}
-
-// farAhead splits the heaps: an event due at least this long after it
-// was scheduled waits in the far tier. It sits above the request path's
-// hops and the 3 min SIGTERM grace, so those stay near where they are
-// armed and stopped, and below pilot walltimes and trace boundaries,
-// which wait far. (The client timeout waits on a lane.)
-const farAhead = 5 * time.Minute
-
-// tier is one 4-ary min-heap of the queue.
-type tier struct {
-	h []entry
-
-	// dead counts the stopped entries h still carries. Canceled events
-	// release their slot immediately but leave their 24-byte entry
-	// behind until it surfaces. Stale entries that came to outnumber
-	// live ones would deepen every sift, so settle compacts the tier
-	// once they do.
-	dead int
-}
-
-// tierOf reports the tier of an event due at when and scheduled at at.
-func (s *Sim) tierOf(when, at Time) *tier {
-	if when-at >= farAhead {
-		return &s.far
-	}
-	return &s.near
 }
 
 // Sim is a discrete-event simulation: a virtual clock plus a queue of
@@ -169,13 +141,13 @@ func (s *Sim) tierOf(when, at Time) *tier {
 // Independent Sims are fully isolated, so replicas of an experiment can
 // run concurrently on one Sim each (as internal/sweep does).
 type Sim struct {
-	now       Time
-	near, far tier
-	lanes     []*Lane
-	nodes     []node
-	free      []int32
-	seq       uint64
-	npending  int
+	now      Time
+	wheel    wheel
+	far      farHeap
+	nodes    []node
+	free     []int32
+	seq      uint64
+	npending int
 }
 
 // New returns an empty simulation with its clock at instant 0.
@@ -193,7 +165,7 @@ func (s *Sim) Schedule(at Time, fn func()) Event {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	idx, n := s.acquire(at, 0)
+	idx, n := s.acquire(at)
 	n.fn = fn
 	return s.enqueue(at, idx, n)
 }
@@ -213,7 +185,7 @@ func (s *Sim) ScheduleCall(at Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	idx, n := s.acquire(at, 0)
+	idx, n := s.acquire(at)
 	n.fnA = fn
 	n.arg = arg
 	return s.enqueue(at, idx, n)
@@ -224,9 +196,8 @@ func (s *Sim) AfterCall(d time.Duration, fn func(any), arg any) Event {
 	return s.ScheduleCall(s.now+d, fn, arg)
 }
 
-// acquire validates the instant and takes a free callback slot for an
-// event on the given lane (0: a tier).
-func (s *Sim) acquire(at Time, lane int32) (int32, *node) {
+// acquire validates the instant and takes a free callback slot.
+func (s *Sim) acquire(at Time) (int32, *node) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
 	}
@@ -238,132 +209,20 @@ func (s *Sim) acquire(at Time, lane int32) (int32, *node) {
 		s.nodes = append(s.nodes, node{})
 		idx = int32(len(s.nodes) - 1)
 	}
-	n := &s.nodes[idx]
-	n.at, n.lane = s.now, lane
-	return idx, n
+	return idx, &s.nodes[idx]
 }
 
-// enqueue queues the filled slot on its lane or tier and hands out the
-// handle.
+// enqueue queues the filled slot in the wheel, or in the far heap when it
+// is due beyond the wheel's reach, and hands out the handle.
 func (s *Sim) enqueue(at Time, idx int32, n *node) Event {
 	e := entry{when: at, seq: s.seq, gen: n.gen, idx: idx}
 	s.seq++
-	if n.lane != 0 {
-		s.lanes[n.lane-1].push(e)
-	} else {
-		s.tierOf(at, n.at).push(e)
+	n.far = !s.wheel.push(e, s.now)
+	if n.far {
+		s.far.push(e)
 	}
 	s.npending++
 	return Event{sim: s, when: at, gen: n.gen, idx: idx}
-}
-
-// Lane is a FIFO of the events that share one constant delay, from
-// Sim.Lane. Events with one delay come due in the order they are
-// scheduled, so a lane keeps them due-ordered without a heap:
-// scheduling appends, and dispatch takes the head when it comes first.
-// Its events keep their place in the Sim's one (instant, sequence)
-// order; they only wait apart. A lane suits a delay that is armed often
-// and nearly always stopped before it fires, like a request timeout.
-type Lane struct {
-	sim   *Sim
-	delay time.Duration
-	id    int32 // index in sim.lanes plus one, as node.lane records it
-
-	// q[head:] holds the lane's entries in (when, seq) order; q[:head]
-	// is room that entries taken off the head left behind.
-	q    []entry
-	head int
-
-	// dead counts the stopped entries q[head:] still holds.
-	dead int
-}
-
-// Lane returns the Sim's lane for delay d, created on first use: every
-// caller of one delay shares one lane.
-func (s *Sim) Lane(d time.Duration) *Lane {
-	for _, l := range s.lanes {
-		if l.delay == d {
-			return l
-		}
-	}
-	l := &Lane{sim: s, delay: d, id: int32(len(s.lanes) + 1)}
-	s.lanes = append(s.lanes, l)
-	return l
-}
-
-// AfterCall queues fn(arg) on the lane, to run its delay from now: the
-// lane's Sim.AfterCall. A negative delay panics.
-func (l *Lane) AfterCall(fn func(any), arg any) Event {
-	if fn == nil {
-		panic("des: schedule with nil callback")
-	}
-	s := l.sim
-	at := s.now + l.delay
-	if k := len(l.q); k > l.head && at < l.q[k-1].when {
-		// The clock went back: RunUntil or RunBefore set it to their end
-		// after a re-entrant Step fired past it. The lane would fall out
-		// of order; a heap keeps the event in its place.
-		return s.ScheduleCall(at, fn, arg)
-	}
-	idx, n := s.acquire(at, l.id)
-	n.fnA = fn
-	n.arg = arg
-	return s.enqueue(at, idx, n)
-}
-
-// push appends e. Before the buffer would grow it takes back the room
-// in front of the head once that is at least half the buffer, so a lane
-// in steady state allocates nothing.
-func (l *Lane) push(e entry) {
-	if len(l.q) == cap(l.q) && l.head > 0 && 2*l.head >= len(l.q) {
-		n := copy(l.q, l.q[l.head:])
-		l.q, l.head = l.q[:n], 0
-	}
-	l.q = append(l.q, e)
-}
-
-// pop removes and returns the head entry.
-func (l *Lane) pop() entry {
-	e := l.q[l.head]
-	l.head++
-	if l.head == len(l.q) {
-		l.q, l.head = l.q[:0], 0
-	}
-	return e
-}
-
-// settle discards stale entries off the head. It reports whether it
-// discarded any.
-func (l *Lane) settle(nodes []node) bool {
-	dropped := false
-	for l.head < len(l.q) {
-		if e := l.q[l.head]; nodes[e.idx].gen == e.gen {
-			break
-		}
-		l.pop()
-		l.dead--
-		dropped = true
-	}
-	return dropped
-}
-
-// stopped counts one more stopped entry, and compacts the lane in place,
-// in FIFO order, once more than 64 of its entries are stale and they
-// outnumber the live ones: the tiers' rule. Stale entries leave at the
-// head only once their instant comes, so without it a lane whose events
-// are nearly all stopped would hold every one scheduled in the last
-// delay.
-func (l *Lane) stopped(nodes []node) {
-	l.dead++
-	if l.dead > 64 && 2*l.dead > len(l.q)-l.head {
-		live := l.q[:0]
-		for _, e := range l.q[l.head:] {
-			if nodes[e.idx].gen == e.gen {
-				live = append(live, e)
-			}
-		}
-		l.q, l.head, l.dead = live, 0, 0
-	}
 }
 
 // fire releases e's slot and runs its callback. The caller must have
@@ -427,14 +286,14 @@ const maxTime = Time(math.MaxInt64)
 func (s *Sim) dispatch(last Time, once bool) bool {
 	fired := false
 	for !fired || !once {
-		var e entry
-		switch q, l := s.next(); {
-		case l != nil && l.q[l.head].when <= last:
-			e = l.pop()
-		case q != nil && q.h[0].when <= last:
-			e = q.pop()
-		default:
+		e, inWheel, ok := s.next(last)
+		if !ok {
 			return fired
+		}
+		if inWheel {
+			s.wheel.pop()
+		} else {
+			s.far.pop()
 		}
 		s.now = e.when
 		s.fire(e)
@@ -443,72 +302,385 @@ func (s *Sim) dispatch(last Time, once bool) bool {
 	return fired
 }
 
-// next returns the queue (a tier or a lane) whose head is the earliest
-// live entry, or neither when no live entry is queued: the one
-// top-of-queue helper behind every entry point. A queue is settled
-// before its head is trusted: the near tier on every call, the far tier
-// and the lanes only when their head comes first. A stale far top or
-// lane head behind the live near top cannot matter, and checking it
-// would touch a callback slot the request path never reads.
-func (s *Sim) next() (*tier, *Lane) {
-	s.near.settle(s.nodes)
+// next returns the earliest live entry if it is due at or before last,
+// and whether the wheel holds it (else the far heap does); ok is false
+// when no live entry is due by last. It is the one top-of-queue helper
+// behind every entry point. The wheel sorts a bucket only once it starts
+// no later than the far top and last, so its head array does not run
+// ahead of the clock and collect the events scheduled in between. The
+// far heap is settled only when its top comes first: a stale far top
+// behind the wheel's live head cannot matter, and checking it would
+// touch a callback slot the request path never reads.
+func (s *Sim) next(last Time) (e entry, inWheel, ok bool) {
 	for {
-		q, l := s.first()
-		if l != nil && l.settle(s.nodes) || q == &s.far && q.settle(s.nodes) {
-			continue // it discarded its head or compacted: look again
+		bound := last
+		if len(s.far.h) > 0 && s.far.h[0].when < bound {
+			bound = s.far.h[0].when
 		}
-		return q, l
+		w, live := s.wheel.head(s.nodes, bound)
+		if live && (len(s.far.h) == 0 || less(w, s.far.h[0])) {
+			return w, true, w.when <= last
+		}
+		if s.far.settle(s.nodes) {
+			continue // it discarded its top or compacted: look again
+		}
+		if len(s.far.h) == 0 || s.far.h[0].when > last {
+			return entry{}, false, false
+		}
+		return s.far.h[0], false, true
 	}
 }
-
-// first returns the queue whose head entry comes first in (when, seq)
-// order, or neither when all are empty. Entries due at the same instant
-// are ordered by sequence whichever queues hold them.
-func (s *Sim) first() (*tier, *Lane) {
-	var q *tier
-	top := none
-	if len(s.near.h) > 0 {
-		q, top = &s.near, s.near.h[0]
-	}
-	if len(s.far.h) > 0 && less(s.far.h[0], top) {
-		q, top = &s.far, s.far.h[0]
-	}
-	var lane *Lane
-	for _, l := range s.lanes {
-		if l.head < len(l.q) && less(l.q[l.head], top) {
-			lane, top = l, l.q[l.head]
-		}
-	}
-	if lane != nil {
-		return nil, lane
-	}
-	return q, nil
-}
-
-// none orders after every entry a Sim can queue (no sequence number
-// reaches MaxUint64): the head of an empty queue.
-var none = entry{when: maxTime, seq: math.MaxUint64}
 
 // NextAt reports the instant of the earliest live pending event — the
 // shard-horizon query of the parallel coordinator. ok is false when no
 // live event is pending. The clock does not move and nothing fires.
 func (s *Sim) NextAt() (at Time, ok bool) {
-	switch q, l := s.next(); {
-	case l != nil:
-		return l.q[l.head].when, true
-	case q != nil:
-		return q.h[0].when, true
-	}
-	return 0, false
+	e, _, ok := s.next(maxTime)
+	return e.when, ok
 }
 
-// settle compacts the tier when its stale entries outnumber its live
+// less orders entries by (when, seq): the deterministic total order.
+func less(a, b entry) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
+}
+
+// The wheel's geometry: level-0 buckets of 2^bucketBits ns, blocks of
+// 2^blockBits ns (one turn of level 0), and a reach of wheelBlocks
+// blocks, the current one included. The bucket width sits below the
+// request path's hops, the reach above its 60 s timeout and 3 min
+// SIGTERM grace and below pilot walltimes and trace boundaries.
+const (
+	bucketBits  = 20 // about 1.05 ms
+	blockBits   = 32 // about 4.3 s
+	l0Buckets   = 1 << (blockBits - bucketBits)
+	wheelBlocks = 64 // about 4.6 min
+)
+
+// wheel is the two-level timing wheel of the queue. Level 0 holds the
+// entries of the current block (block) due at or after dueEnd, one
+// bucket per 2^bucketBits ns; level 1 those of the next wheelBlocks-1
+// blocks, one bucket per block. A bucket is a singly linked list threaded
+// through links, and a bitmap per level marks the occupied buckets, so
+// finding the next one skips 64 empty buckets per word. Every entry due
+// before dueEnd waits in due instead, sorted.
+type wheel struct {
+	// due holds, in descending (when, seq) order, the entries of the
+	// bucket sorted last and every event scheduled before its end since:
+	// a zero-delay child, or one scheduled after the clock went back
+	// (RunUntil sets it to its end after a re-entrant Step fired past
+	// it). Its last entry is the wheel's head.
+	due    []entry
+	dueEnd Time
+
+	block int64 // the block level 0 holds: an instant >> blockBits
+
+	// Bucket heads as indices into links (0: empty), and occupancy bits.
+	l0    [l0Buckets]int32
+	bits0 [l0Buckets / 64]uint64
+	l1    [wheelBlocks]int32
+	bits1 uint64
+
+	// links pools the buckets' list cells; links[0] is the null cell and
+	// free heads the list of released ones, so steady state allocates
+	// nothing.
+	links []link
+	free  int32
+
+	// n counts the entries the wheel holds, in due and in its buckets;
+	// dead counts the stopped ones among them. Stopped entries are
+	// dropped when their bucket is sorted or cascaded, or when they reach
+	// the end of due; compact drops them all once they outnumber the
+	// live ones.
+	n, dead int
+}
+
+// link is one cell of a bucket list.
+type link struct {
+	e    entry
+	next int32
+}
+
+// push queues e, scheduled at now, and reports whether it is due within
+// the wheel's reach; a later entry belongs in the far heap.
+func (w *wheel) push(e entry, now Time) bool {
+	if w.n == 0 {
+		// Empty: start the reach at the clock's bucket.
+		w.block = int64(now >> blockBits)
+		w.dueEnd = now &^ (1<<bucketBits - 1)
+	}
+	if e.when < w.dueEnd {
+		w.insertDue(e)
+		w.n++
+		return true
+	}
+	switch b := int64(e.when >> blockBits); {
+	case b == w.block:
+		i := int(e.when>>bucketBits) & (l0Buckets - 1)
+		w.l0[i] = w.link(e, w.l0[i])
+		w.bits0[i>>6] |= 1 << (i & 63)
+	case b-w.block < wheelBlocks:
+		j := int(b & (wheelBlocks - 1))
+		w.l1[j] = w.link(e, w.l1[j])
+		w.bits1 |= 1 << j
+	default:
+		return false
+	}
+	w.n++
+	return true
+}
+
+// link fills a free cell (a new one when none is free) with e, ahead of
+// next, and returns its index.
+func (w *wheel) link(e entry, next int32) int32 {
+	l := w.free
+	if l != 0 {
+		w.free = w.links[l].next
+	} else {
+		if len(w.links) == 0 {
+			w.links = append(w.links, link{}) // the null cell
+		}
+		l = int32(len(w.links))
+		w.links = append(w.links, link{})
+	}
+	w.links[l] = link{e: e, next: next}
+	return l
+}
+
+// release returns cell l to the free list.
+func (w *wheel) release(l int32) {
+	w.links[l].next = w.free
+	w.free = l
+}
+
+// insertDue inserts e into due in its place.
+func (w *wheel) insertDue(e entry) {
+	d := w.due
+	lo, hi := 0, len(d) // the first index whose entry orders before e
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if less(d[m], e) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	d = append(d, entry{})
+	copy(d[lo+1:], d[lo:])
+	d[lo] = e
+	w.due = d
+}
+
+// pop removes the head.
+func (w *wheel) pop() {
+	w.due = w.due[:len(w.due)-1]
+	w.n--
+}
+
+// head returns the wheel's earliest live entry. It discards stale entries
+// off the end of due and, once due runs empty, sorts the next occupied
+// bucket into it, but only a bucket that starts at or before bound; it
+// reports false when no live entry is left in due and no bucket starts by
+// bound. It first compacts the wheel when its stale entries, more than
+// 64, outnumber its live ones.
+func (w *wheel) head(nodes []node, bound Time) (entry, bool) {
+	if w.dead > 64 && 2*w.dead > w.n {
+		w.compact(nodes)
+	}
+	for {
+		for k := len(w.due) - 1; k >= 0; k-- {
+			e := w.due[k]
+			if nodes[e.idx].gen == e.gen {
+				return e, true
+			}
+			w.due = w.due[:k]
+			w.n--
+			w.dead--
+		}
+		if !w.advance(nodes, bound) {
+			return entry{}, false
+		}
+	}
+}
+
+// advance sorts the next occupied level-0 bucket into the empty due,
+// first cascading the next occupied level-1 block into level 0 when the
+// current block has no bucket left. It leaves a bucket or block that
+// starts after bound where it is, and reports whether it sorted a bucket.
+func (w *wheel) advance(nodes []node, bound Time) bool {
+	for {
+		if int64(w.dueEnd>>blockBits) == w.block {
+			if i := w.next0(int(w.dueEnd>>bucketBits) & (l0Buckets - 1)); i >= 0 {
+				start := Time(w.block)<<blockBits + Time(i)<<bucketBits
+				if start > bound {
+					return false
+				}
+				w.sort(nodes, i)
+				w.dueEnd = start + 1<<bucketBits
+				return true
+			}
+		}
+		if w.bits1 == 0 {
+			return false
+		}
+		// Level 1 holds blocks block+1 to block+63: rotate block+1's bit
+		// to bit 0 and take the first one set.
+		b := w.block + 1 + int64(bits.TrailingZeros64(bits.RotateLeft64(w.bits1, -int((w.block+1)&(wheelBlocks-1)))))
+		start := Time(b) << blockBits
+		if start > bound {
+			return false
+		}
+		w.cascade(nodes, int(b&(wheelBlocks-1)))
+		w.block, w.dueEnd = b, start
+	}
+}
+
+// next0 returns the first occupied level-0 bucket at or after i, or -1.
+func (w *wheel) next0(i int) int {
+	k := i >> 6
+	b := w.bits0[k] &^ (1<<(i&63) - 1)
+	for b == 0 {
+		if k++; k == len(w.bits0) {
+			return -1
+		}
+		b = w.bits0[k]
+	}
+	return k<<6 | bits.TrailingZeros64(b)
+}
+
+// sort moves level-0 bucket i's live entries into the empty due, in
+// descending (when, seq) order, and drops its stale ones.
+func (w *wheel) sort(nodes []node, i int) {
+	d := w.due
+	for l := w.l0[i]; l != 0; {
+		c := &w.links[l]
+		if nodes[c.e.idx].gen == c.e.gen {
+			d = append(d, c.e)
+		} else {
+			w.n--
+			w.dead--
+		}
+		next := c.next
+		w.release(l)
+		l = next
+	}
+	w.l0[i] = 0
+	w.bits0[i>>6] &^= 1 << (i & 63)
+	if len(d) <= 12 {
+		// A bucket holds a few entries, listed newest first: insertion
+		// sort finds most of them in place.
+		for j := 1; j < len(d); j++ {
+			e, k := d[j], j
+			for ; k > 0 && less(d[k-1], e); k-- {
+				d[k] = d[k-1]
+			}
+			d[k] = e
+		}
+	} else {
+		slices.SortFunc(d, func(a, b entry) int {
+			switch {
+			case less(b, a):
+				return -1
+			case less(a, b):
+				return 1
+			}
+			return 0
+		})
+	}
+	w.due = d
+}
+
+// cascade moves level-1 bucket j's live entries into their level-0
+// buckets and drops its stale ones.
+func (w *wheel) cascade(nodes []node, j int) {
+	for l := w.l1[j]; l != 0; {
+		c := &w.links[l]
+		next := c.next
+		if nodes[c.e.idx].gen == c.e.gen {
+			i := int(c.e.when>>bucketBits) & (l0Buckets - 1)
+			c.next, w.l0[i] = w.l0[i], l
+			w.bits0[i>>6] |= 1 << (i & 63)
+		} else {
+			w.release(l)
+			w.n--
+			w.dead--
+		}
+		l = next
+	}
+	w.l1[j] = 0
+	w.bits1 &^= 1 << j
+}
+
+// compact drops every stale entry the wheel holds, walking due and the
+// occupied buckets only. Neither the order of due nor the firing order
+// changes.
+func (w *wheel) compact(nodes []node) {
+	live := w.due[:0]
+	for _, e := range w.due {
+		if nodes[e.idx].gen == e.gen {
+			live = append(live, e)
+		}
+	}
+	w.due = live
+	for k := range w.bits0 {
+		for b := w.bits0[k]; b != 0; b &= b - 1 {
+			i := k<<6 | bits.TrailingZeros64(b)
+			if w.l0[i] = w.filter(nodes, w.l0[i]); w.l0[i] == 0 {
+				w.bits0[k] &^= 1 << (i & 63)
+			}
+		}
+	}
+	for b := w.bits1; b != 0; b &= b - 1 {
+		j := bits.TrailingZeros64(b)
+		if w.l1[j] = w.filter(nodes, w.l1[j]); w.l1[j] == 0 {
+			w.bits1 &^= 1 << j
+		}
+	}
+	w.n -= w.dead
+	w.dead = 0
+}
+
+// filter releases the stale cells of the list that starts at l and
+// returns the head of what is left.
+func (w *wheel) filter(nodes []node, l int32) int32 {
+	var head int32
+	tail := &head
+	for l != 0 {
+		c := &w.links[l]
+		next := c.next
+		if nodes[c.e.idx].gen == c.e.gen {
+			*tail, tail = l, &c.next
+		} else {
+			w.release(l)
+		}
+		l = next
+	}
+	*tail = 0
+	return head
+}
+
+// farHeap is the 4-ary min-heap of the events due beyond the wheel's
+// reach.
+type farHeap struct {
+	h []entry
+
+	// dead counts the stopped entries h still carries. Canceled events
+	// release their slot immediately but leave their 24-byte entry
+	// behind until it surfaces. Stale entries that came to outnumber
+	// live ones would deepen every sift, so settle compacts the heap
+	// once they do.
+	dead int
+}
+
+// settle compacts the heap when its stale entries outnumber its live
 // ones, so sift depth tracks the live event count rather than the
 // cancellation history, then discards stale entries off the top.
 // Neither is visible to the simulation: the firing order is the
 // (when, seq) total order, which any valid heap over the same live
 // entries yields. It reports whether it did either.
-func (q *tier) settle(nodes []node) bool {
+func (q *farHeap) settle(nodes []node) bool {
 	changed := false
 	if q.dead > 64 && 2*q.dead > len(q.h) {
 		live := q.h[:0]
@@ -535,17 +707,9 @@ func (q *tier) settle(nodes []node) bool {
 	return changed
 }
 
-// less orders entries by (when, seq): the deterministic total order.
-func less(a, b entry) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
-
 // push inserts e into the 4-ary heap, sifting up with hole moves (each
 // level is one entry copy, not a swap).
-func (q *tier) push(e entry) {
+func (q *farHeap) push(e entry) {
 	h := append(q.h, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -564,7 +728,7 @@ func (q *tier) push(e entry) {
 // entry down. With 4 children per level the heap is half the depth of a
 // binary heap, trading slightly wider min-of-children scans (which stay
 // in one or two cache lines: entries are 24 bytes) for fewer levels.
-func (q *tier) pop() entry {
+func (q *farHeap) pop() entry {
 	h := q.h
 	top := h[0]
 	last := len(h) - 1
@@ -581,7 +745,7 @@ func (q *tier) pop() entry {
 // their minimum with a pairwise tournament — two independent compare
 // chains instead of one serial scan. (when, seq) keys are unique, so
 // tie-break order between the variants can never matter.
-func (q *tier) siftDown(i int) {
+func (q *farHeap) siftDown(i int) {
 	h := q.h
 	n := len(h)
 	e := h[i]

@@ -3,6 +3,7 @@ package des
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -99,17 +100,18 @@ func (s *refSim) RunUntil(end Time) {
 type kernel struct {
 	now      func() Time
 	schedule func(at Time, fn func()) (stop func() bool)
-	lane     func(i int, fn func()) (stop func() bool)
+	after    func(i int, fn func()) (stop func() bool)
 	step     func() bool
 	runUntil func(end Time)
 	drain    func()
 	sim      *Sim
 }
 
-// laneDelays are the delays of the scripts' two lanes: a request-path
-// hop and exactly farAhead, so lane entries tie on one instant with near
-// entries (offset class 1) and far ones (class 5).
-var laneDelays = [2]time.Duration{time.Second, farAhead}
+// afterDelays are the scripts' two constant delays, armed with AfterCall
+// as the request path arms its hops and its client timeout: entries a
+// second or a minute ahead, many of them due at one instant and stopped
+// again.
+var afterDelays = [2]time.Duration{time.Second, time.Minute}
 
 func pooledKernel() kernel {
 	s := New()
@@ -119,8 +121,8 @@ func pooledKernel() kernel {
 			e := s.Schedule(at, fn)
 			return e.Stop
 		},
-		lane: func(i int, fn func()) func() bool {
-			e := s.Lane(laneDelays[i]).AfterCall(func(any) { fn() }, nil)
+		after: func(i int, fn func()) func() bool {
+			e := s.AfterCall(afterDelays[i], func(any) { fn() }, nil)
 			return e.Stop
 		},
 		step:     s.Step,
@@ -130,8 +132,8 @@ func pooledKernel() kernel {
 	}
 }
 
-// referenceKernel has no lanes: it schedules a lane op as a plain event
-// at now plus the lane's delay.
+// referenceKernel schedules a constant-delay op as a plain event at now
+// plus the delay.
 func referenceKernel() kernel {
 	s := &refSim{}
 	return kernel{
@@ -140,8 +142,8 @@ func referenceKernel() kernel {
 			e := s.Schedule(at, fn)
 			return e.Stop
 		},
-		lane: func(i int, fn func()) func() bool {
-			e := s.Schedule(s.now+laneDelays[i], fn)
+		after: func(i int, fn func()) func() bool {
+			e := s.Schedule(s.now+afterDelays[i], fn)
 			return e.Stop
 		},
 		step: s.Step,
@@ -161,9 +163,10 @@ func referenceKernel() kernel {
 // with id ≡ 0 (mod 7) schedule a child event from inside the dispatch,
 // exercising reentrant scheduling at (and after) the current instant;
 // with far set the children reach every offset class of at, so far
-// callbacks schedule too, into both tiers, and one in seven of them
-// (id ≡ 0 mod 49) schedules on a lane instead. Callbacks with id ≡ 4
-// (mod 11) stop a later-scheduled sibling due at their own instant.
+// callbacks schedule too, into the wheel and the far heap, and one in
+// seven of them (id ≡ 0 mod 49) schedules at a constant delay instead.
+// Callbacks with id ≡ 4 (mod 11) stop a later-scheduled sibling due at
+// their own instant.
 type harness struct {
 	k     kernel
 	far   bool
@@ -171,14 +174,14 @@ type harness struct {
 	stops []func() bool
 	whens []Time
 
-	// farDue counts ops after which the pooled kernel's far tier was due
-	// for compaction: more than 64 stale entries, outnumbering its live
-	// ones.
-	farDue int
+	// farDue and wheelDue count ops after which the pooled kernel's far
+	// heap or wheel was due for compaction: more than 64 stale entries,
+	// outnumbering its live ones.
+	farDue, wheelDue int
 
-	// miscount names the first op after which a tier or a lane of the
-	// pooled kernel counted a different number of stopped entries than
-	// it holds ("" while every count is exact).
+	// miscount names the first op after which a count of the pooled
+	// kernel's far heap or wheel differed from the entries it holds, or
+	// a wheel entry sat out of place ("" while all is exact).
 	miscount string
 }
 
@@ -188,10 +191,10 @@ func (d *harness) schedule(at Time) {
 	d.stops = append(d.stops, d.k.schedule(at, d.callback()))
 }
 
-// scheduleLane queues the next event on lane i (laneDelays).
-func (d *harness) scheduleLane(i int) {
-	d.whens = append(d.whens, d.k.now()+laneDelays[i])
-	d.stops = append(d.stops, d.k.lane(i, d.callback()))
+// scheduleAfter queues the next event afterDelays[i] from now.
+func (d *harness) scheduleAfter(i int) {
+	d.whens = append(d.whens, d.k.now()+afterDelays[i])
+	d.stops = append(d.stops, d.k.after(i, d.callback()))
 }
 
 // callback returns the callback of the event about to be queued.
@@ -205,7 +208,7 @@ func (d *harness) callback() func() {
 			case !d.far:
 				d.schedule(d.k.now() + Time(1+id%911)*Time(time.Millisecond))
 			case id%49 == 0:
-				d.scheduleLane(id / 49 % 2)
+				d.scheduleAfter(id / 49 % 2)
 			default:
 				d.schedule(d.at(id/7, id))
 			}
@@ -246,14 +249,19 @@ func (d *harness) runUntil(end Time) {
 }
 
 // at maps an offset class (mod 8) and a parameter p ≥ 0 to an instant at
-// or after now, spanning both tiers: milliseconds, seconds, minutes and
-// hours ahead; farAhead and 1 ns either side of it; and the instant of
-// an earlier scheduling still ahead, which makes same-instant ties —
-// across the tiers when that scheduling was far and the clock has since
-// come within farAhead of it.
+// or after now that reaches both parts of the queue and the wheel's
+// edges: milliseconds, seconds, minutes and hours ahead; 1 ns either
+// side of, or on, one of the next 8 level-0 bucket edges (class 4), one
+// of the next 64 block edges (class 5), or the first instant past the
+// wheel's reach from now's block (class 6); and the instant of an
+// earlier scheduling still ahead, which makes same-instant ties, across
+// the parts when that scheduling went to the far heap and the clock has
+// since come within reach of it, or exactly 64 blocks after one, which
+// shares its level-1 bucket.
 func (d *harness) at(class, p int) Time {
 	now := d.k.now()
 	ms := Time(time.Millisecond)
+	nudge := Time(p%3 - 1)
 	switch class % 8 {
 	case 0:
 		return now + Time(p%1_000)*ms
@@ -263,13 +271,20 @@ func (d *harness) at(class, p int) Time {
 		return now + Time(1+p%59)*Time(time.Minute) + Time(p%1_000)*ms
 	case 3:
 		return now + Time(1+p%24)*Time(time.Hour) + Time(p%60_000)*ms
-	case 4, 5, 6:
-		return now + farAhead + Time(class%8-5)
+	case 4:
+		return (now>>bucketBits+Time(1+p/3%8))<<bucketBits + nudge
+	case 5:
+		return (now>>blockBits+Time(1+p/3%wheelBlocks))<<blockBits + nudge
+	case 6:
+		return (now>>blockBits+wheelBlocks)<<blockBits + nudge
 	}
 	if n := len(d.whens); n > 0 {
 		w := d.whens[n-1-p%min(n, 64)] // a recent scheduling...
 		if p%2 == 1 {
 			w = d.whens[p%n] // ...or any
+		}
+		if p%3 == 2 {
+			w += wheelBlocks << blockBits
 		}
 		if w >= now {
 			return w
@@ -311,24 +326,24 @@ const (
 	opRunUntil
 )
 
-// laneArg is the first schedule argument that selects a lane.
-const laneArg = 8
+// afterArg is the first schedule argument that selects a constant delay.
+const afterArg = 8
 
 // runOps decodes data into ops, three bytes each — kind (low 2 bits)
 // and argument (high 6 bits), then a 16-bit parameter p — replays them
 // on k with far-reaching children, drains k and returns the harness. A
-// schedule with an argument of laneArg to laneArg+7 goes on lane
-// argument%2; any other schedule, and a RunUntil, goes to
-// at(argument, p). A stop stops up to 1<<(argument%8) handles from the
-// (p mod count)-th newest on.
+// schedule with an argument of afterArg to afterArg+7 goes
+// afterDelays[argument%2] from now; any other schedule, and a RunUntil,
+// goes to at(argument, p). A stop stops up to 1<<(argument%8) handles
+// from the (p mod count)-th newest on.
 func runOps(k kernel, data []byte) *harness {
 	d := &harness{k: k, far: true}
 	for op := 0; len(data) >= 3; op, data = op+1, data[3:] {
 		kind, arg, p := int(data[0]&3), int(data[0]>>2), int(data[1])<<8|int(data[2])
 		switch kind {
 		case opSchedule:
-			if arg >= laneArg && arg < laneArg+8 {
-				d.scheduleLane(arg % 2)
+			if arg >= afterArg && arg < afterArg+8 {
+				d.scheduleAfter(arg % 2)
 			} else {
 				d.schedule(d.at(arg, p))
 			}
@@ -345,6 +360,9 @@ func runOps(k kernel, data []byte) *harness {
 			if s.far.dead > 64 && 2*s.far.dead > len(s.far.h) {
 				d.farDue++
 			}
+			if s.wheel.dead > 64 && 2*s.wheel.dead > s.wheel.n {
+				d.wheelDue++
+			}
 			if m := miscount(s); m != "" && d.miscount == "" {
 				d.miscount = fmt.Sprintf("op %d: %s", op, m)
 			}
@@ -354,20 +372,64 @@ func runOps(k kernel, data []byte) *harness {
 	return d
 }
 
-// miscount reports the first tier or lane whose dead count differs from
-// the number of stopped entries it holds, or "" when every count is
-// exact.
+// miscount reports the first count that differs from what it counts —
+// the far heap's stopped entries, the wheel's entries and stopped ones —
+// or the first wheel entry out of place: a bucket marked occupied with
+// an empty list, an entry in a bucket that does not cover its instant,
+// or due out of order or holding an entry not due before dueEnd. It
+// returns "" when all is exact.
 func miscount(s *Sim) string {
-	if n := stale(s, s.near.h); n != s.near.dead {
-		return fmt.Sprintf("near dead=%d stale=%d", s.near.dead, n)
-	}
 	if n := stale(s, s.far.h); n != s.far.dead {
 		return fmt.Sprintf("far dead=%d stale=%d", s.far.dead, n)
 	}
-	for _, l := range s.lanes {
-		if n := stale(s, l.q[l.head:]); n != l.dead {
-			return fmt.Sprintf("lane %v dead=%d stale=%d", l.delay, l.dead, n)
+	w := &s.wheel
+	for k := 1; k < len(w.due); k++ {
+		if !less(w.due[k], w.due[k-1]) {
+			return fmt.Sprintf("due out of order at %d", k)
 		}
+	}
+	if len(w.due) > 0 && w.due[0].when >= w.dueEnd {
+		return fmt.Sprintf("due holds %v, not before dueEnd %v", w.due[0].when, w.dueEnd)
+	}
+	// Walk the buckets the bitmaps mark. A list left behind an unmarked
+	// bucket goes uncounted, so the totals below catch it.
+	n, dead := len(w.due), stale(s, w.due)
+	for k, word := range w.bits0 {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 | bits.TrailingZeros64(word)
+			if w.l0[i] == 0 {
+				return fmt.Sprintf("level-0 bucket %d marked but empty", i)
+			}
+			for l := w.l0[i]; l != 0; l = w.links[l].next {
+				e := w.links[l].e
+				if int64(e.when>>blockBits) != w.block || int(e.when>>bucketBits)&(l0Buckets-1) != i || e.when < w.dueEnd {
+					return fmt.Sprintf("level-0 bucket %d holds %v (block %d, dueEnd %v)", i, e.when, w.block, w.dueEnd)
+				}
+				n++
+				if s.nodes[e.idx].gen != e.gen {
+					dead++
+				}
+			}
+		}
+	}
+	for word := w.bits1; word != 0; word &= word - 1 {
+		j := bits.TrailingZeros64(word)
+		if w.l1[j] == 0 {
+			return fmt.Sprintf("level-1 bucket %d marked but empty", j)
+		}
+		for l := w.l1[j]; l != 0; l = w.links[l].next {
+			e := w.links[l].e
+			if b := int64(e.when >> blockBits); b-w.block < 1 || b-w.block >= wheelBlocks || int(b)&(wheelBlocks-1) != j {
+				return fmt.Sprintf("level-1 bucket %d holds %v (block %d)", j, e.when, w.block)
+			}
+			n++
+			if s.nodes[e.idx].gen != e.gen {
+				dead++
+			}
+		}
+	}
+	if n != w.n || dead != w.dead {
+		return fmt.Sprintf("wheel n=%d dead=%d, holds %d with %d stale", w.n, w.dead, n, dead)
 	}
 	return ""
 }
@@ -385,10 +447,10 @@ func stale(s *Sim, q []entry) int {
 
 // farScript draws n ops for runOps the way a trace-driven day mixes
 // them: schedules over every offset class, near ones the most common,
-// and on both lanes; single stops, and bulk stops of the 128 handles
-// 129 to 256 schedulings back, whose near events have mostly fired by
-// then, so the stops strand far entries faster than they surface;
-// single steps; and RunUntil windows of mostly milliseconds to
+// and at both constant delays; single stops, and bulk stops of the 128
+// handles 129 to 256 schedulings back, whose near events have mostly
+// fired by then, so the stops strand far entries faster than they
+// surface; single steps; and RunUntil windows of mostly milliseconds to
 // seconds, a few minutes and rare hour-long jumps.
 func farScript(seed int64, n int) []byte {
 	const (
@@ -412,7 +474,34 @@ func farScript(seed int64, n int) []byte {
 				arg = 3
 			}
 		case r < 22:
-			arg = laneArg + rng.Intn(2)
+			arg = afterArg + rng.Intn(2)
+		}
+		data = append(data, byte(kind|arg<<2), byte(p>>8), byte(p))
+	}
+	return data
+}
+
+// requestScript draws about n ops for runOps in the request path's
+// shape: client timeouts at the 60 s delay, nine in ten stopped again
+// by the next op, hops milliseconds ahead, steps, and RunUntil windows
+// under a second. A stopped timeout's bucket comes due only a minute of
+// clock later, so stale entries pile up in the wheel until it compacts.
+func requestScript(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]byte, 0, 6*n)
+	for i := 0; i < n; i++ {
+		kind, arg, p := opSchedule, 0, rng.Intn(1<<16)
+		switch r := rng.Intn(20); {
+		case r < 8:
+			data = append(data, opSchedule|(afterArg+1)<<2, 0, 0)
+			if rng.Intn(10) == 0 {
+				continue
+			}
+			kind, p = opStop, 0
+		case r < 11:
+			kind = opStep
+		case r < 14:
+			kind = opRunUntil
 		}
 		data = append(data, byte(kind|arg<<2), byte(p>>8), byte(p))
 	}
@@ -420,16 +509,16 @@ func farScript(seed int64, n int) []byte {
 }
 
 // TestPropertyPooledHeapMatchesReference requires the pooled kernel,
-// with its two tiers and its lanes, and the container/heap oracle to
-// produce byte-identical logs over 100k random operations: near-only
+// with its timing wheel and its far heap, and the container/heap oracle
+// to produce byte-identical logs over 100k random operations: near-only
 // scripts (every offset under 10 s) and far-reaching ones, whose
-// offsets span both tiers and their boundary, whose lane schedules
-// wait 1 s or exactly farAhead, whose bulk stops compact the far tier,
-// whose RunUntil windows jump hours of empty clock and whose ties put
-// far, lane and later-scheduled near entries on the same instant.
-// After every op of the far-reaching scripts each tier's and each
-// lane's dead count must equal its stale entries. (A seed of
-// FuzzKernelMatchesReference compacts a lane.)
+// offsets span both parts, the wheel's bucket and block edges and the
+// end of its reach, whose constant-delay schedules wait 1 s or 60 s,
+// whose bulk stops compact the wheel and the far heap, whose RunUntil
+// windows jump hours of empty clock and whose ties put far entries and
+// later-scheduled wheel entries on the same instant. After every op of
+// the far-reaching scripts each part's counts must equal the entries it
+// holds, and every wheel entry must sit where it belongs.
 func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 	const ops = 100_000
 	for _, seed := range []int64{1, 2, 3} {
@@ -441,65 +530,116 @@ func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 		got := runOps(pooledKernel(), data)
 		sameLog(t, fmt.Sprintf("far seed %d", seed), string(got.log), string(runOps(referenceKernel(), data).log))
 		if got.farDue == 0 {
-			t.Errorf("far seed %d: the far tier was never due for compaction", seed)
+			t.Errorf("far seed %d: the far heap was never due for compaction", seed)
 		}
 		if got.miscount != "" {
-			t.Errorf("far seed %d: stale count drifted after %s", seed, got.miscount)
+			t.Errorf("far seed %d: count or placement drifted after %s", seed, got.miscount)
+		}
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		data := requestScript(seed, ops)
+		got := runOps(pooledKernel(), data)
+		sameLog(t, fmt.Sprintf("request seed %d", seed), string(got.log), string(runOps(referenceKernel(), data).log))
+		if got.wheelDue == 0 {
+			t.Errorf("request seed %d: the wheel was never due for compaction", seed)
+		}
+		if got.miscount != "" {
+			t.Errorf("request seed %d: count or placement drifted after %s", seed, got.miscount)
 		}
 	}
 }
 
 // FuzzKernelMatchesReference decodes arbitrary bytes into schedule
-// (at an instant or on a lane), stop, step and RunUntil ops (runOps)
-// and requires identical logs from the pooled kernel and the
-// container/heap oracle, and exact per-tier and per-lane stale counts
-// after every op.
+// (at an instant or at a constant delay), stop, step and RunUntil ops
+// (runOps) and requires identical logs from the pooled kernel and the
+// container/heap oracle, exact counts and every wheel entry in its
+// place after every op. Its seeds reach the wheel's boundaries: bucket
+// and block edges, the end of its reach, a block cascaded with stopped
+// entries, and compaction.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
-		opSchedule | 5<<2, 0, 0, // exactly farAhead: far
-		opRunUntil | 1<<2, 0, 10, // 10 ms later
-		opSchedule | 7<<2, 0, 0, // tie with it, now less than farAhead ahead: near
-		opSchedule | 4<<2, 0, 0, // farAhead - 1 ns: near
-		opSchedule | 6<<2, 0, 0, // farAhead + 1 ns: far
+		opSchedule | 6<<2, 0, 1, // the first instant past the reach: far
+		opSchedule | 6<<2, 0, 0, // 1 ns before it: level 1, the last block
+		opSchedule | 5<<2, 0, 1, // the next block edge: level 1
+		opSchedule | 4<<2, 0, 0, // 1 ns before the next bucket edge: level 0
+		opSchedule | 4<<2, 0, 2, // 1 ns after it: the bucket after
+		opRunUntil | 5<<2, 0, 1, // to the block edge: cascades its block
+		opSchedule | 7<<2, 0, 0, // tie with the newest scheduling still ahead
 		opStep, 0, 0,
 		opStop | 1<<2, 0, 1,
 	})
 	f.Add([]byte{
-		opSchedule | 5<<2, 0, 0, // exactly farAhead: far
-		opSchedule | (laneArg+1)<<2, 0, 0, // the farAhead lane: the same instant
+		opSchedule | (afterArg+1)<<2, 0, 0, // 60 s ahead: level 1
 		opRunUntil | 1<<2, 0, 10, // 10 ms later
-		opSchedule | 7<<2, 0, 0, // tie with the lane entry, now near
-		opStop, 0, 1, // stop the lane entry
-		opRunUntil | 5<<2, 0, 0, // past the instant: far, then near fire
-		opSchedule | laneArg<<2, 0, 0, // the 1 s lane...
-		opSchedule | 1<<2, 0x03, 0xe8, // ...tied with a near entry 1,000 ms ahead
-		opStop, 0, 0, // stop the near one
+		opSchedule | 7<<2, 0, 0, // tie with it
+		opStop, 0, 1, // stop the 60 s one
+		opSchedule | afterArg<<2, 0, 0, // 1 s ahead...
+		opSchedule | 1<<2, 0x03, 0xe8, // ...tied with one 1,000 ms ahead
+		opStop, 0, 0, // stop the latter
+		opRunUntil | 2<<2, 0, 0, // a minute on: cascades and fires the rest
 	})
-	// 100 events on the farAhead lane, all due at one instant, then the
-	// oldest 65 of them stopped: the last of those stops compacts the
-	// lane. More follow it on the lane before the drain.
+	// 100 events at the 60 s delay, all due at one instant, then the
+	// oldest 65 of them stopped: the next look at the queue compacts the
+	// wheel. More follow at that delay before the drain.
 	var compact []byte
 	for i := 0; i < 100; i++ {
-		compact = append(compact, opSchedule|(laneArg+1)<<2, 0, 0)
+		compact = append(compact, opSchedule|(afterArg+1)<<2, 0, 0)
 	}
 	compact = append(compact,
 		opStop|6<<2, 0, 99, // 64 from the oldest on
-		opStop, 0, 35, // the 65th oldest: compacts
+		opStop, 0, 35, // the 65th oldest: compaction is due
 		opRunUntil|1<<2, 0, 10,
-		opSchedule|(laneArg+1)<<2, 0, 0,
+		opSchedule|(afterArg+1)<<2, 0, 0,
 		opStop|7<<2, 0, 0, // the newest, and no more
-		opSchedule|(laneArg+1)<<2, 0, 0,
+		opSchedule|(afterArg+1)<<2, 0, 0,
 	)
 	f.Add(compact)
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(farScript(seed, 400))
 	}
+	// Eight events 9.000 to 9.007 s ahead, in block 2 at level 1, three
+	// of them stopped: running to 9.004 s cascades the block, dropping
+	// the stopped entries, and sorts its buckets.
+	var cascade []byte
+	for p := 9000; p < 9008; p++ {
+		cascade = append(cascade, opSchedule|1<<2, byte(p>>8), byte(p))
+	}
+	cascade = append(cascade,
+		opStop|1<<2, 0, 1, // the second and first newest
+		opStop, 0, 5, // the sixth newest
+		opRunUntil|1<<2, 0x23, 0x2c, // 9.004 s ahead
+		opStep, 0, 0,
+	)
+	f.Add(cascade)
+	// Stale entries in every part of the wheel at once: 30 events 5 ms
+	// ahead (one level-0 bucket), 40 three seconds ahead (another) and 40
+	// at the 60 s delay (level 1); a step sorts the first bucket into the
+	// head array, and its callback schedules a zero-delay child into it. Then
+	// 72 stops, the oldest first: compaction is due and runs at the next
+	// look at the queue, walking due and every occupied bucket.
+	var spread []byte
+	for i := 0; i < 30; i++ {
+		spread = append(spread, opSchedule, 0, 5)
+	}
+	for i := 0; i < 40; i++ {
+		spread = append(spread, opSchedule|1<<2, 0x0b, 0xb8)
+	}
+	for i := 0; i < 40; i++ {
+		spread = append(spread, opSchedule|(afterArg+1)<<2, 0, 0)
+	}
+	spread = append(spread,
+		opStep, 0, 0,
+		opStop|6<<2, 0, 110, // 64 from the oldest on
+		opStop|3<<2, 0, 20, // 8 from the 21st newest on
+		opRunUntil|1<<2, 0x0b, 0xb8, // 3 s ahead
+	)
+	f.Add(spread)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := runOps(pooledKernel(), data)
 		sameLog(t, "fuzz", string(got.log), string(runOps(referenceKernel(), data).log))
 		if got.miscount != "" {
-			t.Fatalf("stale count drifted after %s", got.miscount)
+			t.Fatalf("count or placement drifted after %s", got.miscount)
 		}
 	})
 }

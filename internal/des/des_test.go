@@ -312,7 +312,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 // backlog: about 6,400 events spread over 24 h wait in the queue, the
 // idle-period boundaries a trace-driven day schedules at set-up (each
 // re-arms itself a day later when it fires, so the backlog stays put).
-// One op is one request-shaped cycle: arm a 60 s timeout on its lane,
+// One op is one request-shaped cycle: arm a 60 s timeout with AfterCall,
 // as the controller does, run 6 chained hops of 10–400 ms, stop the
 // timeout. Steady state is allocation-free.
 func BenchmarkTraceBacklog(b *testing.B) {
@@ -339,9 +339,8 @@ func BenchmarkTraceBacklog(b *testing.B) {
 		}
 	}
 	noop := func(any) {}
-	timeouts := s.Lane(time.Minute)
 	cycle := func() {
-		timeout := timeouts.AfterCall(noop, nil)
+		timeout := s.AfterCall(time.Minute, noop, nil)
 		left = len(hops)
 		hop(nil)
 		s.RunFor(chain)
@@ -356,8 +355,55 @@ func BenchmarkTraceBacklog(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseRequestPath measures the kernel in federated-burst's
+// shape: 1,000 request chains in flight, each hop 1–200 ms after the
+// last, so a due bucket of about 1 ms holds several entries. Every 7th
+// hop of a chain ends one request and starts the next: it stops the
+// request's 60 s timeout and arms a new one, as the controller does.
+// One op fires 1,000 hops. Steady state is allocation-free.
+func BenchmarkDenseRequestPath(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	rng := rand.New(rand.NewSource(1))
+	var delays [1024]time.Duration
+	for i := range delays {
+		delays[i] = time.Millisecond + time.Duration(rng.Int63n(int64(199*time.Millisecond)))
+	}
+	type chain struct {
+		hops    int
+		timeout Event
+	}
+	chains := make([]chain, 1000)
+	noop := func(any) {}
+	draw := 0
+	var hop func(any)
+	hop = func(v any) {
+		c := v.(*chain)
+		if c.hops++; c.hops%7 == 0 {
+			c.timeout.Stop()
+			c.timeout = s.AfterCall(time.Minute, noop, nil)
+		}
+		draw++
+		s.AfterCall(delays[draw&1023], hop, c)
+	}
+	for i := range chains {
+		chains[i].timeout = s.AfterCall(time.Minute, noop, nil)
+		s.AfterCall(delays[i], hop, &chains[i])
+	}
+	for i := 0; i < 200_000; i++ { // warm the pools so -benchtime=1x measures steady state
+		s.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 1000; j++ {
+			s.Step()
+		}
+	}
+}
+
 // BenchmarkFreshSim tracks the cold-start cost: a new Sim's slab,
-// heap, and free list grow from empty each iteration.
+// wheel, and free list grow from empty each iteration (the wheel's
+// fixed bucket arrays come with the Sim).
 func BenchmarkFreshSim(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -369,29 +415,9 @@ func BenchmarkFreshSim(b *testing.B) {
 	}
 }
 
-// TestLanePerDelay: a Sim keeps one lane per distinct delay, shared by
-// every caller of that delay, and recording the lane leaves a callback
-// slot at 48 bytes.
-func TestLanePerDelay(t *testing.T) {
-	s := New()
-	minute, short := s.Lane(time.Minute), s.Lane(20*time.Second)
-	if s.Lane(time.Minute) != minute || minute == short || len(s.lanes) != 2 {
-		t.Fatalf("lanes %v: want one per delay", s.lanes)
-	}
-	var order []int
-	record := func(v any) { order = append(order, v.(int)) }
-	minute.AfterCall(record, 2)
-	short.AfterCall(record, 1)
-	s.ScheduleCall(time.Minute, record, 3) // ties with the minute lane's entry, scheduled later
-	s.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v, want [1 2 3]", order)
-	}
-	if n := unsafe.Sizeof(node{}); n != 48 {
-		t.Errorf("node is %d bytes, want 48", n)
-	}
-}
-
+// TestScheduleCallPassesArg: each typed event gets its own argument, in
+// (instant, sequence) order, and the slot that holds the callback and
+// its argument is 40 bytes.
 func TestScheduleCallPassesArg(t *testing.T) {
 	s := New()
 	var got []any
@@ -402,6 +428,9 @@ func TestScheduleCallPassesArg(t *testing.T) {
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != "b" || got[2] != nil {
 		t.Errorf("got = %v, want [1 b <nil>]", got)
+	}
+	if n := unsafe.Sizeof(node{}); n != 40 {
+		t.Errorf("node is %d bytes, want 40", n)
 	}
 }
 

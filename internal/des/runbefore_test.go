@@ -85,18 +85,23 @@ func TestNextAt(t *testing.T) {
 		t.Fatal("NextAt on empty sim reported an event")
 	}
 	ev := s.Schedule(3*time.Second, func() {})
-	lev := s.Lane(4*time.Second).AfterCall(func(any) {}, nil)
-	s.Schedule(5*time.Second, func() {})
+	cev := s.AfterCall(4*time.Second, func(any) {}, nil)
+	fev := s.Schedule(time.Hour, func() {}) // beyond the wheel's reach: the far heap
+	s.Schedule(2*time.Hour, func() {})
 	if at, ok := s.NextAt(); !ok || at != 3*time.Second {
 		t.Fatalf("NextAt = %v,%v, want 3s,true", at, ok)
 	}
 	ev.Stop()
 	if at, ok := s.NextAt(); !ok || at != 4*time.Second {
-		t.Fatalf("NextAt after Stop = %v,%v, want the lane head 4s,true", at, ok)
+		t.Fatalf("NextAt after Stop = %v,%v, want 4s,true", at, ok)
 	}
-	lev.Stop()
-	if at, ok := s.NextAt(); !ok || at != 5*time.Second {
-		t.Fatalf("NextAt after the lane Stop = %v,%v, want 5s,true", at, ok)
+	cev.Stop()
+	if at, ok := s.NextAt(); !ok || at != time.Hour {
+		t.Fatalf("NextAt with the wheel empty = %v,%v, want the far top 1h,true", at, ok)
+	}
+	fev.Stop()
+	if at, ok := s.NextAt(); !ok || at != 2*time.Hour {
+		t.Fatalf("NextAt after the far Stop = %v,%v, want 2h,true", at, ok)
 	}
 	s.Run()
 	if _, ok := s.NextAt(); ok {
@@ -106,37 +111,41 @@ func TestNextAt(t *testing.T) {
 
 // TestStepLoopKeepsQueueBounded drives the kernel the way a traced run
 // does, through NextAt and Step only, over a far backlog and a 30 s
-// ticker: every cycle arms a 60 s timeout, steps one 10 ms hop and
-// stops the timeout. The ticker keeps a live entry ahead of most stopped
-// timeouts, so discarding stale tops alone cannot clear them. Armed in
-// the near heap, they must be compacted under NextAt and Step as under
-// Run; armed on their lane, as the controller arms them, where a
-// stopped timeout reaches the head only a minute later, the lane must
-// compact as they are stopped. Otherwise they pile up in the queue.
+// ticker: every cycle arms a 60 s timeout with AfterCall, as the
+// controller does, steps one 10 ms hop and stops the timeout. A stopped
+// timeout's bucket comes due only a minute later, and the ticker keeps a
+// live entry ahead of most of them, so the wheel must compact under
+// NextAt and Step as under Run. Otherwise they pile up in the queue.
 func TestStepLoopKeepsQueueBounded(t *testing.T) {
-	for _, onLane := range []bool{false, true} {
-		s := New()
-		for i := 1; i <= 1000; i++ {
-			s.Schedule(Time(i)*Time(time.Hour), func() {})
+	s := New()
+	for i := 1; i <= 1000; i++ {
+		s.Schedule(Time(i)*Time(time.Hour), func() {})
+	}
+	noop := func() {}
+	s.Every(30*time.Second, noop)
+	for i := 0; i < 20_000; i++ {
+		timeout := s.AfterCall(time.Minute, func(any) {}, nil)
+		hop := s.After(10*time.Millisecond, noop).When()
+		for at, ok := s.NextAt(); ok && at <= hop; at, ok = s.NextAt() {
+			s.Step()
 		}
-		noop := func() {}
-		s.Every(30*time.Second, noop)
-		timeouts := s.Lane(time.Minute)
-		arm := func() Event { return s.After(time.Minute, noop) }
-		if onLane {
-			arm = func() Event { return timeouts.AfterCall(func(any) {}, nil) }
+		timeout.Stop()
+		if n := wheelLen(&s.wheel) + len(s.far.h); n > s.Pending()+130 {
+			t.Fatalf("cycle %d: queue holds %d entries for %d pending events", i, n, s.Pending())
 		}
-		for i := 0; i < 20_000; i++ {
-			timeout := arm()
-			hop := s.After(10*time.Millisecond, noop).When()
-			for at, ok := s.NextAt(); ok && at <= hop; at, ok = s.NextAt() {
-				s.Step()
-			}
-			timeout.Stop()
-			n := len(s.near.h) + len(s.far.h) + len(timeouts.q) - timeouts.head
-			if n > s.Pending()+130 {
-				t.Fatalf("lane %v, cycle %d: queue holds %d entries for %d pending events", onLane, i, n, s.Pending())
+	}
+}
+
+// wheelLen counts the entries w holds, walking its head array and every
+// bucket list.
+func wheelLen(w *wheel) int {
+	n := len(w.due)
+	for _, heads := range [][]int32{w.l0[:], w.l1[:]} {
+		for _, l := range heads {
+			for ; l != 0; l = w.links[l].next {
+				n++
 			}
 		}
 	}
+	return n
 }

@@ -249,8 +249,8 @@ func init() {
 		Description: "checkpoint/restore frontier: function duration × idle-window sweep, every cell run with and without checkpointing on identical seeds",
 		Axes:        []string{"nodes", "horizon", "qps"},
 		Options: []OptionDoc{
-			{Name: "durations", Kind: KindString, Default: "1m,3m,6m", Help: "comma-separated function body durations (the D axis)"},
-			{Name: "windows", Kind: KindString, Default: "4m,8m,16m", Help: "comma-separated idle-window lengths of the periodic trace (the W axis)"},
+			{Name: "durations", Kind: KindString, Default: "1m,3m,6m", Help: "comma-separated function body durations (the D axis)", durations: true},
+			{Name: "windows", Kind: KindString, Default: "4m,8m,16m", Help: "comma-separated idle-window lengths of the periodic trace (the W axis)", durations: true},
 			{Name: "gap", Kind: KindDuration, Default: "2m", Help: "full-cluster saturation between consecutive idle windows", min: nonNegative},
 			{Name: "checkpoint-interval", Kind: KindDuration, Default: "20s", Help: "checkpoint cadence of the checkpointed arm", min: positive},
 		},
@@ -414,8 +414,8 @@ func dayScenario(name, artifact, desc string, base func(int64) experiments.DayCo
 	}
 }
 
-// durationList parses a comma-separated duration list, returning def
-// when the string is empty.
+// durationList parses a comma-separated list of durations in (0,
+// maxDuration], returning def when the string is empty.
 func durationList(s string, def []time.Duration) ([]time.Duration, error) {
 	if s == "" {
 		return def, nil
@@ -426,8 +426,8 @@ func durationList(s string, def []time.Duration) ([]time.Duration, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d <= 0 {
-			return nil, fmt.Errorf("non-positive duration %v", d)
+		if d <= 0 || d > maxDuration {
+			return nil, fmt.Errorf("duration %v not in (0, %v]", d, maxDuration)
 		}
 		out = append(out, d)
 	}

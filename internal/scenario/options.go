@@ -256,9 +256,21 @@ type OptionDoc struct {
 	Help    string
 
 	// min is the lower bound of a numeric catalog option; the zero
-	// value leaves the range unchecked.
+	// value leaves the range unchecked. Every duration is bounded above
+	// by maxDuration.
 	min bound
+
+	// durations marks a string option read as a comma-separated list of
+	// positive durations (durationList), each bounded by maxDuration.
+	durations bool
 }
+
+// maxDuration bounds every horizon and every duration a scenario
+// accepts: 500,000 h (about 57 years), under a quarter of the clock. An
+// instant of a run is at most its horizon plus a drain of minutes plus
+// a few such durations (an idle window and the gap after it, a body and
+// its timeout), so it stays a time.Duration instead of wrapping around.
+const maxDuration = 500_000 * time.Hour
 
 // bound is the lower bound of a numeric option; the zero value is no
 // bound. A bounded option also rejects non-finite floats.
@@ -288,6 +300,11 @@ func (d OptionDoc) check(scen, value string) error {
 		dur, err = time.ParseDuration(value)
 		x = float64(dur)
 	case KindString:
+		if d.durations {
+			if _, err := durationList(value, nil); err != nil {
+				return fmt.Errorf("scenario: %q option %s=%q: %v", scen, d.Name, value, err)
+			}
+		}
 	default:
 		err = fmt.Errorf("unknown option kind %q", d.Kind)
 	}
@@ -299,14 +316,25 @@ func (d OptionDoc) check(scen, value string) error {
 		return fmt.Errorf("scenario: %q wants a positive %s, got %s", scen, d.Name, value)
 	case d.min == nonNegative && (!(x >= 0) || math.IsInf(x, 0)):
 		return fmt.Errorf("scenario: %q wants a non-negative %s, got %s", scen, d.Name, value)
+	case d.Kind == KindDuration && x > float64(maxDuration):
+		return fmt.Errorf("scenario: %q wants %s at most %v, got %s", scen, d.Name, maxDuration, value)
 	}
 	return nil
 }
 
+// paceable reports whether a load generator can pace qps requests per
+// second: its arrival interval, 1s/qps truncated to whole nanoseconds,
+// must be at least 1 ns and at most maxDuration.
+func paceable(qps float64) bool {
+	iv := float64(time.Second) / qps
+	return iv >= 1 && iv <= float64(maxDuration)
+}
+
 // newConfig applies the options and validates the result against the
 // scenario's schema: set axes must be ones the scenario declares it
-// reads and lie in range (1 ≤ nodes ≤ workload.MaxNodes, horizon > 0,
-// finite qps ≥ 0, and qps > 0 where the scenario cannot run unloaded),
+// reads and lie in range (1 ≤ nodes ≤ workload.MaxNodes, 0 < horizon ≤
+// maxDuration, finite qps ≥ 0 with an arrival interval the generator
+// can pace, and qps > 0 where the scenario cannot run unloaded),
 // raw keys must be documented, raw values must parse as their
 // documented kind and lie in its range, and a set policy must exist in
 // the policy registry.
@@ -330,10 +358,12 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 	switch {
 	case c.set["nodes"] && (c.nodes < 1 || c.nodes > workload.MaxNodes):
 		return Config{}, fmt.Errorf("scenario: %q wants nodes from 1 to %d, got %d", sp.Name, workload.MaxNodes, c.nodes)
-	case c.set["horizon"] && c.horizon <= 0:
-		return Config{}, fmt.Errorf("scenario: %q wants a positive horizon, got %v", sp.Name, c.horizon)
+	case c.set["horizon"] && (c.horizon <= 0 || c.horizon > maxDuration):
+		return Config{}, fmt.Errorf("scenario: %q wants a positive horizon of at most %v, got %v", sp.Name, maxDuration, c.horizon)
 	case c.set["qps"] && (c.qps < 0 || math.IsNaN(c.qps) || math.IsInf(c.qps, 0)):
 		return Config{}, fmt.Errorf("scenario: %q wants a finite qps ≥ 0, got %v", sp.Name, c.qps)
+	case c.set["qps"] && c.qps > 0 && !paceable(c.qps):
+		return Config{}, fmt.Errorf("scenario: %q wants a qps whose arrival interval 1s/qps is at least 1ns and at most %v, got %v", sp.Name, maxDuration, c.qps)
 	case c.set["qps"] && c.qps == 0 && sp.loaded:
 		return Config{}, fmt.Errorf("scenario: %q cannot run unloaded: wants qps > 0, got 0", sp.Name)
 	}

@@ -112,8 +112,8 @@ func TestValidateCatchesBadOptions(t *testing.T) {
 func TestUniformAxesRangeChecked(t *testing.T) {
 	bad := map[string][]Option{
 		"nodes":   {WithNodes(0), WithNodes(-3), WithNodes(workload.MaxNodes + 1)},
-		"horizon": {WithHorizon(0), WithHorizon(-time.Hour)},
-		"qps":     {WithQPS(-1), WithQPS(math.NaN()), WithQPS(math.Inf(1))},
+		"horizon": {WithHorizon(0), WithHorizon(-time.Hour), WithHorizon(maxDuration + 1)},
+		"qps":     {WithQPS(-1), WithQPS(math.NaN()), WithQPS(math.Inf(1)), WithQPS(2e9), WithQPS(1e-12)},
 	}
 	checked := 0
 	for _, sp := range All() {
@@ -193,17 +193,30 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"federated-day", "sites", WithOption("sites", "0")},
 		{"federated-day", "shards", WithOption("shards", "-2")},
 		{"fib-day", "nodes", WithNodes(99999999999)},
+		// Durations whose sum with an instant of the run would wrap a
+		// time.Duration.
+		{"checkpoint-frontier", "windows", WithOption("windows", "4m,2562047h")},
+		{"checkpoint-frontier", "windows", WithOption("windows", "0s")},
+		{"checkpoint-frontier", "durations", WithOption("durations", "2562047h")},
+		{"checkpoint-frontier", "gap", WithOption("gap", "2562047h")},
+		{"checkpoint-frontier", "checkpoint-interval", WithOption("checkpoint-interval", "2562047h")},
+		{"scientific", "checkpoint-interval", WithOption("checkpoint-interval", "2562047h")},
+		{"ablation", "checkpoint-interval", WithOption("checkpoint-interval", "2562047h")},
+		{"endogenous", "max-walltime", WithOption("max-walltime", "2562047h")},
 	}
 	for _, scen := range []string{"fib-day", "var-day", "week-day", "federated-day"} {
 		cases = append(cases,
 			rangeCase{scen, "actions", WithOption("actions", "0")},
 			rangeCase{scen, "actions", WithOption("actions", "-1")},
-			rangeCase{scen, "sleep-exec", WithOption("sleep-exec", "-1s")})
+			rangeCase{scen, "sleep-exec", WithOption("sleep-exec", "-1s")},
+			rangeCase{scen, "sleep-exec", WithOption("sleep-exec", "2562047h")})
 	}
 	for _, scen := range []string{"fib-day", "var-day"} {
 		cases = append(cases,
 			rangeCase{scen, "checkpoint-interval", WithOption("checkpoint-interval", "-1s")},
 			rangeCase{scen, "action-timeout", WithOption("action-timeout", "-1s")},
+			rangeCase{scen, "action-timeout", WithOption("action-timeout", "2562047h")},
+			rangeCase{scen, "checkpoint-interval", WithOption("checkpoint-interval", "2562047h")},
 			rangeCase{scen, "shards", WithOption("shards", "2")})
 	}
 	for _, tc := range cases {
@@ -226,7 +239,8 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 	}
 	// The boundary values that mean something stay accepted: 0 disables
 	// checkpointing and keeps the default action timeout, a 0 gap puts
-	// the idle windows back to back, and qps 0 unloads a plain day.
+	// the idle windows back to back, qps 0 unloads a plain day, and
+	// durations and horizons reach up to maxDuration.
 	for _, ok := range []struct {
 		scen string
 		opt  Option
@@ -237,6 +251,9 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"fib-day", WithQPS(0)},
 		{"scientific", WithOption("checkpoint-interval", "0s")},
 		{"checkpoint-frontier", WithOption("gap", "0s")},
+		{"checkpoint-frontier", WithOption("windows", "4m,500000h")},
+		{"fib-day", WithOption("action-timeout", "500000h")},
+		{"fib-day", WithHorizon(maxDuration)},
 		{"policy-comparison", WithOption("mean-idle-nodes", "0")},
 	} {
 		if err := Validate(ok.scen, ok.opt); err != nil {

@@ -82,10 +82,6 @@ type Controller struct {
 	// closure per hop per invocation.
 	routeFn, publishFn, timeoutFn, resultFn, egressFn, drainFn func(any)
 
-	// timeouts is the Sim's lane for cfg.ActionTimeout: the one delay
-	// every request arms, and nearly every request stops again.
-	timeouts *des.Lane
-
 	actions map[string]*Action
 
 	// slots is the dynamic invoker list: index = slot id, nil = free.
@@ -161,7 +157,6 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 	c.resultFn = c.resultCb
 	c.egressFn = c.egressCb
 	c.drainFn = c.drainCb
-	c.timeouts = sim.Lane(cfg.ActionTimeout)
 	c.fastLane = b.Topic(fastLaneTopic)
 	c.fastLane.OnDelivery(c.wakeInvokers)
 	return c
@@ -413,7 +408,7 @@ func (c *Controller) pickInvoker(a *Action) *Invoker {
 
 func (c *Controller) armTimeout(inv *Invocation) {
 	c.retain(inv)
-	inv.timeoutEv = c.timeouts.AfterCall(c.timeoutFn, inv)
+	inv.timeoutEv = c.sim.AfterCall(c.cfg.ActionTimeout, c.timeoutFn, inv)
 }
 
 // timeoutCb fires when the client-visible timeout expires first.
