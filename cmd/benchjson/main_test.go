@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -150,4 +151,73 @@ func TestGateZeroBaselineIsAPromise(t *testing.T) {
 			t.Error("empty regression rendering")
 		}
 	}
+}
+
+// TestGateKeepsMinimumOverRepeatedRuns: under -count 3 a zero-alloc
+// benchmark that the runtime charges for a stray allocation on one run
+// still passes its zero baseline, while one that allocates on every
+// run fails it.
+func TestGateKeepsMinimumOverRepeatedRuns(t *testing.T) {
+	baseline := Doc{Benchmarks: map[string]map[string]float64{
+		"BenchmarkFreshSim": {"allocs/op": 0, "B/op": 0},
+	}}
+	tracked := []string{"allocs/op", "B/op"}
+	run := func(allocs ...int) []regression {
+		var in strings.Builder
+		for _, a := range allocs {
+			fmt.Fprintf(&in, "BenchmarkFreshSim-2 1 %d ns/op %d B/op %d allocs/op\n", 1000+a, 1000*a, a)
+		}
+		doc, err := parse(strings.NewReader(in.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gate(baseline, doc, tracked, 25)
+	}
+	if regs := run(0, 0, 5); len(regs) != 0 {
+		t.Errorf("a stray allocation on one of three runs failed the gate: %v", regs)
+	}
+	if regs := run(5, 0, 0); len(regs) != 0 {
+		t.Errorf("a stray allocation on the first of three runs failed the gate: %v", regs)
+	}
+	if regs := run(5, 5, 5); len(regs) != 2 {
+		t.Errorf("allocating on every run must fail both metrics, got %v", regs)
+	}
+}
+
+// FuzzParse feeds arbitrary text to parse (the checked-in corpus under
+// testdata/fuzz replays in every test run). It must return a document
+// or an error without panicking; a parsed document never regresses
+// against itself, and each kept metric is at most the value of every
+// line that carries it.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Fuzz(func(t *testing.T, in string) {
+		doc, err := parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var tracked []string
+		for _, m := range doc.Benchmarks {
+			for unit := range m {
+				tracked = append(tracked, unit)
+			}
+		}
+		if regs := gate(doc, doc, tracked, 0); len(regs) != 0 {
+			t.Fatalf("a document regresses against itself: %v", regs)
+		}
+		for _, line := range strings.Split(in, "\n") {
+			one, err := parse(strings.NewReader(line))
+			if err != nil {
+				t.Fatalf("line %q fails alone but parsed within the input: %v", line, err)
+			}
+			for name, m := range one.Benchmarks {
+				for unit, v := range m {
+					kept, ok := doc.Benchmarks[name][unit]
+					if !ok || kept > v {
+						t.Fatalf("%s %s kept %v (present %v), above the line value %v", name, unit, kept, ok, v)
+					}
+				}
+			}
+		}
+	})
 }

@@ -18,9 +18,8 @@ import (
 type WorkerStates struct {
 	warming, healthy, irresp int
 
-	// The series are buffered stats.TimeWeighted by default (exact,
-	// one segment per transition) and stats.TimeWeightedStream under
-	// streaming accounting (O(1) memory for week-scale horizons).
+	// The series come from stats.NewTimeSeries: buffered and exact by
+	// default, O(1)-memory streams under streaming accounting.
 	Warming stats.TimeSeries
 	Healthy stats.TimeSeries
 	Irresp  stats.TimeSeries
@@ -32,15 +31,10 @@ type WorkerStates struct {
 // totals and longest runs) is exact either way; only the time-weighted
 // quantiles become ε-approximate under streaming.
 func NewWorkerStatesStreaming(streaming bool) *WorkerStates {
-	ws := &WorkerStates{}
-	if streaming {
-		ws.Warming = stats.NewTimeWeightedStream(0)
-		ws.Healthy = stats.NewTimeWeightedStream(0)
-		ws.Irresp = stats.NewTimeWeightedStream(0)
-	} else {
-		ws.Warming = &stats.TimeWeighted{}
-		ws.Healthy = &stats.TimeWeighted{}
-		ws.Irresp = &stats.TimeWeighted{}
+	ws := &WorkerStates{
+		Warming: stats.NewTimeSeries(streaming),
+		Healthy: stats.NewTimeSeries(streaming),
+		Irresp:  stats.NewTimeSeries(streaming),
 	}
 	ws.observe(0)
 	return ws
@@ -122,23 +116,21 @@ type SlurmLogger struct {
 	// simulated day and schedules without allocating a closure per hop.
 	requestFn, recordFn func(any)
 
+	// Entries buffers every poll; Stats folds them into exact samples
+	// when called.
 	Entries []SlurmLogEntry
 
-	// Streaming accounting (SetStreaming): instead of appending to
-	// Entries (8,640/day — 60,480 for a week), polls fold into online
-	// aggregates so logger memory is O(1) in horizon. Stats and
-	// AverageSpacing work in both modes; the per-entry Entries slice
-	// stays empty when streaming.
-	streaming          bool
-	n                  int
-	firstAt, lastAt    des.Time
-	workers, avail     *stats.TDigest
-	idleSum, pilotSum  float64
-	zeroAvail, zeroWkr int
+	// live replaces Entries under streaming accounting: each poll folds
+	// into running sums and digests as it lands, so the logger's memory
+	// stays O(1) in horizon (8,640 polls a day, 60,480 a week).
+	live *slurmFold
 }
 
-// NewSlurmLogger builds a logger with the paper's latency model.
-func NewSlurmLogger(emu *slurm.Emulator, seed int64) *SlurmLogger {
+// newSlurmLogger builds a logger with the paper's latency model;
+// streaming selects the live fold over the Entries buffer. The polling
+// cadence and RNG draws are the same either way, so the choice never
+// perturbs the simulation, only what the logger retains.
+func newSlurmLogger(emu *slurm.Emulator, seed int64, streaming bool) *SlurmLogger {
 	l := &SlurmLogger{
 		sim:     emu.Sim(),
 		emu:     emu,
@@ -146,22 +138,12 @@ func NewSlurmLogger(emu *slurm.Emulator, seed int64) *SlurmLogger {
 		latency: dist.QueryLatencySeconds(),
 		rng:     dist.NewRand(seed),
 	}
+	if streaming {
+		l.live = newSlurmFold(true)
+	}
 	l.requestFn = func(any) { l.request() }
 	l.recordFn = l.recordCb
 	return l
-}
-
-// SetStreaming switches the logger to O(1)-memory online aggregation
-// (worker/available-count digests plus running sums) instead of the
-// per-poll Entries buffer. Call before Start; the polling cadence and
-// RNG draws are identical either way, so enabling it never perturbs
-// the simulation — only what the logger retains.
-func (l *SlurmLogger) SetStreaming(on bool) {
-	l.streaming = on
-	if on && l.workers == nil {
-		l.workers = stats.NewTDigest(stats.DefaultCompression)
-		l.avail = stats.NewTDigest(stats.DefaultCompression)
-	}
 }
 
 // Start issues the first request immediately.
@@ -180,59 +162,19 @@ func (l *SlurmLogger) recordCb(any) {
 		Idle:  cl.Count(cluster.Idle),
 		Pilot: cl.Count(cluster.Pilot),
 	}
-	if l.streaming {
-		if l.n == 0 {
-			l.firstAt = e.At
-		}
-		l.n++
-		l.lastAt = e.At
-		l.workers.Add(float64(e.Pilot))
-		l.avail.Add(float64(e.Idle + e.Pilot))
-		l.idleSum += float64(e.Idle)
-		l.pilotSum += float64(e.Pilot)
-		if e.Idle+e.Pilot == 0 {
-			l.zeroAvail++
-		}
-		if e.Pilot == 0 {
-			l.zeroWkr++
-		}
+	if l.live != nil {
+		l.live.add(e)
 	} else {
 		l.Entries = append(l.Entries, e)
 	}
 	l.sim.AfterCall(l.gap, l.requestFn, nil)
 }
 
-// AverageSpacing returns the mean distance between measurements
-// (§IV-A reports 10.32 s for the initial week and 10.68-10.72 s during
-// the experiments).
-func (l *SlurmLogger) AverageSpacing() time.Duration {
-	if l.streaming {
-		if l.n < 2 {
-			return 0
-		}
-		return (l.lastAt - l.firstAt) / time.Duration(l.n-1)
-	}
-	if len(l.Entries) < 2 {
-		return 0
-	}
-	span := l.Entries[len(l.Entries)-1].At - l.Entries[0].At
-	return span / time.Duration(len(l.Entries)-1)
-}
-
-// Measurements returns the number of polls recorded so far in either
-// mode.
-func (l *SlurmLogger) Measurements() int {
-	if l.streaming {
-		return l.n
-	}
-	return len(l.Entries)
-}
-
 // Footprint returns the retained metric bytes of the logger: the
 // entries buffer when buffered, the two digests when streaming.
 func (l *SlurmLogger) Footprint() int {
-	if l.streaming {
-		return l.workers.Footprint() + l.avail.Footprint()
+	if l.live != nil {
+		return l.live.workers.Footprint() + l.live.avail.Footprint()
 	}
 	return cap(l.Entries) * 32
 }
@@ -240,6 +182,9 @@ func (l *SlurmLogger) Footprint() int {
 // SlurmLevelStats aggregates the logger's entries into the Slurm-level
 // row of Tables II/III.
 type SlurmLevelStats struct {
+	// Measurements counts the polls; AvgSpacing is the mean distance
+	// between them (§IV-A reports 10.32 s for the initial week and
+	// 10.68-10.72 s during the experiments).
 	Measurements int
 	AvgSpacing   time.Duration
 
@@ -264,56 +209,72 @@ type SlurmLevelStats struct {
 	ZeroWorkerStates    int
 }
 
-// Stats reduces the log. Under streaming accounting the same stats
-// come from the online aggregates: every field is exact except the
-// worker/available quantiles, which are within stats.Epsilon rank
-// error.
+// Stats reduces the log. Under streaming accounting every field is
+// exact except the worker/available quantiles, which are within
+// stats.Epsilon rank error.
 func (l *SlurmLogger) Stats() SlurmLevelStats {
-	var s SlurmLevelStats
-	s.Measurements = l.Measurements()
-	s.AvgSpacing = l.AverageSpacing()
-	if s.Measurements == 0 {
+	f := l.live
+	if f == nil {
+		f = newSlurmFold(false)
+		for _, e := range l.Entries {
+			f.add(e)
+		}
+	}
+	return f.stats()
+}
+
+// slurmFold is the Slurm-level row's reduction over polls, one add per
+// poll.
+type slurmFold struct {
+	n                  int
+	firstAt, lastAt    des.Time
+	idleSum, pilotSum  float64
+	zeroAvail, zeroWkr int
+	workers, avail     stats.Collector
+}
+
+func newSlurmFold(streaming bool) *slurmFold {
+	return &slurmFold{workers: stats.NewCollector(streaming), avail: stats.NewCollector(streaming)}
+}
+
+func (f *slurmFold) add(e SlurmLogEntry) {
+	if f.n == 0 {
+		f.firstAt = e.At
+	}
+	f.n++
+	f.lastAt = e.At
+	f.workers.Add(float64(e.Pilot))
+	f.avail.Add(float64(e.Idle + e.Pilot))
+	f.idleSum += float64(e.Idle)
+	f.pilotSum += float64(e.Pilot)
+	if e.Idle+e.Pilot == 0 {
+		f.zeroAvail++
+	}
+	if e.Pilot == 0 {
+		f.zeroWkr++
+	}
+}
+
+func (f *slurmFold) stats() SlurmLevelStats {
+	s := SlurmLevelStats{Measurements: f.n}
+	if f.n == 0 {
 		return s
 	}
-	if l.streaming {
-		s.WorkerP25 = l.workers.Quantile(0.25)
-		s.WorkerP50 = l.workers.Quantile(0.50)
-		s.WorkerP75 = l.workers.Quantile(0.75)
-		s.WorkerAvg = l.workers.Mean()
-		if l.idleSum+l.pilotSum > 0 {
-			s.ShareUsed = l.pilotSum / (l.idleSum + l.pilotSum)
-			s.ShareNotUsed = 1 - s.ShareUsed
-		}
-		s.AvailableAvg = l.avail.Mean()
-		s.AvailableMedian = l.avail.Median()
-		s.ZeroAvailableStates = l.zeroAvail
-		s.ZeroWorkerStates = l.zeroWkr
-		return s
+	if f.n > 1 {
+		s.AvgSpacing = (f.lastAt - f.firstAt) / time.Duration(f.n-1)
 	}
-	var workers, avail stats.Sample
-	var idleSum, pilotSum float64
-	for _, e := range l.Entries {
-		workers.Add(float64(e.Pilot))
-		avail.Add(float64(e.Idle + e.Pilot))
-		idleSum += float64(e.Idle)
-		pilotSum += float64(e.Pilot)
-		if e.Idle+e.Pilot == 0 {
-			s.ZeroAvailableStates++
-		}
-		if e.Pilot == 0 {
-			s.ZeroWorkerStates++
-		}
-	}
-	s.WorkerP25 = workers.Quantile(0.25)
-	s.WorkerP50 = workers.Quantile(0.50)
-	s.WorkerP75 = workers.Quantile(0.75)
-	s.WorkerAvg = workers.Mean()
-	if idleSum+pilotSum > 0 {
-		s.ShareUsed = pilotSum / (idleSum + pilotSum)
+	s.WorkerP25 = f.workers.Quantile(0.25)
+	s.WorkerP50 = f.workers.Quantile(0.50)
+	s.WorkerP75 = f.workers.Quantile(0.75)
+	s.WorkerAvg = f.workers.Mean()
+	if f.idleSum+f.pilotSum > 0 {
+		s.ShareUsed = f.pilotSum / (f.idleSum + f.pilotSum)
 		s.ShareNotUsed = 1 - s.ShareUsed
 	}
-	s.AvailableAvg = avail.Mean()
-	s.AvailableMedian = avail.Median()
+	s.AvailableAvg = f.avail.Mean()
+	s.AvailableMedian = f.avail.Median()
+	s.ZeroAvailableStates = f.zeroAvail
+	s.ZeroWorkerStates = f.zeroWkr
 	return s
 }
 

@@ -83,8 +83,7 @@ func NewSite(sim *des.Sim, cfg SiteConfig) *Site {
 	emu.AddPartition(slurm.Partition{Name: pilotPartition, PriorityTier: 0})
 	emu.AddPartition(slurm.Partition{Name: "hpc", PriorityTier: 1})
 	mgr := newPilotManager(emu, ctrl, cfg.Manager, cfg.Seed+3, cfg.StreamingStats)
-	logger := NewSlurmLogger(emu, cfg.Seed+4)
-	logger.SetStreaming(cfg.StreamingStats)
+	logger := newSlurmLogger(emu, cfg.Seed+4, cfg.StreamingStats)
 	return &Site{
 		Sim:     sim,
 		Bus:     b,

@@ -15,7 +15,7 @@
 // Stop and Pending on a handle whose slot has been recycled for a later
 // scheduling are detected and refused rather than corrupting the queue.
 //
-// The queue has two parts: a two-level timing wheel and a 4-ary min-heap.
+// The queue has two parts: a two-level timing wheel and a binary min-heap.
 // Nearly every event comes due within seconds of being scheduled (request
 // hops, timeouts, grace periods), while a trace-driven run also schedules
 // thousands of idle-period boundaries and pilot walltimes hours ahead. An
@@ -661,7 +661,7 @@ func (w *wheel) filter(nodes []node, l int32) int32 {
 	return head
 }
 
-// farHeap is the 4-ary min-heap of the events due beyond the wheel's
+// farHeap is the binary min-heap of the events due beyond the wheel's
 // reach.
 type farHeap struct {
 	h []entry
@@ -690,7 +690,7 @@ func (q *farHeap) settle(nodes []node) bool {
 			}
 		}
 		q.h = live
-		for i := (len(live) - 2) / 4; i >= 0 && len(live) > 1; i-- {
+		for i := len(live)/2 - 1; i >= 0; i-- {
 			q.siftDown(i)
 		}
 		q.dead = 0
@@ -707,79 +707,50 @@ func (q *farHeap) settle(nodes []node) bool {
 	return changed
 }
 
-// push inserts e into the 4-ary heap, sifting up with hole moves (each
-// level is one entry copy, not a swap).
+// push inserts e, sifting it up.
 func (q *farHeap) push(e entry) {
-	h := append(q.h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !less(e, h[p]) {
+	q.h = append(q.h, e)
+	h := q.h
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !less(h[i], h[p]) {
 			break
 		}
-		h[i] = h[p]
+		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	h[i] = e
-	q.h = h
 }
 
 // pop removes and returns the minimum entry, sifting the displaced last
-// entry down. With 4 children per level the heap is half the depth of a
-// binary heap, trading slightly wider min-of-children scans (which stay
-// in one or two cache lines: entries are 24 bytes) for fewer levels.
+// entry down.
 func (q *farHeap) pop() entry {
 	h := q.h
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
 	q.h = h[:last]
-	if last > 1 {
-		q.siftDown(0)
-	}
+	q.siftDown(0)
 	return top
 }
 
-// siftDown restores the heap property below i with hole moves (each
-// level is one entry copy, not a swap). Full four-child fan-outs find
-// their minimum with a pairwise tournament — two independent compare
-// chains instead of one serial scan. (when, seq) keys are unique, so
-// tie-break order between the variants can never matter.
+// siftDown restores the heap property below i. (when, seq) keys are
+// unique, so no two entries ever tie.
 func (q *farHeap) siftDown(i int) {
 	h := q.h
-	n := len(h)
-	e := h[i]
 	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		m := c
-		if c+4 <= n {
-			if less(h[c+1], h[m]) {
-				m = c + 1
-			}
-			m2 := c + 2
-			if less(h[c+3], h[m2]) {
-				m2 = c + 3
-			}
-			if less(h[m2], h[m]) {
-				m = m2
-			}
-		} else {
-			for j := c + 1; j < n; j++ {
-				if less(h[j], h[m]) {
-					m = j
-				}
-			}
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
 		}
-		if !less(h[m], e) {
-			break
+		if !less(h[c], h[i]) {
+			return
 		}
-		h[i] = h[m]
-		i = m
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	h[i] = e
 }
 
 // Ticker fires a callback at a fixed interval until stopped.

@@ -12,7 +12,7 @@ import (
 
 // refSim is the pre-optimization kernel (container/heap binary heap,
 // one *refEvent allocation per scheduling, eager removal on Stop),
-// kept verbatim as the ordering oracle: the pooled 4-ary kernel must
+// kept verbatim as the ordering oracle: the pooled kernel must
 // fire the same events at the same instants in the same order.
 
 type refEvent struct {

@@ -257,6 +257,18 @@ func (cfg DayConfig) TraceConfig() workload.IdleProcessConfig {
 	return wl
 }
 
+// memberTrace builds the day's trace calibration for a member cluster
+// of the given size and horizon: the paper day's idle surface scales
+// with the cluster, with a floor of 8 idle nodes so a small slice keeps
+// enough capacity for heavy-tailed execution times.
+func (cfg DayConfig) memberTrace(nodes int, horizon time.Duration) workload.IdleProcessConfig {
+	wl := cfg.TraceConfig()
+	wl.Nodes = nodes
+	wl.Horizon = horizon
+	wl.MeanIdleNodes = max(cfg.MeanIdleNodes*float64(nodes)/float64(cfg.Nodes), 8)
+	return wl
+}
+
 // ProgressFunc observes an experiment's advance through virtual time.
 // done counts from 0 to total; implementations must be cheap (they run
 // once per simulated epoch) and must not touch the simulation.
@@ -273,6 +285,17 @@ func offsetProgress(p ProgressFunc, off, total time.Duration) ProgressFunc {
 
 // dayDrain is the post-horizon window RunDayCtx gives in-flight work.
 const dayDrain = 5 * time.Minute
+
+// runWithDrain advances a run through its horizon and then a drain that
+// lets in-flight work finish past it, reporting one monotone progress
+// range over both.
+func runWithDrain(ctx context.Context, run func(context.Context, time.Duration, time.Duration, ProgressFunc) error, horizon, drain time.Duration, progress ProgressFunc) error {
+	total := horizon + drain
+	if err := run(ctx, horizon, 0, offsetProgress(progress, 0, total)); err != nil {
+		return err
+	}
+	return run(ctx, drain, 0, offsetProgress(progress, horizon, total))
+}
 
 // RunDayCtx executes one full production-day experiment with
 // cooperative cancellation and progress: the simulation advances in
@@ -313,14 +336,9 @@ func RunDayCtx(ctx context.Context, cfg DayConfig, progress ProgressFunc) (DayRe
 	}
 
 	fed.Start()
-	total := cfg.Horizon + dayDrain
 	// fed.RunCtx is byte-identical to the pre-federation sys.RunCtx
 	// this path grew from.
-	if err := fed.RunCtx(ctx, cfg.Horizon, 0, offsetProgress(progress, 0, total)); err != nil {
-		return DayResult{}, err
-	}
-	// Let in-flight work drain past the horizon.
-	if err := fed.RunCtx(ctx, dayDrain, 0, offsetProgress(progress, cfg.Horizon, total)); err != nil {
+	if err := runWithDrain(ctx, fed.RunCtx, cfg.Horizon, dayDrain, progress); err != nil {
 		return DayResult{}, err
 	}
 

@@ -111,18 +111,14 @@ func RunEndogenousCtx(ctx context.Context, cfg EndogenousConfig, progress Progre
 
 	// Track busy/idle/pilot node counts from cluster transitions.
 	var busyTW, idleTW, pilotTW stats.TimeWeighted
-	counts := map[cluster.State]int{cluster.Idle: cfg.Nodes}
+	cl := sys.Slurm.Cluster()
 	observe := func(at time.Duration) {
-		busyTW.Observe(at, float64(counts[cluster.Busy]))
-		idleTW.Observe(at, float64(counts[cluster.Idle]))
-		pilotTW.Observe(at, float64(counts[cluster.Pilot]))
+		busyTW.Observe(at, float64(cl.Count(cluster.Busy)))
+		idleTW.Observe(at, float64(cl.Count(cluster.Idle)))
+		pilotTW.Observe(at, float64(cl.Count(cluster.Pilot)))
 	}
 	observe(0)
-	sys.Slurm.Cluster().OnChange(func(node int, from, to cluster.State, at time.Duration) {
-		counts[from]--
-		counts[to]++
-		observe(at)
-	})
+	cl.OnChange(func(_ int, _, _ cluster.State, at time.Duration) { observe(at) })
 
 	var waits stats.Sample
 	completed := 0

@@ -233,28 +233,16 @@ func runFederatedOnce(ctx context.Context, cfg FederatedConfig, routing string, 
 		return FederatedRun{}, fmt.Errorf("experiments: cloud fallback is incompatible with %d shards (the Alg. 1 wrapper couples completions to arrivals; run sequentially)", cfg.Shards)
 	}
 	fed := core.NewFederation(core.FederationConfig{Sites: siteCfgs, Routing: routing, Shards: cfg.Shards})
-	// Per-site tail quantiles below: exact buffered samples by default,
-	// O(1)-memory digests under Streaming.
-	if cfg.Streaming {
-		fed.Door.CollectLatenciesWith(func() stats.Collector { return stats.NewTDigest(0) })
-	} else {
-		fed.Door.CollectLatencies(true)
+	// Per-site tail quantiles below.
+	for i := range fed.Door.LatencyBySite {
+		fed.Door.LatencyBySite[i] = stats.NewCollector(cfg.Streaming)
 	}
 	if cfg.CloudFallback {
 		fed.SetFallback(lambda.NewClient(fed.Sim, lambda.DefaultClientConfig(), cfg.Seed+17))
 	}
 
 	for i, day := range days {
-		// Scale the paper day's idle surface to the member-cluster size,
-		// with the same floor the scientific slice uses.
-		trCfg := day.TraceConfig()
-		trCfg.Nodes = cfg.NodesPerSite
-		trCfg.Horizon = cfg.Horizon
-		trCfg.MeanIdleNodes = day.MeanIdleNodes * float64(cfg.NodesPerSite) / float64(day.Nodes)
-		if trCfg.MeanIdleNodes < 8 {
-			trCfg.MeanIdleNodes = 8
-		}
-		fed.LoadTrace(i, trCfg.Generate())
+		fed.LoadTrace(i, day.memberTrace(cfg.NodesPerSite, cfg.Horizon).Generate())
 	}
 
 	actions := loadgen.ActionNames("sleep", cfg.NumActions)
@@ -273,10 +261,7 @@ func runFederatedOnce(ctx context.Context, cfg FederatedConfig, routing string, 
 	gen.Start()
 	fed.Start()
 
-	if err := fed.RunCtx(ctx, cfg.Horizon, 0, offsetProgress(progress, 0, cfg.Horizon+dayDrain)); err != nil {
-		return FederatedRun{}, err
-	}
-	if err := fed.RunCtx(ctx, dayDrain, 0, offsetProgress(progress, cfg.Horizon, cfg.Horizon+dayDrain)); err != nil {
+	if err := runWithDrain(ctx, fed.RunCtx, cfg.Horizon, dayDrain, progress); err != nil {
 		return FederatedRun{}, err
 	}
 
@@ -316,12 +301,10 @@ func runFederatedOnce(ctx context.Context, cfg FederatedConfig, routing string, 
 		if completed > 0 {
 			s.Share503 = float64(s.N503) / float64(completed)
 		}
-		if lat := fed.Door.LatencyBySite[i]; lat != nil && lat.Len() > 0 {
+		if lat := fed.Door.LatencyBySite[i]; lat.Len() > 0 {
 			s.P95 = secondsDur(lat.Quantile(0.95))
 		}
-		if lat := fed.Door.LatencyBySite[i]; lat != nil {
-			run.MetricsBytes += lat.Footprint()
-		}
+		run.MetricsBytes += fed.Door.LatencyBySite[i].Footprint()
 		run.MetricsBytes += site.Logger.Footprint() +
 			site.Manager.States.Warming.Footprint() +
 			site.Manager.States.Healthy.Footprint() +

@@ -49,23 +49,13 @@ func RunFig3Ctx(ctx context.Context, seed int64, progress ProgressFunc) (Fig3Res
 
 	// Track idle and pilot node counts from cluster transitions.
 	var idleTW, pilotTW stats.TimeWeighted
-	idleN, pilotN := 5, 0
-	idleTW.Observe(0, float64(idleN))
-	pilotTW.Observe(0, 0)
-	sys.Slurm.Cluster().OnChange(func(node int, from, to cluster.State, at time.Duration) {
-		adjust := func(s cluster.State, d int) {
-			switch s {
-			case cluster.Idle:
-				idleN += d
-			case cluster.Pilot:
-				pilotN += d
-			}
-		}
-		adjust(from, -1)
-		adjust(to, +1)
-		idleTW.Observe(at, float64(idleN))
-		pilotTW.Observe(at, float64(pilotN))
-	})
+	cl := sys.Slurm.Cluster()
+	observe := func(at time.Duration) {
+		idleTW.Observe(at, float64(cl.Count(cluster.Idle)))
+		pilotTW.Observe(at, float64(cl.Count(cluster.Pilot)))
+	}
+	observe(0)
+	cl.OnChange(func(_ int, _, _ cluster.State, at time.Duration) { observe(at) })
 
 	mins := func(m int) time.Duration { return time.Duration(m) * time.Minute }
 	starts := map[string]time.Duration{}

@@ -130,18 +130,7 @@ func RunScientificCtx(ctx context.Context, cfg ScientificConfig, progress Progre
 	sysCfg.Controller.ActionTimeout = 10 * time.Minute
 	sys := core.NewSite(des.New(), sysCfg)
 
-	trCfg := day.TraceConfig()
-	trCfg.Nodes = cfg.Nodes
-	trCfg.Horizon = cfg.Horizon
-	// Scale the idle surface with the cluster slice (the full 2,239-node
-	// day carries ≈14 idle nodes on average).
-	trCfg.MeanIdleNodes = day.MeanIdleNodes * float64(cfg.Nodes) / float64(day.Nodes)
-	if trCfg.MeanIdleNodes < 8 {
-		// Keep enough capacity that the heterogeneous (heavy-tailed)
-		// execution times do not overload a tiny slice outright.
-		trCfg.MeanIdleNodes = 8
-	}
-	sys.LoadTrace(trCfg.Generate())
+	sys.LoadTrace(day.memberTrace(cfg.Nodes, cfg.Horizon).Generate())
 
 	wl.Register(sys.Ctrl)
 
@@ -182,11 +171,7 @@ func RunScientificCtx(ctx context.Context, cfg ScientificConfig, progress Progre
 	gen.Start()
 	sys.Start()
 	const drain = 12 * time.Minute // long functions need a long tail
-	total := cfg.Horizon + drain
-	if err := sys.RunCtx(ctx, cfg.Horizon, 0, offsetProgress(progress, 0, total)); err != nil {
-		return ScientificResult{}, err
-	}
-	if err := sys.RunCtx(ctx, drain, 0, offsetProgress(progress, cfg.Horizon, total)); err != nil {
+	if err := runWithDrain(ctx, sys.RunCtx, cfg.Horizon, drain, progress); err != nil {
 		return ScientificResult{}, err
 	}
 

@@ -94,12 +94,8 @@ func New(sim *des.Sim, backend Backend, cfg Config) *Generator {
 		sim:       sim,
 		backend:   backend,
 		cfg:       cfg,
-		Series:    stats.NewMinuteSeries(cfg.BucketLen),
-		Latencies: &stats.Sample{},
-	}
-	if cfg.Streaming {
-		g.Series = stats.NewWindowedCounts(cfg.BucketLen, stats.DefaultWindowKeep)
-		g.Latencies = stats.NewTDigest(stats.DefaultCompression)
+		Series:    stats.NewSeriesCollector(cfg.BucketLen, cfg.Streaming),
+		Latencies: stats.NewCollector(cfg.Streaming),
 	}
 	g.doneFn = g.onDone
 	if cfg.Weights != nil {

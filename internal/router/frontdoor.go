@@ -45,16 +45,13 @@ type FrontDoor struct {
 
 	// LatencyBySite collects successful end-to-end latencies per site
 	// (seconds), for the per-site tail quantiles of the federated
-	// experiments. Nil entries unless CollectLatencies(true) — exact
-	// buffered Samples — or CollectLatenciesWith — any collector, e.g.
-	// O(1)-memory stats.TDigest sketches — was called: growing samples
+	// experiments: a site's latencies are recorded iff its entry is
+	// non-nil. Entries start nil; the caller installs collectors
+	// (stats.NewCollector) or calls CollectLatencies. Growing samples
 	// are the one measurement that would break the door's
 	// allocation-free request path, so plain runs skip them (the EWMA
 	// backing View.Latency is always maintained).
 	LatencyBySite []stats.Collector
-
-	// collectLatency gates LatencyBySite; see CollectLatencies.
-	collectLatency bool
 
 	// snap holds the per-site health signals captured at the last
 	// Refresh; snapshotting switches the View methods from live site
@@ -155,8 +152,8 @@ func (c *fdCall) onDone(inv *whisk.Invocation) {
 	fd.callPool = append(fd.callPool, c)
 	if inv.Status == whisk.StatusSuccess {
 		l := (inv.Completed - inv.Submitted).Seconds()
-		if fd.collectLatency {
-			fd.LatencyBySite[site].Add(l)
+		if lat := fd.LatencyBySite[site]; lat != nil {
+			lat.Add(l)
 		}
 		if fd.lat[site] == 0 {
 			fd.lat[site] = l
@@ -191,28 +188,17 @@ func NewFrontDoor(sites []Site, pol RoutingPolicy) *FrontDoor {
 func (fd *FrontDoor) Policy() RoutingPolicy { return fd.policy }
 
 // CollectLatencies turns the per-site latency samples (LatencyBySite)
-// on or off, with exact buffered stats.Sample collectors. Off by
-// default: the samples grow with the request count, and the plain day
-// path must stay allocation-free per request.
+// on, with exact buffered stats.Sample collectors where none is
+// installed, or off, dropping every collector. Off by default: the
+// samples grow with the request count, and the plain day path must
+// stay allocation-free per request.
 func (fd *FrontDoor) CollectLatencies(on bool) {
-	fd.collectLatency = on
-	if on {
-		for i := range fd.LatencyBySite {
-			if fd.LatencyBySite[i] == nil {
-				fd.LatencyBySite[i] = &stats.Sample{}
-			}
+	for i, c := range fd.LatencyBySite {
+		if !on {
+			fd.LatencyBySite[i] = nil
+		} else if c == nil {
+			fd.LatencyBySite[i] = stats.NewCollector(false)
 		}
-	}
-}
-
-// CollectLatenciesWith enables per-site latency collection into
-// factory-built collectors — e.g. func() stats.Collector { return
-// stats.NewTDigest(0) } for O(1)-memory quantile sketches on
-// week-scale federated runs.
-func (fd *FrontDoor) CollectLatenciesWith(factory func() stats.Collector) {
-	fd.collectLatency = true
-	for i := range fd.LatencyBySite {
-		fd.LatencyBySite[i] = factory()
 	}
 }
 

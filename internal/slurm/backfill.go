@@ -40,7 +40,7 @@ func (e *Emulator) schedulePrime() {
 	// Start jobs from the head while they fit.
 	for len(e.primeQueue) > 0 {
 		head := e.primeQueue[0]
-		nodes := e.claimableNodes(head.Spec.Nodes)
+		nodes := e.claimableNodes(head.Spec.Nodes, nil)
 		if nodes == nil {
 			break
 		}
@@ -72,12 +72,11 @@ func (e *Emulator) schedulePrime() {
 		if !fitsBeforeShadow && !sparesReserved {
 			continue
 		}
-		var pick []int
+		avoid := reserved
 		if fitsBeforeShadow {
-			pick = e.claimableNodes(j.Spec.Nodes)
-		} else {
-			pick = e.claimableNodesAvoiding(j.Spec.Nodes, reserved)
+			avoid = nil
 		}
+		pick := e.claimableNodes(j.Spec.Nodes, avoid)
 		if pick == nil {
 			continue
 		}
@@ -118,49 +117,26 @@ func (e *Emulator) isAvailable(n int) bool {
 	return s == cluster.Idle || s == cluster.Pilot
 }
 
-// claimableNodes picks n nodes for a prime job, preferring idle nodes
-// over pilot-occupied ones (fewer preemptions), lowest ids first.
-// Returns nil if not enough nodes are available.
-func (e *Emulator) claimableNodes(n int) []int {
+// claimableNodes picks n nodes for a prime job outside the avoid set,
+// preferring idle nodes over pilot-occupied ones (fewer preemptions),
+// lowest ids first. Returns nil if not enough nodes are available.
+func (e *Emulator) claimableNodes(n int, avoid map[int]bool) []int {
 	idle := append([]int(nil), e.cl.Nodes(cluster.Idle)...)
 	pilot := append([]int(nil), e.cl.Nodes(cluster.Pilot)...)
-	sort.Ints(idle)
-	sort.Ints(pilot)
 	if len(idle)+len(pilot) < n {
 		return nil
 	}
-	out := make([]int, 0, n)
-	for _, id := range idle {
-		if len(out) == n {
-			return out
-		}
-		out = append(out, id)
-	}
-	for _, id := range pilot {
-		if len(out) == n {
-			return out
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// claimableNodesAvoiding picks n nodes excluding the reserved set.
-func (e *Emulator) claimableNodesAvoiding(n int, avoid map[int]bool) []int {
-	idle := append([]int(nil), e.cl.Nodes(cluster.Idle)...)
-	pilot := append([]int(nil), e.cl.Nodes(cluster.Pilot)...)
 	sort.Ints(idle)
 	sort.Ints(pilot)
 	out := make([]int, 0, n)
 	for _, set := range [][]int{idle, pilot} {
 		for _, id := range set {
-			if avoid[id] {
-				continue
-			}
 			if len(out) == n {
 				return out
 			}
-			out = append(out, id)
+			if !avoid[id] {
+				out = append(out, id)
+			}
 		}
 	}
 	if len(out) == n {

@@ -5,12 +5,13 @@ import "time"
 // Collector is the seam between the request path and its latency
 // accounting: the buffered Sample (exact, O(n) memory) and the
 // streaming TDigest (ε-approximate, O(1) memory) both satisfy it, so
-// loadgen, the federation front door, and the whisk controller can be
-// pointed at either without changing the hot path. Buffered collection
-// stays the default — every golden-pinned artifact keeps its exact
-// quantiles — and experiments opt into digests for week-scale horizons
-// where buffering per-request series is the memory wall (ROADMAP
-// item 1).
+// loadgen, the federation front door, and the Slurm-level logger can
+// be pointed at either without changing the hot path. NewCollector,
+// NewSeriesCollector and NewTimeSeries are the one place the choice is
+// made. Buffered collection stays the default — every golden-pinned
+// artifact keeps its exact quantiles — and experiments opt into
+// digests for week-scale horizons where buffering per-request series
+// is the memory wall.
 type Collector interface {
 	// Add records one observation; AddDuration records it in seconds.
 	Add(x float64)
@@ -56,6 +57,35 @@ var (
 	_ SeriesCollector = (*MinuteSeries)(nil)
 	_ SeriesCollector = (*WindowedCounts)(nil)
 )
+
+// NewCollector returns a scalar collector: an exact buffered Sample, or
+// under streaming a TDigest of DefaultCompression.
+func NewCollector(streaming bool) Collector {
+	if streaming {
+		return NewTDigest(DefaultCompression)
+	}
+	return &Sample{}
+}
+
+// NewSeriesCollector returns a per-bucket event counter: a MinuteSeries
+// keeping every bucket, or under streaming a WindowedCounts keeping the
+// last DefaultWindowKeep.
+func NewSeriesCollector(bucket time.Duration, streaming bool) SeriesCollector {
+	if streaming {
+		return NewWindowedCounts(bucket, DefaultWindowKeep)
+	}
+	return NewMinuteSeries(bucket)
+}
+
+// NewTimeSeries returns a piecewise-constant state series: an exact
+// buffered TimeWeighted, or under streaming a TimeWeightedStream of
+// DefaultCompression.
+func NewTimeSeries(streaming bool) TimeSeries {
+	if streaming {
+		return NewTimeWeightedStream(DefaultCompression)
+	}
+	return &TimeWeighted{}
+}
 
 // Footprint returns the retained heap bytes of the sample buffer.
 func (s *Sample) Footprint() int { return cap(s.xs) * 8 }

@@ -38,12 +38,17 @@ type ScenarioPoint struct {
 	Options []scenario.Option
 }
 
+// maxRuns bounds the (point, replica) runs of one SweepScenarios call,
+// whose seeds and per-point result arrays hold an entry per replica.
+const maxRuns = 1 << 20
+
 // SweepScenarios fans every registered-scenario grid cell across the
 // worker pool with decorrelated per-replica seeds — any scenario in
 // the registry becomes a multi-replica study by name, with no
-// experiment-specific glue. The replica count and all cells (scenario
-// name, option names, option values) are validated before anything
-// runs, so a typo fails fast instead of after hours of replicas.
+// experiment-specific glue. The replica count (at most maxRuns runs in
+// all) and all cells (scenario name, option names, option values) are
+// validated before anything runs, so a typo fails fast instead of
+// after hours of replicas.
 // Aggregation and determinism guarantees match Sweep exactly.
 //
 // Runtime failures are not swallowed: a replica whose scenario
@@ -54,6 +59,9 @@ type ScenarioPoint struct {
 func SweepScenarios(cfg Config, cells []ScenarioPoint) ([]Result, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("sweep: want a positive replica count, got %d", cfg.Replicas)
+	}
+	if len(cells) > 0 && cfg.Replicas > maxRuns/len(cells) {
+		return nil, fmt.Errorf("sweep: %d grid points × %d replicas exceed %d runs; lower -replicas", len(cells), cfg.Replicas, maxRuns)
 	}
 	points := make([]Point, len(cells))
 	var mu sync.Mutex

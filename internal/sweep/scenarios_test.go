@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -37,6 +38,33 @@ func TestSweepScenariosValidatesUpfront(t *testing.T) {
 		} else if res != nil {
 			t.Errorf("%d replicas: validation failure still returned results", n)
 		}
+	}
+}
+
+// TestSweepScenariosBoundsRuns: more than 2^20 (point, replica) runs
+// fail upfront with an error naming -replicas, before any seed or
+// result array is sized by the replica count. The scenario returns at
+// once, so an unbounded sweep still ends in seconds.
+func TestSweepScenariosBoundsRuns(t *testing.T) {
+	const instant = "sweep-test-instant"
+	if _, err := scenario.Lookup(instant); err != nil {
+		scenario.Register(scenario.Spec{
+			Name: instant,
+			Run: func(context.Context, scenario.Config) (scenario.Result, error) {
+				return scenario.NewResult(nil, nil), nil
+			},
+		})
+	}
+	cells := []ScenarioPoint{{Scenario: instant}, {Scenario: instant}}
+	res, err := SweepScenarios(Config{Replicas: 1<<19 + 1, Workers: 2, BaseSeed: 1}, cells)
+	if err == nil || !strings.Contains(err.Error(), "-replicas") {
+		t.Errorf("2 cells × 2^19+1 replicas: err = %v, want one naming -replicas", err)
+	}
+	if res != nil {
+		t.Error("the rejected sweep returned results")
+	}
+	if _, err := SweepScenarios(Config{Replicas: 3, Workers: 2, BaseSeed: 1}, cells); err != nil {
+		t.Errorf("2 cells × 3 replicas: %v", err)
 	}
 }
 

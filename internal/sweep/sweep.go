@@ -40,12 +40,14 @@ type Config struct {
 	BaseSeed int64
 }
 
-// workers resolves the effective worker count.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
+// workers resolves the worker count for a sweep of jobs runs: Workers,
+// or GOMAXPROCS when unset, and never more than there are jobs.
+func (c Config) workers(jobs int) int {
+	w := c.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return min(w, jobs)
 }
 
 // Seeds returns the per-replica seed sequence: a root stream seeded with
@@ -119,7 +121,7 @@ func Sweep(cfg Config, points []Point) []Result {
 	}
 
 	var wg sync.WaitGroup
-	for w := cfg.workers(); w > 0; w-- {
+	for w := cfg.workers(len(points) * cfg.Replicas); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -186,6 +186,23 @@ func TestSweepAggregatesPerPoint(t *testing.T) {
 	}
 }
 
+// TestWorkersCappedByJobs: a sweep starts no more workers than it has
+// runs, however many it is asked for.
+func TestWorkersCappedByJobs(t *testing.T) {
+	cases := []struct{ workers, jobs, want int }{
+		{1_000_000_000, 6, 6},
+		{2, 6, 2},
+		{0, 1, 1},
+		{4, 0, 0},
+		{0, 1 << 20, runtime.GOMAXPROCS(0)},
+	}
+	for _, tc := range cases {
+		if got := (Config{Workers: tc.workers}).workers(tc.jobs); got != tc.want {
+			t.Errorf("%d workers for %d jobs: started %d, want %d", tc.workers, tc.jobs, got, tc.want)
+		}
+	}
+}
+
 func TestSweepPanicsOnZeroReplicas(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -351,7 +351,7 @@ func (w *Invoker) executeCheckpointed(inv *Invocation, m *checkpoint.Model, star
 }
 
 // ckptDone fires at every segment boundary of a checkpointed
-// execution: either the body is complete (mirroring execDone), or a
+// execution: either the body is complete (finish, as in execDone), or a
 // checkpoint is dumped and the next segment is scheduled — the
 // boundary event's reference carries over to the next segment, so the
 // refcount discipline matches a plain execution's single completion
@@ -360,18 +360,7 @@ func (w *Invoker) ckptDone(v any) {
 	inv := v.(*Invocation)
 	inv.Progress += inv.segWork
 	if inv.Progress >= inv.bodyTotal {
-		w.ctrl.Work.Goodput += inv.bodyTotal
-		inv.Executed = inv.execStartAt
-		w.removeRunning(inv)
-		w.ctrl.release(inv) // the running list's reference
-		w.releaseContainer(inv.Action)
-		w.ctrl.finishFromInvoker(inv, w.rng.Float64() >= w.cfg.FailureProb)
-		w.ctrl.release(inv) // the segment event's reference
-		if w.state == InvokerHealthy {
-			w.dispatch()
-		} else {
-			w.maybeDrained()
-		}
+		w.finish(inv, inv.bodyTotal)
 		return
 	}
 	m := inv.Action.Checkpoint
@@ -395,13 +384,19 @@ func (w *Invoker) ckptDone(v any) {
 // non-checkpointed execution.
 func (w *Invoker) execDone(v any) {
 	inv := v.(*Invocation)
-	w.ctrl.Work.Goodput += w.ctrl.sim.Now() - inv.execStartAt
+	w.finish(inv, w.ctrl.sim.Now()-inv.execStartAt)
+}
+
+// finish completes an execution whose body is done, crediting goodput
+// to the work ledger, and frees the invoker for its next message.
+func (w *Invoker) finish(inv *Invocation, goodput time.Duration) {
+	w.ctrl.Work.Goodput += goodput
 	inv.Executed = inv.execStartAt
 	w.removeRunning(inv)
 	w.ctrl.release(inv) // the running list's reference
 	w.releaseContainer(inv.Action)
 	w.ctrl.finishFromInvoker(inv, w.rng.Float64() >= w.cfg.FailureProb)
-	w.ctrl.release(inv) // this event's reference
+	w.ctrl.release(inv) // the completion event's reference
 	if w.state == InvokerHealthy {
 		w.dispatch()
 	} else {
@@ -702,8 +697,12 @@ func (w *Invoker) deregister() {
 	w.ctrl.noteStateChange(w, w.state, InvokerGone)
 	w.state = InvokerGone
 	w.ctrl.Deregister(w)
-	if w.onDrained != nil {
-		fn := w.onDrained
+	w.drained()
+}
+
+// drained calls the hand-off's onDrained callback, at most once.
+func (w *Invoker) drained() {
+	if fn := w.onDrained; fn != nil {
 		w.onDrained = nil
 		fn()
 	}
@@ -741,9 +740,5 @@ func (w *Invoker) Kill() {
 	// until the controller-side timeouts fire, exactly the unmodified-
 	// OpenWhisk failure mode described in §II.
 	w.ctrl.DeregisterLossy(w)
-	if w.onDrained != nil {
-		fn := w.onDrained
-		w.onDrained = nil
-		fn()
-	}
+	w.drained()
 }
