@@ -81,8 +81,10 @@ func parse(r io.Reader) (Doc, error) {
 			doc.Benchmarks[name] = metrics
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
+			// ParseFloat takes NaN and ±Inf in any spelling; the gate
+			// cannot compare them and JSON cannot carry them.
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return doc, fmt.Errorf("benchjson: bad value %q in line %q", fields[i], line)
 			}
 			if old, ok := metrics[fields[i+1]]; !ok || v < old {

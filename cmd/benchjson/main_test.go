@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -87,6 +90,20 @@ func TestParseRejectsMalformedValue(t *testing.T) {
 	_, err := parse(strings.NewReader("BenchmarkX 1 abc ns/op\n"))
 	if err == nil {
 		t.Error("malformed value accepted")
+	}
+}
+
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "+Inf", "-Inf", "Infinity"} {
+		line := "BenchmarkRequestPath 1 " + v + " allocs/op"
+		_, err := parse(strings.NewReader("BenchmarkRequestPath 1 0 allocs/op\n" + line + "\n"))
+		if err == nil {
+			t.Errorf("%s accepted", v)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, strconv.Quote(v)) || !strings.Contains(msg, strconv.Quote(line)) {
+			t.Errorf("error for %s names neither the value nor the line: %v", v, err)
+		}
 	}
 }
 
@@ -186,9 +203,9 @@ func TestGateKeepsMinimumOverRepeatedRuns(t *testing.T) {
 
 // FuzzParse feeds arbitrary text to parse (the checked-in corpus under
 // testdata/fuzz replays in every test run). It must return a document
-// or an error without panicking; a parsed document never regresses
-// against itself, and each kept metric is at most the value of every
-// line that carries it.
+// or an error without panicking; a parsed document keeps only finite
+// values, marshals to JSON, never regresses against itself, and each
+// kept metric is at most the value of every line that carries it.
 func FuzzParse(f *testing.F) {
 	f.Add(sample)
 	f.Fuzz(func(t *testing.T, in string) {
@@ -197,10 +214,16 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		var tracked []string
-		for _, m := range doc.Benchmarks {
-			for unit := range m {
+		for name, m := range doc.Benchmarks {
+			for unit, v := range m {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s %s kept the non-finite value %v", name, unit, v)
+				}
 				tracked = append(tracked, unit)
 			}
+		}
+		if _, err := json.Marshal(doc); err != nil {
+			t.Fatalf("a parsed document does not marshal: %v", err)
 		}
 		if regs := gate(doc, doc, tracked, 0); len(regs) != 0 {
 			t.Fatalf("a document regresses against itself: %v", regs)

@@ -263,10 +263,10 @@ func (f *slurmFold) stats() SlurmLevelStats {
 	if f.n > 1 {
 		s.AvgSpacing = (f.lastAt - f.firstAt) / time.Duration(f.n-1)
 	}
+	s.WorkerAvg = f.workers.Mean()
 	s.WorkerP25 = f.workers.Quantile(0.25)
 	s.WorkerP50 = f.workers.Quantile(0.50)
 	s.WorkerP75 = f.workers.Quantile(0.75)
-	s.WorkerAvg = f.workers.Mean()
 	if f.idleSum+f.pilotSum > 0 {
 		s.ShareUsed = f.pilotSum / (f.idleSum + f.pilotSum)
 		s.ShareNotUsed = 1 - s.ShareUsed

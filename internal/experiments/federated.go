@@ -274,7 +274,7 @@ func runFederatedOnce(ctx context.Context, cfg FederatedConfig, routing string, 
 	}
 	run.MetricsBytes = gen.Series.Footprint() + gen.Latencies.Footprint()
 	if gen.Latencies.Len() > 0 {
-		run.P50 = secondsDur(gen.Latencies.Quantile(0.50))
+		run.P50 = run.Load.MedianLatency
 		run.P95 = secondsDur(gen.Latencies.Quantile(0.95))
 		run.P99 = secondsDur(gen.Latencies.Quantile(0.99))
 	}

@@ -1,0 +1,245 @@
+package stats
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// refQuantile is the read Quantile must match bit for bit: index a
+// copy sorted with sort.Float64s and interpolate between neighbours.
+func refQuantile(sorted []float64, p float64) float64 {
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := p * float64(len(sorted)-1)
+	i := int(pos)
+	frac := pos - float64(i)
+	if i+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[i]*(1-frac) + sorted[i+1]*frac
+}
+
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// quantileShapes are the inputs selection must get right: random,
+// heavily duplicated, presorted either way, organ-pipe, constant, two
+// alternating values, and Musser's median-of-three killer.
+var quantileShapes = []struct {
+	name string
+	gen  func(rng *rand.Rand, n int) []float64
+}{
+	{"uniform", func(rng *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		return xs
+	}},
+	{"dup4", func(rng *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(4))
+		}
+		return xs
+	}},
+	{"sorted", func(rng *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		sort.Float64s(xs)
+		return xs
+	}},
+	{"reversed", func(rng *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		return xs
+	}},
+	{"organ-pipe", func(_ *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(min(i, n-1-i))
+		}
+		return xs
+	}},
+	{"all-equal", func(_ *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 0.75
+		}
+		return xs
+	}},
+	{"alternating", func(_ *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i % 2)
+		}
+		return xs
+	}},
+	{"m3-killer", func(_ *rand.Rand, n int) []float64 {
+		xs := make([]float64, n)
+		k := n / 2
+		for i := 1; i <= k; i++ {
+			if i%2 == 1 {
+				xs[i-1] = float64(i)
+			} else {
+				xs[i-1] = float64(k + i - 1)
+			}
+			xs[k+i-1] = float64(2 * i)
+		}
+		if n%2 == 1 {
+			xs[n-1] = float64(n)
+		}
+		return xs
+	}},
+}
+
+// TestQuantileMatchesSortedReference drives random interleavings of
+// Add, Quantile, Median, Min, Max and CDFAt over every shape at sizes
+// 1–2,049, a quarter of the seeds with NaN and ±Inf mixed in. Every
+// answer must have the bits of the sorted reference, and no query may
+// change the multiset the buffer holds.
+func TestQuantileMatchesSortedReference(t *testing.T) {
+	seeds := int64(640)
+	if testing.Short() {
+		seeds = 160 // the CI race gate
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shape := quantileShapes[int(seed)%len(quantileShapes)]
+		n := 1 + rng.Intn(2049)
+		if seed%2 == 0 {
+			n = 1 + rng.Intn(40)
+		}
+		gen := func(n int) []float64 {
+			xs := shape.gen(rng, n)
+			if seed%4 == 3 {
+				for range 1 + n/8 {
+					xs[rng.Intn(n)] = specials[rng.Intn(len(specials))]
+				}
+			}
+			return xs
+		}
+		var s Sample
+		ref := gen(n)
+		for _, x := range ref {
+			s.Add(x)
+		}
+		sorted := sortedCopy(ref)
+		for op := 0; op < 24; op++ {
+			what := ""
+			switch r := rng.Intn(10); {
+			case r < 5:
+				p := quantileProbe(rng, len(ref))
+				what = "Quantile"
+				if got, want := s.Quantile(p), refQuantile(sorted, p); !sameBits(got, want) {
+					t.Fatalf("seed %d %s n=%d: Quantile(%v) = %v, want %v", seed, shape.name, len(ref), p, got, want)
+				}
+			case r < 6:
+				what = "Median"
+				if got, want := s.Median(), refQuantile(sorted, 0.5); !sameBits(got, want) {
+					t.Fatalf("seed %d %s n=%d: Median = %v, want %v", seed, shape.name, len(ref), got, want)
+				}
+			case r < 8:
+				what = "Add"
+				for _, x := range gen(1 + rng.Intn(8)) {
+					s.Add(x)
+					ref = append(ref, x)
+				}
+				sorted = sortedCopy(ref)
+			case r < 9:
+				what = "Min/Max"
+				if got, want := s.Min(), sorted[0]; !sameBits(got, want) {
+					t.Fatalf("seed %d %s: Min = %v, want %v", seed, shape.name, got, want)
+				}
+				if got, want := s.Max(), sorted[len(sorted)-1]; !sameBits(got, want) {
+					t.Fatalf("seed %d %s: Max = %v, want %v", seed, shape.name, got, want)
+				}
+			default:
+				what = "CDFAt"
+				s.CDFAt(ref[rng.Intn(len(ref))])
+			}
+			checkMultiset(t, &s, sorted, seed, shape.name, what)
+		}
+	}
+}
+
+// quantileProbe draws p from the probabilities that matter: the ends,
+// the paper's median and tails, exact ranks k/(n−1), their float
+// neighbours, and uniform values.
+func quantileProbe(rng *rand.Rand, n int) float64 {
+	var p float64
+	switch r := rng.Intn(4); {
+	case r == 0:
+		p = []float64{0, 1, 0.5, 0.95, 0.99}[rng.Intn(5)]
+	case r == 1 && n > 1:
+		p = float64(rng.Intn(n)) / float64(n-1)
+	default:
+		p = rng.Float64()
+	}
+	switch rng.Intn(3) {
+	case 0:
+		p = math.Nextafter(p, math.Inf(-1))
+	case 1:
+		p = math.Nextafter(p, math.Inf(1))
+	}
+	return p
+}
+
+func sortedCopy(xs []float64) []float64 {
+	c := slices.Clone(xs)
+	sort.Float64s(c)
+	return c
+}
+
+// checkMultiset fails unless the buffer holds the sorted reference's
+// values, in any order.
+func checkMultiset(t *testing.T, s *Sample, want []float64, seed int64, shape, after string) {
+	t.Helper()
+	if s.Len() != len(want) {
+		t.Fatalf("seed %d %s: Len = %d after %s, want %d", seed, shape, s.Len(), after, len(want))
+	}
+	got := sortedCopy(s.xs)
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("seed %d %s: buffer's multiset changed after %s: sorted[%d] = %v, want %v", seed, shape, after, i, got[i], want[i])
+		}
+	}
+}
+
+// BenchmarkSampleQuantiles is the federated reduction's read of a
+// buffered latency sample: 2^20 latencies, copied unsorted into the
+// buffer each op, then the median and the 95th and 99th percentiles.
+// Allocation-free.
+func BenchmarkSampleQuantiles(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	lat := make([]float64, 1<<20)
+	for i := range lat {
+		lat[i] = 0.4 + rng.ExpFloat64()*0.6
+	}
+	s := Sample{xs: make([]float64, 0, len(lat))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		s.xs = append(s.xs[:0], lat...)
+		s.sorted = false
+		sum += s.Median() + s.Quantile(0.95) + s.Quantile(0.99)
+	}
+	if sum <= 0 {
+		b.Fatal("impossible")
+	}
+}

@@ -5,7 +5,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -37,31 +40,108 @@ func (s *Sample) ensureSorted() {
 }
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) with linear interpolation.
-// It panics if the sample is empty.
+// It panics if the sample is empty. A sorted buffer (after Min, Max or
+// a CDF query) is indexed; otherwise the order statistics are selected
+// in place, in O(n) and without allocating, which reorders the buffer
+// (see Mean).
 func (s *Sample) Quantile(p float64) float64 {
 	if len(s.xs) == 0 {
 		panic("stats: quantile of empty sample")
 	}
-	s.ensureSorted()
 	if p <= 0 {
-		return s.xs[0]
+		return s.orderStat(0)
 	}
 	if p >= 1 {
-		return s.xs[len(s.xs)-1]
+		return s.orderStat(len(s.xs) - 1)
 	}
 	pos := p * float64(len(s.xs)-1)
 	i := int(pos)
 	frac := pos - float64(i)
 	if i+1 >= len(s.xs) {
-		return s.xs[len(s.xs)-1]
+		return s.orderStat(len(s.xs) - 1)
 	}
-	return s.xs[i]*(1-frac) + s.xs[i+1]*frac
+	s.orderStat(i)
+	next := s.xs[i+1]
+	if !s.sorted {
+		// Every element after i is at least xs[i]; the least of them
+		// is the next order statistic.
+		for _, x := range s.xs[i+2:] {
+			if cmp.Less(x, next) {
+				next = x
+			}
+		}
+	}
+	return s.xs[i]*(1-frac) + next*frac
+}
+
+// orderStat returns the k-th smallest observation, as xs[k] of the
+// sorted buffer would be.
+func (s *Sample) orderStat(k int) float64 {
+	if !s.sorted {
+		selectNth(s.xs, k)
+	}
+	return s.xs[k]
+}
+
+// selectNth reorders xs so that xs[k] holds what sort.Float64s would put
+// there, with nothing greater before it and nothing less after it. It
+// orders like sort.Float64s (cmp.Less, NaNs first). Each round
+// partitions the range holding k around the median of its first,
+// middle and last elements; after 2·bits.Len(n) rounds the rest of the
+// range is sorted, so no input costs more than a sort.
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for rounds := 2 * bits.Len(uint(len(xs))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return
+		}
+		if j := partition(xs, lo, hi); k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+}
+
+// partition is Hoare's: for lo < hi it returns j with lo ≤ j < hi such
+// that nothing in xs[lo..j] is greater than the pivot and nothing in
+// xs[j+1..hi] is less. Both scans stop on elements equal to the pivot,
+// so a run of equal values splits evenly.
+func partition(xs []float64, lo, hi int) int {
+	mid := int(uint(lo+hi) >> 1)
+	if cmp.Less(xs[mid], xs[lo]) {
+		xs[lo], xs[mid] = xs[mid], xs[lo]
+	}
+	if cmp.Less(xs[hi], xs[mid]) {
+		xs[mid], xs[hi] = xs[hi], xs[mid]
+		if cmp.Less(xs[mid], xs[lo]) {
+			xs[lo], xs[mid] = xs[mid], xs[lo]
+		}
+	}
+	// With the pivot first, j ends below hi: both parts are non-empty.
+	xs[lo], xs[mid] = xs[mid], xs[lo]
+	pivot := xs[lo]
+	i, j := lo-1, hi+1
+	for {
+		for i++; cmp.Less(xs[i], pivot); i++ {
+		}
+		for j--; cmp.Less(pivot, xs[j]); j-- {
+		}
+		if i >= j {
+			return j
+		}
+		xs[i], xs[j] = xs[j], xs[i]
+	}
 }
 
 // Median returns the 0.5-quantile.
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
-// Mean returns the arithmetic mean; 0 for an empty sample.
+// Mean returns the arithmetic mean; 0 for an empty sample. It sums in
+// the buffer's current order, which every query but Len and Mean may
+// change, so a mean read after a query can differ in its last bits from
+// one read before.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
