@@ -29,6 +29,15 @@
 // process: arrivals, period lengths, regimes, ...) split them all off
 // one root up front, so adding draws to one stream never perturbs the
 // others and seeded runs stay reproducible bit-for-bit.
+//
+// The streams are *rand.Rand over a replica of math/rand's additive
+// lagged-Fibonacci source (rng.go): the same 607-word state and the
+// same draws for every seed, but seeded from a table of Lehmer powers
+// instead of a serial walk, with the cooked seeding table recovered at
+// init from a standard-library stream. math/rand itself is the oracle:
+// TestSourceMatchesMathRand and FuzzSourceMatchesMathRand compare every
+// rand.Rand method the simulation calls, draw for draw, against
+// rand.NewSource of the same seed.
 package dist
 
 import (

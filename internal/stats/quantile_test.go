@@ -106,17 +106,34 @@ var quantileShapes = []struct {
 	}},
 }
 
+// readSequence is the reads of a run's report on one buffer: the
+// median, the tails, the median again and the extremes, each narrowed
+// by the ranks the reads before it selected.
+var readSequence = []float64{0.5, 0.95, 0.99, 0.5, 0, 1}
+
 // TestQuantileMatchesSortedReference drives random interleavings of
 // Add, Quantile, Median, Min, Max and CDFAt over every shape at sizes
-// 1–2,049, a quarter of the seeds with NaN and ±Inf mixed in. Every
-// answer must have the bits of the sorted reference, and no query may
-// change the multiset the buffer holds.
+// 1–2,049, a quarter of the seeds with NaN and ±Inf mixed in, and reads
+// readSequence on the fresh buffer and after every Add. Every answer
+// must have the bits of the sorted reference, and no query may change
+// the multiset the buffer holds.
 func TestQuantileMatchesSortedReference(t *testing.T) {
 	seeds := int64(640)
 	if testing.Short() {
 		seeds = 160 // the CI race gate
 	}
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	narrowed := 0
+	readAll := func(s *Sample, sorted []float64, seed int64, shape string) {
+		for _, p := range readSequence {
+			if s.nranks > 0 && !s.sorted {
+				narrowed++
+			}
+			if got, want := s.Quantile(p), refQuantile(sorted, p); !sameBits(got, want) {
+				t.Fatalf("seed %d %s n=%d: Quantile(%v) in %v = %v, want %v", seed, shape, len(sorted), p, readSequence, got, want)
+			}
+		}
+	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shape := quantileShapes[int(seed)%len(quantileShapes)]
@@ -139,6 +156,8 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 			s.Add(x)
 		}
 		sorted := sortedCopy(ref)
+		readAll(&s, sorted, seed, shape.name)
+		checkMultiset(t, &s, sorted, seed, shape.name, "the read sequence")
 		for op := 0; op < 24; op++ {
 			what := ""
 			switch r := rng.Intn(10); {
@@ -160,6 +179,7 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 					ref = append(ref, x)
 				}
 				sorted = sortedCopy(ref)
+				readAll(&s, sorted, seed, shape.name)
 			case r < 9:
 				what = "Min/Max"
 				if got, want := s.Min(), sorted[0]; !sameBits(got, want) {
@@ -174,6 +194,9 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 			}
 			checkMultiset(t, &s, sorted, seed, shape.name, what)
 		}
+	}
+	if narrowed == 0 {
+		t.Fatal("no read followed another selection on an unsorted buffer — the narrowing would be unchecked")
 	}
 }
 
@@ -236,7 +259,7 @@ func BenchmarkSampleQuantiles(b *testing.B) {
 	var sum float64
 	for i := 0; i < b.N; i++ {
 		s.xs = append(s.xs[:0], lat...)
-		s.sorted = false
+		s.sorted, s.nranks = false, 0
 		sum += s.Median() + s.Quantile(0.95) + s.Quantile(0.99)
 	}
 	if sum <= 0 {

@@ -142,6 +142,11 @@ type Invocation struct {
 	execOK      bool
 	execStartAt des.Time
 
+	// action is Action's index in its controller (see
+	// Controller.actions): the key of the executing invoker's container
+	// pool.
+	action int
+
 	// Checkpointed-execution state. bodyTotal is the execution-body
 	// duration drawn once on the first attempt (a resume continues the
 	// same body instead of redrawing); segWork is the work scheduled in

@@ -2,6 +2,8 @@ package whisk
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,17 +12,82 @@ import (
 	"repro/internal/dist"
 )
 
-// checkAggregates cross-checks every maintained controller aggregate
-// against the from-scratch scan oracle.
+// action returns the registered action of that name.
+func (c *Controller) action(name string) *Action { return c.actionList[c.actions[name]] }
+
+// checkAggregates cross-checks every maintained controller aggregate,
+// and the healthy-slot bitmap, against the from-scratch scan oracle.
 func checkAggregates(t *testing.T, c *Controller, op int) {
 	t.Helper()
-	healthy, draining, capacity, busy, backlog := c.recomputeAggregates()
+	healthy, draining, capacity, busy, backlog, healthySlots := c.recomputeAggregates()
 	if c.nHealthy != healthy || c.nDraining != draining || c.healthyCap != capacity ||
 		c.busyHealthy != busy || c.backlog != backlog {
 		t.Fatalf("op %d: aggregates diverged from scan:\nlive: healthy=%d draining=%d cap=%d busy=%d backlog=%d\nscan: healthy=%d draining=%d cap=%d busy=%d backlog=%d",
 			op, c.nHealthy, c.nDraining, c.healthyCap, c.busyHealthy, c.backlog,
 			healthy, draining, capacity, busy, backlog)
 	}
+	var bitmap []int
+	for w, word := range c.healthy {
+		for ; word != 0; word &= word - 1 {
+			bitmap = append(bitmap, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	if len(c.healthy) != (len(c.slots)+63)/64 || !slices.Equal(bitmap, healthySlots) {
+		t.Fatalf("op %d: healthy bitmap (%d words) holds slots %v, scan found %v over %d slots",
+			op, len(c.healthy), bitmap, healthySlots, len(c.slots))
+	}
+}
+
+// probeInvoker is the routing oracle: pickInvoker's rule as a linear
+// probe of every slot from the home slot on, wrapping around. It also
+// reports whether the pick passed a saturated home invoker and then a
+// nil or draining slot, the case where walking only the healthy bits
+// skips something.
+func probeInvoker(c *Controller, a *Action) (pick *Invoker, skipped bool) {
+	n := len(c.slots)
+	if n == 0 {
+		return nil, false
+	}
+	start := int(a.nameHash) % n
+	var home *Invoker
+	for i := 0; i < n; i++ {
+		inv := c.slots[(start+i)%n]
+		if inv == nil || inv.state != InvokerHealthy {
+			skipped = skipped || home != nil
+			continue
+		}
+		if home == nil {
+			home = inv
+		}
+		if inv.Buffered() < inv.cfg.BufferLimit/2 {
+			return inv, skipped
+		}
+	}
+	return home, skipped
+}
+
+// checkRouting compares pickInvoker with the linear probe for every
+// registered action and returns how many picks skipped a nil or
+// draining slot past a saturated home.
+func checkRouting(t *testing.T, c *Controller, op int) (skips int) {
+	t.Helper()
+	for _, a := range c.actionList {
+		want, skipped := probeInvoker(c, a)
+		if got := c.pickInvoker(a); got != want {
+			t.Fatalf("op %d: pickInvoker(%s) = %s, linear probe picks %s", op, a.Name, slotName(got), slotName(want))
+		}
+		if skipped {
+			skips++
+		}
+	}
+	return skips
+}
+
+func slotName(w *Invoker) string {
+	if w == nil {
+		return "none"
+	}
+	return fmt.Sprintf("slot %d", w.slot)
 }
 
 // checkWakeups pins the poll wake-up invariant: a healthy invoker with
@@ -62,6 +129,9 @@ func checkIdleHeap(t *testing.T, w *Invoker, op int) {
 	t.Helper()
 	idleSets := 0
 	for _, cs := range w.pool {
+		if cs == nil {
+			continue
+		}
 		if cs.idle > 0 {
 			idleSets++
 			if cs.heapIdx < 0 || cs.heapIdx >= len(w.idleHeap) || w.idleHeap[cs.heapIdx] != cs {
@@ -95,11 +165,13 @@ func checkIdleHeap(t *testing.T, w *Invoker, op int) {
 // of the O(1) control-plane telemetry: after every operation of a
 // randomized register/drain/kill/invoke storm, the incrementally
 // maintained aggregates (HealthyCount, Utilization's numerator and
-// denominator, DrainingCount, QueueDepth) must equal the from-scratch
-// slot scans they replaced, every invoker's eviction min-heap must
-// agree with the dense-scan LRU oracle, and every invoker with work
-// queued must have its poll wake-up armed. Any future transition that
-// forgets a counter update or a wake-up fails here loudly.
+// denominator, DrainingCount, QueueDepth) and the healthy-slot bitmap
+// must equal the from-scratch slot scans they replaced, pickInvoker
+// must pick what a linear probe of the slots picks for every action,
+// every invoker's eviction min-heap must agree with the dense-scan LRU
+// oracle, and every invoker with work queued must have its poll
+// wake-up armed. Any future transition that forgets a counter update,
+// a bitmap bit or a wake-up fails here loudly.
 func TestAggregateStormMatchesRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -137,7 +209,7 @@ func TestAggregateStormMatchesRecompute(t *testing.T) {
 				return out
 			}
 
-			armed := 0
+			armed, skips := 0, 0
 			for op := 0; op < 2500; op++ {
 				switch rng.Intn(12) {
 				case 0: // register a fresh invoker
@@ -154,11 +226,17 @@ func TestAggregateStormMatchesRecompute(t *testing.T) {
 					}
 				case 3: // let virtual time pass
 					sim.RunFor(time.Duration(rng.Intn(5000)) * time.Millisecond)
+				case 4: // a burst on one action: routed before any of it lands, it saturates the home invoker
+					a := actions[rng.Intn(len(actions))]
+					for range 24 {
+						c.Invoke(a, nil)
+					}
 				default: // invoke (the storm is mostly traffic)
 					c.Invoke(actions[rng.Intn(len(actions))], nil)
 					sim.RunFor(time.Duration(rng.Intn(200)) * time.Millisecond)
 				}
 				checkAggregates(t, c, op)
+				skips += checkRouting(t, c, op)
 				armed += checkWakeups(t, c, invokers, op)
 				for _, w := range invokers {
 					checkIdleHeap(t, w, op)
@@ -180,6 +258,117 @@ func TestAggregateStormMatchesRecompute(t *testing.T) {
 			if armed == 0 {
 				t.Fatal("storm never queued work for a healthy invoker — the wake-up checks would be vacuous")
 			}
+			if skips == 0 {
+				t.Fatal("no pick passed a saturated home and then a nil or draining slot — the routing checks would be vacuous")
+			}
 		})
+	}
+}
+
+// TestPickInvokerMatchesProbeAcrossWords checks the bitmap walk where
+// the aggregate storm, whose slot list stays within one 64-bit word,
+// cannot: a churning list of up to 200 slots (four words), 100 actions
+// whose homes land in every word, and bursts that saturate homes, so
+// picks skip freed and draining slots and wrap from the last word to
+// the first and back into the home slot's word.
+func TestPickInvokerMatchesProbeAcrossWords(t *testing.T) {
+	sim := des.New()
+	cfg := DefaultControllerConfig()
+	cfg.ActionTimeout = 1500 * time.Millisecond
+	c := NewController(sim, bus.New(sim, nil, 1), cfg, 2)
+	for i := 0; i < 100; i++ {
+		c.RegisterAction(&Action{Name: fmt.Sprintf("fn-%d", i), MemoryMB: 256,
+			Exec: DistExec(dist.Uniform{Lo: 0.5, Hi: 3.0}), Interruptible: i%2 == 0})
+	}
+	icfg := DefaultInvokerConfig()
+	icfg.Capacity = 2 // small enough that a burst backs up the buffer
+	icfg.BufferLimit = 8
+	var ws []*Invoker
+	for i := 0; i < 200; i++ {
+		w := NewInvoker(icfg, int64(i))
+		c.Register(w)
+		ws = append(ws, w)
+	}
+	rng := dist.NewRand(3)
+	skips, wraps := 0, 0
+	for op := 0; op < 600; op++ {
+		w := ws[rng.Intn(len(ws))]
+		switch rng.Intn(7) {
+		case 0, 1:
+			w.Kill()
+		case 2:
+			w.Sigterm(rng.Intn(2) == 0, nil)
+		case 3:
+			w = NewInvoker(icfg, rng.Int63())
+			c.Register(w)
+			ws = append(ws, w)
+		case 4:
+			a := c.actionList[rng.Intn(len(c.actionList))]
+			for range 12 {
+				c.Invoke(a.Name, nil)
+			}
+		default:
+			sim.RunFor(time.Duration(rng.Intn(1500)) * time.Millisecond)
+		}
+		checkAggregates(t, c, op)
+		skips += checkRouting(t, c, op)
+		for _, a := range c.actionList {
+			if pick := c.pickInvoker(a); pick != nil && pick.slot < int(a.nameHash)%len(c.slots) {
+				wraps++
+			}
+		}
+	}
+	if len(c.healthy) < 3 || skips == 0 || wraps == 0 {
+		t.Fatalf("vacuous: %d bitmap words, %d picks past a saturated home and a freed or draining slot, %d wrapped picks",
+			len(c.healthy), skips, wraps)
+	}
+}
+
+// BenchmarkPickInvoker routes every action of a pilot-churning day's
+// controller once per op: 100 actions over a high-water list of 110
+// slots whose lowest 18 hold 13 healthy and 3 draining invokers and
+// whose other slots are free, the shape of fib-day and week-stream
+// (registration takes the lowest free slot, so the survivors of churn
+// sit low and the tail is empty). Allocation-free.
+func BenchmarkPickInvoker(b *testing.B) {
+	sim := des.New()
+	c := NewController(sim, bus.New(sim, nil, 1), DefaultControllerConfig(), 2)
+	for i := 0; i < 100; i++ {
+		c.RegisterAction(&Action{Name: fmt.Sprintf("fn-%d", i), MemoryMB: 256, Exec: FixedExec(time.Hour)})
+	}
+	ws := make([]*Invoker, 110)
+	for i := range ws {
+		ws[i] = NewInvoker(DefaultInvokerConfig(), int64(i))
+		c.Register(ws[i])
+	}
+	// Hour-long executions keep the draining invokers from leaving.
+	for _, a := range c.actionList {
+		c.Invoke(a.Name, nil)
+	}
+	sim.RunFor(5 * time.Second)
+	healthy, draining := 0, 0
+	for i, w := range ws {
+		switch {
+		case i < 18 && len(w.running) > 0 && draining < 3:
+			w.Sigterm(false, nil)
+			draining++
+		case i < 18 && healthy < 13:
+			healthy++
+		default:
+			w.Kill()
+		}
+	}
+	if c.HealthyCount() != 13 || c.DrainingCount() != 3 || len(c.slots) != 110 {
+		b.Fatalf("rig has %d healthy and %d draining invokers in %d slots, want 13 and 3 in 110",
+			c.HealthyCount(), c.DrainingCount(), len(c.slots))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range c.actionList {
+			if c.pickInvoker(a) == nil {
+				b.Fatal("no invoker picked")
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package whisk
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -82,7 +83,13 @@ type Controller struct {
 	// closure per hop per invocation.
 	routeFn, publishFn, timeoutFn, resultFn, egressFn, drainFn func(any)
 
-	actions map[string]*Action
+	// actions maps a deployed name to its action index: the position
+	// in actionList, dense per controller. Invocations carry the index
+	// to the invokers, whose container pools are slices indexed by it,
+	// so an execution looks up no name. (The index lives here, not on
+	// the Action: a federation shares one *Action across its sites.)
+	actions    map[string]int
+	actionList []*Action
 
 	// slots is the dynamic invoker list: index = slot id, nil = free.
 	// It never shrinks, so its length is the high-water slot count: the
@@ -92,6 +99,14 @@ type Controller struct {
 	// whenever the tail empties. (It also pins the routing sequence the
 	// simulation goldens were recorded under.)
 	slots []*Invoker
+
+	// healthy is a bitmap over slots: bit i is set iff slots[i] holds
+	// an InvokerHealthy invoker. On a pilot-churning day the high-water
+	// list is mostly empty (about 110 slots for 12 or 13 healthy
+	// invokers), so routing and fast-lane wake-ups walk the set bits
+	// instead of probing every slot. Maintained by noteStateChange next
+	// to nHealthy; recomputeAggregates rebuilds it by scan.
+	healthy []uint64
 
 	// O(1) control-plane aggregates. Every routing decision, router
 	// snapshot, and supply-policy tick reads these signals, so they are
@@ -149,7 +164,7 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 		b:       b,
 		cfg:     cfg,
 		rng:     dist.NewRand(seed),
-		actions: map[string]*Action{},
+		actions: map[string]int{},
 	}
 	c.routeFn = c.routeCb
 	c.publishFn = c.publishCb
@@ -162,15 +177,17 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 	return c
 }
 
-// RegisterAction deploys a function. The action-name hash that derives
-// the home invoker is memoized here, once per deployment, so the
-// per-request pickInvoker never rehashes the name.
+// RegisterAction deploys a function under the next action index. The
+// action-name hash that derives the home invoker is memoized here, once
+// per deployment, so the per-request pickInvoker never rehashes the
+// name.
 func (c *Controller) RegisterAction(a *Action) {
 	if _, dup := c.actions[a.Name]; dup {
 		panic(fmt.Sprintf("whisk: action %q already registered", a.Name))
 	}
 	a.nameHash = a.hash()
-	c.actions[a.Name] = a
+	c.actions[a.Name] = len(c.actionList)
+	c.actionList = append(c.actionList, a)
 }
 
 // HealthyCount returns the number of invokers accepting work. O(1):
@@ -212,13 +229,13 @@ func (c *Controller) noteBuffer(w *Invoker, delta int) {
 	}
 }
 
-// noteStateChange maintains the invoker-population aggregates across
-// one state transition of a slotted invoker (transitions of an invoker
-// already pulled from the slot list are invisible, as they were to the
-// scan). The caller invokes it at the transition point, with w.running
-// still reflecting the pre-transition list for transitions out of
-// Healthy (the whole in-flight list enters or leaves the busy
-// aggregate with its invoker).
+// noteStateChange maintains the invoker-population aggregates and the
+// healthy-slot bitmap across one state transition of a slotted invoker
+// (transitions of an invoker already pulled from the slot list are
+// invisible, as they were to the scan). The caller invokes it at the
+// transition point, with w.running still reflecting the pre-transition
+// list for transitions out of Healthy (the whole in-flight list enters
+// or leaves the busy aggregate with its invoker).
 func (c *Controller) noteStateChange(w *Invoker, from, to InvokerState) {
 	if !w.slotted {
 		return
@@ -228,6 +245,7 @@ func (c *Controller) noteStateChange(w *Invoker, from, to InvokerState) {
 		c.nHealthy--
 		c.healthyCap -= w.cfg.Capacity
 		c.busyHealthy -= len(w.running)
+		c.healthy[w.slot>>6] &^= 1 << (w.slot & 63)
 	case InvokerDraining:
 		c.nDraining--
 	}
@@ -236,6 +254,7 @@ func (c *Controller) noteStateChange(w *Invoker, from, to InvokerState) {
 		c.nHealthy++
 		c.healthyCap += w.cfg.Capacity
 		c.busyHealthy += len(w.running)
+		c.healthy[w.slot>>6] |= 1 << (w.slot & 63)
 	case InvokerDraining:
 		c.nDraining++
 	}
@@ -254,11 +273,12 @@ func (c *Controller) noteRunning(w *Invoker, delta int) {
 
 // recomputeAggregates rebuilds every maintained control-plane aggregate
 // by full scan — the pre-O(1) implementations, kept as the equivalence
-// oracle. Tests (the aggregate storm cross-check, and any future
-// transition audit) compare its results against the live fields; it is
+// oracle — and the healthy-slot set the scan passes, ascending. Tests
+// (the aggregate storm cross-check, and any future transition audit)
+// compare its results against the live fields and the bitmap; it is
 // not called on any hot path.
-func (c *Controller) recomputeAggregates() (healthy, draining, capacity, busy, backlog int) {
-	for _, inv := range c.slots {
+func (c *Controller) recomputeAggregates() (healthy, draining, capacity, busy, backlog int, healthySlots []int) {
+	for i, inv := range c.slots {
 		if inv == nil {
 			continue
 		}
@@ -267,12 +287,13 @@ func (c *Controller) recomputeAggregates() (healthy, draining, capacity, busy, b
 			healthy++
 			capacity += inv.cfg.Capacity
 			busy += len(inv.running)
+			healthySlots = append(healthySlots, i)
 		case InvokerDraining:
 			draining++
 		}
 		backlog += inv.topic.Len() + inv.Buffered()
 	}
-	return healthy, draining, capacity, busy, backlog
+	return healthy, draining, capacity, busy, backlog, healthySlots
 }
 
 // FastLaneDepth returns the backlog of the global priority topic —
@@ -321,13 +342,14 @@ func (c *Controller) Invoke(name string, done func(*Invocation)) { c.invoke(name
 // it completes when pooling is enabled — see PoolInvocations), for
 // tests that watch the object recycle.
 func (c *Controller) invoke(name string, done func(*Invocation)) *Invocation {
-	a, ok := c.actions[name]
+	idx, ok := c.actions[name]
 	if !ok {
 		panic(fmt.Sprintf("whisk: unknown action %q", name))
 	}
 	inv := c.getInvocation()
 	inv.ID = c.nextInvID
-	inv.Action = a
+	inv.Action = c.actionList[idx]
+	inv.action = idx
 	inv.Submitted = c.sim.Now()
 	inv.InvokerID = -1
 	inv.done = done
@@ -383,24 +405,37 @@ func (c *Controller) publishCb(v any) {
 // half its limit free), the probe continues to a less-loaded healthy
 // invoker — the load-balancing role of §II — and falls back to the
 // home invoker when every candidate is saturated. The probe runs over
-// the whole slot list, whose length is stable (see the field comment).
+// the whole slot list, whose length is stable (see the field comment),
+// from the home slot to the end and then from slot 0, but visits only
+// the healthy slots: it walks the set bits of the healthy bitmap, and
+// the home slot's word twice, first its bits from the home slot up and
+// last those below it.
 func (c *Controller) pickInvoker(a *Action) *Invoker {
-	n := len(c.slots)
-	if n == 0 {
+	if c.nHealthy == 0 {
 		return nil
 	}
-	start := int(a.nameHash) % n
+	start := int(a.nameHash) % len(c.slots)
+	below := uint64(1)<<(start&63) - 1
 	var home *Invoker
-	for i := 0; i < n; i++ {
-		inv := c.slots[(start+i)%n]
-		if inv == nil || inv.state != InvokerHealthy {
-			continue
+	for k, w := 0, start>>6; k <= len(c.healthy); k, w = k+1, w+1 {
+		if w == len(c.healthy) {
+			w = 0
 		}
-		if home == nil {
-			home = inv
+		word := c.healthy[w]
+		switch k {
+		case 0:
+			word &^= below
+		case len(c.healthy):
+			word &= below
 		}
-		if inv.Buffered() < inv.cfg.BufferLimit/2 {
-			return inv
+		for ; word != 0; word &= word - 1 {
+			inv := c.slots[w<<6+bits.TrailingZeros64(word)]
+			if home == nil {
+				home = inv
+			}
+			if inv.Buffered() < inv.cfg.BufferLimit/2 {
+				return inv
+			}
 		}
 	}
 	return home
@@ -489,6 +524,9 @@ func (c *Controller) Register(inv *Invoker) int {
 	if slot < 0 {
 		slot = len(c.slots)
 		c.slots = append(c.slots, nil)
+		if slot>>6 == len(c.healthy) {
+			c.healthy = append(c.healthy, 0)
+		}
 	}
 	c.slots[slot] = inv
 	inv.attach(c, slot)
@@ -514,11 +552,11 @@ func (c *Controller) drainCb(v any) {
 
 // wakeInvokers is the fast lane's delivery callback: every healthy
 // invoker would pull the new messages at its next poll, so each arms a
-// wake-up (or keeps the one it has).
+// wake-up (or keeps the one it has), in ascending slot order.
 func (c *Controller) wakeInvokers() {
-	for _, w := range c.slots {
-		if w != nil && w.state == InvokerHealthy {
-			w.arm()
+	for w, word := range c.healthy {
+		for ; word != 0; word &= word - 1 {
+			c.slots[w<<6+bits.TrailingZeros64(word)].arm()
 		}
 	}
 }

@@ -120,7 +120,7 @@ type Invoker struct {
 	rejectBuf []*bus.Message  // scratch for the over-pressure drop path
 	oneMsg    [1]*bus.Message // scratch for single-message requeues
 
-	pool       map[string]*containerSet
+	pool       []*containerSet // by action index, grown on demand; nil = never used here
 	idleHeap   []*containerSet // min-heap over sets with idle > 0, keyed (lastUsed, name)
 	containers int             // total containers (idle + busy)
 
@@ -166,7 +166,6 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 		rng:   dist.NewRand(seed),
 		slot:  -1,
 		state: InvokerGone,
-		pool:  map[string]*containerSet{},
 	}
 	w.execDoneFn = w.execDone
 	w.ckptDoneFn = w.ckptDone
@@ -394,7 +393,7 @@ func (w *Invoker) finish(inv *Invocation, goodput time.Duration) {
 	inv.Executed = inv.execStartAt
 	w.removeRunning(inv)
 	w.ctrl.release(inv) // the running list's reference
-	w.releaseContainer(inv.Action)
+	w.releaseContainer(inv)
 	w.ctrl.finishFromInvoker(inv, w.rng.Float64() >= w.cfg.FailureProb)
 	w.ctrl.release(inv) // the completion event's reference
 	if w.state == InvokerHealthy {
@@ -415,10 +414,15 @@ type containerStart struct {
 // lastUsed key.
 func (w *Invoker) acquireContainer(inv *Invocation) containerStart {
 	now := w.ctrl.sim.Now()
-	cs := w.pool[inv.Action.Name]
+	if inv.action >= len(w.pool) {
+		// One allocation for every action deployed so far: growing
+		// index by index would leave a trail of outgrown slices.
+		w.pool = append(w.pool, make([]*containerSet, len(w.ctrl.actionList)-len(w.pool))...)
+	}
+	cs := w.pool[inv.action]
 	if cs == nil {
 		cs = &containerSet{name: inv.Action.Name, heapIdx: -1}
-		w.pool[inv.Action.Name] = cs
+		w.pool[inv.action] = cs
 	}
 	cs.lastUsed = now
 	if cs.idle > 0 {
@@ -444,9 +448,9 @@ func (w *Invoker) acquireContainer(inv *Invocation) containerStart {
 	return containerStart{cold: true, delay: dist.Seconds(coldStartSeconds, w.rng)}
 }
 
-func (w *Invoker) releaseContainer(a *Action) {
-	cs := w.pool[a.Name]
-	if cs == nil || cs.busy == 0 {
+func (w *Invoker) releaseContainer(inv *Invocation) {
+	cs := w.pool[inv.action]
+	if cs.busy == 0 {
 		return
 	}
 	cs.busy--
@@ -476,12 +480,12 @@ func (w *Invoker) evictLRUIdle() {
 // recomputeEvictionVictim is the eviction oracle: the pre-heap scan
 // over the pool, returning the idle set with the minimum (lastUsed,
 // name) key, or nil if none is idle. The key is a strict total order,
-// so map iteration order cannot change the result. Tests compare it
-// against the heap root; it is not called on any hot path.
+// so scan order cannot change the result. Tests compare it against the
+// heap root; it is not called on any hot path.
 func (w *Invoker) recomputeEvictionVictim() *containerSet {
 	var victim *containerSet
 	for _, cs := range w.pool {
-		if cs.idle == 0 {
+		if cs == nil || cs.idle == 0 {
 			continue
 		}
 		if victim == nil || idleLess(cs, victim) {
@@ -611,7 +615,7 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 			}
 			w.accountInterrupt(inv)
 			w.removeRunning(inv)
-			w.releaseContainer(inv.Action)
+			w.releaseContainer(inv)
 			inv.Requeues++
 			inv.invoker = nil
 			// Retain for the new fast-lane message BEFORE dropping the

@@ -67,7 +67,7 @@ func TestDrainingInvokerStopsPolling(t *testing.T) {
 	sim, c, ws := newSystem(2)
 	c.RegisterAction(&Action{Name: "d", Exec: FixedExec(30 * time.Second), Interruptible: false})
 	// Occupy the non-owner so we know who should pull the fast lane.
-	owner := c.pickInvoker(c.actions["d"])
+	owner := c.pickInvoker(c.action("d"))
 	other := ws[0]
 	if owner == ws[0] {
 		other = ws[1]
@@ -99,7 +99,7 @@ func TestRequeueCountsHops(t *testing.T) {
 	var got *Invocation
 	c.Invoke("hop", func(inv *Invocation) { got = inv })
 	sim.RunFor(3 * time.Second)
-	owner := c.pickInvoker(c.actions["hop"])
+	owner := c.pickInvoker(c.action("hop"))
 	owner.Sigterm(true, nil)
 	sim.RunFor(2 * time.Second)
 	// Interrupt the second executor too.

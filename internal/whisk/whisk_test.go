@@ -130,7 +130,7 @@ func TestSigtermHandoffNoLoss(t *testing.T) {
 	sim.RunUntil(2 * time.Second)
 	// SIGTERM the invoker that owns "slow".
 	target := ws[0]
-	if c.pickInvoker(c.actions["slow"]) == ws[1] {
+	if c.pickInvoker(c.action("slow")) == ws[1] {
 		target = ws[1]
 	}
 	drained := false
@@ -202,7 +202,7 @@ func TestInterruptibleRequeuedElsewhere(t *testing.T) {
 	sim.RunUntil(3 * time.Second)
 	owner := ws[0]
 	other := ws[1]
-	if c.pickInvoker(c.actions["longjob"]) == ws[1] {
+	if c.pickInvoker(c.action("longjob")) == ws[1] {
 		owner, other = ws[1], ws[0]
 	}
 	owner.Sigterm(true, nil)
@@ -239,7 +239,7 @@ func TestKillLosesWork(t *testing.T) {
 func TestDrainingNotRoutedTo(t *testing.T) {
 	sim, c, ws := newSystem(2)
 	c.RegisterAction(sleepAction("g"))
-	owner := c.pickInvoker(c.actions["g"])
+	owner := c.pickInvoker(c.action("g"))
 	owner.Sigterm(false, nil)
 	var got *Invocation
 	c.Invoke("g", func(inv *Invocation) { got = inv })
