@@ -322,7 +322,7 @@ func BenchmarkFederatedDayParallel(b *testing.B) {
 func BenchmarkRequestPath(b *testing.B) {
 	b.ReportAllocs()
 	sim := des.New()
-	mb := bus.New(sim, nil, 1)
+	mb := bus.New[*whisk.Invocation](sim, nil, 1)
 	cfg := whisk.DefaultControllerConfig()
 	cfg.PoolInvocations = true
 	ctrl := whisk.NewController(sim, mb, cfg, 2)
@@ -416,7 +416,7 @@ func routingFederation(invokers int) *router.FrontDoor {
 	sites := make([]router.Site, nSites)
 	for s := range sites {
 		sim := des.New()
-		mb := bus.New(sim, nil, int64(s+1))
+		mb := bus.New[*whisk.Invocation](sim, nil, int64(s+1))
 		ctrl := whisk.NewController(sim, mb, whisk.DefaultControllerConfig(), int64(s+100))
 		for i := 0; i < invokers/nSites; i++ {
 			ctrl.Register(whisk.NewInvoker(whisk.DefaultInvokerConfig(), int64(i+1)))

@@ -215,13 +215,13 @@ func (f *Federation) Run(d time.Duration) {
 	f.Sim.RunFor(d)
 }
 
-// RunCtx advances the federation by d in epoch-sized chunks, checking
+// RunCtx advances the federation by d in DefaultEpoch chunks, checking
 // ctx between chunks; see runCtx. Sharded federations chunk the
 // coordinator the same way — cancellation lands on an epoch boundary
 // with every shard synchronized there.
-func (f *Federation) RunCtx(ctx context.Context, d, epoch time.Duration, progress func(done, total time.Duration)) error {
+func (f *Federation) RunCtx(ctx context.Context, d time.Duration, progress func(done, total time.Duration)) error {
 	if f.coord != nil {
-		return runCtx(f.coord, ctx, d, epoch, progress)
+		return runCtx(f.coord, ctx, d, progress)
 	}
-	return runCtx(f.Sim, ctx, d, epoch, progress)
+	return runCtx(f.Sim, ctx, d, progress)
 }

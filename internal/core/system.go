@@ -63,7 +63,7 @@ func DefaultSystemConfig(nodes int, policyName string) SystemConfig {
 // on one clock behind a routing front door.
 type Site struct {
 	Sim     *des.Sim
-	Bus     *bus.Bus
+	Bus     *bus.Bus[*whisk.Invocation]
 	Ctrl    *whisk.Controller
 	Slurm   *slurm.Emulator
 	Manager *PilotManager
@@ -77,7 +77,7 @@ type Site struct {
 // site is a pure function of its own config regardless of how many
 // other sites share the clock.
 func NewSite(sim *des.Sim, cfg SiteConfig) *Site {
-	b := bus.New(sim, nil, cfg.Seed+1)
+	b := bus.New[*whisk.Invocation](sim, nil, cfg.Seed+1)
 	ctrl := whisk.NewController(sim, b, cfg.Controller, cfg.Seed+2)
 	emu := slurm.New(sim, cfg.Nodes, cfg.Slurm)
 	emu.AddPartition(slurm.Partition{Name: pilotPartition, PriorityTier: 0})
@@ -111,10 +111,10 @@ func (s *Site) Start() {
 // planes the pdes coordinator owns).
 func (s *Site) Run(d time.Duration) { s.Sim.RunFor(d) }
 
-// RunCtx advances the simulation by d in epoch-sized chunks, checking
+// RunCtx advances the simulation by d in DefaultEpoch chunks, checking
 // ctx between chunks; see the package-level runCtx.
-func (s *Site) RunCtx(ctx context.Context, d, epoch time.Duration, progress func(done, total time.Duration)) error {
-	return runCtx(s.Sim, ctx, d, epoch, progress)
+func (s *Site) RunCtx(ctx context.Context, d time.Duration, progress func(done, total time.Duration)) error {
+	return runCtx(s.Sim, ctx, d, progress)
 }
 
 // Invoke submits a call to the site's controller. Together with the
@@ -154,7 +154,7 @@ type runner interface {
 	RunFor(d time.Duration)
 }
 
-// runCtx advances the simulation by d in epoch-sized chunks of virtual
+// runCtx advances the simulation by d in DefaultEpoch chunks of virtual
 // time, checking ctx between chunks and reporting progress after each.
 // Chunked advancement fires exactly the events a single Run(d) would,
 // in the same order — the DES orders events by (instant, sequence)
@@ -164,21 +164,14 @@ type runner interface {
 // clock sits at the boundary reached. A run whose final epoch has
 // already fired is complete, so a cancellation racing with completion
 // reports success, never a spurious partial-result error.
-func runCtx(sim runner, ctx context.Context, d, epoch time.Duration, progress func(done, total time.Duration)) error {
-	if epoch <= 0 {
-		epoch = DefaultEpoch
-	}
+func runCtx(sim runner, ctx context.Context, d time.Duration, progress func(done, total time.Duration)) error {
 	start := sim.Now()
 	end := start + d
 	for sim.Now() < end {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		step := epoch
-		if rest := end - sim.Now(); rest < step {
-			step = rest
-		}
-		sim.RunFor(step)
+		sim.RunFor(min(DefaultEpoch, end-sim.Now()))
 		if progress != nil {
 			progress(sim.Now()-start, d)
 		}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunCtxChunksMatchRun: epoch-chunked advancement must fire the
-// same events as one monolithic Run — the property every scenario
-// golden relies on — checked via the emulator counters of two
-// identically seeded systems.
+// TestRunCtxChunksMatchRun: DefaultEpoch-chunked advancement, ending
+// in a partial chunk, must fire the same events as one monolithic Run —
+// the property every scenario golden relies on — checked via the
+// emulator counters of two identically seeded systems.
 func TestRunCtxChunksMatchRun(t *testing.T) {
 	build := func() *Site {
 		s := newSite(DefaultSystemConfig(16, "fib"))
@@ -21,10 +21,11 @@ func TestRunCtxChunksMatchRun(t *testing.T) {
 		s.Start()
 		return s
 	}
+	const d = 2*time.Hour + 30*time.Second
 	a := build()
-	a.Run(2 * time.Hour)
+	a.Run(d)
 	b := build()
-	if err := b.RunCtx(context.Background(), 2*time.Hour, 7*time.Minute, nil); err != nil {
+	if err := b.RunCtx(context.Background(), d, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.Manager.PilotsStarted != b.Manager.PilotsStarted ||
@@ -46,7 +47,7 @@ func TestRunCtxCompletionBeatsCancellation(t *testing.T) {
 	sys.Start()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := sys.RunCtx(ctx, time.Hour, 0, func(done, total time.Duration) {
+	err := sys.RunCtx(ctx, time.Hour, func(done, total time.Duration) {
 		if done >= total {
 			cancel() // races completion: the run is already whole
 		}

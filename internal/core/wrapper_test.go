@@ -152,7 +152,7 @@ func TestWrapperRetryLatencySpansFullChain(t *testing.T) {
 func TestWrapperResumesTimeoutOnCloud(t *testing.T) {
 	run := func(resumeTimeouts bool) (whisk.Status, int, *Wrapper, *lambda.Client, *whisk.Controller) {
 		sim := des.New()
-		b := bus.New(sim, nil, 1)
+		b := bus.New[*whisk.Invocation](sim, nil, 1)
 		cfg := whisk.DefaultControllerConfig()
 		cfg.ActionTimeout = 2 * time.Second
 		ctrl := whisk.NewController(sim, b, cfg, 2)
@@ -206,7 +206,7 @@ func TestWrapperResumesTimeoutOnCloud(t *testing.T) {
 // the stranded cluster attempt plus the cloud leg.
 func TestWrapperResumeBackDatesSubmission(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*whisk.Invocation](sim, nil, 1)
 	cfg := whisk.DefaultControllerConfig()
 	cfg.ActionTimeout = 2 * time.Second
 	ctrl := whisk.NewController(sim, b, cfg, 2)

@@ -289,12 +289,12 @@ const dayDrain = 5 * time.Minute
 // runWithDrain advances a run through its horizon and then a drain that
 // lets in-flight work finish past it, reporting one monotone progress
 // range over both.
-func runWithDrain(ctx context.Context, run func(context.Context, time.Duration, time.Duration, ProgressFunc) error, horizon, drain time.Duration, progress ProgressFunc) error {
+func runWithDrain(ctx context.Context, run func(context.Context, time.Duration, ProgressFunc) error, horizon, drain time.Duration, progress ProgressFunc) error {
 	total := horizon + drain
-	if err := run(ctx, horizon, 0, offsetProgress(progress, 0, total)); err != nil {
+	if err := run(ctx, horizon, offsetProgress(progress, 0, total)); err != nil {
 		return err
 	}
-	return run(ctx, drain, 0, offsetProgress(progress, horizon, total))
+	return run(ctx, drain, offsetProgress(progress, horizon, total))
 }
 
 // RunDayCtx executes one full production-day experiment with

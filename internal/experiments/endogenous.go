@@ -144,7 +144,7 @@ func RunEndogenousCtx(ctx context.Context, cfg EndogenousConfig, progress Progre
 	}
 
 	sys.Start()
-	if err := sys.RunCtx(ctx, cfg.Horizon, 0, progress); err != nil {
+	if err := sys.RunCtx(ctx, cfg.Horizon, progress); err != nil {
 		return EndogenousResult{}, err
 	}
 	busyTW.Finish(cfg.Horizon)

@@ -104,7 +104,7 @@ func RunFig3Ctx(ctx context.Context, seed int64, progress ProgressFunc) (Fig3Res
 	submit("job4", 4, 8)
 
 	sys.Start()
-	if err := sys.RunCtx(ctx, 40*time.Minute, 0, progress); err != nil {
+	if err := sys.RunCtx(ctx, 40*time.Minute, progress); err != nil {
 		return Fig3Result{}, err
 	}
 

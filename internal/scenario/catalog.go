@@ -49,9 +49,6 @@ func init() {
 			}
 			day := base(cfg.Seed())
 			day.Policy = cfg.Policy(defPolicy)
-			if _, err := policy.New(day.Policy); err != nil {
-				return nil, err
-			}
 			day.Horizon = cfg.Horizon(experiments.Week)
 			day.Nodes = cfg.Nodes(day.Nodes)
 			day.QPS = cfg.QPS(day.QPS)
@@ -87,9 +84,6 @@ func init() {
 			fc.Horizon = cfg.Horizon(fc.Horizon)
 			fc.QPS = cfg.QPS(fc.QPS)
 			fc.Policy = cfg.Policy(fc.Policy)
-			if _, err := policy.New(fc.Policy); err != nil {
-				return nil, err
-			}
 			fc.Sites = cfg.Int("sites", fc.Sites)
 			// Every site allocates its nodes up front, so the whole
 			// federation gets the one-cluster bound.
@@ -329,9 +323,6 @@ func init() {
 			sc.UseWrapper = cfg.Bool("use-wrapper", sc.UseWrapper)
 			sc.CheckpointInterval = cfg.Duration("checkpoint-interval", 0)
 			sc.Policy = cfg.Policy(sc.PolicyName())
-			if _, err := policy.New(sc.Policy); err != nil {
-				return nil, err
-			}
 			r, err := experiments.RunScientificCtx(ctx, sc, cfg.Progress())
 			if err != nil {
 				return nil, err
@@ -358,9 +349,6 @@ func init() {
 			ec.MaxWalltime = cfg.Duration("max-walltime", ec.MaxWalltime)
 			ec.MaxJobNodes = cfg.Int("max-job-nodes", ec.MaxJobNodes)
 			ec.Policy = cfg.Policy(ec.PolicyName())
-			if _, err := policy.New(ec.Policy); err != nil {
-				return nil, err
-			}
 			r, err := experiments.RunEndogenousCtx(ctx, ec, cfg.Progress())
 			if err != nil {
 				return nil, err
@@ -390,11 +378,6 @@ func dayScenario(name, artifact, desc string, base func(int64) experiments.DayCo
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			day := base(cfg.Seed())
 			day.Policy = cfg.Policy(defPolicy)
-			// The day engine resolves the name with MustNew, so an
-			// unknown policy must fail here, not panic mid-run.
-			if _, err := policy.New(day.Policy); err != nil {
-				return nil, err
-			}
 			day.Nodes = cfg.Nodes(day.Nodes)
 			day.Horizon = cfg.Horizon(day.Horizon)
 			day.QPS = cfg.QPS(day.QPS)

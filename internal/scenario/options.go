@@ -367,6 +367,9 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 	case c.set["qps"] && c.qps == 0 && sp.loaded:
 		return Config{}, fmt.Errorf("scenario: %q cannot run unloaded: wants qps > 0, got 0", sp.Name)
 	}
+	// The run engines resolve the name with policy.MustNew, and every
+	// scenario's default is registered, so an unknown policy fails
+	// here, not mid-run.
 	if c.set["policy"] {
 		if _, err := policy.New(c.policy); err != nil {
 			return Config{}, err

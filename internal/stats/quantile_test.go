@@ -107,8 +107,8 @@ var quantileShapes = []struct {
 }
 
 // readSequence is the reads of a run's report on one buffer: the
-// median, the tails, the median again and the extremes, each narrowed
-// by the ranks the reads before it selected.
+// median, the tails, the median again and the extremes, each on the
+// buffer the reads before it reordered.
 var readSequence = []float64{0.5, 0.95, 0.99, 0.5, 0, 1}
 
 // TestQuantileMatchesSortedReference drives random interleavings of
@@ -123,12 +123,8 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 		seeds = 160 // the CI race gate
 	}
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	narrowed := 0
 	readAll := func(s *Sample, sorted []float64, seed int64, shape string) {
 		for _, p := range readSequence {
-			if s.nranks > 0 && !s.sorted {
-				narrowed++
-			}
 			if got, want := s.Quantile(p), refQuantile(sorted, p); !sameBits(got, want) {
 				t.Fatalf("seed %d %s n=%d: Quantile(%v) in %v = %v, want %v", seed, shape, len(sorted), p, readSequence, got, want)
 			}
@@ -195,9 +191,6 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 			checkMultiset(t, &s, sorted, seed, shape.name, what)
 		}
 	}
-	if narrowed == 0 {
-		t.Fatal("no read followed another selection on an unsorted buffer — the narrowing would be unchecked")
-	}
 }
 
 // quantileProbe draws p from the probabilities that matter: the ends,
@@ -259,7 +252,7 @@ func BenchmarkSampleQuantiles(b *testing.B) {
 	var sum float64
 	for i := 0; i < b.N; i++ {
 		s.xs = append(s.xs[:0], lat...)
-		s.sorted, s.nranks = false, 0
+		s.sorted = false
 		sum += s.Median() + s.Quantile(0.95) + s.Quantile(0.99)
 	}
 	if sum <= 0 {

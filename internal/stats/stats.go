@@ -18,21 +18,12 @@ import (
 type Sample struct {
 	xs     []float64
 	sorted bool
-
-	// ranks[:nranks] are the ranks selected into place since the last
-	// Add, ascending: xs[r] holds the r-th order statistic, nothing
-	// before it is greater and nothing after it is less. A later read
-	// selects only between the two nearest, so the tail reads that
-	// follow a median partition the upper half, not all n.
-	ranks  [8]int
-	nranks int
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
-	s.nranks = 0
 }
 
 // AddDuration records a duration observation in seconds.
@@ -52,8 +43,7 @@ func (s *Sample) ensureSorted() {
 // It panics if the sample is empty. A sorted buffer (after Min, Max or
 // a CDF query) is indexed; otherwise the order statistics are selected
 // in place, in O(n) and without allocating, which reorders the buffer
-// (see Mean). A read after another selects only between the ranks
-// already selected.
+// (see Mean).
 func (s *Sample) Quantile(p float64) float64 {
 	if len(s.xs) == 0 {
 		panic("stats: quantile of empty sample")
@@ -74,10 +64,8 @@ func (s *Sample) Quantile(p float64) float64 {
 	next := s.xs[i+1]
 	if !s.sorted {
 		// Every element after i is at least xs[i]; the least of them
-		// is the next order statistic. Nothing from the next selected
-		// rank on is less than the elements before it.
-		_, end := s.gap(i + 1)
-		for _, x := range s.xs[i+2 : end] {
+		// is the next order statistic.
+		for _, x := range s.xs[i+2:] {
 			if cmp.Less(x, next) {
 				next = x
 			}
@@ -89,41 +77,10 @@ func (s *Sample) Quantile(p float64) float64 {
 // orderStat returns the k-th smallest observation, as xs[k] of the
 // sorted buffer would be.
 func (s *Sample) orderStat(k int) float64 {
-	if s.sorted {
-		return s.xs[k]
-	}
-	lo, hi := s.gap(k)
-	if hi-lo == 1 {
-		return s.xs[k] // selected before, or alone between two that were
-	}
-	selectNth(s.xs[lo:hi], k-lo)
-	if j := s.nranks; j < len(s.ranks) {
-		for ; j > 0 && s.ranks[j-1] > k; j-- {
-			s.ranks[j] = s.ranks[j-1]
-		}
-		s.ranks[j] = k
-		s.nranks++
+	if !s.sorted {
+		selectNth(s.xs, k)
 	}
 	return s.xs[k]
-}
-
-// gap returns the range [lo, hi) of the buffer strictly between the
-// selected ranks nearest k on either side (from 0 or to len(xs) where
-// there is none), which holds rank k; [k, k+1) if k itself was
-// selected.
-func (s *Sample) gap(k int) (lo, hi int) {
-	lo, hi = 0, len(s.xs)
-	for _, r := range s.ranks[:s.nranks] {
-		switch {
-		case r == k:
-			return k, k + 1
-		case r < k:
-			lo = r + 1
-		default:
-			return lo, r
-		}
-	}
-	return lo, hi
 }
 
 // selectNth reorders xs so that xs[k] holds what sort.Float64s would put

@@ -100,11 +100,11 @@ func (s Status) String() string {
 //
 // Invocations may be pooled by their controller (see
 // ControllerConfig.PoolInvocations): lifetime is tracked by a reference
-// count covering pending request-path hops, queued bus messages, and
-// the executing invoker, and the last release recycles the object for
-// a later request. With pooling enabled, a pointer retained past the
-// done callback goes stale once traffic continues; Generation detects
-// such reuse.
+// count covering pending request-path hops, a place queued on a topic
+// or in a buffer, and the executing invoker, and the last release
+// recycles the object for a later request. With pooling enabled, a
+// pointer retained past the done callback goes stale once traffic
+// continues; Generation detects such reuse.
 type Invocation struct {
 	ID     int64
 	Action *Action
@@ -131,7 +131,6 @@ type Invocation struct {
 	done      func(*Invocation)
 	timeoutEv des.Event
 	execEv    des.Event // completion event while executing (for interrupts)
-	invoker   *Invoker
 
 	// Allocation-free request-path state. routeTarget carries the routing
 	// decision to the publish hop; execOK carries the execution outcome

@@ -177,7 +177,7 @@ func TestAggregateStormMatchesRecompute(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			sim := des.New()
-			b := bus.New(sim, nil, seed+1)
+			b := bus.New[*Invocation](sim, nil, seed+1)
 			cfg := DefaultControllerConfig()
 			cfg.ActionTimeout = 1500 * time.Millisecond
 			c := NewController(sim, b, cfg, seed+2)
@@ -275,7 +275,7 @@ func TestPickInvokerMatchesProbeAcrossWords(t *testing.T) {
 	sim := des.New()
 	cfg := DefaultControllerConfig()
 	cfg.ActionTimeout = 1500 * time.Millisecond
-	c := NewController(sim, bus.New(sim, nil, 1), cfg, 2)
+	c := NewController(sim, bus.New[*Invocation](sim, nil, 1), cfg, 2)
 	for i := 0; i < 100; i++ {
 		c.RegisterAction(&Action{Name: fmt.Sprintf("fn-%d", i), MemoryMB: 256,
 			Exec: DistExec(dist.Uniform{Lo: 0.5, Hi: 3.0}), Interruptible: i%2 == 0})
@@ -332,7 +332,7 @@ func TestPickInvokerMatchesProbeAcrossWords(t *testing.T) {
 // sit low and the tail is empty). Allocation-free.
 func BenchmarkPickInvoker(b *testing.B) {
 	sim := des.New()
-	c := NewController(sim, bus.New(sim, nil, 1), DefaultControllerConfig(), 2)
+	c := NewController(sim, bus.New[*Invocation](sim, nil, 1), DefaultControllerConfig(), 2)
 	for i := 0; i < 100; i++ {
 		c.RegisterAction(&Action{Name: fmt.Sprintf("fn-%d", i), MemoryMB: 256, Exec: FixedExec(time.Hour)})
 	}

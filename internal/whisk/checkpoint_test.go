@@ -29,7 +29,7 @@ func constModel(interval, cost time.Duration, stateMB, bwMBps, overheadSec float
 // each time, and books the full body as goodput.
 func TestCheckpointedExecutionCompletes(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 	c.RegisterAction(&Action{
 		Name: "f", MemoryMB: 256,
@@ -68,7 +68,7 @@ func TestCheckpointedExecutionCompletes(t *testing.T) {
 // body as goodput, only the torn segment wasted, nothing lost.
 func TestSigtermResumesFromLastCheckpoint(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 	c.RegisterAction(&Action{
 		Name: "f", MemoryMB: 256,
@@ -123,7 +123,7 @@ func TestSigtermResumesFromLastCheckpoint(t *testing.T) {
 // the pilot side — the full elapsed body work lands in Lost.
 func TestKillLosesProgress(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 	c.RegisterAction(&Action{
 		Name: "f", MemoryMB: 256,
@@ -154,7 +154,7 @@ func TestKillLosesProgress(t *testing.T) {
 // dispatch drops that last reference.
 func TestInterruptDuringCheckpointDefersRecycle(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	cfg := DefaultControllerConfig()
 	cfg.PoolInvocations = true
 	cfg.ActionTimeout = 2 * time.Second
@@ -201,7 +201,7 @@ func TestInterruptDuringCheckpointDefersRecycle(t *testing.T) {
 // stale progress would make a fresh invocation start mid-body.
 func TestRecycleResetsResumeToken(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	cfg := DefaultControllerConfig()
 	cfg.PoolInvocations = true
 	c := NewController(sim, b, cfg, 2)

@@ -26,11 +26,11 @@ type ControllerConfig struct {
 	// in steady state (a paper day invokes 864k times). With pooling on,
 	// the *Invocation passed to done is only valid for the duration of
 	// the callback: the controller may hand the object to a later
-	// invocation once every reference (pending hops, queued messages, the
-	// executing invoker) has been released. Callers that retain
-	// invocation pointers across further traffic must leave pooling off
-	// (the default here; core.DefaultSystemConfig turns it on for the
-	// wired deployment, whose clients never retain).
+	// invocation once every reference (pending hops, a place on a topic
+	// or in a buffer, the executing invoker) has been released. Callers
+	// that retain invocation pointers across further traffic must leave
+	// pooling off (the default here; core.DefaultSystemConfig turns it on
+	// for the wired deployment, whose clients never retain).
 	PoolInvocations bool
 }
 
@@ -56,9 +56,6 @@ var (
 // acts on an invoker's SIGTERM this long after it (drainCb).
 const statusLatency = 500 * time.Millisecond
 
-// fastLaneTopic names the global priority topic of §III-C.
-const fastLaneTopic = "fastlane"
-
 // Controller is the (modified) OpenWhisk controller: it routes
 // invocations to the home invoker derived from the action-name hash,
 // maintains the dynamic list of registered HPC-Whisk invokers, returns
@@ -70,12 +67,12 @@ const fastLaneTopic = "fastlane"
 // construction and whose argument is the invocation itself. Every
 // per-hop latency draws from the controller's one stream, rng, and the
 // draw order on it is part of the pinned deterministic behavior.
-// Invocation lifetime is reference-counted (pending hops + queued
-// messages + the executing invoker); when pooling is enabled the last
-// release recycles the object.
+// Invocation lifetime is reference-counted (pending hops + a place
+// queued on a topic or in a buffer + the executing invoker); when
+// pooling is enabled the last release recycles the object.
 type Controller struct {
 	sim *des.Sim
-	b   *bus.Bus
+	b   *bus.Bus[*Invocation]
 	cfg ControllerConfig
 	rng *rand.Rand
 
@@ -99,6 +96,11 @@ type Controller struct {
 	// whenever the tail empties. (It also pins the routing sequence the
 	// simulation goldens were recorded under.)
 	slots []*Invoker
+
+	// topics[i] is slot i's topic. It grows with slots and outlives
+	// the slot's invokers: a call routed to an invoker that has since
+	// left lands on the topic, and the slot's next owner pulls it.
+	topics []*bus.Topic[*Invocation]
 
 	// healthy is a bitmap over slots: bit i is set iff slots[i] holds
 	// an InvokerHealthy invoker. On a pilot-churning day the high-water
@@ -135,7 +137,7 @@ type Controller struct {
 	busyHealthy int
 	backlog     int
 
-	fastLane *bus.Topic
+	fastLane *bus.Topic[*Invocation]
 
 	nextInvID int64
 	invPool   []*Invocation
@@ -158,7 +160,7 @@ type Controller struct {
 }
 
 // NewController builds a controller over the given bus.
-func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *Controller {
+func NewController(sim *des.Sim, b *bus.Bus[*Invocation], cfg ControllerConfig, seed int64) *Controller {
 	c := &Controller{
 		sim:     sim,
 		b:       b,
@@ -172,7 +174,7 @@ func NewController(sim *des.Sim, b *bus.Bus, cfg ControllerConfig, seed int64) *
 	c.resultFn = c.resultCb
 	c.egressFn = c.egressCb
 	c.drainFn = c.drainCb
-	c.fastLane = b.Topic(fastLaneTopic)
+	c.fastLane = b.NewTopic()
 	c.fastLane.OnDelivery(c.wakeInvokers)
 	return c
 }
@@ -302,7 +304,8 @@ func (c *Controller) recomputeAggregates() (healthy, draining, capacity, busy, b
 func (c *Controller) FastLaneDepth() int { return c.fastLane.Len() }
 
 // retain adds one reference to the invocation: a pending request-path
-// hop, a queued bus message, or the executing invoker's running list.
+// hop, its place queued on a topic or in a buffer, or the executing
+// invoker's running list.
 func (c *Controller) retain(inv *Invocation) { inv.refs++ }
 
 // release drops one reference. The last release returns the object to
@@ -387,14 +390,13 @@ func (c *Controller) route(inv *Invocation) {
 
 // publishCb lands the invocation on the routed invoker's topic and
 // arms the client-visible timeout. The topic was captured at routing
-// time, so publishing costs no name lookup (and still reaches the
-// topic if the invoker deregistered in between, exactly as the
-// name-based publish did: topics outlive their invokers).
+// time, and still receives the call if the invoker deregistered in
+// between: topics outlive their invokers.
 func (c *Controller) publishCb(v any) {
 	inv := v.(*Invocation)
 	target := inv.routeTarget
 	inv.routeTarget = nil
-	c.retain(inv) // the queued message's reference
+	c.retain(inv) // the reference of its place on the topic
 	c.b.PublishTo(target.topic, inv)
 	c.armTimeout(inv)
 	c.release(inv)
@@ -524,6 +526,7 @@ func (c *Controller) Register(inv *Invoker) int {
 	if slot < 0 {
 		slot = len(c.slots)
 		c.slots = append(c.slots, nil)
+		c.topics = append(c.topics, c.b.NewTopic())
 		if slot>>6 == len(c.healthy) {
 			c.healthy = append(c.healthy, 0)
 		}

@@ -17,7 +17,7 @@ import (
 // first, so its own topic still holds messages when the callback fires.
 func TestDrainSparesSlotsNewOwner(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	cfg := DefaultControllerConfig()
 	cfg.OverheadSeconds = dist.Constant{Value: 0.1}
 	c := NewController(sim, b, cfg, 2)
@@ -69,7 +69,7 @@ func TestDrainRescuesLateMessageOnEmptySlot(t *testing.T) {
 	sim := des.New()
 	cfg := DefaultControllerConfig()
 	cfg.OverheadSeconds = dist.Constant{Value: 0.1} // publish 100 ms after routing
-	c := NewController(sim, bus.New(sim, nil, 1), cfg, 2)
+	c := NewController(sim, bus.New[*Invocation](sim, nil, 1), cfg, 2)
 	c.RegisterAction(sleepAction("f"))
 	a := NewInvoker(DefaultInvokerConfig(), 3)
 	c.Register(a)
@@ -97,5 +97,44 @@ func TestDrainRescuesLateMessageOnEmptySlot(t *testing.T) {
 	if inv.Status != StatusSuccess || inv.Completed == 0 || inv.InvokerID != late.slot {
 		t.Fatalf("call ended %v at %v on slot %d; want success on slot %d by 2 s",
 			inv.Status, inv.Completed, inv.InvokerID, late.slot)
+	}
+}
+
+// TestSlotsNextOwnerPullsItsTopic: a slot's topic outlives its invoker.
+// A call routed to a lands on slot 0's topic after a deregistered and b
+// took the slot. The drain callback spares the slot (b owns it), so
+// only b pulling the same topic gets the call executed before the
+// client times out.
+func TestSlotsNextOwnerPullsItsTopic(t *testing.T) {
+	const ms = time.Millisecond
+	sim := des.New()
+	cfg := DefaultControllerConfig()
+	cfg.OverheadSeconds = dist.Constant{Value: 0.1} // publish 100 ms after routing
+	c := NewController(sim, bus.New[*Invocation](sim, nil, 1), cfg, 2)
+	c.RegisterAction(sleepAction("f"))
+	a := NewInvoker(DefaultInvokerConfig(), 3)
+	c.Register(a)
+	inv := c.invoke("f", nil)
+	sim.RunUntil(60 * ms)
+	if inv.routeTarget != a {
+		t.Fatal("the call was not routed to a by 60 ms")
+	}
+	a.Sigterm(false, nil) // nothing on board: a deregisters at once
+	if a.State() != InvokerGone {
+		t.Fatalf("a is %v after its SIGTERM, want gone", a.State())
+	}
+	bcfg := DefaultInvokerConfig()
+	bcfg.FailureProb = 0
+	b := NewInvoker(bcfg, 4)
+	if slot := c.Register(b); slot != 0 {
+		t.Fatalf("b took slot %d, want a's slot 0", slot)
+	}
+	if inv.routeTarget != a {
+		t.Fatal("the call was published before b took the slot; the check would be vacuous")
+	}
+	sim.RunUntil(2 * time.Second)
+	if inv.Status != StatusSuccess || inv.Completed == 0 || inv.InvokerID != b.slot || c.NTimeout != 0 {
+		t.Fatalf("call ended %v at %v on slot %d (%d timeouts); want success on b's slot %d by 2 s",
+			inv.Status, inv.Completed, inv.InvokerID, c.NTimeout, b.slot)
 	}
 }

@@ -1,7 +1,6 @@
 package whisk
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -91,10 +90,9 @@ var (
 // implements the hand-off protocol when its pilot job gets SIGTERM.
 //
 // The dispatch/execute loop is allocation-free in steady state: polls
-// pull straight into the reusable buffer (bus.PullAppend), consumed
-// messages recycle to the bus pool, execution completion is a typed-arg
-// des event on a cached method value, and the start latencies draw
-// from rng.
+// pull straight into the reusable buffer (bus.PullAppend), execution
+// completion is a typed-arg des event on a cached method value, and
+// the start latencies draw from rng.
 type Invoker struct {
 	cfg InvokerConfig
 	rng *rand.Rand
@@ -110,15 +108,14 @@ type Invoker struct {
 
 	ctrl    *Controller
 	slot    int
-	topic   *bus.Topic
+	topic   *bus.Topic[*Invocation]
 	state   InvokerState
 	slotted bool // occupies a controller slot; gates all aggregate updates
 
-	buffer  []*bus.Message
+	buffer  []*Invocation
 	running []*Invocation // insertion order (determinism matters)
 
-	rejectBuf []*bus.Message  // scratch for the over-pressure drop path
-	oneMsg    [1]*bus.Message // scratch for single-message requeues
+	rejectBuf []*Invocation // scratch for the over-pressure drop path
 
 	pool       []*containerSet // by action index, grown on demand; nil = never used here
 	idleHeap   []*containerSet // min-heap over sets with idle > 0, keyed (lastUsed, name)
@@ -185,7 +182,7 @@ func (w *Invoker) attach(c *Controller, slot int) {
 	w.state = InvokerHealthy
 	w.slotted = true
 	c.noteStateChange(w, InvokerGone, InvokerHealthy)
-	w.topic = c.b.Topic(fmt.Sprintf("invoker%d", slot))
+	w.topic = c.topics[slot]
 	w.topic.Watch(&c.backlog)
 	w.topic.OnDelivery(w.pollFn)
 	w.attachedAt = c.sim.Now()
@@ -247,13 +244,11 @@ func (w *Invoker) poll() {
 	// Container-limit pressure: drop what cannot even be buffered.
 	if room <= 0 {
 		w.rejectBuf = w.topic.PullAppend(w.rejectBuf[:0], w.cfg.PullBatch)
-		for i, m := range w.rejectBuf {
-			inv := m.Payload.(*Invocation)
-			w.ctrl.b.Recycle(m)
+		for i, inv := range w.rejectBuf {
 			w.rejectBuf[i] = nil
 			w.Rejected++
 			w.ctrl.finishFromInvoker(inv, false)
-			w.ctrl.release(inv) // the dropped message's reference
+			w.ctrl.release(inv) // the dropped call's topic reference
 		}
 		w.rejectBuf = w.rejectBuf[:0]
 	}
@@ -263,27 +258,24 @@ func (w *Invoker) poll() {
 
 func (w *Invoker) dispatch() {
 	for len(w.buffer) > 0 && len(w.running) < w.cfg.Capacity {
-		m := w.buffer[0]
+		inv := w.buffer[0]
 		copy(w.buffer, w.buffer[1:])
 		w.buffer[len(w.buffer)-1] = nil
 		w.buffer = w.buffer[:len(w.buffer)-1]
 		w.ctrl.noteBuffer(w, -1)
-		inv := m.Payload.(*Invocation)
-		w.ctrl.b.Recycle(m)
 		if inv.Status != StatusPending {
-			// Already timed out at the controller; dropping the message
+			// Already timed out at the controller; dropping the buffer's
 			// reference may recycle the invocation.
 			w.ctrl.release(inv)
 			continue
 		}
-		// The message's reference transfers to the running list.
+		// The buffer's reference transfers to the running list.
 		w.execute(inv)
 	}
 }
 
 func (w *Invoker) execute(inv *Invocation) {
 	sim := w.ctrl.sim
-	inv.invoker = w
 	inv.InvokerID = w.slot
 	w.running = append(w.running, inv)
 	w.ctrl.noteRunning(w, 1)
@@ -596,11 +588,11 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 	// Flush the unexecuted buffer to the fast lane (which the backlog
 	// aggregate does not cover — FastLaneDepth is its own signal).
 	if len(w.buffer) > 0 {
-		for _, m := range w.buffer {
-			m.Payload.(*Invocation).Requeues++
+		for _, inv := range w.buffer {
+			inv.Requeues++
 		}
 		w.ctrl.noteBuffer(w, -len(w.buffer))
-		w.ctrl.fastLane.Requeue(w.buffer)
+		w.ctrl.fastLane.Requeue(w.buffer...)
 		w.buffer = nil
 	}
 
@@ -617,22 +609,19 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 			w.removeRunning(inv)
 			w.releaseContainer(inv)
 			inv.Requeues++
-			inv.invoker = nil
-			// Retain for the new fast-lane message BEFORE dropping the
-			// running list's reference: an interruptible execution whose
-			// client timeout already completed holds no other reference,
-			// and releasing first would recycle the object mid-loop. The
-			// dead message still travels the fast lane exactly as it
-			// always did (occupying pull quota until dispatch skips it),
-			// and its consumer's release recycles the invocation then.
+			// Retain for the fast-lane place BEFORE dropping the running
+			// list's reference: an interruptible execution whose client
+			// timeout already completed holds no other reference, and
+			// releasing first would recycle the object mid-loop. The dead
+			// call still travels the fast lane exactly as it always did
+			// (occupying pull quota until dispatch skips it), and its
+			// consumer's release recycles the invocation then.
 			// For a checkpointed execution the requeued invocation IS the
 			// resume token — Progress/StateMB ride along, and the next
 			// invoker's execute restores from the last checkpoint.
 			w.ctrl.retain(inv)
 			w.ctrl.release(inv) // the running list's reference
-			w.oneMsg[0] = w.ctrl.b.Wrap(inv)
-			w.ctrl.fastLane.Requeue(w.oneMsg[:1])
-			w.oneMsg[0] = nil
+			w.ctrl.fastLane.Requeue(inv)
 		}
 	}
 	w.maybeDrained()
@@ -733,10 +722,8 @@ func (w *Invoker) Kill() {
 	}
 	w.running = nil
 	w.ctrl.noteBuffer(w, -len(w.buffer))
-	for _, m := range w.buffer {
-		inv := m.Payload.(*Invocation)
-		w.ctrl.b.Recycle(m)
-		w.ctrl.release(inv) // the dropped message's reference
+	for _, inv := range w.buffer {
+		w.ctrl.release(inv) // the dropped call's buffer reference
 	}
 	w.buffer = nil
 	w.state = InvokerGone

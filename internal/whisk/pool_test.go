@@ -13,7 +13,7 @@ import (
 func pooledRig(t *testing.T) (*des.Sim, *Controller, *Invoker) {
 	t.Helper()
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	cfg := DefaultControllerConfig()
 	cfg.PoolInvocations = true
 	c := NewController(sim, b, cfg, 2)
@@ -70,7 +70,7 @@ func TestStaleInvocationHandleAfterRecycle(t *testing.T) {
 // the invoker would finish into a recycled object.
 func TestTimeoutDuringExecutionDefersRecycle(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	cfg := DefaultControllerConfig()
 	cfg.PoolInvocations = true
 	cfg.ActionTimeout = 2 * time.Second // expire mid-execution
@@ -130,7 +130,7 @@ func TestKillRecyclesRotInvocationsOnlyAfterTimeout(t *testing.T) {
 // and Register refills the lowest free slot before the list grows.
 func TestDeregisterKeepsSlotListLength(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 
 	mk := func() *Invoker { return NewInvoker(DefaultInvokerConfig(), 7) }
@@ -191,7 +191,7 @@ func TestPooledRequestPathSteadyStateAllocs(t *testing.T) {
 		sim.RunFor(5 * time.Second)
 	}
 	for i := 0; i < 3; i++ {
-		run() // warm invocation, message, and des pools
+		run() // warm the invocation and des pools and the topic queues
 	}
 	allocs := testing.AllocsPerRun(200, run)
 	// The des heap and slot pool may still grow once while settling;
@@ -203,7 +203,7 @@ func TestPooledRequestPathSteadyStateAllocs(t *testing.T) {
 
 func TestUnpooledControllerNeverRecycles(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2) // pooling off
 	c.RegisterAction(&Action{Name: "f", MemoryMB: 256, Exec: FixedExec(time.Millisecond)})
 	w := NewInvoker(DefaultInvokerConfig(), 3)
@@ -235,7 +235,7 @@ func TestUnpooledControllerNeverRecycles(t *testing.T) {
 func TestInterruptOfTimedOutExecution(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		sim := des.New()
-		b := bus.New(sim, nil, 1)
+		b := bus.New[*Invocation](sim, nil, 1)
 		cfg := DefaultControllerConfig()
 		cfg.PoolInvocations = pooled
 		cfg.ActionTimeout = 2 * time.Second

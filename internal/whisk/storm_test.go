@@ -21,7 +21,7 @@ import (
 func stormLog(t *testing.T, pooled bool, seed int64) []string {
 	t.Helper()
 	sim := des.New()
-	b := bus.New(sim, nil, seed+1)
+	b := bus.New[*Invocation](sim, nil, seed+1)
 	cfg := DefaultControllerConfig()
 	cfg.PoolInvocations = pooled
 	// Short enough that the Uniform(0.01, 2.0)s executions regularly
@@ -100,10 +100,10 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 
 // TestStormPooledMatchesUnpooledEventLog is the property test pinning
 // the pooled request path to the allocating one: the same seeded storm
-// replayed with pooling off (every invocation and message heap-fresh,
-// the pre-refactor lifetime discipline) and with pooling on must
-// produce identical completion logs, line for line. Any refcount slip —
-// an invocation recycled while a queued message, a pending hop, or an
+// replayed with pooling off (every invocation heap-fresh, the
+// pre-refactor lifetime discipline) and with pooling on must produce
+// identical completion logs, line for line. Any refcount slip — an
+// invocation recycled while a topic or buffer, a pending hop, or an
 // executing invoker still referenced it — would surface as a diverging
 // or panicking pooled run.
 func TestStormPooledMatchesUnpooledEventLog(t *testing.T) {

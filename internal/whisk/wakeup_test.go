@@ -58,7 +58,7 @@ func TestIdleInvokerSchedulesNothing(t *testing.T) {
 func handoffRig(t *testing.T, before func(*des.Sim)) (*des.Sim, *Controller, *Invoker) {
 	t.Helper()
 	sim := des.New()
-	c := NewController(sim, bus.New(sim, nil, 1), DefaultControllerConfig(), 2)
+	c := NewController(sim, bus.New[*Invocation](sim, nil, 1), DefaultControllerConfig(), 2)
 	c.RegisterAction(&Action{Name: "long", Exec: FixedExec(30 * time.Second)})
 	cfg := DefaultInvokerConfig()
 	cfg.Capacity = 1

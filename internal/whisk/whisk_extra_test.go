@@ -13,7 +13,7 @@ import (
 // idle containers of cold actions get evicted and re-cold-started.
 func TestLRUEvictionUnderManyActions(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 	cfg := DefaultInvokerConfig()
 	cfg.PoolLimit = 4
@@ -227,7 +227,7 @@ func TestUnknownActionPanics(t *testing.T) {
 // the controller load-balances to a less-loaded one (§II).
 func TestOverflowSpillsToOtherInvoker(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 	cfg := DefaultInvokerConfig()
 	cfg.Capacity = 1

@@ -12,7 +12,7 @@ import (
 
 func newSystem(invokers int) (*des.Sim, *Controller, []*Invoker) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 	ws := make([]*Invoker, invokers)
 	for i := range ws {
@@ -272,7 +272,7 @@ func TestReRegistrationReusesSlot(t *testing.T) {
 
 func TestBufferOverflowRejects(t *testing.T) {
 	sim := des.New()
-	b := bus.New(sim, nil, 1)
+	b := bus.New[*Invocation](sim, nil, 1)
 	c := NewController(sim, b, DefaultControllerConfig(), 2)
 	cfg := DefaultInvokerConfig()
 	cfg.Capacity = 1
