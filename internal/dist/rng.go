@@ -10,10 +10,18 @@ import "math/rand"
 // The stream's source is a replica of math/rand's: the same draws, bit
 // for bit, for every seed (TestSourceMatchesMathRand and
 // FuzzSourceMatchesMathRand pin it against rand.NewSource), seeded in
-// about 40% of the time. Every invoker a pilot boots builds one, so
-// seeding is on the hot path of a pilot-churning day.
+// about 40% of the time. Every invoker a pilot boots draws from one:
+// built here for the first invokers of a controller, and later a
+// retired invoker's stream restarted with Reseed.
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(newSource(mix64(uint64(seed))))
+}
+
+// Reseed restarts a stream built by NewRand or Split so that it draws
+// exactly what NewRand(seed) would, without allocating a new one.
+// rand.Rand.Seed also resets the Read position.
+func Reseed(r *rand.Rand, seed int64) {
+	r.Seed(mix64(uint64(seed)))
 }
 
 // Split forks a statistically independent child stream off a parent.

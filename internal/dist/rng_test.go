@@ -104,12 +104,51 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
+// matchReseed reseeds a stream that has drawn and holds a partial Read,
+// then compares it with NewRand(seed): a Read, a Split child of each,
+// and every method compareDraws drives. It returns a description of the
+// first difference, or "".
+func matchReseed(seed int64) string {
+	got, want := NewRand(seed^0x2545f491), NewRand(seed)
+	got.Float64()
+	var gb, wb [11]byte
+	got.Read(gb[:3]) // 4 of the 7 bytes drawn stay pending
+	Reseed(got, seed)
+	got.Read(gb[:])
+	want.Read(wb[:])
+	if gb != wb {
+		return fmt.Sprintf("seed %d: Read after Reseed %v, want %v", seed, gb, wb)
+	}
+	if d := compareDraws(Split(got), Split(want)); d != "" {
+		return fmt.Sprintf("seed %d: Split after Reseed: %s", seed, d)
+	}
+	if d := compareDraws(got, want); d != "" {
+		return fmt.Sprintf("seed %d: after Reseed: %s", seed, d)
+	}
+	return ""
+}
+
+// TestReseedMatchesNewRand pins Reseed to NewRand over the
+// seed-reduction edges: a used stream, reseeded, draws what a fresh
+// one of the same seed draws, and so do their Split children.
+func TestReseedMatchesNewRand(t *testing.T) {
+	for _, seed := range sourceEdgeSeeds {
+		if d := matchReseed(seed); d != "" {
+			t.Fatal(d)
+		}
+	}
+}
+
 // FuzzSourceMatchesMathRand explores seeds beyond the test's: every
-// seed must give the replica math/rand's draws through every method.
-// Its corpus (testdata/fuzz) holds the seed-reduction edges.
+// seed must give the replica math/rand's draws through every method,
+// and a reseeded stream NewRand's. Its corpus (testdata/fuzz) holds
+// the seed-reduction edges.
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		if d := matchMathRand(seed); d != "" {
+			t.Fatal(d)
+		}
+		if d := matchReseed(seed); d != "" {
 			t.Fatal(d)
 		}
 	})

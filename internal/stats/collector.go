@@ -87,8 +87,15 @@ func NewTimeSeries(streaming bool) TimeSeries {
 	return &TimeWeighted{}
 }
 
-// Footprint returns the retained heap bytes of the sample buffer.
-func (s *Sample) Footprint() int { return cap(s.xs) * 8 }
+// Footprint returns the retained heap bytes of the sample buffer and
+// its parked blocks.
+func (s *Sample) Footprint() int {
+	n := cap(s.xs)
+	for _, b := range s.parked {
+		n += cap(b)
+	}
+	return n * 8
+}
 
 // Footprint estimates the retained heap bytes of the series: Go map
 // buckets cost ~(2 words + key + value + overhead) per entry; 48 bytes

@@ -191,6 +191,74 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 			checkMultiset(t, &s, sorted, seed, shape.name, what)
 		}
 	}
+
+	// Sizes that straddle the block length, each read fresh, then grown
+	// by more than a block, then read again: the first read gathers the
+	// parked blocks, and the first Add after it parks the gathered
+	// buffer. Mean must sum the blocks in insertion order each time.
+	sizes := []int{sampleBlock - 1, sampleBlock, sampleBlock + 1, 3*sampleBlock + 7}
+	if testing.Short() {
+		sizes = []int{sampleBlock + 1, 3*sampleBlock + 7}
+	}
+	for i, n := range sizes {
+		for _, shape := range []int{0, 1 + i%(len(quantileShapes)-1)} {
+			name := quantileShapes[shape].name
+			rng := rand.New(rand.NewSource(int64(i)))
+			ref := quantileShapes[shape].gen(rng, n)
+			var s Sample
+			for _, x := range ref {
+				s.Add(x)
+			}
+			if want := (n - 1) / sampleBlock; len(s.parked) != want {
+				t.Fatalf("%s n=%d: %d parked blocks, want %d", name, n, len(s.parked), want)
+			}
+			checkBlocks(t, &s, ref, true, name)
+			readAll(&s, sortedCopy(ref), int64(i), name)
+			more := quantileShapes[0].gen(rng, sampleBlock+3)
+			for _, x := range more {
+				s.Add(x)
+			}
+			ref = append(ref, more...)
+			checkBlocks(t, &s, ref, false, name)
+			sorted := sortedCopy(ref)
+			readAll(&s, sorted, int64(i), name)
+			checkMultiset(t, &s, sorted, int64(i), name, "a read, Add, read sequence")
+		}
+	}
+}
+
+// checkBlocks checks a buffer before a read gathers it: Len and
+// Footprint count every block, and Mean has the bits of summing a
+// contiguous copy of the blocks front to back. On a buffer no read has
+// reordered, that copy is the reference in insertion order.
+func checkBlocks(t *testing.T, s *Sample, ref []float64, fresh bool, shape string) {
+	t.Helper()
+	if s.Len() != len(ref) {
+		t.Fatalf("%s: Len = %d, want %d", shape, s.Len(), len(ref))
+	}
+	if s.Footprint() < 8*s.Len() {
+		t.Fatalf("%s n=%d: Footprint = %d B, below 8·Len", shape, len(ref), s.Footprint())
+	}
+	flat := contents(s)
+	for i := range flat {
+		if fresh && !sameBits(flat[i], ref[i]) {
+			t.Fatalf("%s n=%d: buffer[%d] = %v, want value %d as added, %v", shape, len(ref), i, flat[i], i, ref[i])
+		}
+	}
+	want := 0.0
+	for _, x := range flat {
+		want += x
+	}
+	want /= float64(len(flat))
+	if got := s.Mean(); !sameBits(got, want) {
+		t.Fatalf("%s n=%d: Mean = %v, want the in-order sum's %v", shape, len(ref), got, want)
+	}
+}
+
+// contents returns a contiguous copy of the buffer: the parked blocks,
+// then the observations after them.
+func contents(s *Sample) []float64 {
+	return slices.Concat(append(slices.Clone(s.parked), s.xs)...)
 }
 
 // quantileProbe draws p from the probabilities that matter: the ends,
@@ -228,7 +296,7 @@ func checkMultiset(t *testing.T, s *Sample, want []float64, seed int64, shape, a
 	if s.Len() != len(want) {
 		t.Fatalf("seed %d %s: Len = %d after %s, want %d", seed, shape, s.Len(), after, len(want))
 	}
-	got := sortedCopy(s.xs)
+	got := sortedCopy(contents(s))
 	for i := range got {
 		if !sameBits(got[i], want[i]) {
 			t.Fatalf("seed %d %s: buffer's multiset changed after %s: sorted[%d] = %v, want %v", seed, shape, after, i, got[i], want[i])

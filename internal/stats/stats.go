@@ -13,15 +13,32 @@ import (
 	"time"
 )
 
+// sampleBlock is the length of the blocks a large Sample grows by:
+// 2^15 observations, 256 KiB.
+const sampleBlock = 1 << 15
+
 // Sample accumulates scalar observations and answers distributional
 // queries. The zero value is ready to use.
+//
+// The buffer grows by append until it holds sampleBlock observations;
+// from then on each full buffer is parked and a new one of exactly
+// sampleBlock starts, so a large sample allocates about twice its size
+// where append growth would allocate about five times, and needs no
+// size hint. The first read that needs every observation gathers the
+// parked blocks into one slice of exactly Len values, in insertion
+// order.
 type Sample struct {
-	xs     []float64
+	xs     []float64   // the observations after the parked blocks; all of them once gathered
+	parked [][]float64 // full blocks, in insertion order
 	sorted bool
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
+	if len(s.xs) >= sampleBlock {
+		s.parked = append(s.parked, s.xs)
+		s.xs = make([]float64, 0, sampleBlock)
+	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
@@ -30,7 +47,28 @@ func (s *Sample) Add(x float64) {
 func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 
 // Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
+func (s *Sample) Len() int {
+	n := len(s.xs)
+	for _, b := range s.parked {
+		n += len(b)
+	}
+	return n
+}
+
+// gather moves the parked blocks and the buffer after them into one
+// slice of exactly Len values, in insertion order, for the reads that
+// need every observation in one place.
+func (s *Sample) gather() {
+	if len(s.parked) == 0 {
+		return
+	}
+	xs := make([]float64, 0, s.Len())
+	for _, b := range s.parked {
+		xs = append(xs, b...)
+	}
+	s.xs = append(xs, s.xs...)
+	s.parked = nil
+}
 
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
@@ -45,6 +83,7 @@ func (s *Sample) ensureSorted() {
 // in place, in O(n) and without allocating, which reorders the buffer
 // (see Mean).
 func (s *Sample) Quantile(p float64) float64 {
+	s.gather()
 	if len(s.xs) == 0 {
 		panic("stats: quantile of empty sample")
 	}
@@ -139,10 +178,11 @@ func partition(xs []float64, lo, hi int) int {
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // Mean returns the arithmetic mean; 0 for an empty sample. It sums in
-// the buffer's current order, which every query but Len and Mean may
-// change, so a mean read after a query can differ in its last bits from
-// one read before.
+// the buffer's current order: insertion order until a query other than
+// Len and Mean reorders it, so a mean read after such a query can
+// differ in its last bits from one read before.
 func (s *Sample) Mean() float64 {
+	s.gather()
 	if len(s.xs) == 0 {
 		return 0
 	}
@@ -155,6 +195,7 @@ func (s *Sample) Mean() float64 {
 
 // Min returns the smallest observation. It panics if empty.
 func (s *Sample) Min() float64 {
+	s.gather()
 	if len(s.xs) == 0 {
 		panic("stats: min of empty sample")
 	}
@@ -164,6 +205,7 @@ func (s *Sample) Min() float64 {
 
 // Max returns the largest observation. It panics if empty.
 func (s *Sample) Max() float64 {
+	s.gather()
 	if len(s.xs) == 0 {
 		panic("stats: max of empty sample")
 	}
@@ -173,6 +215,7 @@ func (s *Sample) Max() float64 {
 
 // CDFAt returns the fraction of observations ≤ x.
 func (s *Sample) CDFAt(x float64) float64 {
+	s.gather()
 	if len(s.xs) == 0 {
 		return 0
 	}

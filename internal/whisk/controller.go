@@ -142,6 +142,13 @@ type Controller struct {
 	nextInvID int64
 	invPool   []*Invocation
 
+	// Retired invokers' per-boot state, for the next invoker to attach
+	// (equip) and for checkpoint forks (newRand): streams to reseed,
+	// and container pools reset to fresh sets with their idle heaps
+	// emptied. clearSlot fills both from Gone invokers only (retire).
+	spareRands []*rand.Rand
+	sparePools []sparePool
+
 	// Counters.
 	Total     int
 	N503      int
@@ -571,7 +578,8 @@ func (c *Controller) wakeInvokers() {
 // exactly as the slot scan stopped seeing them), and an invoker
 // removed while still live — Deregister called directly, bypassing the
 // drain state machine — takes its population, busy, and buffer
-// contributions with it.
+// contributions with it. A Gone invoker also hands back its per-boot
+// state here; a live one keeps it.
 func (c *Controller) clearSlot(inv *Invoker) {
 	inv.wake.Stop()
 	c.noteStateChange(inv, inv.state, InvokerGone)
@@ -581,6 +589,64 @@ func (c *Controller) clearSlot(inv *Invoker) {
 	if c.slots[inv.slot] == inv {
 		c.slots[inv.slot] = nil
 	}
+	if inv.state == InvokerGone && inv.rng != nil {
+		c.retire(inv)
+	}
+}
+
+// sparePool is a retired invoker's container pool, every set reset to
+// the state of a fresh one, and its emptied idle heap.
+type sparePool struct {
+	sets, idleHeap []*containerSet
+}
+
+// retire takes back a Gone invoker's streams and container pool. Gone
+// comes after the invoker's last draw: Kill stops every pending
+// execution and checkpoint segment and empties running and buffer,
+// deregister runs only once both are empty, and poll, Sigterm and Kill
+// on a Gone invoker return before drawing. Each set keeps its name: an
+// action index names the same action on every invoker of a controller.
+func (c *Controller) retire(w *Invoker) {
+	c.spareRands = append(c.spareRands, w.rng)
+	if w.ckptRng != nil {
+		c.spareRands = append(c.spareRands, w.ckptRng)
+	}
+	if w.pool != nil {
+		for _, cs := range w.pool {
+			if cs != nil {
+				cs.idle, cs.busy, cs.lastUsed, cs.heapIdx = 0, 0, 0, -1
+			}
+		}
+		clear(w.idleHeap)
+		c.sparePools = append(c.sparePools, sparePool{w.pool, w.idleHeap[:0]})
+	}
+	w.rng, w.ckptRng, w.pool, w.idleHeap, w.containers = nil, nil, nil, nil, 0
+}
+
+// equip gives an invoker at its first attach its stream and, when a
+// retired one is spare, a container pool; a fresh invoker's pool
+// starts nil and grows on demand.
+func (c *Controller) equip(w *Invoker) {
+	w.rng = c.newRand(w.seed)
+	if k := len(c.sparePools); k > 0 {
+		p := c.sparePools[k-1]
+		c.sparePools[k-1] = sparePool{}
+		c.sparePools = c.sparePools[:k-1]
+		w.pool, w.idleHeap = p.sets, p.idleHeap
+	}
+}
+
+// newRand returns a stream that draws what dist.NewRand(seed) draws: a
+// retired invoker's, reseeded, when one is spare.
+func (c *Controller) newRand(seed int64) *rand.Rand {
+	if k := len(c.spareRands); k > 0 {
+		r := c.spareRands[k-1]
+		c.spareRands[k-1] = nil
+		c.spareRands = c.spareRands[:k-1]
+		dist.Reseed(r, seed)
+		return r
+	}
+	return dist.NewRand(seed)
 }
 
 // Deregister removes an invoker from the slot list. Any stragglers left

@@ -94,8 +94,9 @@ var (
 // completion is a typed-arg des event on a cached method value, and
 // the start latencies draw from rng.
 type Invoker struct {
-	cfg InvokerConfig
-	rng *rand.Rand
+	cfg  InvokerConfig
+	seed int64
+	rng  *rand.Rand // from the first attach until the invoker retires
 
 	execDoneFn func(any) // cached method value for execution completion
 	ckptDoneFn func(any) // cached method value for checkpoint-segment boundaries
@@ -117,7 +118,7 @@ type Invoker struct {
 
 	rejectBuf []*Invocation // scratch for the over-pressure drop path
 
-	pool       []*containerSet // by action index, grown on demand; nil = never used here
+	pool       []*containerSet // by action index, grown on demand; nil until the action first runs on the pool
 	idleHeap   []*containerSet // min-heap over sets with idle > 0, keyed (lastUsed, name)
 	containers int             // total containers (idle + busy)
 
@@ -146,8 +147,13 @@ type containerSet struct {
 }
 
 // NewInvoker builds an invoker; it is inert until registered with a
-// controller. It panics on a configuration that cannot make progress:
-// no capacity, no poll interval, or an empty pull batch.
+// controller, and cannot register again once it has retired. Its
+// stream, which draws what dist.NewRand(seed) draws, its container
+// pool and its idle heap come at its first attach: a retired
+// invoker's, taken back by the controller, or fresh ones. Pilot churn
+// therefore allocates them about once per controller, not once per
+// boot. It panics on a configuration that cannot make progress: no
+// capacity, no poll interval, or an empty pull batch.
 func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 	if cfg.Capacity <= 0 {
 		panic("whisk: invoker needs capacity")
@@ -160,7 +166,7 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 	}
 	w := &Invoker{
 		cfg:   cfg,
-		rng:   dist.NewRand(seed),
+		seed:  seed,
 		slot:  -1,
 		state: InvokerGone,
 	}
@@ -175,8 +181,16 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 // deliveries flow into the backlog aggregate (including any messages
 // already rotting on the topic from a previous occupant of the slot,
 // exactly as the slot scan re-counted them). The poll grid starts here,
-// and a first wake-up arms if work is already waiting.
+// and a first wake-up arms if work is already waiting. Nothing draws
+// before the first attach (execution needs a controller), so the
+// stream is taken here.
 func (w *Invoker) attach(c *Controller, slot int) {
+	if w.rng == nil {
+		if w.ctrl != nil {
+			panic("whisk: a retired invoker cannot register again")
+		}
+		c.equip(w)
+	}
 	w.ctrl = c
 	w.slot = slot
 	w.state = InvokerHealthy
@@ -295,13 +309,14 @@ func (w *Invoker) execute(inv *Invocation) {
 }
 
 // checkpointRng lazily forks the checkpoint subsystem's private stream
-// off the invoker's main stream. The fork consumes exactly one parent
-// draw and happens only when a checkpointed execution first
-// dispatches, so configurations without checkpointing keep their draw
-// sequence — and the committed goldens — byte-identical.
+// off the invoker's main stream, as dist.Split does: one parent draw
+// seeds it (on a retired stream when the controller holds one). The
+// fork happens only when a checkpointed execution first dispatches,
+// so configurations without checkpointing keep their draw sequence —
+// and the committed goldens — byte-identical.
 func (w *Invoker) checkpointRng() *rand.Rand {
 	if w.ckptRng == nil {
-		w.ckptRng = dist.Split(w.rng)
+		w.ckptRng = w.ctrl.newRand(w.rng.Int63())
 	}
 	return w.ckptRng
 }

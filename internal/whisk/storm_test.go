@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/dist"
 )
@@ -17,8 +18,11 @@ import (
 // without mid-execution interruption), hard kills, and random clock
 // advances, so every pooling-sensitive path — publish, timeout,
 // fast-lane requeue, reject-under-pressure, rot-after-kill — gets
-// exercised.
-func stormLog(t *testing.T, pooled bool, seed int64) []string {
+// exercised. With fresh set, the controller forgets its retired
+// invokers' state after every op, so every attach builds its stream
+// and container pool anew. It also returns how many registrations
+// took a retired stream, and how many a retired container pool.
+func stormLog(t *testing.T, seed int64, pooled, fresh bool) (log []string, reusedRands, reusedPools int) {
 	t.Helper()
 	sim := des.New()
 	b := bus.New[*Invocation](sim, nil, seed+1)
@@ -39,10 +43,10 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 			MemoryMB:      256,
 			Exec:          DistExec(dist.Uniform{Lo: 0.01, Hi: 2.0}),
 			Interruptible: i%2 == 0,
+			Checkpoint:    stormCheckpoint(i),
 		})
 	}
 
-	var log []string
 	logDone := func(inv *Invocation) {
 		log = append(log, fmt.Sprintf("%d %s %v sub=%v rt=%v ex=%v cp=%v rq=%d inv=%d cold=%v",
 			inv.ID, inv.Action.Name, inv.Status, inv.Submitted, inv.Routed,
@@ -68,6 +72,12 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 		switch rng.Intn(12) {
 		case 0: // register a fresh invoker
 			w := NewInvoker(icfg, rng.Int63())
+			if len(c.spareRands) > 0 {
+				reusedRands++
+			}
+			if len(c.sparePools) > 0 {
+				reusedPools++
+			}
 			c.Register(w)
 			invokers = append(invokers, w)
 		case 1: // graceful drain of a random healthy invoker
@@ -84,6 +94,9 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 			c.Invoke(actions[rng.Intn(len(actions))], logDone)
 			sim.RunFor(time.Duration(rng.Intn(200)) * time.Millisecond)
 		}
+		if fresh {
+			c.spareRands, c.sparePools = nil, nil
+		}
 	}
 	// Drain: past the action timeout so even rotting messages resolve.
 	sim.RunFor(cfg.ActionTimeout + 5*time.Minute)
@@ -95,7 +108,7 @@ func stormLog(t *testing.T, pooled bool, seed int64) []string {
 		t.Fatalf("storm leaked invocations: total=%d completed=%d",
 			c.Total, c.NSuccess+c.NFailed+c.NTimeout+c.N503)
 	}
-	return log
+	return log, reusedRands, reusedPools
 }
 
 // TestStormPooledMatchesUnpooledEventLog is the property test pinning
@@ -110,8 +123,8 @@ func TestStormPooledMatchesUnpooledEventLog(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			plain := stormLog(t, false, seed)
-			pooled := stormLog(t, true, seed)
+			plain, _, _ := stormLog(t, seed, false, false)
+			pooled, _, _ := stormLog(t, seed, true, false)
 			if len(plain) == 0 {
 				t.Fatal("storm produced no completions")
 			}
@@ -124,5 +137,82 @@ func TestStormPooledMatchesUnpooledEventLog(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStormRecycledMatchesFresh pins the recycling of retired invokers'
+// state to building it fresh: the same seeded storm, with the
+// controller's free lists as they are and with them emptied after
+// every op, must produce identical completion logs, line for line. A
+// stream or pool handed back before its invoker's last draw or use
+// (say, at SIGTERM instead of at the end of the drain) is shared by
+// two invokers at once, and the logs diverge.
+func TestStormRecycledMatchesFresh(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			fresh, _, _ := stormLog(t, seed, true, true)
+			recycled, rands, pools := stormLog(t, seed, true, false)
+			if rands == 0 || pools == 0 {
+				t.Fatalf("storm reused %d retired streams and %d retired pools — the comparison would be vacuous", rands, pools)
+			}
+			if len(fresh) != len(recycled) {
+				t.Fatalf("completion counts diverged: %d fresh vs %d recycled", len(fresh), len(recycled))
+			}
+			for i := range fresh {
+				if fresh[i] != recycled[i] {
+					t.Fatalf("event %d diverged:\nfresh:    %s\nrecycled: %s", i, fresh[i], recycled[i])
+				}
+			}
+		})
+	}
+}
+
+// stormCheckpoint checkpoints every fourth storm action, at 300 ms:
+// their executions fork the invoker's checkpoint stream, dump and
+// resume across drains.
+func stormCheckpoint(i int) *checkpoint.Model {
+	if i%4 != 0 {
+		return nil
+	}
+	return checkpoint.WithInterval(300 * time.Millisecond)
+}
+
+// BenchmarkPilotChurn is one pilot's life on a pooled controller with
+// 100 actions deployed: boot an invoker, register it, serve one call,
+// SIGTERM it and drain it. Each retired invoker's stream and container
+// pool go to the next one, so the steady state allocates the invoker
+// and its small slices, not a 5,424 B stream and a pool per boot.
+func BenchmarkPilotChurn(b *testing.B) {
+	sim := des.New()
+	cfg := DefaultControllerConfig()
+	cfg.PoolInvocations = true
+	c := NewController(sim, bus.New[*Invocation](sim, nil, 1), cfg, 2)
+	actions := make([]string, 100)
+	for i := range actions {
+		actions[i] = fmt.Sprintf("churn-%d", i)
+		c.RegisterAction(&Action{Name: actions[i], MemoryMB: 256, Exec: FixedExec(10 * time.Millisecond)})
+	}
+	churn := func(i int) {
+		w := NewInvoker(DefaultInvokerConfig(), int64(i))
+		c.Register(w)
+		c.Invoke(actions[i%len(actions)], nil)
+		sim.RunFor(5 * time.Second)
+		w.Sigterm(false, nil)
+		sim.RunFor(time.Second) // past the controller's drain hop
+		if w.State() != InvokerGone {
+			b.Fatalf("pilot %d did not drain", i)
+		}
+	}
+	for i := range 2 * len(actions) { // every action's container set, the des and invocation pools
+		churn(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(i)
+	}
+	b.StopTimer()
+	if want := b.N + 2*len(actions); c.NSuccess+c.NFailed != want {
+		b.Fatalf("completed %d of %d invocations", c.NSuccess+c.NFailed, want)
 	}
 }
