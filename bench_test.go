@@ -7,7 +7,6 @@ package hpcwhisk
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -279,31 +278,6 @@ func BenchmarkFederatedDay(b *testing.B) {
 		cfg := experiments.DefaultFederatedConfig(1)
 		cfg.Horizon = 2 * time.Hour
 		cfg.Routing = []string{"capacity-weighted"}
-		r = must(experiments.RunFederatedCtx(context.Background(), cfg, nil))
-	}
-	run := r.Runs[0]
-	b.ReportMetric(100*run.Load.SuccessShare, "success-%")
-	b.ReportMetric(100*run.SpillShare(), "spill-%")
-	b.ReportMetric(float64(run.P95.Milliseconds()), "p95-ms")
-	b.ReportMetric(run.GlobalHealthyAvg, "healthy-avg")
-}
-
-// BenchmarkFederatedDayParallel is the same federated day under the
-// sharded pdes runtime: every site on its own event plane, advanced in
-// parallel by GOMAXPROCS workers under the lookahead coordinator. The
-// result is byte-identical to BenchmarkFederatedDay — the goldens and
-// the sharded-equivalence tests pin that — so the headline metrics
-// double as a cross-check, ns/op against the sequential benchmark is
-// the wall-clock speedup, and the CI ratchet gates the parallel
-// path's allocation budget.
-func BenchmarkFederatedDayParallel(b *testing.B) {
-	b.ReportAllocs()
-	var r experiments.FederatedResult
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFederatedConfig(1)
-		cfg.Horizon = 2 * time.Hour
-		cfg.Routing = []string{"capacity-weighted"}
-		cfg.Shards = runtime.GOMAXPROCS(0)
 		r = must(experiments.RunFederatedCtx(context.Background(), cfg, nil))
 	}
 	run := r.Runs[0]

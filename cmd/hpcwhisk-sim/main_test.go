@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -205,43 +207,28 @@ func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 	}
 }
 
-// TestShardsFlag: -set shards=N is the one CLI path to the sharded
-// runtime — a sharded federated day renders byte-identically to the
-// sequential one — and there is no -shards flag. The paper days have
-// no shards option, and invalid counts are rejected with exit 2 before
-// anything runs.
+// TestShardsFlag: there is no -shards flag, and no scenario has a
+// shards option: -set shards=N exits 2 with "has no option" on every
+// registered scenario, federated-day included, before anything runs.
 func TestShardsFlag(t *testing.T) {
-	render := func(extra ...string) []byte {
+	check := func(args []string, wantErr string) {
+		t.Helper()
 		var out, errb bytes.Buffer
-		args := append([]string{"-scenario", "federated-day", "-nodes", "32", "-hours", "1", "-qps", "5",
-			"-seed", "3", "-set", "sites=2", "-set", "routing=spill-over"}, extra...)
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
 		}
-		return stripTiming(out.Bytes())
-	}
-	if !bytes.Equal(render(), render("-set", "shards=2")) {
-		t.Error("-set shards=2 rendered differently from the sequential run")
-	}
-
-	cases := []struct {
-		args    []string
-		wantErr string
-	}{
-		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
-		{[]string{"-scenario", "fib-day", "-set", "shards=2"}, "has no option"},
-		{[]string{"-scenario", "var-day", "-set", "shards=2"}, "has no option"},
-		{[]string{"-scenario", "fig2", "-set", "shards=2"}, "has no option"},
-		{[]string{"-scenario", "federated-day", "-set", "shards=0"}, "shards"},
-		{[]string{"-scenario", "federated-day", "-set", "shards=two"}, "does not parse"},
-	}
-	for _, tc := range cases {
-		var out, errb bytes.Buffer
-		if code := run(tc.args, &out, &errb); code != 2 {
-			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		if !strings.Contains(errb.String(), wantErr) {
+			t.Errorf("%v: stderr %q lacks %q", args, errb.String(), wantErr)
 		}
-		if !strings.Contains(errb.String(), tc.wantErr) {
-			t.Errorf("%v: stderr %q lacks %q", tc.args, errb.String(), tc.wantErr)
+		if out.Len() != 0 {
+			t.Errorf("%v: printed results despite the error:\n%s", args, out.String())
 		}
+	}
+	check([]string{"-shards", "2"}, "flag provided but not defined: -shards")
+	for _, v := range []string{"0", "two"} {
+		check([]string{"-scenario", "federated-day", "-set", "shards=" + v}, "has no option")
+	}
+	for _, name := range scenario.Names() {
+		check([]string{"-scenario", name, "-set", "shards=2"}, "has no option")
 	}
 }

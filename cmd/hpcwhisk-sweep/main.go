@@ -76,6 +76,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-hours wants at most %d, got %d\n", maxHours, *hours)
 		return 2
 	}
+	// The results are written after the whole sweep, so a bad format
+	// must fail before it starts.
+	if *format != "json" && *format != "csv" {
+		fmt.Fprintf(stderr, "-format wants json or csv, got %q\n", *format)
+		return 2
+	}
 
 	// The policy grid belongs to the paper-day sweep; with -scenario the
 	// policy is a uniform axis, not a grid. Refuse the combination
@@ -109,13 +115,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		w = f
 	}
-	switch *format {
-	case "json":
-		err = writeJSON(w, results)
-	case "csv":
+	if *format == "csv" {
 		err = writeCSV(w, results)
-	default:
-		err = fmt.Errorf("unknown format %q (want json or csv)", *format)
+	} else {
+		err = writeJSON(w, results)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -68,10 +70,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Errorf("stderr %q lacks the unknown-policy error", errb.String())
 	}
 	errb.Reset()
-	if code := run([]string{"-format", "xml", "-policy", "fib", "-nodes", "16", "-hours", "1", "-qps", "0", "-replicas", "1"}, &out, &errb); code != 1 {
-		t.Errorf("bad format: exit %d, want 1", code)
-	}
-	errb.Reset()
 	if code := run([]string{"-h"}, &out, &errb); code != 0 {
 		t.Errorf("-h: exit %d, want 0", code)
 	}
@@ -81,7 +79,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	// replica runs (a worker goroutine would panic on -hours 0 or on a
 	// qps whose arrival interval truncates to 0 or overflows, a
 	// negative QPS would silently sweep an unloaded day, and an -hours
-	// past a time.Duration would wrap around to a short one).
+	// past a time.Duration would wrap around to a short one). So do
+	// option values only a scenario's own check refuses (an unknown
+	// routing or supply policy in a list, a week-day base day other
+	// than fib or var, a federation above the one-cluster node bound),
+	// which every replica would otherwise fail on, and an unknown
+	// -format, which would otherwise fail only after the whole sweep.
 	cases := []struct {
 		args    []string
 		wantErr string
@@ -98,6 +101,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-nodes", "99999999999"}, "nodes"},
 		{[]string{"-nodes", "64", "-hours", "1", "-qps", "2e9", "-replicas", "2"}, "qps"},
 		{[]string{"-nodes", "64", "-hours", "1", "-qps", "1e-12", "-replicas", "2"}, "qps"},
+		{[]string{"-scenario", "federated-day", "-set", "routing=nope"}, "routing"},
+		{[]string{"-scenario", "federated-day", "-nodes", "600000", "-set", "sites=4"}, "sites × nodes"},
+		{[]string{"-scenario", "week-day", "-set", "day=foo"}, "day"},
+		{[]string{"-scenario", "policy-comparison", "-set", "policies=nope"}, "policies"},
+		{[]string{"-scenario", "fib-day", "-nodes", "64", "-hours", "6", "-qps", "5", "-replicas", "4", "-format", "xml"}, "-format"},
 	}
 	for _, tc := range cases {
 		out.Reset()
@@ -271,39 +279,27 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestShardsFlag: -set shards=N lands on every grid cell — the
-// sharded sweep renders bit-identically to the sequential one — and
-// there is no -shards flag; cells whose scenario has no shards option
-// fail before anything runs.
+// TestShardsFlag: there is no -shards flag, and no scenario has a
+// shards option: -set shards=N exits 2 with "has no option" on the
+// paper-day grid and on every registered scenario, federated-day
+// included, before any replica runs.
 func TestShardsFlag(t *testing.T) {
-	render := func(extra ...string) []byte {
+	check := func(args []string, wantErr string) {
+		t.Helper()
 		var out, errb bytes.Buffer
-		args := append([]string{"-scenario", "federated-day", "-nodes", "32", "-hours", "1", "-qps", "5",
-			"-replicas", "2", "-seed", "9", "-set", "sites=2", "-set", "routing=spill-over", "-format", "csv"}, extra...)
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
 		}
-		return out.Bytes()
-	}
-	if !bytes.Equal(render(), render("-set", "shards=2")) {
-		t.Error("sharded sweep rendered differently from the sequential one")
-	}
-
-	cases := []struct {
-		args    []string
-		wantErr string
-	}{
-		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
-		{[]string{"-policy", "fib,var", "-set", "shards=2", "-replicas", "1"}, "has no option"},
-		{[]string{"-scenario", "fig2", "-set", "shards=2", "-replicas", "1"}, "has no option"},
-	}
-	for _, tc := range cases {
-		var out, errb bytes.Buffer
-		if code := run(tc.args, &out, &errb); code != 2 {
-			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		if !strings.Contains(errb.String(), wantErr) {
+			t.Errorf("%v: stderr %q lacks %q", args, errb.String(), wantErr)
 		}
-		if !strings.Contains(errb.String(), tc.wantErr) {
-			t.Errorf("%v: stderr %q lacks %q", tc.args, errb.String(), tc.wantErr)
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote results despite the error", args)
 		}
+	}
+	check([]string{"-shards", "2"}, "flag provided but not defined: -shards")
+	check([]string{"-policy", "fib,var", "-set", "shards=2", "-replicas", "1"}, "has no option")
+	for _, name := range scenario.Names() {
+		check([]string{"-scenario", name, "-set", "shards=2", "-replicas", "1"}, "has no option")
 	}
 }

@@ -86,11 +86,8 @@ func DefaultConfig(nodes int, policyName string) SiteConfig {
 func New(cfg SiteConfig) *Site { return core.NewSite(des.New(), cfg) }
 
 // Federation layer: N independent Slurm+whisk sites advance on one
-// synchronized virtual timeline behind a routing front door, so a
-// single simulation models a cluster-of-clusters. With
-// FederationConfig.Shards > 1 the sites run on their own event planes
-// across CPU cores under the internal/pdes lookahead coordinator,
-// byte-identically to the sequential run. Routing policies live in
+// shared virtual timeline behind a routing front door, so a single
+// simulation models a cluster-of-clusters. Routing policies live in
 // their own registry, mirroring the supply-policy one.
 
 // Federation hosts N sites behind the routing front door.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -50,19 +51,20 @@ func stormArrivals(horizon time.Duration, seed int64, actions int) []stormArriva
 }
 
 // TestFederationStormShardedEventLog is the randomized-storm property
-// test of the sharded runtime: a 5-site federation under register/kill
-// storms (high-churn traces) and invoke storms (bursty arrivals) must
-// produce a byte-identical per-completion event log — outcome, all
-// timestamps, cold-start, requeue and resume history, checkpointed
-// progress, in completion order — and equal per-site work ledgers,
-// whether it runs sequentially or sharded, across several seeds and
-// shard counts. Odd sites time requests out after shortTimeout, the
-// others after the 60 s default, so the sequential plane's wheel holds
-// timeouts of two delays, a shard's one or two; every seed's log must
-// hold timeouts, so timeouts that fire are compared, not only stopped
-// ones.
+// test of a federation's run loop: a 5-site federation under
+// register/kill storms (high-churn traces) and invoke storms (bursty
+// arrivals) must produce a byte-identical per-completion event log —
+// outcome, all timestamps, cold-start, requeue and resume history,
+// checkpointed progress, in completion order — and equal per-site work
+// ledgers, whether one Run advances it over the whole horizon or
+// RunCtx advances it in DefaultEpoch chunks, the path every federated
+// scenario takes, across several seeds. Every scheduled arrival must
+// complete exactly once in both. Odd sites time requests out after
+// shortTimeout, the others after the 60 s default, so the plane's wheel
+// holds timeouts of two delays; every seed's log must hold timeouts, so
+// timeouts that fire are compared, not only stopped ones.
 // Every sixth action checkpoints a body several checkpoint intervals
-// long, so segment events, resume tokens and the ledger cross shard
+// long, so segment events, resume tokens and the ledger cross chunk
 // boundaries too; some seed must record both a checkpoint and a
 // resume.
 func TestFederationStormShardedEventLog(t *testing.T) {
@@ -82,14 +84,13 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 		actions[i] = fmt.Sprintf("storm-%02d", i)
 	}
 
-	replay := func(seed int64, shards int) ([]string, []stats.WorkCounters) {
+	replay := func(seed int64, chunked bool) ([]string, []stats.WorkCounters) {
 		base := DefaultSystemConfig(24, "fib")
 		base.Seed = seed
 		cfg := UniformFederationConfig(sites, base)
 		for i := 1; i < sites; i += 2 {
 			cfg.Sites[i].Controller.ActionTimeout = shortTimeout
 		}
-		cfg.Shards = shards
 		fed := NewFederation(cfg)
 		troot := dist.NewRand(seed + 101)
 		for i := range fed.Sites {
@@ -106,10 +107,13 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 		}
 
 		var log []string
-		for _, a := range stormArrivals(horizon, seed+202, nAct) {
+		arrivals := stormArrivals(horizon, seed+202, nAct)
+		completed := make([]int, len(arrivals))
+		for k, a := range arrivals {
 			action := actions[a.action]
 			fed.Sim.Schedule(a.at, func() {
 				fed.Invoke(action, func(inv *whisk.Invocation) {
+					completed[k]++
 					log = append(log, fmt.Sprintf("%s %v sub=%d done=%d cold=%v req=%d inv=%d prog=%d res=%d",
 						inv.Action.Name, inv.Status, int64(inv.Submitted), int64(inv.Completed),
 						inv.ColdStart, inv.Requeues, inv.InvokerID, int64(inv.Progress), inv.Resumes))
@@ -117,7 +121,19 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 			})
 		}
 		fed.Start()
-		fed.Run(horizon + 5*time.Minute)
+		if chunked {
+			if err := fed.RunCtx(context.Background(), horizon+5*time.Minute, nil); err != nil {
+				t.Fatalf("seed %d: chunked run: %v", seed, err)
+			}
+		} else {
+			fed.Run(horizon + 5*time.Minute)
+		}
+		for k, n := range completed {
+			if n != 1 {
+				t.Fatalf("seed %d chunked=%v: arrival %d at %v completed %d times, want once",
+					seed, chunked, k, arrivals[k].at, n)
+			}
+		}
 		work := make([]stats.WorkCounters, len(fed.Sites))
 		for i, site := range fed.Sites {
 			work[i] = site.Ctrl.Work
@@ -127,48 +143,45 @@ func TestFederationStormShardedEventLog(t *testing.T) {
 
 	resumed := false // some seed both checkpointed and resumed
 	for _, seed := range []int64{3, 17, 29} {
-		seq, seqWork := replay(seed, 1)
-		if len(seq) == 0 {
+		whole, wholeWork := replay(seed, false)
+		if len(whole) == 0 {
 			t.Fatalf("seed %d: storm produced no completions", seed)
 		}
 		timeouts := 0
-		for _, line := range seq {
+		for _, line := range whole {
 			if strings.Contains(line, " timeout ") {
 				timeouts++
 			}
 		}
 		var ckpts, resumes int
-		for _, w := range seqWork {
+		for _, w := range wholeWork {
 			ckpts += w.Checkpoints
 			resumes += w.Resumed
 		}
 		resumed = resumed || (ckpts > 0 && resumes > 0)
 		t.Logf("seed %d: %d of %d completions timed out; %d checkpoints, %d resumes",
-			seed, timeouts, len(seq), ckpts, resumes)
+			seed, timeouts, len(whole), ckpts, resumes)
 		if timeouts == 0 {
 			t.Errorf("seed %d: no request timed out, so no timeout fired", seed)
 		}
-		for _, shards := range []int{2, sites} {
-			shd, shdWork := replay(seed, shards)
-			if len(seq) != len(shd) {
-				t.Fatalf("seed %d shards %d: %d completions vs %d sequential",
-					seed, shards, len(shd), len(seq))
+		chunks, chunkWork := replay(seed, true)
+		if len(whole) != len(chunks) {
+			t.Fatalf("seed %d: %d completions chunked vs %d whole", seed, len(chunks), len(whole))
+		}
+		for i := range whole {
+			if whole[i] != chunks[i] {
+				t.Fatalf("seed %d: event %d diverged\n  whole:   %s\n  chunked: %s",
+					seed, i, whole[i], chunks[i])
 			}
-			for i := range seq {
-				if seq[i] != shd[i] {
-					t.Fatalf("seed %d shards %d: event %d diverged\n  sequential: %s\n  sharded:    %s",
-						seed, shards, i, seq[i], shd[i])
-				}
-			}
-			for i := range seqWork {
-				if seqWork[i] != shdWork[i] {
-					t.Errorf("seed %d shards %d: site %d work ledger diverged\n  sequential: %+v\n  sharded:    %+v",
-						seed, shards, i, seqWork[i], shdWork[i])
-				}
+		}
+		for i := range wholeWork {
+			if wholeWork[i] != chunkWork[i] {
+				t.Errorf("seed %d: site %d work ledger diverged\n  whole:   %+v\n  chunked: %+v",
+					seed, i, wholeWork[i], chunkWork[i])
 			}
 		}
 	}
 	if !resumed {
-		t.Error("no seed recorded both a checkpoint and a resume, so resumes across shards went unchecked")
+		t.Error("no seed recorded both a checkpoint and a resume, so resumes went unchecked")
 	}
 }

@@ -105,10 +105,8 @@ func (s *Site) Start() {
 	s.Logger.Start()
 }
 
-// Run advances the simulation by d. On a sequential federated plane
-// this advances every site sharing it; a sharded federation must be
-// advanced through Federation.Run instead (its sites rest on separate
-// planes the pdes coordinator owns).
+// Run advances the simulation by d. On a federation's shared plane this
+// advances every site sharing it.
 func (s *Site) Run(d time.Duration) { s.Sim.RunFor(d) }
 
 // RunCtx advances the simulation by d in DefaultEpoch chunks, checking
@@ -145,15 +143,6 @@ func (s *Site) DrainingInvokers() int { return s.Ctrl.DrainingCount() }
 // latency well under a millisecond of wall clock.
 const DefaultEpoch = time.Minute
 
-// runner is the clock a chunked run advances: a des.Sim, or the pdes
-// coordinator of a sharded federation (whose RunFor fires exactly the
-// events the shared plane would, so the bit-identity argument below
-// carries over unchanged).
-type runner interface {
-	Now() des.Time
-	RunFor(d time.Duration)
-}
-
 // runCtx advances the simulation by d in DefaultEpoch chunks of virtual
 // time, checking ctx between chunks and reporting progress after each.
 // Chunked advancement fires exactly the events a single Run(d) would,
@@ -164,7 +153,7 @@ type runner interface {
 // clock sits at the boundary reached. A run whose final epoch has
 // already fired is complete, so a cancellation racing with completion
 // reports success, never a spurious partial-result error.
-func runCtx(sim runner, ctx context.Context, d time.Duration, progress func(done, total time.Duration)) error {
+func runCtx(sim *des.Sim, ctx context.Context, d time.Duration, progress func(done, total time.Duration)) error {
 	start := sim.Now()
 	end := start + d
 	for sim.Now() < end {

@@ -261,28 +261,13 @@ func (s *Sim) RunUntil(end Time) {
 // RunFor advances the simulation by d, firing every event in that window.
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
-// RunBefore fires every event scheduled strictly before end, then
-// advances the clock to end. It is the half-open window primitive of
-// the conservative parallel coordinator (internal/pdes): a plane can be
-// advanced through [now, end) while events at exactly end stay pending,
-// so a later RunUntil(end) — or events injected at exactly end — still
-// fire in (when, seq) order. Equivalent to RunUntil(end) followed by
-// re-running the events at end, except those events never fire here.
-func (s *Sim) RunBefore(end Time) {
-	if end < s.now {
-		panic(fmt.Sprintf("des: run before %v behind now %v", end, s.now))
-	}
-	s.dispatch(end-1, false) // instants are whole nanoseconds
-	s.now = end
-}
-
 // maxTime is the last instant; dispatching up to it runs unbounded.
 const maxTime = Time(math.MaxInt64)
 
-// dispatch is the one event loop behind Step, Run, RunUntil and
-// RunBefore: it fires events one at a time in (when, seq) order while
-// the earliest pending event is due at or before last — only the first
-// one if once is set. Reports whether an event fired.
+// dispatch is the one event loop behind Step, Run and RunUntil: it
+// fires events one at a time in (when, seq) order while the earliest
+// pending event is due at or before last — only the first one if once
+// is set. Reports whether an event fired.
 func (s *Sim) dispatch(last Time, once bool) bool {
 	fired := false
 	for !fired || !once {
@@ -331,9 +316,10 @@ func (s *Sim) next(last Time) (e entry, inWheel, ok bool) {
 	}
 }
 
-// NextAt reports the instant of the earliest live pending event — the
-// shard-horizon query of the parallel coordinator. ok is false when no
-// live event is pending. The clock does not move and nothing fires.
+// NextAt reports the instant of the earliest live pending event, so a
+// caller can drive the plane through Step up to an instant of its own
+// choosing. ok is false when no live event is pending. The clock does
+// not move and nothing fires.
 func (s *Sim) NextAt() (at Time, ok bool) {
 	e, _, ok := s.next(maxTime)
 	return e.when, ok

@@ -5,80 +5,6 @@ import (
 	"time"
 )
 
-func TestRunBeforeExcludesEnd(t *testing.T) {
-	s := New()
-	var got []int
-	s.Schedule(1*time.Second, func() { got = append(got, 1) })
-	s.Schedule(2*time.Second, func() { got = append(got, 2) })
-	s.Schedule(2*time.Second, func() { got = append(got, 3) })
-	s.RunBefore(2 * time.Second)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("RunBefore(2s) fired %v, want [1]", got)
-	}
-	if s.Now() != 2*time.Second {
-		t.Fatalf("Now = %v, want 2s", s.Now())
-	}
-	// The events at exactly end are still pending and fire in seq order.
-	s.RunUntil(2 * time.Second)
-	want := []int{1, 2, 3}
-	if len(got) != 3 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("after RunUntil(2s): %v, want %v", got, want)
-	}
-}
-
-func TestRunBeforeThenScheduleAtNow(t *testing.T) {
-	s := New()
-	s.RunBefore(5 * time.Second)
-	fired := false
-	// Scheduling at exactly the advanced clock stays legal.
-	s.Schedule(5*time.Second, func() { fired = true })
-	s.RunUntil(5 * time.Second)
-	if !fired {
-		t.Fatal("event at now did not fire")
-	}
-}
-
-// TestRunBeforeMatchesRunUntil pins the windowing identity the pdes
-// coordinator relies on: chopping a horizon into half-open RunBefore
-// windows plus a final inclusive RunUntil fires exactly the events a
-// single RunUntil fires, in the same order — including events that
-// callbacks schedule into their own or later windows.
-func TestRunBeforeMatchesRunUntil(t *testing.T) {
-	build := func(s *Sim, log *[]Time) {
-		for i := 0; i < 10; i++ {
-			at := time.Duration(i*100) * time.Millisecond
-			s.Schedule(at, func() {
-				*log = append(*log, s.Now())
-				if s.Now() < 800*time.Millisecond {
-					s.After(150*time.Millisecond, func() { *log = append(*log, s.Now()) })
-				}
-			})
-		}
-	}
-
-	var seqLog []Time
-	seq := New()
-	build(seq, &seqLog)
-	seq.RunUntil(time.Second)
-
-	var winLog []Time
-	win := New()
-	build(win, &winLog)
-	for end := 250 * time.Millisecond; end <= time.Second; end += 250 * time.Millisecond {
-		win.RunBefore(end)
-	}
-	win.RunUntil(time.Second)
-
-	if len(seqLog) != len(winLog) {
-		t.Fatalf("event counts differ: %d vs %d", len(seqLog), len(winLog))
-	}
-	for i := range seqLog {
-		if seqLog[i] != winLog[i] {
-			t.Fatalf("event %d at %v (windowed) vs %v (sequential)", i, winLog[i], seqLog[i])
-		}
-	}
-}
-
 func TestNextAt(t *testing.T) {
 	s := New()
 	if _, ok := s.NextAt(); ok {

@@ -74,13 +74,13 @@ func TestCheckpointAblationGoldenUnchanged(t *testing.T) {
 	checkGolden(t, "ablation_n256_h4_seed5.golden", buf.Bytes())
 }
 
-// TestCheckpointEnabledShardedIdentity extends the shard-locality
-// invariant to checkpointing itself: segment events, resume tokens,
-// and the work ledger live entirely on the site's plane, so a
-// checkpoint-enabled federation under the pdes coordinator is
-// byte-identical to the sequential run — load report, site counters
-// and every site's ledger. A paper day is one site and never shards,
-// so the same small checkpointed day runs on two sites, one seed each.
+// TestCheckpointEnabledShardedIdentity pins a checkpoint-enabled
+// federation's run loop: segment events, resume tokens and the work
+// ledger ride the shared plane's event order, so the federation
+// advanced by RunCtx in DefaultEpoch chunks, as every federated
+// scenario runs, is byte-identical to one Run over the whole horizon —
+// load report, site counters and every site's ledger. The same small
+// checkpointed day runs on two sites, one seed each.
 func TestCheckpointEnabledShardedIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment (skipped under -short for the CI race gate)")
@@ -98,20 +98,20 @@ func TestCheckpointEnabledShardedIdentity(t *testing.T) {
 	other.Seed = 8
 	days := []DayConfig{cfg, other}
 
-	seqWork, seqOut := runCheckpointedFederation(days, 0)
-	shdWork, shdOut := runCheckpointedFederation(days, 2)
+	wholeWork, wholeOut := runCheckpointedFederation(t, days, false)
+	chunkWork, chunkOut := runCheckpointedFederation(t, days, true)
 
 	var dumps int
-	for i := range seqWork {
-		if seqWork[i] != shdWork[i] {
-			t.Errorf("site %d work ledgers diverged:\nsequential: %+v\nsharded:    %+v",
-				i, seqWork[i], shdWork[i])
+	for i := range wholeWork {
+		if wholeWork[i] != chunkWork[i] {
+			t.Errorf("site %d work ledgers diverged:\nwhole:   %+v\nchunked: %+v",
+				i, wholeWork[i], chunkWork[i])
 		}
-		dumps += seqWork[i].Checkpoints
+		dumps += wholeWork[i].Checkpoints
 	}
-	if seqOut != shdOut {
-		t.Errorf("checkpoint-enabled runs diverged between sequential and sharded:\n%s\nvs\n%s",
-			seqOut, shdOut)
+	if wholeOut != chunkOut {
+		t.Errorf("checkpoint-enabled runs diverged between whole and chunked:\n%s\nvs\n%s",
+			wholeOut, chunkOut)
 	}
 	if dumps == 0 {
 		t.Error("checkpoint-enabled federation dumped no checkpoints — the identity check is vacuous")
@@ -119,16 +119,16 @@ func TestCheckpointEnabledShardedIdentity(t *testing.T) {
 }
 
 // runCheckpointedFederation runs one site per day config behind the
-// front door — on one plane (shards ≤ 1) or under the pdes
-// coordinator — with days[0]'s checkpointed sleep actions and load
-// (QPS per site), and returns every site's work ledger plus a
-// rendering of the load report and each site's counters.
-func runCheckpointedFederation(days []DayConfig, shards int) ([]stats.WorkCounters, string) {
+// front door with days[0]'s checkpointed sleep actions and load (QPS
+// per site) — in one Run, or chunked by RunCtx — and returns every
+// site's work ledger plus a rendering of the load report and each
+// site's counters.
+func runCheckpointedFederation(t *testing.T, days []DayConfig, chunked bool) ([]stats.WorkCounters, string) {
 	sites := make([]core.SiteConfig, len(days))
 	for i, d := range days {
 		sites[i] = systemConfig(d)
 	}
-	fed := core.NewFederation(core.FederationConfig{Sites: sites, Shards: shards})
+	fed := core.NewFederation(core.FederationConfig{Sites: sites})
 	for i, d := range days {
 		fed.LoadTrace(i, d.TraceConfig().Generate())
 	}
@@ -149,7 +149,13 @@ func runCheckpointedFederation(days []DayConfig, shards int) ([]stats.WorkCounte
 	})
 	gen.Start()
 	fed.Start()
-	fed.Run(day.Horizon + dayDrain)
+	if chunked {
+		if err := fed.RunCtx(t.Context(), day.Horizon+dayDrain, nil); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		fed.Run(day.Horizon + dayDrain)
+	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "load %+v\n", gen.Report())

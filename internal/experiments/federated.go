@@ -54,15 +54,11 @@ type FederatedConfig struct {
 
 	// CloudFallback adds the Alg. 1 commercial-cloud wrapper in front
 	// of the door, so federation-wide 503s off-load instead of failing.
-	// Incompatible with Shards > 1 (the wrapper couples completions to
-	// subsequent arrivals, breaking the sharded lookahead contract);
-	// the combination is rejected with an error.
 	CloudFallback bool
 
-	// Shards > 1 runs each site on its own event plane under the
-	// conservative pdes coordinator (core.FederationConfig.Shards).
-	// Results are byte-identical to the sequential run; only wall time
-	// changes.
+	// Shards is ignored: every federation runs its sites on one shared
+	// event plane. The field stays only because the benchmark module
+	// under bench/ still assigns it; it goes once that module stops.
 	Shards int
 
 	// Streaming switches every metric collector (global and per-site
@@ -229,10 +225,7 @@ func runFederatedOnce(ctx context.Context, cfg FederatedConfig, routing string, 
 		siteCfgs[i] = sc
 	}
 
-	if cfg.CloudFallback && cfg.Shards > 1 {
-		return FederatedRun{}, fmt.Errorf("experiments: cloud fallback is incompatible with %d shards (the Alg. 1 wrapper couples completions to arrivals; run sequentially)", cfg.Shards)
-	}
-	fed := core.NewFederation(core.FederationConfig{Sites: siteCfgs, Routing: routing, Shards: cfg.Shards})
+	fed := core.NewFederation(core.FederationConfig{Sites: siteCfgs, Routing: routing})
 	// Per-site tail quantiles below.
 	for i := range fed.Door.LatencyBySite {
 		fed.Door.LatencyBySite[i] = stats.NewCollector(cfg.Streaming)

@@ -16,14 +16,13 @@ const latencyEWMAWeight = 0.05
 
 // DefaultSnapshotInterval is the refresh period of the snapshot-
 // consistent health view a multi-site federation routes from
-// (FrontDoor.SnapshotEvery / Refresh). It is also the lookahead window
-// of the sharded parallel run: between refreshes, routing decisions
-// depend only on state captured at the last grid instant, so site
-// shards may advance a full interval without synchronizing. The one
+// (FrontDoor.SnapshotEvery / Refresh): between refreshes, every routing
+// decision reads the state captured at the last grid instant. The one
 // microsecond offset keeps the refresh grid off the exact instants the
 // simulation already populates — the minute-aligned site tickers and
-// the regular load-generator arrival grid — so refresh events never
-// tie with them and the sequential and sharded orders stay identical.
+// the regular load-generator arrival grid — so a refresh never ties
+// with them, and which side of a refresh an arrival or a tick falls on
+// never hangs on scheduling order.
 const DefaultSnapshotInterval = time.Second + time.Microsecond
 
 // FrontDoor is the federation's single client entry point: every
@@ -89,13 +88,10 @@ type siteSnap struct {
 
 // EnableSnapshots switches the door's View from live per-site reads to
 // the snapshot captured at the last Refresh, and captures the initial
-// snapshot now. Multi-site federations route from snapshots in both
-// execution modes: the refresh grid is what gives the sharded run its
-// lookahead window (no routing decision between grid instants can
-// observe a site mid-window), and the sequential run adopts the same
-// grid (SnapshotEvery) so the two produce byte-identical event
-// streams. 1-site doors keep live views — with one site every pick
-// lands there regardless, and the fib/var day goldens pin that path.
+// snapshot now. Multi-site federations route from snapshots refreshed
+// on the DefaultSnapshotInterval grid (SnapshotEvery). 1-site doors
+// keep live views — with one site every pick lands there regardless,
+// and the fib/var day goldens pin that path.
 func (fd *FrontDoor) EnableSnapshots() {
 	if fd.snap == nil {
 		fd.snap = make([]siteSnap, len(fd.sites))
@@ -104,10 +100,8 @@ func (fd *FrontDoor) EnableSnapshots() {
 	fd.Refresh()
 }
 
-// Refresh recaptures the health snapshot from every site. In the
-// sequential mode a plane ticker drives it (SnapshotEvery); in the
-// sharded mode the pdes coordinator calls it at every grid barrier,
-// when all site shards rest at exactly the refresh instant.
+// Refresh recaptures the health snapshot from every site; a plane
+// ticker drives it (SnapshotEvery).
 //
 // Refresh costs O(sites), independent of cluster size: every signal a
 // whisk.Controller-backed site answers here is a maintained aggregate
@@ -128,8 +122,7 @@ func (fd *FrontDoor) Refresh() {
 
 // SnapshotEvery enables snapshot views and schedules the refresh on
 // the plane hosting the door: first at now+DefaultSnapshotInterval,
-// then every DefaultSnapshotInterval — the exact grid instants the
-// sharded coordinator refreshes at.
+// then every DefaultSnapshotInterval.
 func (fd *FrontDoor) SnapshotEvery(sim *des.Sim) *des.Ticker {
 	fd.EnableSnapshots()
 	return sim.Every(DefaultSnapshotInterval, fd.Refresh)

@@ -38,14 +38,16 @@ func init() {
 			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call", min: nonNegative},
 			{Name: "streaming", Kind: KindBool, Default: "true", Help: "O(1)-memory streaming metrics (off: buffered collectors whose memory grows with the horizon)"},
 		},
+		check: func(cfg Config) error {
+			if d := cfg.String("day", "fib"); d != "fib" && d != "var" {
+				return fmt.Errorf("scenario: week-day wants day=fib or day=var, got %q", d)
+			}
+			return nil
+		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			base, defPolicy := experiments.FibDay, "fib"
-			switch d := cfg.String("day", "fib"); d {
-			case "fib":
-			case "var":
+			if cfg.String("day", "fib") == "var" {
 				base, defPolicy = experiments.VarDay, "var"
-			default:
-				return nil, fmt.Errorf("scenario: week-day wants day=fib or day=var, got %q", d)
 			}
 			day := base(cfg.Seed())
 			day.Policy = cfg.Policy(defPolicy)
@@ -75,38 +77,27 @@ func init() {
 			{Name: "actions", Kind: KindInt, Default: "100", Help: "number of sleep functions under load", min: positive},
 			{Name: "sleep-exec", Kind: KindDuration, Default: "10ms", Help: "in-container execution time per call", min: nonNegative},
 			{Name: "streaming", Kind: KindBool, Default: "false", Help: "O(1)-memory streaming metrics (t-digest quantiles, windowed series)"},
-			{Name: "shards", Kind: KindInt, Default: "1", Help: "site shards run in parallel under the pdes coordinator (>1; byte-identical to sequential, incompatible with cloud-fallback)", min: positive},
 		},
 		loaded: true,
-		Run: func(ctx context.Context, cfg Config) (Result, error) {
-			fc := experiments.DefaultFederatedConfig(cfg.Seed())
-			fc.NodesPerSite = cfg.Nodes(fc.NodesPerSite)
-			fc.Horizon = cfg.Horizon(fc.Horizon)
-			fc.QPS = cfg.QPS(fc.QPS)
-			fc.Policy = cfg.Policy(fc.Policy)
-			fc.Sites = cfg.Int("sites", fc.Sites)
+		check: func(cfg Config) error {
+			fc := federatedConfig(cfg)
 			// Every site allocates its nodes up front, so the whole
 			// federation gets the one-cluster bound.
 			if fc.Sites > workload.MaxNodes/fc.NodesPerSite {
-				return nil, fmt.Errorf("scenario: federated-day wants sites × nodes ≤ %d, got %d × %d",
+				return fmt.Errorf("scenario: federated-day wants sites × nodes ≤ %d, got %d × %d",
 					workload.MaxNodes, fc.Sites, fc.NodesPerSite)
 			}
-			fc.NumActions = cfg.Int("actions", fc.NumActions)
-			fc.SleepExec = cfg.Duration("sleep-exec", fc.SleepExec)
-			fc.CloudFallback = cfg.Bool("cloud-fallback", fc.CloudFallback)
-			fc.Streaming = cfg.Bool("streaming", false)
-			fc.Shards = cfg.Int("shards", fc.Shards)
-			if names := cfg.String("routing", ""); names != "" {
-				fc.Routing = splitList(names)
-				// The federation resolves these on construction, so an
-				// unknown routing policy must fail here, not panic.
-				for _, name := range fc.Routing {
-					if _, err := router.New(name); err != nil {
-						return nil, err
-					}
+			// The federation resolves these on construction, so an
+			// unknown routing policy must fail here, not panic.
+			for _, name := range fc.Routing {
+				if _, err := router.New(name); err != nil {
+					return fmt.Errorf("scenario: federated-day routing: %w", err)
 				}
 			}
-			r, err := experiments.RunFederatedCtx(ctx, fc, cfg.Progress())
+			return nil
+		},
+		Run: func(ctx context.Context, cfg Config) (Result, error) {
+			r, err := experiments.RunFederatedCtx(ctx, federatedConfig(cfg), cfg.Progress())
 			if err != nil {
 				return nil, err
 			}
@@ -279,6 +270,16 @@ func init() {
 			{Name: "policies", Kind: KindString, Default: "", Help: "comma-separated policy names (empty: all registered)"},
 			{Name: "mean-idle-nodes", Kind: KindFloat, Default: "10", Help: "trace calibration: mean idle nodes", min: nonNegative},
 		},
+		check: func(cfg Config) error {
+			// The day engine resolves these with MustNew, so an unknown
+			// name must fail here, not panic mid-run.
+			for _, name := range splitList(cfg.String("policies", "")) {
+				if _, err := policy.New(name); err != nil {
+					return fmt.Errorf("scenario: policy-comparison policies: %w", err)
+				}
+			}
+			return nil
+		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {
 			pc := experiments.DefaultPolicyComparisonConfig(cfg.Seed())
 			pc.Nodes = cfg.Nodes(pc.Nodes)
@@ -287,13 +288,6 @@ func init() {
 			pc.MeanIdleNodes = cfg.Float("mean-idle-nodes", pc.MeanIdleNodes)
 			if names := cfg.String("policies", ""); names != "" {
 				pc.Policies = splitList(names)
-				// The day engine resolves these with MustNew, so an
-				// unknown name must fail here, not panic mid-run.
-				for _, name := range pc.Policies {
-					if _, err := policy.New(name); err != nil {
-						return nil, err
-					}
-				}
 			}
 			r, err := experiments.RunPolicyComparisonCtx(ctx, pc, cfg.Progress())
 			if err != nil {
@@ -356,6 +350,25 @@ func init() {
 			return NewResult(r, r.Metrics()), nil
 		},
 	})
+}
+
+// federatedConfig overlays the set axes and options on the federated
+// day's defaults; federated-day's check and Run both read it.
+func federatedConfig(cfg Config) experiments.FederatedConfig {
+	fc := experiments.DefaultFederatedConfig(cfg.Seed())
+	fc.NodesPerSite = cfg.Nodes(fc.NodesPerSite)
+	fc.Horizon = cfg.Horizon(fc.Horizon)
+	fc.QPS = cfg.QPS(fc.QPS)
+	fc.Policy = cfg.Policy(fc.Policy)
+	fc.Sites = cfg.Int("sites", fc.Sites)
+	fc.NumActions = cfg.Int("actions", fc.NumActions)
+	fc.SleepExec = cfg.Duration("sleep-exec", fc.SleepExec)
+	fc.CloudFallback = cfg.Bool("cloud-fallback", fc.CloudFallback)
+	fc.Streaming = cfg.Bool("streaming", false)
+	if names := cfg.String("routing", ""); names != "" {
+		fc.Routing = splitList(names)
+	}
+	return fc
 }
 
 // dayScenario builds the Table II/III production-day Spec shared by

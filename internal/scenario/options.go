@@ -336,8 +336,8 @@ func paceable(qps float64) bool {
 // maxDuration, finite qps ≥ 0 with an arrival interval the generator
 // can pace, and qps > 0 where the scenario cannot run unloaded),
 // raw keys must be documented, raw values must parse as their
-// documented kind and lie in its range, and a set policy must exist in
-// the policy registry.
+// documented kind and lie in its range, a set policy must exist in the
+// policy registry, and the scenario's own check (Spec.check) must pass.
 func newConfig(sp Spec, opts []Option) (Config, error) {
 	var c Config
 	for _, opt := range opts {
@@ -391,6 +391,11 @@ func newConfig(sp Spec, opts []Option) (Config, error) {
 				sp.Name, name, optionNames(sp.Options))
 		}
 		if err := d.check(sp.Name, c.raw[name]); err != nil {
+			return Config{}, err
+		}
+	}
+	if sp.check != nil {
+		if err := sp.check(c); err != nil {
 			return Config{}, err
 		}
 	}

@@ -45,6 +45,13 @@ type Spec struct {
 	// loaded marks a catalog scenario whose experiment always drives
 	// load, so qps 0 is an error rather than "load disabled".
 	loaded bool
+
+	// check vets a catalog scenario's option values that the per-option
+	// schema cannot: a string naming a registry entry, or a bound on
+	// options taken together. newConfig calls it once every option
+	// parses and lies in range, so Validate refuses such values before
+	// any replica runs; nil checks nothing.
+	check func(cfg Config) error
 }
 
 var registry = map[string]Spec{}
@@ -92,9 +99,10 @@ func All() []Spec {
 }
 
 // Validate resolves name and builds the config without running:
-// unknown scenarios, unknown options, unparsable or out-of-range values
-// and unknown policies are all caught here. Sweeps call it once per
-// grid cell before fanning replicas out.
+// unknown scenarios, unknown options, unparsable or out-of-range values,
+// unknown policies and whatever the scenario's own check refuses are
+// all caught here. Sweeps call it once per grid cell before fanning
+// replicas out.
 func Validate(name string, opts ...Option) error {
 	sp, err := Lookup(name)
 	if err != nil {

@@ -191,7 +191,13 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"policy-comparison", "mean-idle-nodes", WithOption("mean-idle-nodes", "NaN")},
 		{"fig2", "jobs", WithOption("jobs", "0")},
 		{"federated-day", "sites", WithOption("sites", "0")},
-		{"federated-day", "shards", WithOption("shards", "-2")},
+		// Values the per-option schema accepts but the scenario's own
+		// check refuses.
+		{"week-day", "day", WithOption("day", "foo")},
+		{"federated-day", "routing", WithOption("routing", "nope")},
+		{"federated-day", "routing", WithOption("routing", "spill-over,nope")},
+		{"federated-day", "sites × nodes", WithNodes(600000)}, // × the default 4 sites
+		{"policy-comparison", "policies", WithOption("policies", "fib,nope")},
 		{"fib-day", "nodes", WithNodes(99999999999)},
 		// Durations whose sum with an instant of the run would wrap a
 		// time.Duration.
@@ -216,8 +222,10 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 			rangeCase{scen, "checkpoint-interval", WithOption("checkpoint-interval", "-1s")},
 			rangeCase{scen, "action-timeout", WithOption("action-timeout", "-1s")},
 			rangeCase{scen, "action-timeout", WithOption("action-timeout", "2562047h")},
-			rangeCase{scen, "checkpoint-interval", WithOption("checkpoint-interval", "2562047h")},
-			rangeCase{scen, "shards", WithOption("shards", "2")})
+			rangeCase{scen, "checkpoint-interval", WithOption("checkpoint-interval", "2562047h")})
+	}
+	for _, scen := range Names() {
+		cases = append(cases, rangeCase{scen, "has no option", WithOption("shards", "2")})
 	}
 	for _, tc := range cases {
 		err := Validate(tc.scen, tc.opt)
@@ -255,6 +263,10 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"fib-day", WithOption("action-timeout", "500000h")},
 		{"fib-day", WithHorizon(maxDuration)},
 		{"policy-comparison", WithOption("mean-idle-nodes", "0")},
+		{"week-day", WithOption("day", "var")},
+		{"federated-day", WithOption("routing", "spill-over, capacity-weighted")},
+		{"federated-day", WithNodes(1 << 18)}, // × the default 4 sites: exactly the bound
+		{"policy-comparison", WithOption("policies", "fib,var")},
 	} {
 		if err := Validate(ok.scen, ok.opt); err != nil {
 			t.Errorf("%s: in-range value rejected: %v", ok.scen, err)
@@ -326,9 +338,9 @@ func TestWeekDayScenario(t *testing.T) {
 }
 
 // TestPolicyComparisonRejectsUnknownPolicyList: the "policies" raw
-// option is a string, so newConfig cannot vet it; the scenario itself
-// must turn an unknown name into an error, not a MustNew panic
-// mid-sweep.
+// option is a string, so its kind check passes any name; the
+// scenario's own check, which newConfig runs, must turn an unknown
+// name into an error, not a MustNew panic mid-sweep.
 func TestPolicyComparisonRejectsUnknownPolicyList(t *testing.T) {
 	_, err := Run(context.Background(), "policy-comparison",
 		WithOption("policies", "fib,bogus"))

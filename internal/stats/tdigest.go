@@ -33,8 +33,8 @@ type centroid struct{ mean, weight float64 }
 // Add/AddWeighted, memory stays O(compression) regardless of how many
 // arrive, and Quantile answers within the Epsilon rank-error bound.
 // Two digests built on disjoint streams Merge into the digest of the
-// union, which is what lets sweep replicas and federation shards
-// aggregate latency distributions without concatenating samples.
+// union, which is what lets sweep replicas aggregate latency
+// distributions without concatenating samples.
 //
 // The digest is allocation-free in steady state: all buffers are sized
 // at construction (NewTDigest) and the periodic compaction merges in

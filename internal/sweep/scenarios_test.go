@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -23,6 +24,7 @@ func TestSweepScenariosValidatesUpfront(t *testing.T) {
 		{"unknown option", []ScenarioPoint{{Scenario: "fig2", Options: []scenario.Option{scenario.WithOption("jobz", "1")}}}, "no option"},
 		{"bad value", []ScenarioPoint{{Scenario: "fig2", Options: []scenario.Option{scenario.WithOption("jobs", "many")}}}, "does not parse"},
 		{"out-of-range axis", []ScenarioPoint{{Scenario: "fib-day", Options: []scenario.Option{scenario.WithHorizon(0)}}}, "horizon"},
+		{"unknown routing", []ScenarioPoint{{Scenario: "federated-day", Options: []scenario.Option{scenario.WithOption("routing", "no-such-routing")}}}, "unknown routing policy"},
 	}
 	for _, tc := range cases {
 		if res, err := SweepScenarios(cfg, tc.cells); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -69,22 +71,26 @@ func TestSweepScenariosBoundsRuns(t *testing.T) {
 }
 
 // TestSweepScenariosSurfacesRuntimeErrors: a cell that passes upfront
-// validation but fails in every replica (federated-day's "routing"
-// option parses as a plain string; the names are only resolved against
-// the router registry inside Run) must come back as a joined error
-// naming the cell and seeds — not as a silently empty result.
+// validation but fails in every replica must come back as a joined
+// error naming the cell and seeds — not as a silently empty result.
 func TestSweepScenariosSurfacesRuntimeErrors(t *testing.T) {
+	const failing = "sweep-test-failing"
+	if _, err := scenario.Lookup(failing); err != nil {
+		scenario.Register(scenario.Spec{
+			Name: failing,
+			Run: func(context.Context, scenario.Config) (scenario.Result, error) {
+				return nil, errors.New("the run broke down")
+			},
+		})
+	}
 	cfg := Config{Replicas: 2, BaseSeed: 1}
-	res, err := SweepScenarios(cfg, []ScenarioPoint{
-		{Scenario: "federated-day", Options: []scenario.Option{
-			scenario.WithOption("routing", "no-such-routing"),
-		}},
-	})
+	res, err := SweepScenarios(cfg, []ScenarioPoint{{Scenario: failing}})
 	if err == nil {
 		t.Fatal("all replicas failed yet SweepScenarios returned no error")
 	}
-	if !strings.Contains(err.Error(), "federated-day") || !strings.Contains(err.Error(), "unknown routing policy") {
-		t.Errorf("error %q does not name the cell and cause", err)
+	if !strings.Contains(err.Error(), failing) || !strings.Contains(err.Error(), "the run broke down") ||
+		!strings.Contains(err.Error(), "seed") {
+		t.Errorf("error %q does not name the cell, seeds and cause", err)
 	}
 	if len(res) != 1 {
 		t.Fatalf("partial results missing: %+v", res)
@@ -251,22 +257,21 @@ func TestSweepScenariosAggregates(t *testing.T) {
 	}
 }
 
-// TestSweepScenariosShardedWorkerInvariance: a sharded federated cell
-// is still bit-identical across worker counts — the sweep's
-// determinism guarantee composes with the pdes runtime's, and
-// concurrent replicas each run their own 2-shard coordinator.
+// TestSweepScenariosShardedWorkerInvariance: a federated cell is
+// bit-identical across worker counts — concurrent replicas each run
+// their own 2-site federation, and nothing one replica does reaches
+// another's results.
 func TestSweepScenariosShardedWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full federated replicas (skipped under -short for the CI race gate)")
 	}
 	cells := []ScenarioPoint{{
-		Name:     "sharded",
+		Name:     "federated",
 		Scenario: "federated-day",
 		Options: []scenario.Option{
 			scenario.WithNodes(24), scenario.WithHorizon(20 * 60 * 1e9),
 			scenario.WithOption("sites", "2"), scenario.WithOption("actions", "12"),
 			scenario.WithOption("routing", "capacity-weighted"),
-			scenario.WithOption("shards", "2"),
 		},
 	}}
 	run := func(workers int) []Result {
@@ -278,7 +283,7 @@ func TestSweepScenariosShardedWorkerInvariance(t *testing.T) {
 	}
 	a, b := run(1)[0], run(8)[0]
 	if len(a.Values) == 0 {
-		t.Fatal("sharded cell produced no metrics")
+		t.Fatal("federated cell produced no metrics")
 	}
 	for name, vals := range a.Values {
 		got, ok := b.Values[name]

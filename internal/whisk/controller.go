@@ -160,9 +160,8 @@ type Controller struct {
 	// Work is the checkpoint subsystem's compute-accounting ledger,
 	// written by this controller's invokers (goodput on completion,
 	// wasted/lost on interrupts and kills, checkpoint and restore
-	// overheads as they are paid). Site-local by construction — no
-	// cross-site writes — so sharded pdes runs need no synchronization
-	// and stay byte-identical.
+	// overheads as they are paid). Site-local by construction: no other
+	// site of a federation writes it.
 	Work stats.WorkCounters
 }
 
