@@ -16,6 +16,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/router"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/whisk"
 	"repro/internal/workload"
@@ -348,6 +349,37 @@ func BenchmarkWeekDayStreaming(b *testing.B) {
 	b.ReportMetric(float64(r.MetricsBytes), "metrics-bytes")
 	b.ReportMetric(100*r.Load.SuccessShare, "success-%")
 	b.ReportMetric(float64(r.Load.MedianLatency.Milliseconds()), "median-ms")
+}
+
+// BenchmarkWeekDaySetup measures the set-up of the bench's week-stream
+// run: the week-day scenario on the 2,239-node cluster over 7 days at
+// 2 QPS with the streaming collectors. One op runs scenario.Run up to its
+// first progress callback and cancels it there, as the bench's set-up
+// timing does: it generates the week's idle trace, loads it into the
+// Slurm emulator, builds the deployment and runs the first minute. The
+// emulator streams the trace's boundaries into reserved queue places
+// instead of queuing all of them, so the B/op ratchet fails a change that
+// makes set-up grow with the horizon again.
+func BenchmarkWeekDaySetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		progressed := false
+		_, err := scenario.Run(ctx, "week-day",
+			scenario.WithSeed(7000),
+			scenario.WithNodes(experiments.PrometheusNodes),
+			scenario.WithHorizon(experiments.Week),
+			scenario.WithQPS(2),
+			scenario.WithOption("streaming", "true"),
+			scenario.WithProgress(func(_, _ time.Duration) {
+				progressed = true
+				cancel()
+			}))
+		cancel()
+		if !progressed {
+			b.Fatalf("set-up run reported no progress: %v", err)
+		}
+	}
 }
 
 // BenchmarkTraceGeneration measures the idle-process generator itself

@@ -18,15 +18,15 @@
 // The queue has two parts: a two-level timing wheel and a binary min-heap.
 // Nearly every event comes due within seconds of being scheduled (request
 // hops, timeouts, grace periods), while a trace-driven run also schedules
-// thousands of idle-period boundaries and pilot walltimes hours ahead. An
-// event due within the wheel's reach, the current block of 2^32 ns and the
-// next 63 (about 4.6 min), goes to the wheel at O(1); every later one goes
-// to the far heap. Level 0 of the wheel holds the current block in 4,096
-// buckets of 2^20 ns (about 1 ms); level 1 holds the next 63 blocks and
-// cascades each into level 0 once, when it comes due. A bucket that comes
-// due is sorted once into a short array whose last entry is the wheel's
-// head, and an event due before that bucket ends is inserted into the
-// array in order. Each dispatch fires the first of the wheel's head and
+// pilot walltimes and the ends of open idle periods minutes to hours
+// ahead. An event due within the wheel's reach, the current block of
+// 2^32 ns and the next 63 (about 4.6 min), goes to the wheel at O(1);
+// every later one goes to the far heap. Level 0 of the wheel holds the
+// current block in 4,096 buckets of 2^20 ns (about 1 ms); level 1 holds
+// the next 63 blocks and cascades each into level 0 once, when it comes
+// due. A bucket that comes due is sorted once into a short array whose
+// last entry is the wheel's head, and an event due before that bucket
+// ends is inserted into the array in order. Each dispatch fires the first of the wheel's head and
 // the heap's top, so events still fire one at a time in the one (instant,
 // sequence) order whichever part holds them. Stopped events leave stale
 // entries behind (Stop is index-free): the wheel drops them when their
@@ -70,10 +70,10 @@ type Event struct {
 // fewer events.)
 //
 // A slot holds either a plain callback (fn) or a typed-argument pair
-// (fnA, arg) from ScheduleCall; exactly one of fn/fnA is non-nil while
-// the slot is live. The typed form lets hot-path callers reuse one
-// long-lived func(any) (typically a cached method value) instead of
-// allocating a capturing closure per event.
+// (fnA, arg) from AfterCall or ScheduleCallIn; exactly one of fn/fnA is
+// non-nil while the slot is live. The typed form lets hot-path callers
+// reuse one long-lived func(any) (typically a cached method value)
+// instead of allocating a capturing closure per event.
 //
 // far records that the event's entry waits in the far heap rather than
 // the wheel, so Stop credits the stale count of the part that holds it.
@@ -167,7 +167,7 @@ func (s *Sim) Schedule(at Time, fn func()) Event {
 	}
 	idx, n := s.acquire(at)
 	n.fn = fn
-	return s.enqueue(at, idx, n)
+	return s.enqueue(at, s.take(), idx, n)
 }
 
 // After queues fn to run d from now. A negative d panics.
@@ -175,25 +175,68 @@ func (s *Sim) After(d time.Duration, fn func()) Event {
 	return s.Schedule(s.now+d, fn)
 }
 
-// ScheduleCall queues fn(arg) to run at instant at. It is Schedule for
-// the hot path: fn is typically a long-lived func(any) (a method value
-// cached once on the caller) and arg the per-event payload, so queueing
-// an event allocates nothing — no closure is created and the (fn, arg)
-// pair lives in the pooled slot. Events from ScheduleCall and Schedule
-// share one total (instant, sequence) order.
-func (s *Sim) ScheduleCall(at Time, fn func(any), arg any) Event {
+// AfterCall queues fn(arg) to run d from now. It is After for the hot
+// path: fn is typically a long-lived func(any) (a method value cached
+// once on the caller) and arg the per-event payload, so queueing an
+// event allocates nothing — no closure is created and the (fn, arg)
+// pair lives in the pooled slot. Events from AfterCall and Schedule
+// share one total (instant, sequence) order. A negative d panics.
+func (s *Sim) AfterCall(d time.Duration, fn func(any), arg any) Event {
+	return s.scheduleCall(s.now+d, s.take(), fn, arg)
+}
+
+// Places is a run of sequence numbers that Reserve took ahead of the
+// events that will use them.
+type Places struct {
+	first uint64
+	n     int
+}
+
+// Reserve takes the next n sequence numbers now, as n schedulings in a
+// row would, and returns them as places for ScheduleCallIn. An event
+// queued into place i later fires where the i-th of those n schedulings
+// would have: after the events at its instant scheduled before the
+// reservation, before those scheduled after it. So a producer with a long
+// ordered backlog (a trace's idle-period boundaries) can stream it into
+// the queue a few events at a time without changing the firing order, as
+// long as each event is queued before its place comes due. A negative n
+// panics.
+func (s *Sim) Reserve(n int) Places {
+	if n < 0 {
+		panic(fmt.Sprintf("des: reserve %d places", n))
+	}
+	p := Places{first: s.seq, n: n}
+	s.seq += uint64(n)
+	return p
+}
+
+// ScheduleCallIn queues fn(arg), as AfterCall does, to run at instant at
+// in place i of ps, which must come from this Sim's Reserve and take one
+// event only. Queued late, at the current instant behind an event that
+// has fired already, the event still fires ahead of every pending event
+// whose place comes after its own. A place outside ps panics.
+func (s *Sim) ScheduleCallIn(ps Places, i int, at Time, fn func(any), arg any) Event {
+	if i < 0 || i >= ps.n {
+		panic(fmt.Sprintf("des: place %d outside a reservation of %d", i, ps.n))
+	}
+	return s.scheduleCall(at, ps.first+uint64(i), fn, arg)
+}
+
+// take hands out the next sequence number.
+func (s *Sim) take() uint64 {
+	s.seq++
+	return s.seq - 1
+}
+
+// scheduleCall queues fn(arg) at instant at with sequence number seq.
+func (s *Sim) scheduleCall(at Time, seq uint64, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
 	idx, n := s.acquire(at)
 	n.fnA = fn
 	n.arg = arg
-	return s.enqueue(at, idx, n)
-}
-
-// AfterCall queues fn(arg) to run d from now. A negative d panics.
-func (s *Sim) AfterCall(d time.Duration, fn func(any), arg any) Event {
-	return s.ScheduleCall(s.now+d, fn, arg)
+	return s.enqueue(at, seq, idx, n)
 }
 
 // acquire validates the instant and takes a free callback slot.
@@ -212,11 +255,11 @@ func (s *Sim) acquire(at Time) (int32, *node) {
 	return idx, &s.nodes[idx]
 }
 
-// enqueue queues the filled slot in the wheel, or in the far heap when it
-// is due beyond the wheel's reach, and hands out the handle.
-func (s *Sim) enqueue(at Time, idx int32, n *node) Event {
-	e := entry{when: at, seq: s.seq, gen: n.gen, idx: idx}
-	s.seq++
+// enqueue queues the filled slot with sequence number seq in the wheel,
+// or in the far heap when it is due beyond the wheel's reach, and hands
+// out the handle.
+func (s *Sim) enqueue(at Time, seq uint64, idx int32, n *node) Event {
+	e := entry{when: at, seq: seq, gen: n.gen, idx: idx}
 	n.far = !s.wheel.push(e, s.now)
 	if n.far {
 		s.far.push(e)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,8 +70,14 @@ type refSim struct {
 }
 
 func (s *refSim) Schedule(at Time, fn func()) *refEvent {
-	e := &refEvent{sim: s, when: at, seq: s.seq, fn: fn}
 	s.seq++
+	return s.scheduleSeq(at, s.seq-1, fn)
+}
+
+// scheduleSeq queues fn at instant at with sequence number seq: a fresh
+// one from Schedule, or one a reservation set aside.
+func (s *refSim) scheduleSeq(at Time, seq uint64, fn func()) *refEvent {
+	e := &refEvent{sim: s, when: at, seq: seq, fn: fn}
 	heap.Push(&s.events, e)
 	return e
 }
@@ -95,17 +102,24 @@ func (s *refSim) RunUntil(end Time) {
 }
 
 // kernel abstracts the two implementations so one scripted op sequence
-// can drive both. sim is the pooled kernel's Sim (nil for the
-// reference), read only to check which code paths a script reached.
+// can drive both. reserve takes n places and returns the function that
+// schedules into the i-th of them. sim is the pooled kernel's Sim (nil
+// for the reference), read only to check which code paths a script
+// reached.
 type kernel struct {
 	now      func() Time
 	schedule func(at Time, fn func()) (stop func() bool)
 	after    func(i int, fn func()) (stop func() bool)
+	reserve  func(n int) (into intoPlace)
 	step     func() bool
 	runUntil func(end Time)
 	drain    func()
 	sim      *Sim
 }
+
+// intoPlace schedules fn at instant at into the i-th place of one
+// reservation.
+type intoPlace func(i int, at Time, fn func()) (stop func() bool)
 
 // afterDelays are the scripts' two constant delays, armed with AfterCall
 // as the request path arms its hops and its client timeout: entries a
@@ -125,6 +139,13 @@ func pooledKernel() kernel {
 			e := s.AfterCall(afterDelays[i], func(any) { fn() }, nil)
 			return e.Stop
 		},
+		reserve: func(n int) intoPlace {
+			ps := s.Reserve(n)
+			return func(i int, at Time, fn func()) func() bool {
+				e := s.ScheduleCallIn(ps, i, at, func(any) { fn() }, nil)
+				return e.Stop
+			}
+		},
 		step:     s.Step,
 		runUntil: s.RunUntil,
 		drain:    s.Run,
@@ -133,7 +154,7 @@ func pooledKernel() kernel {
 }
 
 // referenceKernel schedules a constant-delay op as a plain event at now
-// plus the delay.
+// plus the delay, and reserves places by skipping their sequence numbers.
 func referenceKernel() kernel {
 	s := &refSim{}
 	return kernel{
@@ -145,6 +166,13 @@ func referenceKernel() kernel {
 		after: func(i int, fn func()) func() bool {
 			e := s.Schedule(s.now+afterDelays[i], fn)
 			return e.Stop
+		},
+		reserve: func(n int) intoPlace {
+			first := s.seq
+			s.seq += uint64(n)
+			return func(i int, at Time, fn func()) func() bool {
+				return s.scheduleSeq(at, first+uint64(i), fn).Stop
+			}
 		},
 		step: s.Step,
 		runUntil: func(end Time) {
@@ -165,14 +193,20 @@ func referenceKernel() kernel {
 // with far set the children reach every offset class of at, so far
 // callbacks schedule too, into the wheel and the far heap, and one in
 // seven of them (id ≡ 0 mod 49) schedules at a constant delay instead.
-// Callbacks with id ≡ 4 (mod 11) stop a later-scheduled sibling due at
-// their own instant.
+// With far set, a spawning callback with id ≡ 7 (mod 14) puts its child
+// into the oldest unused reserved place, if there is one. Callbacks with
+// id ≡ 4 (mod 11) stop a later-scheduled sibling due at their own
+// instant.
 type harness struct {
 	k     kernel
 	far   bool
 	log   []byte
 	stops []func() bool
 	whens []Time
+
+	// places holds the reserved places no event has taken yet, oldest
+	// first.
+	places []place
 
 	// farDue and wheelDue count ops after which the pooled kernel's far
 	// heap or wheel was due for compaction: more than 64 stale entries,
@@ -197,6 +231,29 @@ func (d *harness) scheduleAfter(i int) {
 	d.stops = append(d.stops, d.k.after(i, d.callback()))
 }
 
+// place is place i of one reservation.
+type place struct {
+	into intoPlace
+	i    int
+}
+
+// reserve takes n places.
+func (d *harness) reserve(n int) {
+	into := d.k.reserve(n)
+	for i := 0; i < n; i++ {
+		d.places = append(d.places, place{into, i})
+	}
+}
+
+// scheduleIn queues the next event at instant at into the j-th oldest
+// unused place.
+func (d *harness) scheduleIn(j int, at Time) {
+	pl := d.places[j]
+	d.places = slices.Delete(d.places, j, j+1)
+	d.whens = append(d.whens, at)
+	d.stops = append(d.stops, pl.into(pl.i, at, d.callback()))
+}
+
 // callback returns the callback of the event about to be queued.
 func (d *harness) callback() func() {
 	id := len(d.stops)
@@ -207,6 +264,8 @@ func (d *harness) callback() func() {
 			switch {
 			case !d.far:
 				d.schedule(d.k.now() + Time(1+id%911)*Time(time.Millisecond))
+			case id%14 == 7 && len(d.places) > 0:
+				d.scheduleIn(0, d.at(id/7, id))
 			case id%49 == 0:
 				d.scheduleAfter(id / 49 % 2)
 			default:
@@ -326,25 +385,40 @@ const (
 	opRunUntil
 )
 
-// afterArg is the first schedule argument that selects a constant delay.
-const afterArg = 8
+// The first schedule arguments that select a constant delay, a
+// reservation and a reserved place.
+const (
+	afterArg   = 8
+	reserveArg = 16
+	placeArg   = 24
+)
 
 // runOps decodes data into ops, three bytes each — kind (low 2 bits)
 // and argument (high 6 bits), then a 16-bit parameter p — replays them
 // on k with far-reaching children, drains k and returns the harness. A
 // schedule with an argument of afterArg to afterArg+7 goes
-// afterDelays[argument%2] from now; any other schedule, and a RunUntil,
-// goes to at(argument, p). A stop stops up to 1<<(argument%8) handles
-// from the (p mod count)-th newest on.
+// afterDelays[argument%2] from now; one of reserveArg to reserveArg+7
+// reserves 1<<(argument%8) places; one of placeArg to placeArg+7 goes to
+// at(argument, p) into the (p mod count)-th oldest unused place, if any;
+// any other schedule, and a RunUntil, goes to at(argument, p). A stop
+// stops up to 1<<(argument%8) handles from the (p mod count)-th newest
+// on.
 func runOps(k kernel, data []byte) *harness {
 	d := &harness{k: k, far: true}
 	for op := 0; len(data) >= 3; op, data = op+1, data[3:] {
 		kind, arg, p := int(data[0]&3), int(data[0]>>2), int(data[1])<<8|int(data[2])
 		switch kind {
 		case opSchedule:
-			if arg >= afterArg && arg < afterArg+8 {
+			switch {
+			case arg >= afterArg && arg < afterArg+8:
 				d.scheduleAfter(arg % 2)
-			} else {
+			case arg >= reserveArg && arg < reserveArg+8:
+				d.reserve(1 << (arg % 8))
+			case arg >= placeArg && arg < placeArg+8:
+				if n := len(d.places); n > 0 {
+					d.scheduleIn(p%n, d.at(arg, p))
+				}
+			default:
 				d.schedule(d.at(arg, p))
 			}
 		case opStop:
@@ -451,8 +525,11 @@ func stale(s *Sim, q []entry) int {
 // handles 129 to 256 schedulings back, whose near events have mostly
 // fired by then, so the stops strand far entries faster than they
 // surface; single steps; and RunUntil windows of mostly milliseconds to
-// seconds, a few minutes and rare hour-long jumps.
-func farScript(seed int64, n int) []byte {
+// seconds, a few minutes and rare hour-long jumps. With places set, one
+// op in twenty reserves 1, 2, 4 or 8 places and one in five schedules
+// into a reserved place over the same offset classes, as a trace's
+// streamed boundaries do.
+func farScript(seed int64, n int, places bool) []byte {
 	const (
 		scheduleClasses = "0000011111223333334567"
 		windowClasses   = "000000000011111111122456"
@@ -475,6 +552,14 @@ func farScript(seed int64, n int) []byte {
 			}
 		case r < 22:
 			arg = afterArg + rng.Intn(2)
+		}
+		if places {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				kind, arg = opSchedule, reserveArg+rng.Intn(4)
+			case r < 5:
+				kind, arg = opSchedule, placeArg+int(scheduleClasses[rng.Intn(len(scheduleClasses))]-'0')
+			}
 		}
 		data = append(data, byte(kind|arg<<2), byte(p>>8), byte(p))
 	}
@@ -516,24 +601,33 @@ func requestScript(seed int64, n int) []byte {
 // end of its reach, whose constant-delay schedules wait 1 s or 60 s,
 // whose bulk stops compact the wheel and the far heap, whose RunUntil
 // windows jump hours of empty clock and whose ties put far entries and
-// later-scheduled wheel entries on the same instant. After every op of
-// the far-reaching scripts each part's counts must equal the entries it
-// holds, and every wheel entry must sit where it belongs.
+// later-scheduled wheel entries on the same instant; and far-reaching
+// scripts that also reserve places and queue into them, so a wheel
+// entry can tie with a far one and carry the smaller sequence number.
+// After every op of the far-reaching scripts each part's counts must
+// equal the entries it holds, and every wheel entry must sit where it
+// belongs.
 func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 	const ops = 100_000
 	for _, seed := range []int64{1, 2, 3} {
 		sameLog(t, fmt.Sprintf("near seed %d", seed),
 			runScript(pooledKernel(), ops, seed), runScript(referenceKernel(), ops, seed))
 	}
-	for _, seed := range []int64{1, 2, 3} {
-		data := farScript(seed, ops)
-		got := runOps(pooledKernel(), data)
-		sameLog(t, fmt.Sprintf("far seed %d", seed), string(got.log), string(runOps(referenceKernel(), data).log))
-		if got.farDue == 0 {
-			t.Errorf("far seed %d: the far heap was never due for compaction", seed)
-		}
-		if got.miscount != "" {
-			t.Errorf("far seed %d: count or placement drifted after %s", seed, got.miscount)
+	for _, places := range []bool{false, true} {
+		for _, seed := range []int64{1, 2, 3} {
+			name := fmt.Sprintf("far seed %d", seed)
+			if places {
+				name = fmt.Sprintf("places seed %d", seed)
+			}
+			data := farScript(seed, ops, places)
+			got := runOps(pooledKernel(), data)
+			sameLog(t, name, string(got.log), string(runOps(referenceKernel(), data).log))
+			if got.farDue == 0 {
+				t.Errorf("%s: the far heap was never due for compaction", name)
+			}
+			if got.miscount != "" {
+				t.Errorf("%s: count or placement drifted after %s", name, got.miscount)
+			}
 		}
 	}
 	for _, seed := range []int64{1, 2, 3} {
@@ -550,12 +644,14 @@ func TestPropertyPooledHeapMatchesReference(t *testing.T) {
 }
 
 // FuzzKernelMatchesReference decodes arbitrary bytes into schedule
-// (at an instant or at a constant delay), stop, step and RunUntil ops
-// (runOps) and requires identical logs from the pooled kernel and the
-// container/heap oracle, exact counts and every wheel entry in its
-// place after every op. Its seeds reach the wheel's boundaries: bucket
-// and block edges, the end of its reach, a block cascaded with stopped
-// entries, and compaction.
+// (at an instant, at a constant delay or into a reserved place),
+// reserve, stop, step and RunUntil ops (runOps) and requires identical
+// logs from the pooled kernel and the container/heap oracle, exact
+// counts and every wheel entry in its place after every op. Its seeds
+// reach the wheel's boundaries: bucket and block edges, the end of its
+// reach, a block cascaded with stopped entries, and compaction; and
+// reserved places at the current instant, in the head array, across a
+// cascade and tied with a far entry.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -596,7 +692,8 @@ func FuzzKernelMatchesReference(f *testing.F) {
 	)
 	f.Add(compact)
 	for seed := int64(1); seed <= 4; seed++ {
-		f.Add(farScript(seed, 400))
+		f.Add(farScript(seed, 400, false))
+		f.Add(farScript(seed, 400, true))
 	}
 	// Eight events 9.000 to 9.007 s ahead, in block 2 at level 1, three
 	// of them stopped: running to 9.004 s cascades the block, dropping
@@ -635,6 +732,52 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		opRunUntil|1<<2, 0x0b, 0xb8, // 3 s ahead
 	)
 	f.Add(spread)
+	// Reserved places. A place taken before an event at the current
+	// instant was scheduled fires ahead of it, though queued after it.
+	f.Add([]byte{
+		opSchedule | reserveArg<<2, 0, 0, // one place
+		opRunUntil | 1<<2, 0x03, 0xe8, // 1 s on
+		opSchedule, 0, 0, // an event at the current instant
+		opSchedule | placeArg<<2, 0, 0, // into the place, at the same instant: it fires next
+		opStep, 0, 0,
+		opStep, 0, 0,
+	})
+	// A place in due: a step sorts a bucket of two events 5 ms ahead into
+	// the head array and fires the first; the place, queued at that
+	// instant, goes into the array ahead of the second.
+	f.Add([]byte{
+		opSchedule | (reserveArg+1)<<2, 0, 0, // two places
+		opSchedule, 0, 5,
+		opSchedule, 0, 5,
+		opStep, 0, 0,
+		opSchedule | placeArg<<2, 0, 0, // the older place, at the current instant
+		opSchedule | placeArg<<2, 0, 1, // the newer one, 1 ms on: a later bucket
+		opStep, 0, 0,
+	})
+	// Places across a cascade: four events 9.000 to 9.003 s ahead, in
+	// block 2 at level 1, and two places tied with the middle two; running
+	// to 9.002 s cascades the block and sorts each place ahead of its tie.
+	var placesCascade = []byte{opSchedule | (reserveArg+1)<<2, 0, 0}
+	for p := 9000; p < 9004; p++ {
+		placesCascade = append(placesCascade, opSchedule|1<<2, byte(p>>8), byte(p))
+	}
+	placesCascade = append(placesCascade,
+		opSchedule|(placeArg+1)<<2, 0x23, 0x2a, // 9.002 s, the older place
+		opSchedule|(placeArg+1)<<2, 0x23, 0x29, // 9.001 s, the newer one
+		opRunUntil|1<<2, 0x23, 0x2a,
+		opStep, 0, 0,
+	)
+	f.Add(placesCascade)
+	// A wheel entry tied with a far entry at one instant, with the smaller
+	// sequence number: the far one goes past the wheel's reach; a block on,
+	// the place, taken before it, joins it at its instant, now within reach.
+	f.Add([]byte{
+		opSchedule | reserveArg<<2, 0, 0, // one place
+		opSchedule | 6<<2, 0, 1, // the first instant past the reach: far
+		opRunUntil | 5<<2, 0, 1, // to the next block edge
+		opSchedule | (placeArg+7)<<2, 0, 0, // into the place, tied with it: the wheel
+		opStep, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := runOps(pooledKernel(), data)
 		sameLog(t, "fuzz", string(got.log), string(runOps(referenceKernel(), data).log))

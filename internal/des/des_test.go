@@ -308,10 +308,12 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceBacklog measures the request path over a trace-shaped
-// backlog: about 6,400 events spread over 24 h wait in the queue, the
-// idle-period boundaries a trace-driven day schedules at set-up (each
-// re-arms itself a day later when it fires, so the backlog stays put).
+// BenchmarkTraceBacklog measures the request path over a large far
+// backlog: about 6,400 events spread over 24 h wait in the queue (each
+// re-arms itself a day later when it fires, so the backlog stays put),
+// as many as a day's idle-period boundaries. slurm.DriveTrace streams
+// those, keeping one start and the open periods' ends pending, so this
+// backlog stands well above what a trace-driven day's far heap holds.
 // One op is one request-shaped cycle: arm a 60 s timeout with AfterCall,
 // as the controller does, run 6 chained hops of 10–400 ms, stop the
 // timeout. Steady state is allocation-free.
@@ -322,7 +324,7 @@ func BenchmarkTraceBacklog(b *testing.B) {
 	rearm = func(any) { s.AfterCall(24*time.Hour, rearm, nil) }
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 6400; i++ {
-		s.ScheduleCall(Time(rng.Int63n(int64(24*time.Hour))), rearm, nil)
+		s.AfterCall(Time(rng.Int63n(int64(24*time.Hour))), rearm, nil)
 	}
 	hops := [...]time.Duration{10, 40, 120, 400, 25, 80}
 	var chain time.Duration
@@ -415,15 +417,15 @@ func BenchmarkFreshSim(b *testing.B) {
 	}
 }
 
-// TestScheduleCallPassesArg: each typed event gets its own argument, in
-// (instant, sequence) order, and the slot that holds the callback and
-// its argument is 40 bytes.
+// TestScheduleCallPassesArg: each typed event (AfterCall) gets its own
+// argument, in (instant, sequence) order, and the slot that holds the
+// callback and its argument is 40 bytes.
 func TestScheduleCallPassesArg(t *testing.T) {
 	s := New()
 	var got []any
 	record := func(v any) { got = append(got, v) }
-	s.ScheduleCall(2*time.Second, record, "b")
-	s.ScheduleCall(time.Second, record, 1)
+	s.AfterCall(2*time.Second, record, "b")
+	s.AfterCall(time.Second, record, 1)
 	s.AfterCall(3*time.Second, record, nil)
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != "b" || got[2] != nil {
@@ -441,9 +443,9 @@ func TestScheduleCallInterleavesWithSchedule(t *testing.T) {
 	var order []int
 	record := func(v any) { order = append(order, v.(int)) }
 	s.Schedule(time.Second, func() { order = append(order, 0) })
-	s.ScheduleCall(time.Second, record, 1)
+	s.AfterCall(time.Second, record, 1)
 	s.Schedule(time.Second, func() { order = append(order, 2) })
-	s.ScheduleCall(time.Second, record, 3)
+	s.AfterCall(time.Second, record, 3)
 	s.Run()
 	for i, v := range order {
 		if v != i {
@@ -455,7 +457,7 @@ func TestScheduleCallInterleavesWithSchedule(t *testing.T) {
 func TestScheduleCallStopAndRecycle(t *testing.T) {
 	s := New()
 	fired := false
-	e := s.ScheduleCall(time.Second, func(any) { fired = true }, "payload")
+	e := s.AfterCall(time.Second, func(any) { fired = true }, "payload")
 	if !e.Stop() {
 		t.Fatal("stop on pending typed-arg event should report true")
 	}
@@ -463,7 +465,7 @@ func TestScheduleCallStopAndRecycle(t *testing.T) {
 	// it is typed or plain, and the stale handle must stay inert.
 	ran := 0
 	s.Schedule(time.Second, func() { ran++ })
-	s.ScheduleCall(2*time.Second, func(any) { ran++ }, nil)
+	s.AfterCall(2*time.Second, func(any) { ran++ }, nil)
 	if e.Stop() {
 		t.Error("stop on a recycled slot should be a no-op")
 	}
@@ -480,7 +482,7 @@ func TestScheduleCallNilPanics(t *testing.T) {
 			t.Error("nil typed callback should panic")
 		}
 	}()
-	s.ScheduleCall(time.Second, nil, 7)
+	s.AfterCall(time.Second, nil, 7)
 }
 
 func TestScheduleCallPastPanics(t *testing.T) {
@@ -491,26 +493,68 @@ func TestScheduleCallPastPanics(t *testing.T) {
 			t.Error("typed scheduling in the past should panic")
 		}
 	}()
-	s.ScheduleCall(5*time.Second, func(any) {}, nil)
+	s.AfterCall(-5*time.Second, func(any) {}, nil)
+}
+
+// TestScheduleCallInKeepsReservedPlaces: events queued into reserved
+// places, in any order and after later schedulings at their instant, fire
+// where schedulings at the reservation would have.
+func TestScheduleCallInKeepsReservedPlaces(t *testing.T) {
+	s := New()
+	var order []int
+	record := func(v any) { order = append(order, v.(int)) }
+	s.AfterCall(time.Second, record, 0)
+	ps := s.Reserve(3)
+	s.AfterCall(time.Second, record, 4)
+	s.ScheduleCallIn(ps, 2, time.Second, record, 3)
+	s.ScheduleCallIn(ps, 0, time.Second, record, 1)
+	s.AfterCall(time.Second, record, 5)
+	s.ScheduleCallIn(ps, 1, time.Second, record, 2)
+	s.Run()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order = %v, want [0 1 2 3 4 5]", order)
+		}
+	}
+}
+
+func TestScheduleCallInOutOfRangePanics(t *testing.T) {
+	s := New()
+	ps := s.Reserve(2)
+	for _, i := range []int{-1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("place %d of 2 should panic", i)
+				}
+			}()
+			s.ScheduleCallIn(ps, i, time.Second, func(any) {}, nil)
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a negative reservation should panic")
+		}
+	}()
+	s.Reserve(-1)
 }
 
 // BenchmarkScheduleCallAndRun is BenchmarkScheduleAndRun for the
-// typed-arg hot path: steady state must stay allocation-free even
-// though every event carries a distinct pointer argument.
+// typed-arg hot path (AfterCall): steady state must stay allocation-free
+// even though every event carries a distinct pointer argument.
 func BenchmarkScheduleCallAndRun(b *testing.B) {
 	b.ReportAllocs()
 	s := New()
 	fn := func(any) {}
 	arg := &struct{ n int }{}
 	for j := 0; j < 1000; j++ {
-		s.ScheduleCall(Time(j), fn, arg)
+		s.AfterCall(Time(j), fn, arg)
 	}
 	s.Run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base := s.Now()
 		for j := 0; j < 1000; j++ {
-			s.ScheduleCall(base+Time(j)*Time(time.Millisecond), fn, arg)
+			s.AfterCall(Time(j)*Time(time.Millisecond), fn, arg)
 		}
 		s.Run()
 	}

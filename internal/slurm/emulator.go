@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -83,6 +84,9 @@ type Emulator struct {
 	declaredEnd []des.Time
 
 	passTicker       des.Event
+	runPassFn        func() // cached method values: a pass allocates no closure
+	placeFn          func()
+	idleSnap         []int // the idle nodes at the last pass's start, sorted
 	inTraceMode      bool
 	headReservation  reservation
 	primePassPending bool
@@ -105,6 +109,7 @@ func New(sim *des.Sim, n int, cfg Config) *Emulator {
 		declaredEnd:   make([]des.Time, n),
 		byLimit:       map[time.Duration]int{},
 	}
+	e.runPassFn, e.placeFn = e.runPass, e.place
 	return e
 }
 
@@ -123,7 +128,19 @@ func (e *Emulator) AddPartition(p Partition) {
 // DriveTrace loads an exogenous availability trace: outside its idle
 // periods every node is occupied by untracked prime load. Idle-period
 // boundaries become node events; the declared ends feed the scheduler's
-// window estimates. Call before Start.
+// window estimates. Call before Start. A period that ends before it
+// starts, which Trace.Validate rejects, panics.
+//
+// The boundaries are streamed into the queue, not queued up front: one
+// cursor walks the periods in start order (ties by index) and keeps
+// exactly one start pending, and each start, as it fires, queues its own
+// period's end and the next start. The queue then holds one start and the
+// end of every open period, not both boundaries of every period in the
+// horizon. Each boundary takes a place reserved here (des.Sim.Reserve):
+// period i's start place 2i and its end place 2i+1, the sequence numbers
+// queuing both boundaries of every period in index order would give them,
+// so every boundary fires exactly where it would have fired from an
+// up-front queue, in ties with other events at its instant too.
 func (e *Emulator) DriveTrace(tr *workload.Trace) {
 	if tr.Nodes != e.cl.Len() {
 		panic(fmt.Sprintf("slurm: trace has %d nodes, cluster %d", tr.Nodes, e.cl.Len()))
@@ -133,18 +150,58 @@ func (e *Emulator) DriveTrace(tr *workload.Trace) {
 	for i := 0; i < e.cl.Len(); i++ {
 		e.cl.Set(i, cluster.Busy, e.sim.Now())
 	}
-	// Both boundaries of every period are queued up front through two
-	// callbacks per trace, not two closures per period. Each event
-	// carries a pointer into the emulator's own copy of the periods, so
-	// a caller that reuses tr cannot move a queued boundary.
-	periods := slices.Clone(tr.Periods)
-	start := func(p any) { e.traceIdleStart(p.(*workload.IdlePeriod)) }
-	end := func(p any) { e.traceIdleEnd(p.(*workload.IdlePeriod)) }
-	for i := range periods {
-		p := &periods[i]
-		e.sim.ScheduleCall(p.Start, start, p)
-		e.sim.ScheduleCall(p.End, end, p)
+	// The driver streams from the emulator's own copy of the periods, so
+	// a caller that reuses tr cannot move a boundary still to come.
+	d := &traceDriver{e: e, periods: slices.Clone(tr.Periods), order: make([]int, len(tr.Periods))}
+	for i, p := range d.periods {
+		if p.End < p.Start {
+			panic(fmt.Sprintf("slurm: trace period %d (node %d) ends at %v, before its start %v", i, p.Node, p.End, p.Start))
+		}
+		d.order[i] = i
 	}
+	slices.SortStableFunc(d.order, func(a, b int) int {
+		return cmp.Compare(d.periods[a].Start, d.periods[b].Start)
+	})
+	d.places = e.sim.Reserve(2 * len(d.periods))
+	d.startFn = d.start
+	d.endFn = func(p any) { e.traceIdleEnd(p.(*workload.IdlePeriod)) }
+	d.queueStart()
+}
+
+// traceDriver streams a trace's idle-period boundaries into the queue
+// (see DriveTrace).
+type traceDriver struct {
+	e       *Emulator
+	periods []workload.IdlePeriod
+
+	// order lists the period indices in start order, ties by index.
+	order []int
+
+	// next is the cursor: the position in start order of the pending
+	// start.
+	next int
+
+	places         des.Places
+	startFn, endFn func(any)
+}
+
+// queueStart queues the start at the cursor, if a period is left.
+func (d *traceDriver) queueStart() {
+	if d.next < len(d.periods) {
+		i := d.order[d.next]
+		d.e.sim.ScheduleCallIn(d.places, 2*i, d.periods[i].Start, d.startFn, nil)
+	}
+}
+
+// start fires the start at the cursor: it queues that period's end and
+// the next start, then opens the period's window.
+func (d *traceDriver) start(any) {
+	i := d.order[d.next]
+	d.next++
+	p := &d.periods[i]
+	d.e.sim.ScheduleCallIn(d.places, 2*i+1, p.End, d.endFn, p)
+	d.queueStart()
+	d.e.traceIdleStart(p)
 }
 
 func (e *Emulator) traceIdleStart(p *workload.IdlePeriod) {
@@ -182,7 +239,7 @@ func (e *Emulator) Start() {
 }
 
 func (e *Emulator) schedulePass(after time.Duration) {
-	e.passTicker = e.sim.After(after, e.runPass)
+	e.passTicker = e.sim.After(after, e.runPassFn)
 }
 
 // runPass models one scheduling pass: it costs time proportional to the
@@ -191,19 +248,28 @@ func (e *Emulator) schedulePass(after time.Duration) {
 // placements take effect at the end of the pass. Nodes that turn idle
 // while a pass is in flight wait for the next pass — the staleness that
 // makes expensive (variable-length) passes lose coverage (§V-B2).
+//
+// Every pass snapshots into one reused buffer. That is safe because the
+// placement is queued before the next pass, never later than it: when
+// both fall on one instant the placement fires first and is done with
+// the snapshot before the next pass overwrites it.
 func (e *Emulator) runPass() {
 	cost := e.passCost()
-	idleSnap := append([]int(nil), e.cl.Nodes(cluster.Idle)...)
-	sort.Ints(idleSnap)
-	e.sim.After(cost, func() {
-		e.schedulePrime()
-		e.schedulePilotsOn(idleSnap)
-	})
+	e.idleSnap = append(e.idleSnap[:0], e.cl.Nodes(cluster.Idle)...)
+	sort.Ints(e.idleSnap)
+	e.sim.After(cost, e.placeFn)
 	next := e.cfg.SchedInterval
 	if cost > next {
 		next = cost
 	}
 	e.schedulePass(next)
+}
+
+// place takes effect at the end of a pass: it places prime jobs, then
+// pilots on the pass's idle snapshot.
+func (e *Emulator) place() {
+	e.schedulePrime()
+	e.schedulePilotsOn(e.idleSnap)
 }
 
 // passCost prices one scheduling pass from the maintained queue

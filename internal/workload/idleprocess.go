@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 	"time"
@@ -155,9 +154,8 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 	active := &endHeap{}
 
 	release := func(until float64) {
-		for active.Len() > 0 && (*active)[0].end <= until {
-			e := heap.Pop(active).(activePeriod)
-			free.add(e.node)
+		for len(*active) > 0 && (*active)[0].end <= until {
+			free.add(active.pop().node)
 		}
 	}
 
@@ -166,8 +164,8 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 		if seg.saturated {
 			// A demand surge claims every idle node: truncate active
 			// periods at the segment start.
-			for active.Len() > 0 {
-				e := heap.Pop(active).(activePeriod)
+			for len(*active) > 0 {
+				e := active.pop()
 				p := &tr.Periods[e.idx]
 				cut := time.Duration(seg.start * float64(time.Second))
 				if cut < p.End {
@@ -218,7 +216,7 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 				End:         time.Duration(end * float64(time.Second)),
 				DeclaredEnd: time.Duration(declared * float64(time.Second)),
 			})
-			heap.Push(active, activePeriod{end: end, node: node, idx: len(tr.Periods) - 1})
+			active.push(activePeriod{end: end, node: node, idx: len(tr.Periods) - 1})
 		}
 		release(seg.end)
 	}
@@ -449,16 +447,48 @@ type activePeriod struct {
 	idx  int
 }
 
+// endHeap is a min-heap of the active periods by end. Ends tie (every
+// period clamped at the horizon ends there), and the order in which tied
+// periods pop is the order their nodes return to the free set, so it
+// sets every later node pick. push and pop must therefore sift exactly
+// as container/heap's Push and Pop do, with a strict <, or every
+// generated trace changes.
 type endHeap []activePeriod
 
-func (h endHeap) Len() int           { return len(h) }
-func (h endHeap) Less(i, j int) bool { return h[i].end < h[j].end }
-func (h endHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x any)        { *h = append(*h, x.(activePeriod)) }
-func (h *endHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// push adds a, sifting it up.
+func (h *endHeap) push(a activePeriod) {
+	*h = append(*h, a)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].end < s[i].end) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the minimum: it swaps the last entry to the
+// top and sifts it down over the rest.
+func (h *endHeap) pop() activePeriod {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && s[j+1].end < s[j].end {
+			j++
+		}
+		if !(s[j].end < s[i].end) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }

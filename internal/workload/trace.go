@@ -7,10 +7,12 @@ package workload
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,11 +46,11 @@ type Trace struct {
 
 // Sort orders the periods by start time (ties by node id).
 func (t *Trace) Sort() {
-	sort.Slice(t.Periods, func(i, j int) bool {
-		if t.Periods[i].Start != t.Periods[j].Start {
-			return t.Periods[i].Start < t.Periods[j].Start
+	slices.SortFunc(t.Periods, func(a, b IdlePeriod) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return t.Periods[i].Node < t.Periods[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 }
 
