@@ -434,29 +434,22 @@ func routingFederation(invokers int) *router.FrontDoor {
 	return fd
 }
 
-// measureRoutingNs times the steady-state control-plane cost of one
-// routed request — the periodic snapshot Refresh amortized over the
-// routing decisions between refreshes, plus the policy Pick itself —
-// and returns ns per request (best of three rounds, so a CI
-// scheduling hiccup in one round cannot skew the scaling ratio).
-func measureRoutingNs(fd *router.FrontDoor) float64 {
+// routingRoundNs times one round of the steady-state control-plane cost
+// of a routed request — the periodic snapshot Refresh amortized over the
+// routing decisions between refreshes, plus the policy Pick itself — and
+// returns ns per request.
+func routingRoundNs(fd *router.FrontDoor) float64 {
 	const picks = 1 << 18
 	pol := fd.Policy()
-	best := 0.0
-	for round := 0; round < 3; round++ {
-		start := time.Now()
-		for i := 0; i < picks; i++ {
-			if i%bigClusterRefreshEvery == 0 {
-				fd.Refresh()
-			}
-			a := bigClusterActions[i&7]
-			bigClusterSink += pol.Pick(fd, a, fd.Home(a))
+	start := time.Now()
+	for i := 0; i < picks; i++ {
+		if i%bigClusterRefreshEvery == 0 {
+			fd.Refresh()
 		}
-		if ns := float64(time.Since(start)) / picks; best == 0 || ns < best {
-			best = ns
-		}
+		a := bigClusterActions[i&7]
+		bigClusterSink += pol.Pick(fd, a, fd.Home(a))
 	}
-	return best
+	return float64(time.Since(start)) / picks
 }
 
 // BenchmarkBigClusterRouting pins the tentpole claim of the O(1)
@@ -465,9 +458,11 @@ func measureRoutingNs(fd *router.FrontDoor) float64 {
 // + pick loop over 4 sites at two scales — 1k and 16k total invokers —
 // and fails if 16k costs more than 1.5× the 1k value (the pre-O(1)
 // scans fail this by construction: their Refresh walked every invoker
-// of every site). The reported ratio is gated against BENCH_ci.json,
-// and the b.N loop keeps the 16k pick path under the allocation
-// ratchet.
+// of every site). The two sizes' rounds alternate, 16k then 1k, three
+// times, and each size keeps its best round, so a slow phase of a
+// shared host slows rounds of both sizes instead of skewing the ratio.
+// The reported ratio is recorded in BENCH_ci.json, and the b.N loop
+// keeps the 16k pick path under the allocation ratchet.
 func BenchmarkBigClusterRouting(b *testing.B) {
 	b.ReportAllocs()
 	fd16k := routingFederation(16384)
@@ -481,8 +476,12 @@ func BenchmarkBigClusterRouting(b *testing.B) {
 		bigClusterSink += pol.Pick(fd16k, a, fd16k.Home(a))
 	}
 	b.StopTimer()
-	ns16k := measureRoutingNs(fd16k)
-	ns1k := measureRoutingNs(routingFederation(1024))
+	fd1k := routingFederation(1024)
+	ns16k, ns1k := routingRoundNs(fd16k), routingRoundNs(fd1k)
+	for range 2 {
+		ns16k = min(ns16k, routingRoundNs(fd16k))
+		ns1k = min(ns1k, routingRoundNs(fd1k))
+	}
 	ratio := ns16k / ns1k
 	if ratio > 1.5 {
 		b.Fatalf("per-request routing cost not flat: 16k invokers %.1f ns vs 1k invokers %.1f ns (ratio %.2f > 1.5)",

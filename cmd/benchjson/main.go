@@ -50,13 +50,19 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 //
 // i.e. name, iteration count, then (value, unit) pairs. The -GOMAXPROCS
 // suffix is stripped so names are stable across machines, and a name
-// seen on several lines keeps each metric's minimum.
+// seen on several lines keeps each metric's minimum. A benchmark that
+// failed prints "--- FAIL: name" instead of its values, after its name
+// or on a line of its own; parse rejects the output, naming it.
 func parse(r io.Reader) (Doc, error) {
 	doc := Doc{Benchmarks: map[string]map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
+		if _, failed, ok := strings.Cut(line, "--- FAIL: "); ok && strings.HasPrefix(failed, "Benchmark") {
+			name := procSuffix.ReplaceAllString(strings.Fields(failed)[0], "")
+			return doc, fmt.Errorf("benchjson: benchmark %s failed", name)
+		}
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			doc.Goos = strings.TrimPrefix(line, "goos: ")

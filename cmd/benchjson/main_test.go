@@ -107,6 +107,26 @@ func TestParseRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestParseRejectsFailedBenchmark: a benchmark that fails on a later
+// run prints "--- FAIL:" after its name, and one that fails on its first
+// run prints it on a line of its own; either way parse names it instead
+// of reading "FAIL:" as a value or skipping it.
+func TestParseRejectsFailedBenchmark(t *testing.T) {
+	for _, in := range []string{
+		"BenchmarkBigClusterRouting-2   \t--- FAIL: BenchmarkBigClusterRouting-2\n" +
+			"    bench_test.go:488: per-request routing cost not flat\n",
+		"--- FAIL: BenchmarkBigClusterRouting\n    bench_test.go:488: per-request routing cost not flat\n",
+	} {
+		_, err := parse(strings.NewReader("BenchmarkBigClusterRouting-2 1 1550 ns/op 0 B/op 0 allocs/op\n" + in + "PASS\n"))
+		if err == nil || err.Error() != "benchjson: benchmark BenchmarkBigClusterRouting failed" {
+			t.Errorf("parse(%q) = %v, want the failed benchmark named", in, err)
+		}
+	}
+	if _, err := parse(strings.NewReader("--- FAIL: TestUnrelated (0.00s)\n")); err != nil {
+		t.Errorf("a failed test line rejected: %v", err)
+	}
+}
+
 func TestMissingRequired(t *testing.T) {
 	doc := Doc{Benchmarks: map[string]map[string]float64{
 		"BenchmarkRequestPath": {"ns/op": 2500, "allocs/op": 0},

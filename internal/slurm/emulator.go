@@ -137,10 +137,13 @@ func (e *Emulator) AddPartition(p Partition) {
 // period's end and the next start. The queue then holds one start and the
 // end of every open period, not both boundaries of every period in the
 // horizon. Each boundary takes a place reserved here (des.Sim.Reserve):
-// period i's start place 2i and its end place 2i+1, the sequence numbers
-// queuing both boundaries of every period in index order would give them,
-// so every boundary fires exactly where it would have fired from an
-// up-front queue, in ties with other events at its instant too.
+// the period at position k in start order takes place 2k for its start
+// and 2k+1 for its end, the sequence numbers queuing both boundaries of
+// every period in start order would give them, so every boundary fires
+// exactly where it would have fired from such an up-front queue, in ties
+// with other events at its instant too. So a period that ends at the
+// instant a later-starting period opens ends first, whatever the order
+// of tr.Periods.
 func (e *Emulator) DriveTrace(tr *workload.Trace) {
 	if tr.Nodes != e.cl.Len() {
 		panic(fmt.Sprintf("slurm: trace has %d nodes, cluster %d", tr.Nodes, e.cl.Len()))
@@ -187,19 +190,18 @@ type traceDriver struct {
 
 // queueStart queues the start at the cursor, if a period is left.
 func (d *traceDriver) queueStart() {
-	if d.next < len(d.periods) {
-		i := d.order[d.next]
-		d.e.sim.ScheduleCallIn(d.places, 2*i, d.periods[i].Start, d.startFn, nil)
+	if k := d.next; k < len(d.periods) {
+		d.e.sim.ScheduleCallIn(d.places, 2*k, d.periods[d.order[k]].Start, d.startFn, nil)
 	}
 }
 
 // start fires the start at the cursor: it queues that period's end and
 // the next start, then opens the period's window.
 func (d *traceDriver) start(any) {
-	i := d.order[d.next]
+	k := d.next
 	d.next++
-	p := &d.periods[i]
-	d.e.sim.ScheduleCallIn(d.places, 2*i+1, p.End, d.endFn, p)
+	p := &d.periods[d.order[k]]
+	d.e.sim.ScheduleCallIn(d.places, 2*k+1, p.End, d.endFn, p)
 	d.queueStart()
 	d.e.traceIdleStart(p)
 }

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -14,14 +15,17 @@ import (
 )
 
 // driveUpFront is the reference for DriveTrace: it queues both boundaries
-// of every period at set-up, in index order, each with a sequence number
-// of its own.
+// of every period at set-up, in start order (ties by index), each with a
+// sequence number of its own.
 func driveUpFront(e *Emulator, tr *workload.Trace) {
 	e.inTraceMode = true
 	for i := 0; i < e.cl.Len(); i++ {
 		e.cl.Set(i, cluster.Busy, e.sim.Now())
 	}
 	periods := slices.Clone(tr.Periods)
+	slices.SortStableFunc(periods, func(a, b workload.IdlePeriod) int {
+		return cmp.Compare(a.Start, b.Start)
+	})
 	for i := range periods {
 		p := &periods[i]
 		e.sim.Schedule(p.Start, func() { e.traceIdleStart(p) })
@@ -125,12 +129,34 @@ func shuffled(tr *workload.Trace, seed int64) *workload.Trace {
 	return &cp
 }
 
+// nodeLog returns node's transitions in a fireLog log, in firing order,
+// as "instant state".
+func nodeLog(t *testing.T, log string, node int) []string {
+	t.Helper()
+	var out []string
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		var at time.Duration
+		var state string
+		var n int
+		if _, err := fmt.Sscanf(line, "%d %s %d", &at, &state, &n); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if state != "tick" && n == node {
+			out = append(out, fmt.Sprintf("%v %s", at, state))
+		}
+	}
+	return out
+}
+
 // TestDriveTraceStreamsInReservedPlaces requires the streamed DriveTrace
-// to fire every boundary where queuing them all up front fires it: the
-// same node transitions, in the same order, around the same ticks, on a
-// generated day, on the hand-built edge trace and on shuffled copies of
-// both, beside a 10 s and a 100 ms ticker. Streaming must keep the
-// queue at one start, the open periods' ends and the ticker.
+// to fire every boundary where queuing them all up front, in start
+// order, fires it: the same node transitions, in the same order, around
+// the same ticks, on a generated day, on the hand-built edge trace and
+// on shuffled copies of both, beside a 10 s and a 100 ms ticker.
+// Streaming must keep the queue at one start, the open periods' ends
+// and the ticker. On both edge traces node 4's first period ends at
+// 5 min, where its second starts: the end must fire first, so the node
+// is idle again from 5 to 8 min however the periods are listed.
 func TestDriveTraceStreamsInReservedPlaces(t *testing.T) {
 	day := workload.DefaultIdleProcess(2239, 24*time.Hour, 7).Generate()
 	traces := []struct {
@@ -142,6 +168,7 @@ func TestDriveTraceStreamsInReservedPlaces(t *testing.T) {
 		{"shuffled day", shuffled(day, 1)},
 		{"shuffled edge", shuffled(edgeTrace(), 2)},
 	}
+	node4 := []string{"1m0s idle", "5m0s busy", "5m0s idle", "8m0s busy"}
 	for _, c := range traces {
 		for _, tick := range []time.Duration{10 * time.Second, 100 * time.Millisecond} {
 			t.Run(fmt.Sprintf("%s, %v ticker", c.name, tick), func(t *testing.T) {
@@ -161,6 +188,11 @@ func TestDriveTraceStreamsInReservedPlaces(t *testing.T) {
 				}
 				if n := len(c.tr.Periods); n > 100 && most >= n/10 {
 					t.Errorf("%d events pending at most, for %d periods", most, n)
+				}
+				if strings.HasSuffix(c.name, "edge") {
+					if got := nodeLog(t, got, 4); !slices.Equal(got, node4) {
+						t.Errorf("node 4 transitions %q, want %q", got, node4)
+					}
 				}
 			})
 		}

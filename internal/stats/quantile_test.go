@@ -192,10 +192,12 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 		}
 	}
 
-	// Sizes that straddle the block length, each read fresh, then grown
-	// by more than a block, then read again: the first read gathers the
-	// parked blocks, and the first Add after it parks the gathered
-	// buffer. Mean must sum the blocks in insertion order each time.
+	// Sizes that straddle the block length, each read fresh, then read
+	// sorted, then grown by more than a block, then read again. The fresh
+	// reads select over the parked blocks in place; Min and Max gather
+	// them, and the first Add after that parks the gathered buffer, a
+	// block longer than sampleBlock once anything was parked before.
+	// Mean must sum the current sequence in order every time.
 	sizes := []int{sampleBlock - 1, sampleBlock, sampleBlock + 1, 3*sampleBlock + 7}
 	if testing.Short() {
 		sizes = []int{sampleBlock + 1, 3*sampleBlock + 7}
@@ -209,28 +211,78 @@ func TestQuantileMatchesSortedReference(t *testing.T) {
 			for _, x := range ref {
 				s.Add(x)
 			}
-			if want := (n - 1) / sampleBlock; len(s.parked) != want {
-				t.Fatalf("%s n=%d: %d parked blocks, want %d", name, n, len(s.parked), want)
+			parked := (n - 1) / sampleBlock
+			if len(s.parked) != parked {
+				t.Fatalf("%s n=%d: %d parked blocks, want %d", name, n, len(s.parked), parked)
 			}
 			checkBlocks(t, &s, ref, true, name)
-			readAll(&s, sortedCopy(ref), int64(i), name)
+			sorted := sortedCopy(ref)
+			readAll(&s, sorted, int64(i), name)
+			if len(s.parked) != parked {
+				t.Fatalf("%s n=%d: %d parked blocks after the fresh reads, want %d: a read gathered", name, n, len(s.parked), parked)
+			}
+			checkBlocks(t, &s, ref, false, name)
+			if got, want := s.Min(), sorted[0]; !sameBits(got, want) {
+				t.Fatalf("%s n=%d: Min = %v, want %v", name, n, got, want)
+			}
+			if got, want := s.Max(), sorted[n-1]; !sameBits(got, want) {
+				t.Fatalf("%s n=%d: Max = %v, want %v", name, n, got, want)
+			}
 			more := quantileShapes[0].gen(rng, sampleBlock+3)
 			for _, x := range more {
 				s.Add(x)
 			}
 			ref = append(ref, more...)
+			if first := max(n, sampleBlock); len(s.parked) == 0 || len(s.parked[0]) != first {
+				t.Fatalf("%s n=%d: first parked block after a sorted read and an Add past a block is not %d values long", name, n, first)
+			}
 			checkBlocks(t, &s, ref, false, name)
-			sorted := sortedCopy(ref)
+			sorted = sortedCopy(ref)
 			readAll(&s, sorted, int64(i), name)
-			checkMultiset(t, &s, sorted, int64(i), name, "a read, Add, read sequence")
+			checkBlocks(t, &s, ref, false, name)
+			checkMultiset(t, &s, sorted, int64(i), name, "a read, sorted read, Add, read sequence")
 		}
 	}
 }
 
-// checkBlocks checks a buffer before a read gathers it: Len and
-// Footprint count every block, and Mean has the bits of summing a
-// contiguous copy of the blocks front to back. On a buffer no read has
-// reordered, that copy is the reference in insertion order.
+// TestSampleReadsAllocateNothing: Quantile, Median and Mean read a
+// sample of three parked blocks and a buffer in place, without
+// gathering them.
+func TestSampleReadsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s Sample
+	for range 3*sampleBlock + 100 {
+		s.Add(rng.ExpFloat64())
+	}
+	if len(s.parked) != 3 {
+		t.Fatalf("%d parked blocks, want 3", len(s.parked))
+	}
+	reads := []struct {
+		name string
+		read func()
+	}{
+		{"Quantile", func() { s.Quantile(0.99) }},
+		{"Median", func() { s.Median() }},
+		{"Mean", func() { s.Mean() }},
+	}
+	// Each run reads the blocks as Add left them, so a read that gathers
+	// allocates in every run.
+	blocks, tail := s.parked, s.xs
+	for _, r := range reads {
+		allocs := testing.AllocsPerRun(10, func() {
+			s.parked, s.xs, s.sorted = blocks, tail, false
+			r.read()
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v times per read, want 0", r.name, allocs)
+		}
+	}
+}
+
+// checkBlocks checks a buffer's blocks: Len and Footprint count every
+// block, and Mean has the bits of summing a contiguous copy of the
+// blocks front to back. On a fresh buffer, which no read has reordered,
+// that copy is the reference in insertion order.
 func checkBlocks(t *testing.T, s *Sample, ref []float64, fresh bool, shape string) {
 	t.Helper()
 	if s.Len() != len(ref) {
@@ -305,21 +357,27 @@ func checkMultiset(t *testing.T, s *Sample, want []float64, seed int64, shape, a
 }
 
 // BenchmarkSampleQuantiles is the federated reduction's read of a
-// buffered latency sample: 2^20 latencies, copied unsorted into the
-// buffer each op, then the median and the 95th and 99th percentiles.
-// Allocation-free.
+// buffered latency sample: 2^20 latencies added one by one, so they span
+// 32 blocks as a run's samples do, refilled unsorted into those blocks
+// each op, then the median and the 95th and 99th percentiles.
+// Allocation-free: the reads select over the blocks in place.
 func BenchmarkSampleQuantiles(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	lat := make([]float64, 1<<20)
+	var s Sample
 	for i := range lat {
 		lat[i] = 0.4 + rng.ExpFloat64()*0.6
+		s.Add(lat[i])
 	}
-	s := Sample{xs: make([]float64, 0, len(lat))}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sum float64
 	for i := 0; i < b.N; i++ {
-		s.xs = append(s.xs[:0], lat...)
+		rest := lat
+		for _, blk := range s.parked {
+			rest = rest[copy(blk, rest):]
+		}
+		copy(s.xs, rest)
 		s.sorted = false
 		sum += s.Median() + s.Quantile(0.95) + s.Quantile(0.99)
 	}

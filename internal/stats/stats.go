@@ -24,12 +24,12 @@ const sampleBlock = 1 << 15
 // from then on each full buffer is parked and a new one of exactly
 // sampleBlock starts, so a large sample allocates about twice its size
 // where append growth would allocate about five times, and needs no
-// size hint. The first read that needs every observation gathers the
-// parked blocks into one slice of exactly Len values, in insertion
-// order.
+// size hint. Quantile, Median and Mean read the parked blocks and the
+// buffer after them in place, as one sequence in insertion order; only
+// the sorted reads (Min, Max, CDFAt, CDF) gather them into one slice.
 type Sample struct {
 	xs     []float64   // the observations after the parked blocks; all of them once gathered
-	parked [][]float64 // full blocks, in insertion order
+	parked [][]float64 // full blocks, in insertion order; a gathered buffer parks longer than sampleBlock
 	sorted bool
 }
 
@@ -56,8 +56,8 @@ func (s *Sample) Len() int {
 }
 
 // gather moves the parked blocks and the buffer after them into one
-// slice of exactly Len values, in insertion order, for the reads that
-// need every observation in one place.
+// slice of exactly Len values, in insertion order, for the sorted reads,
+// which sort and search every observation in one place.
 func (s *Sample) gather() {
 	if len(s.parked) == 0 {
 		return
@@ -83,59 +83,109 @@ func (s *Sample) ensureSorted() {
 // in place, in O(n) and without allocating, which reorders the buffer
 // (see Mean).
 func (s *Sample) Quantile(p float64) float64 {
-	s.gather()
-	if len(s.xs) == 0 {
+	n := s.Len()
+	if n == 0 {
 		panic("stats: quantile of empty sample")
 	}
 	if p <= 0 {
 		return s.orderStat(0)
 	}
 	if p >= 1 {
-		return s.orderStat(len(s.xs) - 1)
+		return s.orderStat(n - 1)
 	}
-	pos := p * float64(len(s.xs)-1)
+	pos := p * float64(n-1)
 	i := int(pos)
 	frac := pos - float64(i)
-	if i+1 >= len(s.xs) {
-		return s.orderStat(len(s.xs) - 1)
+	if i+1 >= n {
+		return s.orderStat(n - 1)
 	}
 	s.orderStat(i)
-	next := s.xs[i+1]
+	next := *s.at(i + 1)
 	if !s.sorted {
-		// Every element after i is at least xs[i]; the least of them
-		// is the next order statistic.
-		for _, x := range s.xs[i+2:] {
-			if cmp.Less(x, next) {
-				next = x
+		// Every element after i is at least the i-th; the least of
+		// them is the next order statistic.
+		s.spans(i+2, n-1, func(xs []float64) {
+			for _, x := range xs {
+				if cmp.Less(x, next) {
+					next = x
+				}
 			}
-		}
+		})
 	}
-	return s.xs[i]*(1-frac) + next*frac
+	return *s.at(i)*(1-frac) + next*frac
 }
 
-// orderStat returns the k-th smallest observation, as xs[k] of the
+// orderStat returns the k-th smallest observation, as element k of the
 // sorted buffer would be.
 func (s *Sample) orderStat(k int) float64 {
 	if !s.sorted {
-		selectNth(s.xs, k)
+		s.selectNth(k)
 	}
-	return s.xs[k]
+	return *s.at(k)
 }
 
-// selectNth reorders xs so that xs[k] holds what sort.Float64s would put
-// there, with nothing greater before it and nothing less after it. It
-// orders like sort.Float64s (cmp.Less, NaNs first). Each round
-// partitions the range holding k around the median of its first,
-// middle and last elements; after 2·bits.Len(n) rounds the rest of the
-// range is sorted, so no input costs more than a sort.
-func selectNth(xs []float64, k int) {
-	lo, hi := 0, len(xs)-1
-	for rounds := 2 * bits.Len(uint(len(xs))); lo < hi; rounds-- {
+// block returns block b of the observations read as one sequence in
+// insertion order: the parked blocks, then the buffer after them. The
+// blocks need not be of equal length: a gathered buffer parks as one
+// longer block.
+func (s *Sample) block(b int) []float64 {
+	if b < len(s.parked) {
+		return s.parked[b]
+	}
+	return s.xs
+}
+
+// locate returns the block holding element i and i's offset in it.
+func (s *Sample) locate(i int) (b, o int) {
+	for b < len(s.parked) && i >= len(s.parked[b]) {
+		i -= len(s.parked[b])
+		b++
+	}
+	return b, i
+}
+
+// start returns the index of block b's first element.
+func (s *Sample) start(b int) int {
+	i := 0
+	for _, xs := range s.parked[:b] {
+		i += len(xs)
+	}
+	return i
+}
+
+// at returns element i.
+func (s *Sample) at(i int) *float64 {
+	b, o := s.locate(i)
+	return &s.block(b)[o]
+}
+
+// spans calls f on the runs of elements lo..hi that share a block, in
+// order.
+func (s *Sample) spans(lo, hi int, f func(xs []float64)) {
+	b, o := s.locate(lo)
+	for n := hi - lo + 1; n > 0; b, o = b+1, 0 {
+		xs := s.block(b)[o:]
+		xs = xs[:min(len(xs), n)]
+		n -= len(xs)
+		f(xs)
+	}
+}
+
+// selectNth reorders the sequence so that element k holds what
+// sort.Float64s would put there, with nothing greater before it and
+// nothing less after it. It orders like sort.Float64s (cmp.Less, NaNs
+// first). Each round partitions the range holding k around the median of
+// its first, middle and last elements; after 2·bits.Len(n) rounds the
+// rest of the range is sorted, so no input costs more than a sort.
+func (s *Sample) selectNth(k int) {
+	n := s.Len()
+	lo, hi := 0, n-1
+	for rounds := 2 * bits.Len(uint(n)); lo < hi; rounds-- {
 		if rounds == 0 {
-			slices.Sort(xs[lo : hi+1])
+			s.sortRange(lo, hi)
 			return
 		}
-		if j := partition(xs, lo, hi); k <= j {
+		if j := s.partition(lo, hi); k <= j {
 			hi = j
 		} else {
 			lo = j + 1
@@ -143,54 +193,84 @@ func selectNth(xs []float64, k int) {
 	}
 }
 
+// sortRange sorts elements lo..hi as slices.Sort sorts them in one
+// slice: it copies them out, sorts the copy and copies it back.
+func (s *Sample) sortRange(lo, hi int) {
+	xs := make([]float64, 0, hi-lo+1)
+	s.spans(lo, hi, func(run []float64) { xs = append(xs, run...) })
+	slices.Sort(xs)
+	s.spans(lo, hi, func(run []float64) { xs = xs[copy(run, xs):] })
+}
+
 // partition is Hoare's: for lo < hi it returns j with lo ≤ j < hi such
-// that nothing in xs[lo..j] is greater than the pivot and nothing in
-// xs[j+1..hi] is less. Both scans stop on elements equal to the pivot,
-// so a run of equal values splits evenly.
-func partition(xs []float64, lo, hi int) int {
-	mid := int(uint(lo+hi) >> 1)
-	if cmp.Less(xs[mid], xs[lo]) {
-		xs[lo], xs[mid] = xs[mid], xs[lo]
+// that nothing in elements lo..j is greater than the pivot and nothing in
+// j+1..hi is less. Both scans stop on elements equal to the pivot, so a
+// run of equal values splits evenly. Each scan walks one block at a time.
+func (s *Sample) partition(lo, hi int) int {
+	l, m, h := s.at(lo), s.at(int(uint(lo+hi)>>1)), s.at(hi)
+	if cmp.Less(*m, *l) {
+		*l, *m = *m, *l
 	}
-	if cmp.Less(xs[hi], xs[mid]) {
-		xs[mid], xs[hi] = xs[hi], xs[mid]
-		if cmp.Less(xs[mid], xs[lo]) {
-			xs[lo], xs[mid] = xs[mid], xs[lo]
+	if cmp.Less(*h, *m) {
+		*m, *h = *h, *m
+		if cmp.Less(*m, *l) {
+			*l, *m = *m, *l
 		}
 	}
 	// With the pivot first, j ends below hi: both parts are non-empty.
-	xs[lo], xs[mid] = xs[mid], xs[lo]
-	pivot := xs[lo]
-	i, j := lo-1, hi+1
+	*l, *m = *m, *l
+	pivot := *l
+	// i is element oi of block bi, xi; j is element oj of block bj, xj.
+	bi, oi := s.locate(lo)
+	bj, oj := s.locate(hi)
+	xi, xj := s.block(bi), s.block(bj)
+	oi, oj = oi-1, oj+1
 	for {
-		for i++; cmp.Less(xs[i], pivot); i++ {
+		for {
+			for oi++; oi < len(xi) && cmp.Less(xi[oi], pivot); oi++ {
+			}
+			if oi < len(xi) {
+				break
+			}
+			bi++
+			xi, oi = s.block(bi), -1
 		}
-		for j--; cmp.Less(pivot, xs[j]); j-- {
+		for {
+			for oj--; oj >= 0 && cmp.Less(pivot, xj[oj]); oj-- {
+			}
+			if oj >= 0 {
+				break
+			}
+			bj--
+			xj = s.block(bj)
+			oj = len(xj)
 		}
-		if i >= j {
-			return j
+		if bi > bj || bi == bj && oi >= oj {
+			return s.start(bj) + oj
 		}
-		xs[i], xs[j] = xs[j], xs[i]
+		xi[oi], xj[oj] = xj[oj], xi[oi]
 	}
 }
 
 // Median returns the 0.5-quantile.
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
-// Mean returns the arithmetic mean; 0 for an empty sample. It sums in
-// the buffer's current order: insertion order until a query other than
-// Len and Mean reorders it, so a mean read after such a query can
-// differ in its last bits from one read before.
+// Mean returns the arithmetic mean; 0 for an empty sample. It sums the
+// blocks front to back in their current order: insertion order until a
+// query other than Len and Mean reorders them, so a mean read after such
+// a query can differ in its last bits from one read before.
 func (s *Sample) Mean() float64 {
-	s.gather()
-	if len(s.xs) == 0 {
+	n := s.Len()
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	s.spans(0, n-1, func(xs []float64) {
+		for _, x := range xs {
+			sum += x
+		}
+	})
+	return sum / float64(n)
 }
 
 // Min returns the smallest observation. It panics if empty.
