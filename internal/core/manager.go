@@ -82,12 +82,20 @@ const (
 	phaseDone
 )
 
+// pilot is the manager's record of one started pilot job. Records go
+// back to the manager's free list, the job to the emulator and the
+// invoker to the controller once the pilot has ended and the last
+// event holding the record has fired (see onEnd and exitCb).
 type pilot struct {
+	m         *PilotManager
 	job       *slurm.Job
 	phase     pilotPhase
 	invoker   *whisk.Invoker
 	warmupEv  des.Event
+	exitEv    des.Event // the delayed exit after a SIGTERM or a drain
 	healthyAt des.Time
+
+	drainedFn func() // cached method value: the invoker's drain-complete callback
 }
 
 // PilotManager is the external job manager of §III-D: the
@@ -105,9 +113,15 @@ type PilotManager struct {
 
 	pilots  map[*slurm.Job]*pilot
 	pending []*slurm.Job // this manager's queued, not-yet-started jobs
+	spare   []*pilot     // ended pilots' records, for onPilotStart to reuse
 	ticker  *des.Ticker
 
-	warmupFn func(any) // cached typed-arg callback: one per manager, not per pilot
+	// spec is every pilot's job spec up to its length: the job name and
+	// the lifecycle hooks are built once per manager, not per submit.
+	spec slurm.JobSpec
+
+	// Cached typed-arg callbacks: one per manager, not per pilot.
+	warmupFn, exitFn func(any)
 
 	// States tracks the OpenWhisk-level worker-state shares of
 	// Tables II/III (warming / healthy / irresponsive counts over time).
@@ -147,7 +161,15 @@ func newPilotManager(emu *slurm.Emulator, ctrl *whisk.Controller, cfg ManagerCon
 		pilots: map[*slurm.Job]*pilot{},
 		States: NewWorkerStatesStreaming(streaming),
 	}
-	m.warmupFn = m.warmupCb
+	m.spec = slurm.JobSpec{
+		Name:      "hpcwhisk-" + cfg.Policy.Name(),
+		Partition: pilotPartition,
+		Nodes:     1,
+		OnStart:   m.onPilotStart,
+		OnSigterm: m.onSigterm,
+		OnEnd:     m.onEnd,
+	}
+	m.warmupFn, m.exitFn = m.warmupCb, m.exitCb
 	return m
 }
 
@@ -199,36 +221,22 @@ func (e managerEnv) Invocations() (completed, rejected503 int) {
 
 // SubmitFixed implements policy.Env.
 func (e managerEnv) SubmitFixed(limit time.Duration, priority int64) {
-	m := e.m
-	m.Submitted++
-	j := m.emu.Submit(slurm.JobSpec{
-		Name:      "hpcwhisk-" + m.policy.Name(),
-		Partition: pilotPartition,
-		Nodes:     1,
-		TimeLimit: limit,
-		Priority:  priority,
-		OnStart:   m.onPilotStart,
-		OnSigterm: m.onSigterm,
-		OnEnd:     m.onEnd,
-	})
-	m.pending = append(m.pending, j)
+	spec := e.m.spec
+	spec.TimeLimit, spec.Priority = limit, priority
+	e.m.submit(spec)
 }
 
 // SubmitFlexible implements policy.Env.
 func (e managerEnv) SubmitFlexible(min, max time.Duration) {
-	m := e.m
+	spec := e.m.spec
+	spec.TimeMin, spec.TimeLimit = min, max
+	e.m.submit(spec)
+}
+
+// submit queues one pilot job.
+func (m *PilotManager) submit(spec slurm.JobSpec) {
 	m.Submitted++
-	j := m.emu.Submit(slurm.JobSpec{
-		Name:      "hpcwhisk-" + m.policy.Name(),
-		Partition: pilotPartition,
-		Nodes:     1,
-		TimeMin:   min,
-		TimeLimit: max,
-		OnStart:   m.onPilotStart,
-		OnSigterm: m.onSigterm,
-		OnEnd:     m.onEnd,
-	})
-	m.pending = append(m.pending, j)
+	m.pending = append(m.pending, m.emu.Submit(spec))
 }
 
 // CancelQueued implements policy.Env: it cancels up to n of this
@@ -264,12 +272,28 @@ func (m *PilotManager) removePending(j *slurm.Job) {
 func (m *PilotManager) onPilotStart(j *slurm.Job) {
 	m.removePending(j)
 	m.PilotsStarted++
-	p := &pilot{job: j, phase: phaseWarming}
+	p := m.newPilot(j)
 	m.pilots[j] = p
 	m.States.Add(m.sim.Now(), phaseWarming)
 	warmup := dist.Seconds(warmupSeconds, m.rng)
 	p.warmupEv = m.sim.AfterCall(warmup, m.warmupFn, p)
 	m.policy.PilotStarted(managerEnv{m})
+}
+
+// newPilot returns a warming pilot record for job j, an ended pilot's
+// when one is spare, built alike either way.
+func (m *PilotManager) newPilot(j *slurm.Job) *pilot {
+	var p *pilot
+	if k := len(m.spare); k > 0 {
+		p = m.spare[k-1]
+		m.spare[k-1] = nil
+		m.spare = m.spare[:k-1]
+	} else {
+		p = new(pilot)
+		p.drainedFn = p.drained
+	}
+	*p = pilot{m: m, job: j, phase: phaseWarming, drainedFn: p.drainedFn}
+	return p
 }
 
 // warmupCb completes a pilot's boot: the invoker registers with the
@@ -279,7 +303,7 @@ func (m *PilotManager) warmupCb(v any) {
 	if p.job.State != slurm.Running {
 		return
 	}
-	inv := whisk.NewInvoker(whisk.DefaultInvokerConfig(), m.rng.Int63())
+	inv := m.ctrl.NewInvoker(whisk.DefaultInvokerConfig(), m.rng.Int63())
 	m.ctrl.Register(inv)
 	p.invoker = inv
 	p.healthyAt = m.sim.Now()
@@ -300,33 +324,52 @@ func (m *PilotManager) onSigterm(j *slurm.Job, at des.Time) {
 		p.warmupEv.Stop()
 		m.KilledInWarmup++
 		m.finishPilot(p, at)
-		m.sim.AfterCall(time.Second, exitJob, j)
+		p.exitEv = m.sim.AfterCall(time.Second, m.exitFn, p)
 	case phaseHealthy:
 		if !m.cfg.GracefulHandoff {
 			m.KilledUngraceful++
 			p.invoker.Kill()
 			m.finishPilot(p, at)
-			m.sim.AfterCall(time.Second, exitJob, j)
+			p.exitEv = m.sim.AfterCall(time.Second, m.exitFn, p)
 			return
 		}
 		p.phase = phaseDraining
 		m.States.Move(at, phaseHealthy, phaseDraining)
 		m.ReadySpans.AddDuration(at - p.healthyAt)
 		m.Handoffs++
-		p.invoker.Sigterm(m.cfg.InterruptRunning, func() {
-			m.sim.After(drainExitDelay, func() {
-				if p.phase == phaseDraining {
-					m.finishPilot(p, m.sim.Now())
-				}
-				j.Exit()
-			})
-		})
+		p.invoker.Sigterm(m.cfg.InterruptRunning, p.drainedFn)
 	}
+}
+
+// drained is the invoker's drain-complete callback: the pilot exits
+// after its local cleanup.
+func (p *pilot) drained() {
+	p.exitEv = p.m.sim.AfterCall(drainExitDelay, p.m.exitFn, p)
+}
+
+// exitCb is the delayed exit of a pilot after a SIGTERM in warm-up, a
+// hard kill, or a drain: a draining pilot finishes, and its job exits.
+// A SIGKILL mid-drain ends the job inside onEnd, whose Kill drains the
+// invoker and so arms this exit after the pilot has ended; then the
+// exit does nothing, and the record and job go back here, the last
+// event that holds them.
+func (m *PilotManager) exitCb(v any) {
+	p := v.(*pilot)
+	if p.job.State == slurm.Done {
+		m.release(p)
+		return
+	}
+	if p.phase == phaseDraining {
+		m.finishPilot(p, m.sim.Now())
+	}
+	p.job.Exit() // onEnd releases the pilot
 }
 
 // onEnd covers every exit path, including SIGKILL before the drain
 // completed (the invoker is lost with whatever it still held). The
-// policy observes the end of every started pilot.
+// policy observes the end of every started pilot. A job that never
+// started goes back to the emulator here; a started pilot goes back
+// with its job and invoker, unless its delayed exit is still pending.
 func (m *PilotManager) onEnd(j *slurm.Job, reason slurm.EndReason) {
 	p := m.pilots[j]
 	if p == nil {
@@ -334,6 +377,7 @@ func (m *PilotManager) onEnd(j *slurm.Job, reason slurm.EndReason) {
 		// scancel): forget it, or CancelQueued would later pop the
 		// stale entry and trim fewer live pilots than asked.
 		m.removePending(j)
+		m.emu.Release(j)
 		return
 	}
 	delete(m.pilots, j)
@@ -348,10 +392,21 @@ func (m *PilotManager) onEnd(j *slurm.Job, reason slurm.EndReason) {
 		m.finishPilot(p, m.sim.Now())
 	}
 	m.policy.PilotEnded(managerEnv{m}, policy.PilotEnd{Reason: endReason(reason)})
+	if !p.exitEv.Pending() {
+		m.release(p)
+	}
 }
 
-// exitJob is the shared typed-arg callback for delayed pilot exits.
-func exitJob(v any) { v.(*slurm.Job).Exit() }
+// release hands an ended pilot's invoker back to the controller, its
+// job to the emulator and its record to the free list.
+func (m *PilotManager) release(p *pilot) {
+	if p.invoker != nil {
+		m.ctrl.Release(p.invoker)
+	}
+	m.emu.Release(p.job)
+	*p = pilot{drainedFn: p.drainedFn}
+	m.spare = append(m.spare, p)
+}
 
 // endReason maps the emulator's exit reasons onto the policy view.
 func endReason(r slurm.EndReason) policy.EndReason {

@@ -79,6 +79,10 @@ type Emulator struct {
 
 	runningByNode []*Job // pilot or prime job occupying each node
 
+	// spare holds the ended jobs handed back by Release, for Submit to
+	// reuse.
+	spare []*Job
+
 	// Trace mode: the scheduler's declared view of each node's current
 	// idle window, and whether trace-driven prime load occupies it.
 	declaredEnd []des.Time
@@ -86,6 +90,9 @@ type Emulator struct {
 	passTicker       des.Event
 	runPassFn        func() // cached method values: a pass allocates no closure
 	placeFn          func()
+	limitFn          func(any) // cached typed-arg job timers: a job's life allocates no closure
+	completeFn       func(any)
+	killFn           func(any)
 	idleSnap         []int // the idle nodes at the last pass's start, sorted
 	inTraceMode      bool
 	headReservation  reservation
@@ -110,6 +117,7 @@ func New(sim *des.Sim, n int, cfg Config) *Emulator {
 		byLimit:       map[time.Duration]int{},
 	}
 	e.runPassFn, e.placeFn = e.runPass, e.place
+	e.limitFn, e.completeFn, e.killFn = e.limitCb, e.completeCb, e.killCb
 	return e
 }
 
@@ -352,11 +360,22 @@ func (e *Emulator) Submit(spec JobSpec) *Job {
 	if spec.TimeLimit <= 0 {
 		panic("slurm: job needs a time limit")
 	}
-	j := &Job{
+	var j *Job
+	if k := len(e.spare); k > 0 {
+		j = e.spare[k-1]
+		e.spare[k-1] = nil
+		e.spare = e.spare[:k-1]
+	} else {
+		j = new(Job)
+	}
+	// A fresh and a reused job are built alike; the reused one keeps
+	// only its node list's storage.
+	*j = Job{
 		ID:        e.nextID,
 		Spec:      spec,
 		State:     Pending,
 		Submitted: e.sim.Now(),
+		NodeIDs:   j.NodeIDs[:0],
 		emu:       e,
 	}
 	e.nextID++
@@ -366,6 +385,19 @@ func (e *Emulator) Submit(spec JobSpec) *Job {
 		e.primeQueue = append(e.primeQueue, j)
 	}
 	return j
+}
+
+// Release hands back a job that has ended, for a later Submit to reuse.
+// The caller must hold no reference to it afterwards, and must release
+// it only after the last of its own events holding the job has fired;
+// the emulator's own timers on the job end with it. Jobs are never
+// reused unless released, so a caller that keeps its jobs simply does
+// not release them. Releasing a job that has not ended panics.
+func (e *Emulator) Release(j *Job) {
+	if j.State != Done || j.emu != e {
+		panic("slurm: release of a job that has not ended here")
+	}
+	e.spare = append(e.spare, j)
 }
 
 // Cancel removes a pending job from its queue. Running jobs are not
@@ -443,7 +475,7 @@ func (e *Emulator) schedulePilotsOn(idle []int) {
 			}
 		}
 		e.pilotRemove(j)
-		e.startJob(j, []int{node}, granted, cluster.Pilot)
+		e.startJob(j, append(j.NodeIDs[:0], node), granted, cluster.Pilot)
 	}
 }
 
@@ -485,9 +517,9 @@ func (e *Emulator) startJob(j *Job, nodes []int, granted time.Duration, st clust
 	// Natural end: prime jobs complete after their actual runtime;
 	// pilots (Runtime == 0) receive SIGTERM at their granted limit.
 	if j.Spec.Runtime > 0 && j.Spec.Runtime <= granted {
-		j.endEvent = e.sim.After(j.Spec.Runtime, func() { e.finish(j, ReasonCompleted) })
+		j.endEvent = e.sim.AfterCall(j.Spec.Runtime, e.completeFn, j)
 	} else {
-		j.endEvent = e.sim.After(granted, func() { e.sigterm(j, ReasonTimeout) })
+		j.endEvent = e.sim.AfterCall(granted, e.limitFn, j)
 	}
 	if j.Spec.OnStart != nil {
 		j.Spec.OnStart(j)
@@ -510,8 +542,22 @@ func (e *Emulator) sigterm(j *Job, reason EndReason) {
 		e.finish(j, reason)
 		return
 	}
-	j.killEv = e.sim.After(grace, func() { e.finish(j, reason) })
+	j.killEv = e.sim.AfterCall(grace, e.killFn, j)
 	j.Spec.OnSigterm(j, now)
+}
+
+// completeCb ends a prime job after its actual runtime.
+func (e *Emulator) completeCb(v any) { e.finish(v.(*Job), ReasonCompleted) }
+
+// limitCb delivers SIGTERM when a job's granted time has elapsed.
+func (e *Emulator) limitCb(v any) { e.sigterm(v.(*Job), ReasonTimeout) }
+
+// killCb is the SIGKILL at the end of the grace period: the job ends
+// with the reason its SIGTERM gave, which nothing changes while it
+// completes.
+func (e *Emulator) killCb(v any) {
+	j := v.(*Job)
+	e.finish(j, j.Reason)
 }
 
 // detach releases a job's nodes without ending the job (used when prime

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -383,5 +384,33 @@ func BenchmarkSampleQuantiles(b *testing.B) {
 	}
 	if sum <= 0 {
 		b.Fatal("impossible")
+	}
+}
+
+// TestSampleAddAllocatesAboutItsSize pins the bytes a Sample allocates
+// to hold 2^15 and 2^20 observations: their own 8 bytes each, plus the
+// append growth of the first buffer up to sampleGrowth values (128,256
+// B) and the parked-block list, within 144 KiB in all. Growing the
+// first buffer by append all the way to a block costs about 0.9 MB
+// more.
+func TestSampleAddAllocatesAboutItsSize(t *testing.T) {
+	const slack = 144 << 10
+	for _, n := range []int{sampleBlock, 1 << 20} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := new(Sample)
+		for i := range n {
+			s.Add(float64(i))
+		}
+		runtime.ReadMemStats(&after)
+		got, data := after.TotalAlloc-before.TotalAlloc, uint64(8*n)
+		t.Logf("%d values: %d B allocated for %d B of data", n, got, data)
+		if got < data || got > data+slack {
+			t.Errorf("%d values allocate %d B, want between %d and %d", n, got, data, data+slack)
+		}
+		if s.Len() != n {
+			t.Fatalf("Len = %d, want %d", s.Len(), n)
+		}
 	}
 }

@@ -17,16 +17,22 @@ import (
 // 2^15 observations, 256 KiB.
 const sampleBlock = 1 << 15
 
+// sampleGrowth is how many observations the first buffer holds, grown
+// by append, before it grows to a whole block at once.
+const sampleGrowth = 1 << 12
+
 // Sample accumulates scalar observations and answers distributional
 // queries. The zero value is ready to use.
 //
-// The buffer grows by append until it holds sampleBlock observations;
-// from then on each full buffer is parked and a new one of exactly
-// sampleBlock starts, so a large sample allocates about twice its size
-// where append growth would allocate about five times, and needs no
-// size hint. Quantile, Median and Mean read the parked blocks and the
-// buffer after them in place, as one sequence in insertion order; only
-// the sorted reads (Min, Max, CDFAt, CDF) gather them into one slice.
+// The buffer grows by append until it holds sampleGrowth observations,
+// then to sampleBlock in one step; from then on each full buffer is
+// parked and a new one of exactly sampleBlock starts, so a large sample
+// allocates little more than its size where append growth would
+// allocate about five times, a small one no more than append does, and
+// none needs a size hint. Quantile, Median and Mean read the parked
+// blocks and the buffer after them in place, as one sequence in
+// insertion order; only the sorted reads (Min, Max, CDFAt, CDF) gather
+// them into one slice.
 type Sample struct {
 	xs     []float64   // the observations after the parked blocks; all of them once gathered
 	parked [][]float64 // full blocks, in insertion order; a gathered buffer parks longer than sampleBlock
@@ -35,9 +41,12 @@ type Sample struct {
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
-	if len(s.xs) >= sampleBlock {
+	switch n := len(s.xs); {
+	case n >= sampleBlock:
 		s.parked = append(s.parked, s.xs)
 		s.xs = make([]float64, 0, sampleBlock)
+	case n == cap(s.xs) && n >= sampleGrowth:
+		s.xs = append(make([]float64, 0, sampleBlock), s.xs...)
 	}
 	s.xs = append(s.xs, x)
 	s.sorted = false

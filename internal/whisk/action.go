@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/bus"
 	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/dist"
@@ -132,12 +133,13 @@ type Invocation struct {
 	timeoutEv des.Event
 	execEv    des.Event // completion event while executing (for interrupts)
 
-	// Allocation-free request-path state. routeTarget carries the routing
-	// decision to the publish hop; execOK carries the execution outcome
-	// through the result hop; execStartAt is stamped into Executed when
-	// (and only when) the execution completes, matching the pre-pooling
-	// semantics where an interrupted attempt left no trace.
-	routeTarget *Invoker
+	// Allocation-free request-path state. routeTopic carries the routing
+	// decision, the routed invoker's topic, to the publish hop; execOK
+	// carries the execution outcome through the result hop; execStartAt
+	// is stamped into Executed when (and only when) the execution
+	// completes, matching the pre-pooling semantics where an interrupted
+	// attempt left no trace.
+	routeTopic  *bus.Topic[*Invocation]
 	execOK      bool
 	execStartAt des.Time
 

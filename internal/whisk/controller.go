@@ -142,12 +142,9 @@ type Controller struct {
 	nextInvID int64
 	invPool   []*Invocation
 
-	// Retired invokers' per-boot state, for the next invoker to attach
-	// (equip) and for checkpoint forks (newRand): streams to reseed,
-	// and container pools reset to fresh sets with their idle heaps
-	// emptied. clearSlot fills both from Gone invokers only (retire).
-	spareRands []*rand.Rand
-	sparePools []sparePool
+	// spare holds the invokers handed back by Release, for NewInvoker
+	// to reuse.
+	spare []*Invoker
 
 	// Counters.
 	Total     int
@@ -389,7 +386,7 @@ func (c *Controller) route(inv *Invocation) {
 	// Activation bookkeeping (the dominant fixed cost of the request
 	// path), then the message lands on the invoker's topic.
 	overhead := dist.Seconds(c.cfg.OverheadSeconds, c.rng)
-	inv.routeTarget = target
+	inv.routeTopic = target.topic
 	c.retain(inv)
 	c.sim.AfterCall(overhead, c.publishFn, inv)
 }
@@ -397,13 +394,14 @@ func (c *Controller) route(inv *Invocation) {
 // publishCb lands the invocation on the routed invoker's topic and
 // arms the client-visible timeout. The topic was captured at routing
 // time, and still receives the call if the invoker deregistered in
-// between: topics outlive their invokers.
+// between: topics outlive their invokers, and the invoker may already
+// live again on another slot.
 func (c *Controller) publishCb(v any) {
 	inv := v.(*Invocation)
-	target := inv.routeTarget
-	inv.routeTarget = nil
+	topic := inv.routeTopic
+	inv.routeTopic = nil
 	c.retain(inv) // the reference of its place on the topic
-	c.b.PublishTo(target.topic, inv)
+	c.b.PublishTo(topic, inv)
 	c.armTimeout(inv)
 	c.release(inv)
 }
@@ -550,13 +548,16 @@ func (c *Controller) Register(inv *Invoker) int {
 // its topic after it deregistered; the move rescues them. It is skipped
 // only when another invoker has taken the slot, and with it the same
 // topic: the new owner pulls those messages itself (attach arms its
-// poll when any are waiting).
+// poll when any are waiting). An invoker released while this hop was
+// pending goes to the free list now.
 func (c *Controller) drainCb(v any) {
 	inv := v.(*Invoker)
-	if s := c.slots[inv.slot]; s != nil && s != inv {
-		return
+	if s := c.slots[inv.slot]; s == nil || s == inv {
+		inv.topic.MoveAll(c.fastLane)
 	}
-	inv.topic.MoveAll(c.fastLane)
+	if inv.released {
+		c.spare = append(c.spare, inv)
+	}
 }
 
 // wakeInvokers is the fast lane's delivery callback: every healthy
@@ -577,10 +578,16 @@ func (c *Controller) wakeInvokers() {
 // exactly as the slot scan stopped seeing them), and an invoker
 // removed while still live — Deregister called directly, bypassing the
 // drain state machine — takes its population, busy, and buffer
-// contributions with it. A Gone invoker also hands back its per-boot
-// state here; a live one keeps it.
+// contributions with it. A gone invoker's topic stops calling it: its
+// poll would return at once, and a later life of the invoker must not
+// hear this slot. A live one keeps hearing its topic, as before, and
+// is never reused.
 func (c *Controller) clearSlot(inv *Invoker) {
 	inv.wake.Stop()
+	if inv.slotted && inv.state == InvokerGone {
+		inv.topic.OnDelivery(nil)
+		inv.quiet = true
+	}
 	c.noteStateChange(inv, inv.state, InvokerGone)
 	c.noteBuffer(inv, -len(inv.buffer))
 	inv.topic.Unwatch()
@@ -588,64 +595,45 @@ func (c *Controller) clearSlot(inv *Invoker) {
 	if c.slots[inv.slot] == inv {
 		c.slots[inv.slot] = nil
 	}
-	if inv.state == InvokerGone && inv.rng != nil {
-		c.retire(inv)
-	}
 }
 
-// sparePool is a retired invoker's container pool, every set reset to
-// the state of a fresh one, and its emptied idle heap.
-type sparePool struct {
-	sets, idleHeap []*containerSet
+// NewInvoker builds an invoker as the package's NewInvoker does, on one
+// handed back by Release when one is spare.
+func (c *Controller) NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
+	k := len(c.spare)
+	if k == 0 {
+		return NewInvoker(cfg, seed)
+	}
+	w := c.spare[k-1]
+	c.spare[k-1] = nil
+	c.spare = c.spare[:k-1]
+	w.reset(cfg, seed)
+	return w
 }
 
-// retire takes back a Gone invoker's streams and container pool. Gone
-// comes after the invoker's last draw: Kill stops every pending
-// execution and checkpoint segment and empties running and buffer,
-// deregister runs only once both are empty, and poll, Sigterm and Kill
-// on a Gone invoker return before drawing. Each set keeps its name: an
-// action index names the same action on every invoker of a controller.
-func (c *Controller) retire(w *Invoker) {
-	c.spareRands = append(c.spareRands, w.rng)
-	if w.ckptRng != nil {
-		c.spareRands = append(c.spareRands, w.ckptRng)
+// Release hands back a gone invoker of this controller for NewInvoker
+// to reuse; the caller must hold no reference to it afterwards. Gone
+// comes after the invoker's last draw and its last event of its own:
+// Kill stops every pending wake-up, execution and checkpoint segment
+// and empties running and buffer, deregister runs only once both are
+// empty, and poll, Sigterm and Kill on a gone invoker return before
+// drawing. Only the controller's drain hop can still be pending, and
+// it reads the invoker's slot and topic, so an invoker released before
+// the hop has fired goes to the free list from drainCb. An invoker
+// that left its slot live is not reused (see clearSlot). Releasing an
+// invoker that has not gone panics.
+func (c *Controller) Release(w *Invoker) {
+	if w.ctrl != c || w.state != InvokerGone || w.slotted {
+		panic("whisk: release of an invoker that has not gone from this controller")
 	}
-	if w.pool != nil {
-		for _, cs := range w.pool {
-			if cs != nil {
-				cs.idle, cs.busy, cs.lastUsed, cs.heapIdx = 0, 0, 0, -1
-			}
-		}
-		clear(w.idleHeap)
-		c.sparePools = append(c.sparePools, sparePool{w.pool, w.idleHeap[:0]})
+	if !w.quiet {
+		return
 	}
-	w.rng, w.ckptRng, w.pool, w.idleHeap, w.containers = nil, nil, nil, nil, 0
-}
-
-// equip gives an invoker at its first attach its stream and, when a
-// retired one is spare, a container pool; a fresh invoker's pool
-// starts nil and grows on demand.
-func (c *Controller) equip(w *Invoker) {
-	w.rng = c.newRand(w.seed)
-	if k := len(c.sparePools); k > 0 {
-		p := c.sparePools[k-1]
-		c.sparePools[k-1] = sparePool{}
-		c.sparePools = c.sparePools[:k-1]
-		w.pool, w.idleHeap = p.sets, p.idleHeap
+	if w.drainEv.Pending() {
+		w.released = true
+		return
 	}
-}
-
-// newRand returns a stream that draws what dist.NewRand(seed) draws: a
-// retired invoker's, reseeded, when one is spare.
-func (c *Controller) newRand(seed int64) *rand.Rand {
-	if k := len(c.spareRands); k > 0 {
-		r := c.spareRands[k-1]
-		c.spareRands[k-1] = nil
-		c.spareRands = c.spareRands[:k-1]
-		dist.Reseed(r, seed)
-		return r
-	}
-	return dist.NewRand(seed)
+	c.spare = append(c.spare, w)
 }
 
 // Deregister removes an invoker from the slot list. Any stragglers left

@@ -75,7 +75,7 @@ func TestDrainRescuesLateMessageOnEmptySlot(t *testing.T) {
 	c.Register(a)
 	inv := c.invoke("f", nil)
 	sim.RunUntil(60 * ms)
-	if inv.routeTarget != a {
+	if inv.routeTopic != a.topic {
 		t.Fatal("the call was not routed to a by 60 ms")
 	}
 	ccfg := DefaultInvokerConfig()
@@ -116,7 +116,7 @@ func TestSlotsNextOwnerPullsItsTopic(t *testing.T) {
 	c.Register(a)
 	inv := c.invoke("f", nil)
 	sim.RunUntil(60 * ms)
-	if inv.routeTarget != a {
+	if inv.routeTopic != a.topic {
 		t.Fatal("the call was not routed to a by 60 ms")
 	}
 	a.Sigterm(false, nil) // nothing on board: a deregisters at once
@@ -129,7 +129,7 @@ func TestSlotsNextOwnerPullsItsTopic(t *testing.T) {
 	if slot := c.Register(b); slot != 0 {
 		t.Fatalf("b took slot %d, want a's slot 0", slot)
 	}
-	if inv.routeTarget != a {
+	if inv.routeTopic != a.topic {
 		t.Fatal("the call was published before b took the slot; the check would be vacuous")
 	}
 	sim.RunUntil(2 * time.Second)

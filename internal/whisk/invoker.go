@@ -94,18 +94,19 @@ var (
 // completion is a typed-arg des event on a cached method value, and
 // the start latencies draw from rng.
 type Invoker struct {
-	cfg  InvokerConfig
-	seed int64
-	rng  *rand.Rand // from the first attach until the invoker retires
+	cfg InvokerConfig
+	rng *rand.Rand // draws what dist.NewRand(seed) draws
 
 	execDoneFn func(any) // cached method value for execution completion
 	ckptDoneFn func(any) // cached method value for checkpoint-segment boundaries
 
 	// ckptRng is the checkpoint subsystem's private stream, forked off
 	// rng lazily by checkpointRng the first time a checkpointed
-	// execution dispatches — so deployments without checkpointing draw
-	// the exact sequence they always did.
-	ckptRng *rand.Rand
+	// execution dispatches (ckptForked) — so deployments without
+	// checkpointing draw the exact sequence they always did. A reused
+	// invoker keeps the stream of an earlier life and reseeds it.
+	ckptRng    *rand.Rand
+	ckptForked bool
 
 	ctrl    *Controller
 	slot    int
@@ -130,6 +131,16 @@ type Invoker struct {
 
 	onDrained func()
 
+	// drainEv is the controller's drain hop after a SIGTERM (drainCb),
+	// which reads the invoker's slot and topic and so keeps it from
+	// reuse until it has fired. quiet records that the invoker left its
+	// slot gone, so that its topic no longer calls it; released, that it
+	// was handed back while its drain hop was pending (see
+	// Controller.Release).
+	drainEv  des.Event
+	quiet    bool
+	released bool
+
 	// Counters.
 	ColdStarts  int
 	WarmStarts  int
@@ -148,13 +159,25 @@ type containerSet struct {
 
 // NewInvoker builds an invoker; it is inert until registered with a
 // controller, and cannot register again once it has retired. Its
-// stream, which draws what dist.NewRand(seed) draws, its container
-// pool and its idle heap come at its first attach: a retired
-// invoker's, taken back by the controller, or fresh ones. Pilot churn
-// therefore allocates them about once per controller, not once per
-// boot. It panics on a configuration that cannot make progress: no
-// capacity, no poll interval, or an empty pull batch.
+// stream draws what dist.NewRand(seed) draws. Controller.NewInvoker
+// builds the same invoker on the storage of one handed back by
+// Controller.Release, so pilot churn allocates about as many invokers
+// as are ever registered at once, not one per boot. It panics on a configuration that
+// cannot make progress: no capacity, no poll interval, or an empty pull
+// batch.
 func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
+	w := new(Invoker)
+	w.reset(cfg, seed)
+	return w
+}
+
+// reset makes w the invoker NewInvoker(cfg, seed) builds. A released
+// invoker keeps its storage: its streams (reseeded), its container
+// pool with every set reset to a fresh one's state, its idle heap and
+// slices emptied, and its cached method values. Each set keeps its
+// name: an action index names the same action on every invoker of a
+// controller.
+func (w *Invoker) reset(cfg InvokerConfig, seed int64) {
 	if cfg.Capacity <= 0 {
 		panic("whisk: invoker needs capacity")
 	}
@@ -164,16 +187,43 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 	if cfg.PullBatch <= 0 {
 		panic("whisk: invoker needs a positive pull batch")
 	}
-	w := &Invoker{
-		cfg:   cfg,
-		seed:  seed,
-		slot:  -1,
-		state: InvokerGone,
+	old := *w
+	for _, cs := range old.pool {
+		if cs != nil {
+			cs.idle, cs.busy, cs.lastUsed, cs.heapIdx = 0, 0, 0, -1
+		}
 	}
-	w.execDoneFn = w.execDone
-	w.ckptDoneFn = w.ckptDone
-	w.pollFn = w.poll
-	return w
+	clear(old.idleHeap)
+	*w = Invoker{
+		cfg:        cfg,
+		rng:        seeded(old.rng, seed),
+		execDoneFn: old.execDoneFn,
+		ckptDoneFn: old.ckptDoneFn,
+		ckptRng:    old.ckptRng,
+		slot:       -1,
+		state:      InvokerGone,
+		buffer:     old.buffer[:0],
+		running:    old.running[:0],
+		rejectBuf:  old.rejectBuf[:0],
+		pool:       old.pool,
+		idleHeap:   old.idleHeap[:0],
+		pollFn:     old.pollFn,
+	}
+	if w.pollFn == nil {
+		w.execDoneFn = w.execDone
+		w.ckptDoneFn = w.ckptDone
+		w.pollFn = w.poll
+	}
+}
+
+// seeded returns r restarted at seed, or a new stream when r is nil:
+// either draws what dist.NewRand(seed) draws.
+func seeded(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return dist.NewRand(seed)
+	}
+	dist.Reseed(r, seed)
+	return r
 }
 
 // attach is called by Controller.Register. The controller's population
@@ -181,15 +231,10 @@ func NewInvoker(cfg InvokerConfig, seed int64) *Invoker {
 // deliveries flow into the backlog aggregate (including any messages
 // already rotting on the topic from a previous occupant of the slot,
 // exactly as the slot scan re-counted them). The poll grid starts here,
-// and a first wake-up arms if work is already waiting. Nothing draws
-// before the first attach (execution needs a controller), so the
-// stream is taken here.
+// and a first wake-up arms if work is already waiting.
 func (w *Invoker) attach(c *Controller, slot int) {
-	if w.rng == nil {
-		if w.ctrl != nil {
-			panic("whisk: a retired invoker cannot register again")
-		}
-		c.equip(w)
+	if w.ctrl != nil && w.state == InvokerGone {
+		panic("whisk: a retired invoker cannot register again")
 	}
 	w.ctrl = c
 	w.slot = slot
@@ -310,13 +355,13 @@ func (w *Invoker) execute(inv *Invocation) {
 
 // checkpointRng lazily forks the checkpoint subsystem's private stream
 // off the invoker's main stream, as dist.Split does: one parent draw
-// seeds it (on a retired stream when the controller holds one). The
-// fork happens only when a checkpointed execution first dispatches,
-// so configurations without checkpointing keep their draw sequence —
-// and the committed goldens — byte-identical.
+// seeds it. The fork happens only when a checkpointed execution first
+// dispatches, so configurations without checkpointing keep their draw
+// sequence — and the committed goldens — byte-identical.
 func (w *Invoker) checkpointRng() *rand.Rand {
-	if w.ckptRng == nil {
-		w.ckptRng = w.ctrl.newRand(w.rng.Int63())
+	if !w.ckptForked {
+		w.ckptRng = seeded(w.ckptRng, w.rng.Int63())
+		w.ckptForked = true
 	}
 	return w.ckptRng
 }
@@ -598,7 +643,7 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 	// reads the state), but acts on the SIGTERM only once the status
 	// message reaches it: statusLatency later, drainCb moves the
 	// unpulled messages from the topic to the fast lane (§III-C).
-	w.ctrl.sim.AfterCall(statusLatency, w.ctrl.drainFn, w)
+	w.drainEv = w.ctrl.sim.AfterCall(statusLatency, w.ctrl.drainFn, w)
 
 	// Flush the unexecuted buffer to the fast lane (which the backlog
 	// aggregate does not cover — FastLaneDepth is its own signal).
@@ -608,13 +653,17 @@ func (w *Invoker) Sigterm(interruptRunning bool, onDrained func()) {
 		}
 		w.ctrl.noteBuffer(w, -len(w.buffer))
 		w.ctrl.fastLane.Requeue(w.buffer...)
-		w.buffer = nil
+		clear(w.buffer)
+		w.buffer = w.buffer[:0]
 	}
 
 	if interruptRunning {
-		snapshot := append([]*Invocation(nil), w.running...)
-		for _, inv := range snapshot {
+		// In insertion order; removeRunning takes out the entry at i,
+		// and nothing else changes the list while it is walked.
+		for i := 0; i < len(w.running); {
+			inv := w.running[i]
 			if !inv.Action.Interruptible {
+				i++
 				continue
 			}
 			if inv.execEv.Stop() {
@@ -735,12 +784,14 @@ func (w *Invoker) Kill() {
 		w.accountKill(inv)
 		w.ctrl.release(inv) // the running list's reference
 	}
-	w.running = nil
+	clear(w.running)
+	w.running = w.running[:0]
 	w.ctrl.noteBuffer(w, -len(w.buffer))
 	for _, inv := range w.buffer {
 		w.ctrl.release(inv) // the dropped call's buffer reference
 	}
-	w.buffer = nil
+	clear(w.buffer)
+	w.buffer = w.buffer[:0]
 	w.state = InvokerGone
 	// A killed worker cannot hand anything off: its topic messages rot
 	// until the controller-side timeouts fire, exactly the unmodified-

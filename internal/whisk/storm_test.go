@@ -2,6 +2,7 @@ package whisk
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,11 +19,14 @@ import (
 // without mid-execution interruption), hard kills, and random clock
 // advances, so every pooling-sensitive path — publish, timeout,
 // fast-lane requeue, reject-under-pressure, rot-after-kill — gets
-// exercised. With fresh set, the controller forgets its retired
-// invokers' state after every op, so every attach builds its stream
-// and container pool anew. It also returns how many registrations
-// took a retired stream, and how many a retired container pool.
-func stormLog(t *testing.T, seed int64, pooled, fresh bool) (log []string, reusedRands, reusedPools int) {
+// exercised. After every op the storm hands each invoker that has gone
+// back to the controller at once, its drain hop pending or not, and
+// registrations take invokers from the controller. With fresh set, the
+// controller then forgets the invokers handed back, so every
+// registration builds a new one. It also returns how many registrations
+// took a released invoker, and how many invokers were released while
+// their drain hop was pending.
+func stormLog(t *testing.T, seed int64, pooled, fresh bool) (log []string, reused, early int) {
 	t.Helper()
 	sim := des.New()
 	b := bus.New[*Invocation](sim, nil, seed+1)
@@ -70,14 +74,11 @@ func stormLog(t *testing.T, seed int64, pooled, fresh bool) (log []string, reuse
 
 	for op := 0; op < 2500; op++ {
 		switch rng.Intn(12) {
-		case 0: // register a fresh invoker
-			w := NewInvoker(icfg, rng.Int63())
-			if len(c.spareRands) > 0 {
-				reusedRands++
+		case 0: // register an invoker, a released one when one is spare
+			if len(c.spare) > 0 {
+				reused++
 			}
-			if len(c.sparePools) > 0 {
-				reusedPools++
-			}
+			w := c.NewInvoker(icfg, rng.Int63())
 			c.Register(w)
 			invokers = append(invokers, w)
 		case 1: // graceful drain of a random healthy invoker
@@ -94,8 +95,18 @@ func stormLog(t *testing.T, seed int64, pooled, fresh bool) (log []string, reuse
 			c.Invoke(actions[rng.Intn(len(actions))], logDone)
 			sim.RunFor(time.Duration(rng.Intn(200)) * time.Millisecond)
 		}
+		invokers = slices.DeleteFunc(invokers, func(w *Invoker) bool {
+			if w.State() != InvokerGone {
+				return false
+			}
+			if w.drainEv.Pending() {
+				early++
+			}
+			c.Release(w)
+			return true
+		})
 		if fresh {
-			c.spareRands, c.sparePools = nil, nil
+			c.spare = nil
 		}
 	}
 	// Drain: past the action timeout so even rotting messages resolve.
@@ -108,7 +119,7 @@ func stormLog(t *testing.T, seed int64, pooled, fresh bool) (log []string, reuse
 		t.Fatalf("storm leaked invocations: total=%d completed=%d",
 			c.Total, c.NSuccess+c.NFailed+c.NTimeout+c.N503)
 	}
-	return log, reusedRands, reusedPools
+	return log, reused, early
 }
 
 // TestStormPooledMatchesUnpooledEventLog is the property test pinning
@@ -140,20 +151,21 @@ func TestStormPooledMatchesUnpooledEventLog(t *testing.T) {
 	}
 }
 
-// TestStormRecycledMatchesFresh pins the recycling of retired invokers'
-// state to building it fresh: the same seeded storm, with the
-// controller's free lists as they are and with them emptied after
-// every op, must produce identical completion logs, line for line. A
-// stream or pool handed back before its invoker's last draw or use
-// (say, at SIGTERM instead of at the end of the drain) is shared by
-// two invokers at once, and the logs diverge.
+// TestStormRecycledMatchesFresh pins the reuse of released invokers
+// to building them fresh: the same seeded storm, with the controller's
+// free list as it is and with it emptied after every op, must produce
+// identical completion logs, line for line. An invoker reused while
+// something still refers to it — its drain hop pending, a call routed
+// to it on the way to its old topic, or that topic still calling its
+// poll — acts for two lives at once, and the logs diverge.
 func TestStormRecycledMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fresh, _, _ := stormLog(t, seed, true, true)
-			recycled, rands, pools := stormLog(t, seed, true, false)
-			if rands == 0 || pools == 0 {
-				t.Fatalf("storm reused %d retired streams and %d retired pools — the comparison would be vacuous", rands, pools)
+			fresh, none, _ := stormLog(t, seed, true, true)
+			recycled, reused, early := stormLog(t, seed, true, false)
+			if reused == 0 || none != 0 || early == 0 {
+				t.Fatalf("registrations took %d released invokers with hand-back and %d without, %d released with their drain hop pending — the comparison would be vacuous",
+					reused, none, early)
 			}
 			if len(fresh) != len(recycled) {
 				t.Fatalf("completion counts diverged: %d fresh vs %d recycled", len(fresh), len(recycled))
@@ -179,9 +191,10 @@ func stormCheckpoint(i int) *checkpoint.Model {
 
 // BenchmarkPilotChurn is one pilot's life on a pooled controller with
 // 100 actions deployed: boot an invoker, register it, serve one call,
-// SIGTERM it and drain it. Each retired invoker's stream and container
-// pool go to the next one, so the steady state allocates the invoker
-// and its small slices, not a 5,424 B stream and a pool per boot.
+// SIGTERM it, drain it and hand it back. Each invoker goes back to the
+// controller once it has gone, and the next boot reuses it with its
+// streams, container pool and slices, so the steady state allocates
+// nothing.
 func BenchmarkPilotChurn(b *testing.B) {
 	sim := des.New()
 	cfg := DefaultControllerConfig()
@@ -193,7 +206,7 @@ func BenchmarkPilotChurn(b *testing.B) {
 		c.RegisterAction(&Action{Name: actions[i], MemoryMB: 256, Exec: FixedExec(10 * time.Millisecond)})
 	}
 	churn := func(i int) {
-		w := NewInvoker(DefaultInvokerConfig(), int64(i))
+		w := c.NewInvoker(DefaultInvokerConfig(), int64(i))
 		c.Register(w)
 		c.Invoke(actions[i%len(actions)], nil)
 		sim.RunFor(5 * time.Second)
@@ -202,6 +215,7 @@ func BenchmarkPilotChurn(b *testing.B) {
 		if w.State() != InvokerGone {
 			b.Fatalf("pilot %d did not drain", i)
 		}
+		c.Release(w)
 	}
 	for i := range 2 * len(actions) { // every action's container set, the des and invocation pools
 		churn(i)
