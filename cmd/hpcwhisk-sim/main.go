@@ -130,6 +130,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
+		// Sample every 512 B instead of every 512 KiB, so alloc_space
+		// totals of a run this size are exact to a few KB; restore the
+		// caller's rate after the profile is written.
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 512
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -120,6 +121,30 @@ func TestGenericScenario(t *testing.T) {
 	}
 }
 
+// TestMemProfile: -memprofile writes a non-empty heap profile, and run
+// leaves the process's sampling rate as it found it (tests call run
+// in-process).
+func TestMemProfile(t *testing.T) {
+	const rate = 4096
+	defer func(old int) { runtime.MemProfileRate = old }(runtime.MemProfileRate)
+	runtime.MemProfileRate = rate
+	path := filepath.Join(t.TempDir(), "mem.pprof")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-scenario", "fig3", "-seed", "7", "-memprofile", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if runtime.MemProfileRate != rate {
+		t.Errorf("MemProfileRate %d after run, want %d", runtime.MemProfileRate, rate)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Error("empty heap profile")
+	}
+}
+
 // TestSetOption: -set reaches the scenario; bad keys and values are
 // rejected with exit 2 before anything runs.
 func TestSetOption(t *testing.T) {
@@ -192,6 +217,9 @@ func TestRunRejectsOutOfRangeAxes(t *testing.T) {
 		{[]string{"-scenario", "fib-day", "-nodes", "64", "-hours", "1", "-set", "sleep-exec=2562047h"}, "sleep-exec"},
 		{[]string{"-scenario", "var-day", "-nodes", "64", "-hours", "1", "-set", "sleep-exec=2562047h"}, "sleep-exec"},
 		{[]string{"-scenario", "week-day", "-nodes", "64", "-hours", "1", "-set", "sleep-exec=2562047h"}, "sleep-exec"},
+		// A mean idle count above the node count: the generator would
+		// draw arrivals for it without end.
+		{[]string{"-scenario", "policy-comparison", "-nodes", "8", "-hours", "1", "-set", "mean-idle-nodes=1e9"}, "mean-idle-nodes"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

@@ -8,10 +8,10 @@
 package coverage
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -81,9 +81,10 @@ type Result struct {
 	// workers.
 	NonAvailability float64
 
-	// Ready is the underlying ready-worker count series (for the
-	// Simulation panel of Figs. 5a/6a).
-	Ready *stats.TimeWeighted
+	// ReadyPerMinute is the ready-worker count averaged over each
+	// minute of the horizon, a trailing partial minute over its length
+	// (the Simulation panel of Figs. 5a/6a).
+	ReadyPerMinute []float64
 }
 
 // Coverage returns warm-up plus ready share (the headline "92%"/"84%"
@@ -91,48 +92,65 @@ type Result struct {
 func (r Result) Coverage() float64 { return r.ShareWarmup + r.ShareReady }
 
 // Simulate packs the trace with the set's lengths and reduces the
-// Table I metrics.
+// Table I metrics. Each job's ready span goes into one event array,
+// sized by a first counting pass; one sweep over the sorted events then
+// reduces the ready-worker count, so memory is O(jobs + nodes + minutes
+// of horizon).
 func Simulate(tr *workload.Trace, set Set, cfg Config) Result {
 	if len(set.Lengths) == 0 {
 		panic("coverage: empty job-length set")
 	}
-	lengths := append([]time.Duration(nil), set.Lengths...)
-	sort.Slice(lengths, func(i, j int) bool { return lengths[i] > lengths[j] }) // longest first
-	minLen := lengths[len(lengths)-1]
+	if tr.Horizon <= 0 {
+		panic("coverage: trace without a horizon")
+	}
+	// Longest first, capped: each job takes the first length that fits
+	// what is left of its period.
+	lengths := make([]time.Duration, 0, len(set.Lengths))
+	for _, l := range set.Lengths {
+		if l <= cfg.MaxJob {
+			lengths = append(lengths, l)
+		}
+	}
+	slices.SortFunc(lengths, func(a, b time.Duration) int { return cmp.Compare(b, a) })
 
-	res := Result{Set: set}
-	var warmup, ready time.Duration
-
-	type span struct{ start, end time.Duration }
-	var readySpans []span
-
+	jobs := 0
 	for _, p := range tr.Periods {
-		remaining := p.Len()
-		at := p.Start
-		for remaining >= minLen {
-			var job time.Duration
-			for _, l := range lengths {
-				if l <= remaining && l <= cfg.MaxJob {
-					job = l
-					break
-				}
-			}
+		for room := p.Len(); ; {
+			job := fit(lengths, room)
 			if job == 0 {
 				break
 			}
-			res.Jobs++
-			w := cfg.WarmupCharge
-			if w > job {
-				w = job
-			}
-			warmup += w
-			ready += job - w
-			readySpans = append(readySpans, span{start: at + w, end: at + job})
-			at += job
-			remaining -= job
+			jobs++
+			room -= job
 		}
 	}
 
+	// An event is its instant shifted left one bit, with the low bit set
+	// for a span's start: sorted, ends come before starts at one instant.
+	evs := make([]uint64, 0, 2*jobs)
+	var warmup, ready time.Duration
+	for _, p := range tr.Periods {
+		at := p.Start
+		for room := p.Len(); ; {
+			job := fit(lengths, room)
+			if job == 0 {
+				break
+			}
+			w := min(cfg.WarmupCharge, job)
+			warmup += w
+			ready += job - w
+			start, end := at+w, at+job
+			if start < 0 || end > tr.Horizon {
+				panic("coverage: ready span outside the trace's horizon")
+			}
+			evs = append(evs, uint64(start)<<1|1, uint64(end)<<1)
+			at += job
+			room -= job
+		}
+	}
+	slices.Sort(evs)
+
+	res := Result{Set: set, Jobs: jobs}
 	total := tr.TotalIdle()
 	if total > 0 {
 		res.ShareWarmup = warmup.Seconds() / total.Seconds()
@@ -140,37 +158,100 @@ func Simulate(tr *workload.Trace, set Set, cfg Config) Result {
 		res.ShareNotUsed = 1 - res.ShareWarmup - res.ShareReady
 	}
 
-	// Sweep the ready spans into a worker-count series over the horizon.
-	type ev struct {
-		at    time.Duration
-		delta int
+	// The count holds between consecutive event instants, at its value
+	// after every event of the earlier one.
+	s := readySweep{
+		held:      make([]time.Duration, tr.Nodes+1),
+		perMinute: make([]float64, (tr.Horizon+time.Minute-1)/time.Minute),
 	}
-	evs := make([]ev, 0, 2*len(readySpans))
-	for _, s := range readySpans {
-		evs = append(evs, ev{s.start, +1}, ev{s.end, -1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].delta < evs[j].delta
-	})
-	var tw stats.TimeWeighted
-	tw.Observe(0, 0)
+	var last time.Duration
 	n := 0
 	for _, e := range evs {
-		n += e.delta
-		tw.Observe(e.at, float64(n))
+		if at := time.Duration(e >> 1); at > last {
+			s.hold(n, last, at)
+			last = at
+		}
+		if e&1 == 1 {
+			n++
+		} else {
+			n--
+		}
 	}
-	tw.Finish(tr.Horizon)
+	if tr.Horizon > last {
+		s.hold(n, last, tr.Horizon)
+	}
 
-	res.ReadyP25 = tw.Quantile(0.25)
-	res.ReadyP50 = tw.Quantile(0.50)
-	res.ReadyP75 = tw.Quantile(0.75)
-	res.ReadyAvg = tw.TimeMean()
-	res.NonAvailability = tw.FractionEqual(0)
-	res.Ready = &tw
+	secs := tr.Horizon.Seconds()
+	res.ReadyP25 = s.quantile(0.25, tr.Horizon)
+	res.ReadyP50 = s.quantile(0.50, tr.Horizon)
+	res.ReadyP75 = s.quantile(0.75, tr.Horizon)
+	res.ReadyAvg = s.weighted / secs
+	res.NonAvailability = s.held[0].Seconds() / secs
+	for i := range s.perMinute {
+		covered := min(time.Minute, tr.Horizon-time.Duration(i)*time.Minute)
+		s.perMinute[i] /= covered.Seconds()
+	}
+	res.ReadyPerMinute = s.perMinute
 	return res
+}
+
+// fit returns the first of lengths, sorted longest first, that fits in
+// room, or 0 if none does.
+func fit(lengths []time.Duration, room time.Duration) time.Duration {
+	for _, l := range lengths {
+		if l <= room {
+			return l
+		}
+	}
+	return 0
+}
+
+// readySweep reduces the piecewise-constant ready-worker count, fed one
+// constant stretch at a time in time order from instant 0, exactly as
+// stats.TimeWeighted's TimeMean, FractionEqual, Quantile and
+// Buckets(time.Minute) reduce the same stretches.
+type readySweep struct {
+	held      []time.Duration // total time at each count
+	weighted  float64         // Σ count × seconds, summed in time order
+	perMinute []float64       // the same sum per minute of horizon
+}
+
+// hold records that the count was n from instant from to instant to.
+func (s *readySweep) hold(n int, from, to time.Duration) {
+	for n >= len(s.held) { // a trace whose periods overlap on a node
+		s.held = append(s.held, 0)
+	}
+	d := to - from
+	s.held[n] += d
+	v := float64(n)
+	s.weighted += v * d.Seconds()
+	for cur := from; cur < to; {
+		i := int(cur / time.Minute)
+		end := min(to, time.Duration(i+1)*time.Minute)
+		s.perMinute[i] += v * (end - cur).Seconds()
+		cur = end
+	}
+}
+
+// quantile is the time-weighted p-quantile of the count over a series
+// of the given total length: the smallest count whose cumulative time
+// reaches p of the total. Counts that held for no time are no values of
+// the series.
+func (s *readySweep) quantile(p float64, total time.Duration) float64 {
+	target := time.Duration(p * float64(total))
+	var cum time.Duration
+	top := 0
+	for n, d := range s.held {
+		if d == 0 {
+			continue
+		}
+		cum += d
+		if cum >= target {
+			return float64(n)
+		}
+		top = n
+	}
+	return float64(top)
 }
 
 // Best returns the result with the highest ready share (the criterion

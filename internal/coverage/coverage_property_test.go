@@ -35,7 +35,8 @@ func TestPropertyPackingConsistent(t *testing.T) {
 		}
 		// Ready workers can never exceed concurrently idle nodes.
 		maxIdle := tr.IdleCount().Quantile(1.0)
-		maxReady := r.Ready.Quantile(1.0)
+		_, ready := bufferedSimulate(tr, set, DefaultConfig())
+		maxReady := ready.Quantile(1.0)
 		return maxReady <= maxIdle+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -368,10 +368,11 @@ func RunDayCtx(ctx context.Context, cfg DayConfig, progress ProgressFunc) (DayRe
 		sys.Manager.States.Warming.Footprint() +
 		sys.Manager.States.Healthy.Footprint() +
 		sys.Manager.States.Irresp.Footprint()
-	// The per-minute figure panels require the buffered series; a
-	// streaming run deliberately doesn't retain them.
+	// The live per-minute figure panels require the buffered series; a
+	// streaming run deliberately doesn't retain them, nor the
+	// simulation's panel beside them.
 	if !cfg.Streaming {
-		res.SimReadyPerMinute = res.Sim.Ready.Buckets(time.Minute)
+		res.SimReadyPerMinute = res.Sim.ReadyPerMinute
 		if healthy, ok := sys.Manager.States.Healthy.(*stats.TimeWeighted); ok {
 			res.HealthyPerMinute = healthy.Buckets(time.Minute)
 		}

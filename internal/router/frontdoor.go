@@ -198,8 +198,11 @@ func (fd *FrontDoor) CollectLatencies(on bool) {
 // Home returns the action's hash-derived home site — the same
 // stable-modulus symmetry the whisk controller uses for home invokers,
 // so an action keeps its site (and its warm containers) for the whole
-// run.
+// run. A one-site door (every production day) skips the hash.
 func (fd *FrontDoor) Home(action string) int {
+	if len(fd.sites) == 1 {
+		return 0
+	}
 	return int(fnv32(action)) % len(fd.sites)
 }
 

@@ -278,6 +278,13 @@ func init() {
 					return fmt.Errorf("scenario: policy-comparison policies: %w", err)
 				}
 			}
+			// No cluster idles more nodes than it has, and the trace
+			// generator would draw arrivals for such a target without
+			// end. The default of 10 on a smaller cluster still runs.
+			nodes := cfg.Nodes(experiments.DefaultPolicyComparisonConfig(cfg.Seed()).Nodes)
+			if m := cfg.Float("mean-idle-nodes", 0); m > float64(nodes) {
+				return fmt.Errorf("scenario: policy-comparison wants mean-idle-nodes at most the %d nodes, got %v", nodes, m)
+			}
 			return nil
 		},
 		Run: func(ctx context.Context, cfg Config) (Result, error) {

@@ -189,6 +189,7 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"checkpoint-frontier", "gap", WithOption("gap", "-1m")},
 		{"policy-comparison", "mean-idle-nodes", WithOption("mean-idle-nodes", "-1")},
 		{"policy-comparison", "mean-idle-nodes", WithOption("mean-idle-nodes", "NaN")},
+		{"policy-comparison", "mean-idle-nodes", WithOption("mean-idle-nodes", "1e9")}, // above the default 256 nodes
 		{"fig2", "jobs", WithOption("jobs", "0")},
 		{"federated-day", "sites", WithOption("sites", "0")},
 		// Values the per-option schema accepts but the scenario's own
@@ -263,6 +264,8 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"fib-day", WithOption("action-timeout", "500000h")},
 		{"fib-day", WithHorizon(maxDuration)},
 		{"policy-comparison", WithOption("mean-idle-nodes", "0")},
+		{"policy-comparison", WithOption("mean-idle-nodes", "256")}, // the default nodes
+		{"policy-comparison", WithNodes(8)},                         // the default 10 is not refused
 		{"week-day", WithOption("day", "var")},
 		{"federated-day", WithOption("routing", "spill-over, capacity-weighted")},
 		{"federated-day", WithNodes(1 << 18)}, // × the default 4 sites: exactly the bound

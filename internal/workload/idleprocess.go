@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -92,6 +93,13 @@ func DefaultIdleProcess(nodes int, horizon time.Duration, seed int64) IdleProces
 
 // Generate builds the trace.
 func (cfg IdleProcessConfig) Generate() *Trace {
+	tr, _ := cfg.generate()
+	return tr
+}
+
+// generate builds the trace and returns how many periods it reserved
+// for it up front.
+func (cfg IdleProcessConfig) generate() (*Trace, int) {
 	if cfg.Nodes <= 0 || cfg.Horizon <= 0 {
 		panic("workload: idle process needs nodes and a horizon")
 	}
@@ -149,7 +157,9 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 		lambdaCont = 1e-9
 	}
 
-	tr := &Trace{Nodes: cfg.Nodes, Horizon: cfg.Horizon}
+	segs := rateSegments(calms, saturations, bursts, horizonSec)
+	reserve := periodReserve(segs, lambdaCont, lambdaCalm)
+	tr := &Trace{Nodes: cfg.Nodes, Horizon: cfg.Horizon, Periods: make([]IdlePeriod, 0, reserve)}
 	free := newFreeSet(cfg.Nodes)
 	active := &endHeap{}
 
@@ -159,7 +169,6 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 		}
 	}
 
-	segs := rateSegments(calms, saturations, bursts, horizonSec)
 	for _, seg := range segs {
 		if seg.saturated {
 			// A demand surge claims every idle node: truncate active
@@ -178,13 +187,10 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 			}
 			continue
 		}
-		rate := lambdaCont
+		rate := seg.rate(lambdaCont, lambdaCalm)
 		periodDist := contendedPeriodSeconds
 		if seg.calm {
-			rate = lambdaCalm
 			periodDist = cfg.CalmPeriod
-		} else {
-			rate *= seg.burstFactor // drain bursts only hit contended time
 		}
 		t := seg.start
 		for {
@@ -226,7 +232,31 @@ func (cfg IdleProcessConfig) Generate() *Trace {
 		}
 	}
 	tr.Sort()
-	return tr
+	return tr, reserve
+}
+
+// maxReserve caps the periods Generate reserves up front, so a
+// calibration whose expected arrival count is extreme grows its trace
+// by append instead of reserving memory it may never fill.
+const maxReserve = 1 << 20
+
+// periodReserve is how many periods Generate reserves: the expected
+// arrival count over the non-saturated segments, plus four standard
+// deviations of its Poisson spread and 16, at most maxReserve.
+// Arrivals that find every node idle start no period, so the trace
+// rarely reaches it.
+func periodReserve(segs []rateSegment, lambdaCont, lambdaCalm float64) int {
+	expect := 0.0
+	for _, seg := range segs {
+		if !seg.saturated {
+			expect += seg.rate(lambdaCont, lambdaCalm) * (seg.end - seg.start)
+		}
+	}
+	n := expect + 4*math.Sqrt(expect) + 16
+	if !(n < maxReserve) { // also NaN
+		return maxReserve
+	}
+	return int(n)
 }
 
 // declaredLength draws the scheduler-visible length of an idle period
@@ -343,6 +373,16 @@ type rateSegment struct {
 	saturated   bool
 	calm        bool
 	burstFactor float64
+}
+
+// rate is the segment's arrival rate per second: the calm rate, or
+// the contended one scaled by a drain burst (bursts only hit contended
+// time).
+func (seg rateSegment) rate(lambdaCont, lambdaCalm float64) float64 {
+	if seg.calm {
+		return lambdaCalm
+	}
+	return lambdaCont * seg.burstFactor
 }
 
 // rateSegments flattens regime, saturation, and burst windows into
